@@ -19,8 +19,8 @@ var simPackages = []string{
 	"internal/coherence", "internal/consistency", "internal/litmus", "internal/fault",
 	// pure-model dependencies with the same obligation
 	"internal/bpred", "internal/config", "internal/core", "internal/deppred",
-	"internal/energy", "internal/isa", "internal/prog", "internal/stats",
-	"internal/vpred", "internal/workload",
+	"internal/energy", "internal/isa", "internal/prog", "internal/reuse",
+	"internal/stats", "internal/vpred", "internal/workload",
 }
 
 // aggPackages aggregate simulator results. Their tables and JSON

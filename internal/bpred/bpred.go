@@ -4,7 +4,10 @@
 // selector, an 8k-entry 4-way BTB, and a 64-entry return address stack.
 package bpred
 
-import "vbmo/internal/isa"
+import (
+	"vbmo/internal/isa"
+	"vbmo/internal/reuse"
+)
 
 // Config sizes the predictor structures. All table sizes must be powers
 // of two.
@@ -40,7 +43,7 @@ type Meta struct {
 }
 
 // Predictor is the combined direction predictor plus BTB and RAS. The
-// zero value is not usable; call New.
+// zero value is not usable; call New or Reset.
 type Predictor struct {
 	cfg      Config
 	bimodal  []uint8 // 2-bit saturating counters
@@ -73,30 +76,29 @@ func log2(n int) uint {
 
 // New builds a predictor with the given configuration.
 func New(cfg Config) *Predictor {
-	p := &Predictor{
-		cfg:      cfg,
-		bimodal:  make([]uint8, cfg.BimodalEntries),
-		gshare:   make([]uint8, cfg.GshareEntries),
-		selector: make([]uint8, cfg.SelectorEntries),
-		histBits: log2(cfg.GshareEntries),
-		btbSets:  cfg.BTBEntries / cfg.BTBWays,
-		ras:      make([]uint64, cfg.RASEntries),
-	}
-	// Initialize counters to weakly taken: loop-closing backward
-	// branches dominate, so this warms up quickly.
-	for i := range p.bimodal {
-		p.bimodal[i] = 2
-	}
-	for i := range p.gshare {
-		p.gshare[i] = 2
-	}
-	for i := range p.selector {
-		p.selector[i] = 1 // weakly prefer bimodal
-	}
-	p.btbTags = make([]uint64, cfg.BTBEntries)
-	p.btbTargets = make([]uint64, cfg.BTBEntries)
-	p.btbLRU = make([]uint8, cfg.BTBEntries)
+	p := new(Predictor)
+	p.Reset(cfg)
 	return p
+}
+
+// Reset rebuilds p in place as New(cfg) would build it, reusing its
+// tables when they fit.
+func (p *Predictor) Reset(cfg Config) {
+	// Direction counters start weakly taken: loop-closing backward
+	// branches dominate, so this warms up quickly. The selector starts
+	// weakly preferring bimodal.
+	*p = Predictor{
+		cfg:        cfg,
+		bimodal:    reuse.Filled(p.bimodal, cfg.BimodalEntries, 2),
+		gshare:     reuse.Filled(p.gshare, cfg.GshareEntries, 2),
+		selector:   reuse.Filled(p.selector, cfg.SelectorEntries, 1),
+		histBits:   log2(cfg.GshareEntries),
+		btbTags:    reuse.Zeroed(p.btbTags, cfg.BTBEntries),
+		btbTargets: reuse.Zeroed(p.btbTargets, cfg.BTBEntries),
+		btbLRU:     reuse.Zeroed(p.btbLRU, cfg.BTBEntries),
+		btbSets:    cfg.BTBEntries / cfg.BTBWays,
+		ras:        reuse.Zeroed(p.ras, cfg.RASEntries),
+	}
 }
 
 func pcIndex(pc uint64, size int) int {

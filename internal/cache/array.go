@@ -38,6 +38,14 @@ type Array struct {
 	// arena is the tail of the current line-storage chunk; newSet carves
 	// lazily-materialized sets out of it (see NewArray).
 	arena []line
+	// chunks holds every storage chunk in carve order; chunks[:used]
+	// back the sets of this run, and Reset rewinds used to zero so the
+	// next run carves the same chunks again.
+	chunks [][]line
+	used   int
+	// touched lists the indices of materialized sets: exactly the
+	// non-nil elements of sets, which Reset nils again.
+	touched []uint32
 	// Accesses, Hits count Lookup calls and their hits.
 	Accesses, Hits uint64
 }
@@ -50,11 +58,30 @@ type Array struct {
 // stop paying for sets the run never references. A nil set behaves
 // exactly like a set of invalid lines.
 func NewArray(cfg Config) *Array {
+	a := new(Array)
+	a.Reset(cfg)
+	return a
+}
+
+// Reset rebuilds a in place as NewArray(cfg) would build it. With an
+// unchanged geometry it keeps its storage: the sets the last run
+// materialized are un-materialized and the arena chunks are rewound,
+// so the cost is proportional to the footprint the run touched.
+func (a *Array) Reset(cfg Config) {
 	nsets := cfg.Size / BlockSize / cfg.Ways
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	return &Array{cfg: cfg, setMask: uint64(nsets - 1), sets: make([][]line, nsets)}
+	sets, chunks := a.sets, a.chunks
+	if cfg == a.cfg {
+		for _, si := range a.touched {
+			sets[si] = nil
+		}
+	} else {
+		sets, chunks = make([][]line, nsets), nil
+	}
+	*a = Array{cfg: cfg, setMask: uint64(nsets - 1), sets: sets,
+		chunks: chunks, touched: a.touched[:0]}
 }
 
 // Config returns the array's configuration.
@@ -70,18 +97,27 @@ func (a *Array) setIndex(addr uint64) uint64 {
 // one heap allocation per newly-touched set in steady state.
 const arenaSets = 256
 
-// newSet materializes storage for one set.
-func (a *Array) newSet() []line {
+// newSet materializes storage for set si. A rewound chunk still holds
+// the lines of an earlier run, so each carved set is cleared.
+func (a *Array) newSet(si uint64) []line {
 	w := a.cfg.Ways
 	if len(a.arena) < w {
-		chunk := arenaSets
-		if n := int(a.setMask) + 1; n < chunk {
-			chunk = n
+		if a.used < len(a.chunks) {
+			a.arena = a.chunks[a.used]
+		} else {
+			chunk := arenaSets
+			if n := int(a.setMask) + 1; n < chunk {
+				chunk = n
+			}
+			a.arena = make([]line, chunk*w)
+			a.chunks = append(a.chunks, a.arena)
 		}
-		a.arena = make([]line, chunk*w)
+		a.used++
 	}
 	s := a.arena[:w:w]
+	clear(s)
 	a.arena = a.arena[w:]
+	a.touched = append(a.touched, uint32(si))
 	return s
 }
 
@@ -123,7 +159,7 @@ func (a *Array) Insert(addr uint64) (victim uint64, evicted bool) {
 	si := a.setIndex(addr)
 	set := a.sets[si]
 	if set == nil {
-		set = a.newSet()
+		set = a.newSet(si)
 		a.sets[si] = set
 	}
 	a.tick++

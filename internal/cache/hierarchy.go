@@ -1,5 +1,7 @@
 package cache
 
+import "vbmo/internal/reuse"
+
 // Source identifies where an access was satisfied.
 type Source int
 
@@ -162,23 +164,58 @@ type Hierarchy struct {
 
 // NewHierarchy builds one core's hierarchy over the given backend.
 func NewHierarchy(core int, cfg HierConfig, backend Backend) *Hierarchy {
-	h := &Hierarchy{
+	h := new(Hierarchy)
+	h.Reset(core, cfg, backend)
+	return h
+}
+
+// Reset rebuilds h in place as NewHierarchy would build it — every
+// level empty, no outstanding misses, no callbacks — keeping the tag
+// arrays', TLB's and prefetcher's storage for reuse.
+func (h *Hierarchy) Reset(core int, cfg HierConfig, backend Backend) {
+	pf, tlb := h.pf, h.tlb
+	*h = Hierarchy{
 		Core:    core,
 		cfg:     cfg,
-		l1i:     NewArray(cfg.L1I),
-		l1d:     NewArray(cfg.L1D),
-		l2:      NewArray(cfg.L2),
-		l3:      NewArray(cfg.L3),
+		l1i:     reuse.Ptr(h.l1i),
+		l1d:     reuse.Ptr(h.l1d),
+		l2:      reuse.Ptr(h.l2),
+		l3:      reuse.Ptr(h.l3),
 		backend: backend,
-		mshr:    make(map[uint64]int64),
+		mshr:    h.mshr,
+	}
+	h.l1i.Reset(cfg.L1I)
+	h.l1d.Reset(cfg.L1D)
+	h.l2.Reset(cfg.L2)
+	h.l3.Reset(cfg.L3)
+	if h.mshr == nil {
+		h.mshr = make(map[uint64]int64)
+	} else {
+		clear(h.mshr)
 	}
 	if cfg.PrefetchEntries > 0 {
-		h.pf = NewStridePrefetcher(cfg.PrefetchEntries)
+		h.pf = reuse.Ptr(pf)
+		h.pf.Reset(cfg.PrefetchEntries)
 	}
 	if cfg.TLBEntries > 0 {
-		h.tlb = NewTLB(cfg.TLBEntries, cfg.TLBWays, cfg.TLBWalkLatency)
+		h.tlb = reuse.Ptr(tlb)
+		h.tlb.Reset(cfg.TLBEntries, cfg.TLBWays, cfg.TLBWalkLatency)
 	}
-	return h
+}
+
+// ResetStats zeroes the hierarchy's counters — Stats and the per-level,
+// TLB and prefetcher counts — leaving cache contents untouched.
+func (h *Hierarchy) ResetStats() {
+	h.Stats = Stats{}
+	for _, a := range [...]*Array{h.l1i, h.l1d, h.l2, h.l3} {
+		a.Accesses, a.Hits = 0, 0
+	}
+	if h.tlb != nil {
+		h.tlb.Accesses, h.tlb.Misses = 0, 0
+	}
+	if h.pf != nil {
+		h.pf.Issued = 0
+	}
 }
 
 // DataTLB returns the data TLB (nil when translation modeling is off).

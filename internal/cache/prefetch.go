@@ -1,5 +1,7 @@
 package cache
 
+import "vbmo/internal/reuse"
+
 // StridePrefetcher is a per-PC stride prefetcher modeled after the
 // Power4 hardware prefetcher referenced in Table 3: it tracks the last
 // address and stride observed by each load PC and, once a stride repeats
@@ -23,10 +25,18 @@ const pfConfThreshold = 2
 // NewStridePrefetcher builds a prefetcher with the given table size
 // (power of two).
 func NewStridePrefetcher(entries int) *StridePrefetcher {
+	p := new(StridePrefetcher)
+	p.Reset(entries)
+	return p
+}
+
+// Reset rebuilds p in place as NewStridePrefetcher would build it,
+// reusing its table when it fits.
+func (p *StridePrefetcher) Reset(entries int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("cache: prefetcher entries must be a positive power of two")
 	}
-	return &StridePrefetcher{entries: make([]pfEntry, entries), mask: uint64(entries - 1)}
+	*p = StridePrefetcher{entries: reuse.Zeroed(p.entries, entries), mask: uint64(entries - 1)}
 }
 
 // Observe records a demand access by the load at pc and returns the

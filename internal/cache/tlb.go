@@ -1,5 +1,7 @@
 package cache
 
+import "vbmo/internal/reuse"
+
 // TLB models address translation for the paper's physically-indexed
 // data cache. Its role in this reproduction is the §3 observation that
 // replay accesses are cheaper than premature ones: "the replay access
@@ -32,12 +34,20 @@ const PageShift = 12
 // NewTLB builds a set-associative TLB (entries must be a multiple of
 // ways; set count a power of two).
 func NewTLB(entries, ways, walkLatency int) *TLB {
+	t := new(TLB)
+	t.Reset(entries, ways, walkLatency)
+	return t
+}
+
+// Reset rebuilds t in place as NewTLB would build it, reusing its entry
+// table when it fits.
+func (t *TLB) Reset(entries, ways, walkLatency int) {
 	sets := entries / ways
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic("cache: TLB set count must be a positive power of two")
 	}
-	return &TLB{
-		entries:     make([]tlbEntry, entries),
+	*t = TLB{
+		entries:     reuse.Zeroed(t.entries, entries),
 		ways:        ways,
 		sets:        sets,
 		WalkLatency: walkLatency,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"vbmo/internal/reuse"
 	"vbmo/internal/trace"
 )
 
@@ -109,7 +110,16 @@ type Engine struct {
 // NewEngine creates a replay engine with the given filter and load
 // queue capacity.
 func NewEngine(f Filter, lqCapacity int) *Engine {
-	return &Engine{Filter: f, Queue: NewFIFOQueue(lqCapacity)}
+	e := new(Engine)
+	e.Reset(f, lqCapacity)
+	return e
+}
+
+// Reset rebuilds e in place as NewEngine would build it, reusing its
+// load queue's storage.
+func (e *Engine) Reset(f Filter, lqCapacity int) {
+	*e = Engine{Filter: f, Queue: reuse.Ptr(e.Queue)}
+	e.Queue.Reset(lqCapacity)
 }
 
 // NoteExternalEvent records an external invalidation (no-recent-snoop)

@@ -21,6 +21,8 @@
 // enforces that composition.
 package core
 
+import "vbmo/internal/reuse"
+
 // FIFOEntry is one in-flight load in the replay machine's load queue.
 // Unlike the associative queue it stores the premature value — needed by
 // the compare stage — but requires no address CAM.
@@ -68,10 +70,18 @@ type FIFOQueue struct {
 
 // NewFIFOQueue creates a queue with the given capacity.
 func NewFIFOQueue(capacity int) *FIFOQueue {
-	return &FIFOQueue{
+	q := new(FIFOQueue)
+	q.Reset(capacity)
+	return q
+}
+
+// Reset rebuilds q in place as NewFIFOQueue(capacity) would build it,
+// reusing its arrays when they fit.
+func (q *FIFOQueue) Reset(capacity int) {
+	*q = FIFOQueue{
 		cap:     capacity,
-		tags:    make([]int64, 0, capacity),
-		entries: make([]FIFOEntry, 0, capacity),
+		tags:    reuse.Empty(q.tags, capacity),
+		entries: reuse.Empty(q.entries, capacity),
 	}
 }
 

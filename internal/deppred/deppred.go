@@ -13,6 +13,8 @@
 //     load queue provides and value-based replay cannot.
 package deppred
 
+import "vbmo/internal/reuse"
+
 // Simple is the PC-indexed 1-bit dependence predictor.
 type Simple struct {
 	bits []bool
@@ -25,10 +27,18 @@ type Simple struct {
 // NewSimple creates a table with the given entry count (power of two;
 // the paper uses 4k).
 func NewSimple(entries int) *Simple {
+	s := new(Simple)
+	s.Reset(entries)
+	return s
+}
+
+// Reset rebuilds s in place as NewSimple would build it, reusing its
+// table when it fits.
+func (s *Simple) Reset(entries int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("deppred: entries must be a positive power of two")
 	}
-	return &Simple{bits: make([]bool, entries), mask: uint64(entries - 1)}
+	*s = Simple{bits: reuse.Zeroed(s.bits, entries), mask: uint64(entries - 1)}
 }
 
 func (s *Simple) idx(pc uint64) uint64 { return (pc >> 2) & s.mask }
@@ -65,24 +75,25 @@ type StoreSets struct {
 // NewStoreSets creates a predictor with the given SSIT and LFST sizes
 // (powers of two / positive; the paper uses 4096 and 128).
 func NewStoreSets(ssitEntries, lfstEntries int) *StoreSets {
+	s := new(StoreSets)
+	s.Reset(ssitEntries, lfstEntries)
+	return s
+}
+
+// Reset rebuilds s in place as NewStoreSets would build it, reusing its
+// tables when they fit.
+func (s *StoreSets) Reset(ssitEntries, lfstEntries int) {
 	if ssitEntries <= 0 || ssitEntries&(ssitEntries-1) != 0 {
 		panic("deppred: SSIT entries must be a positive power of two")
 	}
 	if lfstEntries <= 0 {
 		panic("deppred: LFST entries must be positive")
 	}
-	s := &StoreSets{
-		ssit: make([]int32, ssitEntries),
-		lfst: make([]int64, lfstEntries),
+	*s = StoreSets{
+		ssit: reuse.Filled(s.ssit, ssitEntries, -1),
+		lfst: reuse.Filled(s.lfst, lfstEntries, -1),
 		mask: uint64(ssitEntries - 1),
 	}
-	for i := range s.ssit {
-		s.ssit[i] = -1
-	}
-	for i := range s.lfst {
-		s.lfst[i] = -1
-	}
-	return s
 }
 
 func (s *StoreSets) idx(pc uint64) uint64 { return (pc >> 2) & s.mask }

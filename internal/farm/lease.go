@@ -435,7 +435,10 @@ func (s *Server) queueDepth() (queued, pending int) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !decodeRequest(w, r, &req, "bad lease request") {
+		return
+	}
+	if req.Worker == "" {
 		http.Error(w, "farm: bad lease request (worker required)", http.StatusBadRequest)
 		return
 	}
@@ -449,7 +452,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if !decodeRequest(w, r, &req, "bad heartbeat") {
+		return
+	}
+	if req.Worker == "" {
 		http.Error(w, "farm: bad heartbeat (worker required)", http.StatusBadRequest)
 		return
 	}
@@ -461,7 +467,10 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
+	if !decodeRequest(w, r, &req, "bad completion") {
+		return
+	}
+	if req.Key == "" {
 		http.Error(w, "farm: bad completion (key required)", http.StatusBadRequest)
 		return
 	}

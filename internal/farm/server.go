@@ -13,8 +13,10 @@ package farm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -434,10 +436,41 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds every request body the API decodes. The
+// largest legitimate bodies, job specs and one cell's completion, are
+// a few KiB at most, so this leaves ample room.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest strictly decodes r's JSON body into v: the body is
+// capped at maxRequestBytes, unknown fields are rejected, and so is
+// anything but whitespace after the one JSON value. On failure it
+// answers 413 (body over the cap) or 400, naming what was being read,
+// and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("farm: %s: body exceeds %d bytes", what, maxRequestBytes),
+			http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "farm: "+what+": "+err.Error(), http.StatusBadRequest)
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, "farm: bad job spec: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &spec, "bad job spec") {
 		return
 	}
 	j, err := s.enqueue(spec, r.URL.Query().Get("fresh") == "1")

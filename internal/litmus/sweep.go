@@ -186,6 +186,15 @@ func RunOneFault(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *tr
 // contributing bus traffic. cores at or below the thread count
 // (including 0) is exactly RunOneFault.
 func RunOneFaultOn(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *trace.Tracer, fc *fault.Config, cores int) RunResult {
+	res, _ := runOn(nil, mc, t, as, seed, tr, fc, cores)
+	return res
+}
+
+// runOn is RunOneFaultOn on a given machine: s, when non-nil, is reset
+// in place (system.Reset) instead of building a fresh machine, and must
+// have been built for mc at the same core count. It returns the machine
+// it ran on, for the next run to reuse.
+func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *trace.Tracer, fc *fault.Config, cores int) (RunResult, *system.System) {
 	r := &rng{s: seed * 0x2545f4914f6cdd1d}
 	var p Perturb
 	if seed == 0 {
@@ -213,7 +222,7 @@ func RunOneFaultOn(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *
 		opt.Fault = &derived
 	}
 	// The probe hook needs the system, which needs the options: close
-	// over a slot filled in after NewCustom.
+	// over a slot filled in once the machine is built.
 	var sys *system.System
 	if p.ProbeEvery > 0 {
 		k := 0
@@ -224,7 +233,11 @@ func RunOneFaultOn(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *
 			}
 		}
 	}
-	s := system.NewCustom(mc, comp.Prog, comp.Inits, opt)
+	if s == nil {
+		s = system.NewCustom(mc, comp.Prog, comp.Inits, opt)
+	} else {
+		s.Reset(comp.Prog, comp.Inits, opt)
+	}
 	sys = s
 	comp.InitImage(s)
 	for c := range comp.Inits {
@@ -234,7 +247,9 @@ func RunOneFaultOn(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *
 			}
 		}
 	}
-	s.Run(comp.MinCommits, opt)
+	// Advance, not Run: the outcome is read from the machine, so Run's
+	// Result summary would be built only to be discarded.
+	s.Advance(comp.MinCommits, opt)
 
 	out, ok := comp.Extract(s)
 	res := RunResult{
@@ -280,7 +295,7 @@ func RunOneFaultOn(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *
 			Tag: -1, Value: forb, Aux: seed,
 		})
 	}
-	return res
+	return res, s
 }
 
 // Verdict aggregates one (test, config) cell of the sweep.
@@ -396,13 +411,20 @@ func CellSeed(seed uint64, ti, ci int) uint64 {
 // test's allowed set, folded into the cell's verdict. This is the
 // farm service's unit of execution as well as Sweep's worker body, so
 // the two produce identical verdicts for identical inputs.
+//
+// The cell builds one machine and resets it in place before each later
+// run (system.Reset), which is indistinguishable from a fresh build.
+// The machine is local to this call: a cell that panics or times out
+// takes it along, and a retry starts from a new one (DESIGN.md §17).
 func RunCell(t *Test, cfg Config, as *AllowedSet, runs int, base uint64, fc *fault.Config, cores int) Verdict {
 	v := Verdict{
 		Test: t.Name, Config: cfg.Name, Sound: cfg.Sound,
 		Runs: runs, Histogram: make(map[string]int),
 	}
+	var s *system.System
 	for i := 0; i < runs; i++ {
-		res := RunOneFaultOn(cfg.Machine, t, as, base+uint64(i), nil, fc, cores)
+		var res RunResult
+		res, s = runOn(s, cfg.Machine, t, as, base+uint64(i), nil, fc, cores)
 		if res.OK {
 			v.Histogram[res.Key]++
 			if !res.Allowed {

@@ -92,7 +92,16 @@ type AssocLoadQueue struct {
 
 // NewAssocLoadQueue creates a queue of the given capacity and mode.
 func NewAssocLoadQueue(mode Mode, capacity int) *AssocLoadQueue {
-	return &AssocLoadQueue{mode: mode, cap: capacity}
+	q := new(AssocLoadQueue)
+	q.Reset(mode, capacity)
+	return q
+}
+
+// Reset rebuilds q in place as NewAssocLoadQueue would build it —
+// empty, unfiltered, counters zero, no Emit hook — reusing its entry
+// array.
+func (q *AssocLoadQueue) Reset(mode Mode, capacity int) {
+	*q = AssocLoadQueue{mode: mode, cap: capacity, entries: q.entries[:0]}
 }
 
 // EnableBloom attaches a counting Bloom filter with the given counter

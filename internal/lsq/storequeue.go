@@ -10,6 +10,8 @@
 // never reused within a run, so tag order is program order.
 package lsq
 
+import "vbmo/internal/reuse"
+
 // StoreEntry is one in-flight store.
 type StoreEntry struct {
 	// Tag is the store's ROB sequence number (program order).
@@ -101,14 +103,22 @@ func (q *StoreQueue) EnableTwoLevel(l1Size, l2Latency, filterCounters int) {
 
 // NewStoreQueue creates a queue with the given capacity.
 func NewStoreQueue(capacity int) *StoreQueue {
-	return &StoreQueue{
+	q := new(StoreQueue)
+	q.Reset(capacity)
+	return q
+}
+
+// Reset rebuilds q in place as NewStoreQueue(capacity) would build it —
+// empty, flat, counters zero — reusing its arrays when they fit.
+func (q *StoreQueue) Reset(capacity int) {
+	*q = StoreQueue{
 		cap:    capacity,
-		tags:   make([]int64, 0, capacity),
-		addrs:  make([]uint64, 0, capacity),
-		addrOK: make([]bool, 0, capacity),
-		pcs:    make([]uint64, 0, capacity),
-		data:   make([]uint64, 0, capacity),
-		dataOK: make([]bool, 0, capacity),
+		tags:   reuse.Empty(q.tags, capacity),
+		addrs:  reuse.Empty(q.addrs, capacity),
+		addrOK: reuse.Empty(q.addrOK, capacity),
+		pcs:    reuse.Empty(q.pcs, capacity),
+		data:   reuse.Empty(q.data, capacity),
+		dataOK: reuse.Empty(q.dataOK, capacity),
 	}
 }
 

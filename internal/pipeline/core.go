@@ -11,6 +11,7 @@ import (
 	"vbmo/internal/isa"
 	"vbmo/internal/lsq"
 	"vbmo/internal/prog"
+	"vbmo/internal/reuse"
 	"vbmo/internal/trace"
 	"vbmo/internal/vpred"
 )
@@ -124,6 +125,20 @@ type Core struct {
 // New builds a core running program p against the shared image, with
 // the given cache hierarchy (already attached to its backend/bus).
 func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cache.Hierarchy, init prog.ArchState) *Core {
+	c := new(Core)
+	c.Reset(id, cfg, p, mem, hier, init)
+	return c
+}
+
+// Reset rebuilds c in place as New would build it from the same
+// arguments, keeping its storage (DESIGN.md §17): every predictor
+// table, queue array and the entry slab is reused when its size fits.
+// Only the ROB, issue-queue, pending and store-data slots the last run
+// occupied are cleared; the slab is not cleared at all, because
+// pool.get zeroes each entry as it hands it out. The hooks the system
+// wires (CommitHook, Shadow, tracer, fault injector, stage skip) are
+// cleared and must be set again.
+func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cache.Hierarchy, init prog.ArchState) {
 	// A nonzero init.PC selects a per-core entry point within the shared
 	// program — litmus tests give every core its own section; SPMD
 	// workloads leave PC zero and start at the program entry.
@@ -131,32 +146,46 @@ func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cac
 	if entryPC == 0 {
 		entryPC = p.Entry
 	}
-	c := &Core{
+	clearTail(c.iq)
+	clearTail(c.psd)
+	eng, alq, ssets, vp := c.eng, c.alq, c.ssets, c.vp
+	*c = Core{
 		ID:              id,
 		cfg:             cfg,
 		prog:            p,
 		mem:             mem,
 		hier:            hier,
-		bp:              bpred.New(cfg.BP),
-		sq:              lsq.NewStoreQueue(cfg.SQSize),
+		bp:              reuse.Ptr(c.bp),
+		sq:              reuse.Ptr(c.sq),
+		simple:          reuse.Ptr(c.simple),
 		arch:            init,
 		fetchPC:         entryPC,
 		dispatchBarrier: -1,
 		lastReplayCycle: -1,
-		rob:             newEntryRing(cfg.ROBSize),
-		fetchQ:          newFetchRing(cfg.FetchBuf),
-		iq:              make([]*entry, 0, cfg.IQSize),
-		psd:             make([]*entry, 0, cfg.SQSize),
+		wbMinDue:        noDue,
+		rob:             c.rob,
+		fetchQ:          c.fetchQ,
+		iq:              reuse.Empty(c.iq, cfg.IQSize),
+		psd:             reuse.Empty(c.psd, cfg.SQSize),
+		pend:            c.pend,
+		pool:            c.pool,
+		loads:           c.loads,
+		storeWriters:    c.storeWriters.reset(2 * cfg.ROBSize),
 	}
+	c.rob.init(cfg.ROBSize)
+	c.fetchQ.init(cfg.FetchBuf)
 	c.pend.init(cfg.ROBSize)
 	c.pool.init(cfg.ROBSize)
 	c.loads.init(cfg.ROBSize)
-	c.wbMinDue = noDue
 	c.arch.PC = entryPC
+	c.bp.Reset(cfg.BP)
+	c.sq.Reset(cfg.SQSize)
 	if cfg.Scheme == config.ValueReplay {
-		c.eng = core.NewEngine(cfg.Filter, cfg.LQSize)
+		c.eng = reuse.Ptr(eng)
+		c.eng.Reset(cfg.Filter, cfg.LQSize)
 	} else {
-		c.alq = lsq.NewAssocLoadQueue(cfg.LQMode, cfg.LQSize)
+		c.alq = reuse.Ptr(alq)
+		c.alq.Reset(cfg.LQMode, cfg.LQSize)
 		if cfg.BloomCounters > 0 {
 			hashes := cfg.BloomHashes
 			if hashes == 0 {
@@ -173,17 +202,18 @@ func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cac
 		c.sq.EnableTwoLevel(cfg.SQL1Size, cfg.SQL2Latency, ctrs)
 	}
 	if cfg.UseStoreSets {
-		c.ssets = deppred.NewStoreSets(cfg.SSITEntries, cfg.LFSTEntries)
+		c.ssets = reuse.Ptr(ssets)
+		c.ssets.Reset(cfg.SSITEntries, cfg.LFSTEntries)
 	}
 	if cfg.UseValuePrediction && cfg.Scheme == config.ValueReplay {
 		n := cfg.VPredEntries
 		if n == 0 {
 			n = 4096
 		}
-		c.vp = vpred.New(n)
+		c.vp = reuse.Ptr(vp)
+		c.vp.Reset(n)
 	}
-	c.simple = deppred.NewSimple(cfg.SimpleEntries)
-	return c
+	c.simple.Reset(cfg.SimpleEntries)
 }
 
 // ValuePredictor exposes the load-value predictor (nil when disabled).
@@ -411,8 +441,7 @@ func (c *Core) captureStoreData() {
 	for i < len(c.psd) {
 		e := c.psd[i]
 		if e.dataDone {
-			c.psd[i] = c.psd[len(c.psd)-1]
-			c.psd = c.psd[:len(c.psd)-1]
+			c.psd = swapRemove(c.psd, i)
 			continue
 		}
 		if v, ok := e.srcReady(2); ok {
@@ -423,8 +452,7 @@ func (c *Core) captureStoreData() {
 				e.done = true
 				c.commitQuiet = false // the store may be the ROB head
 			}
-			c.psd[i] = c.psd[len(c.psd)-1]
-			c.psd = c.psd[:len(c.psd)-1]
+			c.psd = swapRemove(c.psd, i)
 			continue
 		}
 		i++
@@ -812,6 +840,15 @@ func clearTail(s []*entry) {
 	for i := range s {
 		s[i] = nil
 	}
+}
+
+// swapRemove drops s[i] by moving the last element into its place and
+// nils the vacated slot, so no slot past the length pins an entry.
+func swapRemove(s []*entry, i int) []*entry {
+	last := len(s) - 1
+	s[i] = s[last]
+	s[last] = nil
+	return s[:last]
 }
 
 // pendPush enters an issued instruction into the pending-completion
@@ -1384,6 +1421,7 @@ func filterOlder(s []*entry, fromTag int64) []*entry {
 			out = append(out, e)
 		}
 	}
+	clearTail(s[len(out):])
 	return out
 }
 
@@ -1461,7 +1499,7 @@ func (c *Core) portCap() int {
 func (c *Core) ResetStats() {
 	c.Stats = Stats{}
 	c.Skip = SkipStats{}
-	c.hier.Stats = cache.Stats{}
+	c.hier.ResetStats()
 	c.bp.Lookups, c.bp.Mispredicts = 0, 0
 	if c.eng != nil {
 		c.eng.Stats = core.Stats{}
@@ -1472,11 +1510,16 @@ func (c *Core) ResetStats() {
 		c.alq.RAWSquashes = 0
 		c.alq.InvalSquashes = 0
 		c.alq.IssueSquashes = 0
+		c.alq.BloomFiltered = 0
 	}
-	c.sq.Searches = 0
+	c.sq.Searches, c.sq.L2Searches, c.sq.L2Filtered = 0, 0, 0
 	c.simple.Trainings, c.simple.Waits = 0, 0
 	if c.ssets != nil {
 		c.ssets.Violations, c.ssets.Dependences = 0, 0
+	}
+	if c.vp != nil {
+		c.vp.Lookups, c.vp.Predictions = 0, 0
+		c.vp.Correct, c.vp.Incorrect = 0, 0
 	}
 }
 

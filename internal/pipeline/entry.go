@@ -13,6 +13,7 @@ import (
 	"vbmo/internal/bpred"
 	"vbmo/internal/consistency"
 	"vbmo/internal/isa"
+	"vbmo/internal/reuse"
 )
 
 // entry is one reorder-buffer entry (a dynamic instruction in flight).
@@ -145,31 +146,40 @@ func (e *entry) srcReady(n int) (uint64, bool) {
 }
 
 // pool is a generation-tagged freelist of entries. At most ROBSize
-// entries are ever live (every entry is in the ROB), so the pool is
-// pre-filled from one contiguous slab at core construction and the
-// cycle loop never allocates entry storage. Recycling bumps the
-// entry's generation (see entry.gen); everything else is zeroed.
-type pool struct{ free []*entry }
+// entries are ever live (every entry is in the ROB), so the pool hands
+// out entries from one contiguous slab and the cycle loop never
+// allocates entry storage. Recycling bumps the entry's generation (see
+// entry.gen); everything else is zeroed as get hands the entry out.
+type pool struct {
+	slab []entry
+	next int      // slab[next:] has not been handed out since init
+	free []*entry // recycled entries, handed out first
+}
 
-// init pre-fills the freelist with n slab-backed entries.
+// init arms the pool over a slab of n entries, reusing the current slab
+// when it fits. The slab is not cleared: get zeroes each entry as it
+// hands it out and keeps its generation counting up, so a pointer that
+// outlived an init still fails the stale-producer check.
 func (p *pool) init(n int) {
-	slab := make([]entry, n)
-	p.free = make([]*entry, n)
-	for i := range slab {
-		p.free[i] = &slab[i]
-	}
+	*p = pool{slab: reuse.Resized(p.slab, n), free: reuse.Empty(p.free, n)}
 }
 
 func (p *pool) get() *entry {
-	if n := len(p.free); n > 0 {
-		e := p.free[n-1]
+	var e *entry
+	switch n := len(p.free); {
+	case n > 0:
+		e = p.free[n-1]
 		p.free = p.free[:n-1]
-		gen := e.gen
-		*e = entry{}
-		e.gen = gen + 1
-		return e
+	case p.next < len(p.slab):
+		e = &p.slab[p.next]
+		p.next++
+	default:
+		return &entry{gen: 1}
 	}
-	return &entry{gen: 1}
+	gen := e.gen
+	*e = entry{}
+	e.gen = gen + 1
+	return e
 }
 
 func (p *pool) put(e *entry) { p.free = append(p.free, e) }

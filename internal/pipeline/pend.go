@@ -9,6 +9,8 @@
 
 package pipeline
 
+import "vbmo/internal/reuse"
+
 // pendList holds issued instructions awaiting writeback.
 type pendList struct {
 	// due mirrors each entry's doneCycle (immutable after issue).
@@ -16,9 +18,13 @@ type pendList struct {
 	entries []*entry
 }
 
+// init empties the list with room for n entries, reusing its arrays
+// when they fit; only the occupied pointer slots are cleared (swapRemove
+// and filterOlder nil what they drop).
 func (p *pendList) init(n int) {
-	p.due = make([]int64, 0, n)
-	p.entries = make([]*entry, 0, n)
+	clearTail(p.entries)
+	p.due = reuse.Empty(p.due, n)
+	p.entries = reuse.Empty(p.entries, n)
 }
 
 func (p *pendList) len() int { return len(p.entries) }

@@ -1,6 +1,9 @@
 package pipeline
 
-import "vbmo/internal/consistency"
+import (
+	"vbmo/internal/consistency"
+	"vbmo/internal/reuse"
+)
 
 // This file holds the fixed-capacity ring buffers that keep the cycle
 // loop allocation-free in steady state (DESIGN.md §9). The reorder
@@ -20,8 +23,12 @@ type entryRing struct {
 	n    int
 }
 
-func newEntryRing(capacity int) entryRing {
-	return entryRing{buf: make([]*entry, capacity)}
+// init empties the ring at the given capacity, reusing its array when
+// it fits. Only the occupied slots need clearing: every other slot is
+// nil already (PopFront and TruncateFrom nil what they drop).
+func (r *entryRing) init(capacity int) {
+	r.TruncateFrom(0)
+	*r = entryRing{buf: reuse.Resized(r.buf, capacity)}
 }
 
 // Len returns the current occupancy.
@@ -80,8 +87,11 @@ type fetchRing struct {
 	n    int
 }
 
-func newFetchRing(capacity int) fetchRing {
-	return fetchRing{buf: make([]fetched, capacity)}
+// init empties the buffer at the given capacity, reusing its array
+// when it fits. Stale slots need no clearing: PushSlot zeroes each slot
+// it hands out.
+func (r *fetchRing) init(capacity int) {
+	*r = fetchRing{buf: reuse.Resized(r.buf, capacity)}
 }
 
 // Len returns the current occupancy.
@@ -140,6 +150,16 @@ func newWriterRing(capacity int) *writerRing {
 		tags:    make([]int64, capacity),
 		writers: make([]consistency.Writer, capacity),
 	}
+}
+
+// reset empties a ring of the given capacity for reuse; any other ring
+// (or none) resets to nil, which allocates afresh on first use.
+func (r *writerRing) reset(capacity int) *writerRing {
+	if r == nil || len(r.tags) != capacity {
+		return nil
+	}
+	r.start, r.n = 0, 0
+	return r
 }
 
 // Push records a committed store's writer identity, evicting the oldest

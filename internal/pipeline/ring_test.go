@@ -13,7 +13,8 @@ import (
 
 func TestEntryRingFIFOWraparound(t *testing.T) {
 	const capacity = 4
-	r := newEntryRing(capacity)
+	var r entryRing
+	r.init(capacity)
 	mk := func(tag int64) *entry { return &entry{tag: tag} }
 
 	// Push/pop enough times to wrap the head several times over.
@@ -42,7 +43,8 @@ func TestEntryRingFIFOWraparound(t *testing.T) {
 
 func TestEntryRingTruncateFrom(t *testing.T) {
 	const capacity = 4
-	r := newEntryRing(capacity)
+	var r entryRing
+	r.init(capacity)
 	mk := func(tag int64) *entry { return &entry{tag: tag} }
 
 	// Arrange a wrapped state: head in the middle of the backing array.
@@ -82,7 +84,8 @@ func TestEntryRingTruncateFrom(t *testing.T) {
 
 func TestFetchRingOps(t *testing.T) {
 	const capacity = 3
-	r := newFetchRing(capacity)
+	var r fetchRing
+	r.init(capacity)
 	next := uint64(0)
 	front := uint64(0)
 	for round := 0; round < 4; round++ {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"vbmo/internal/cache"
 	"vbmo/internal/coherence"
 	"vbmo/internal/config"
 	"vbmo/internal/consistency"
@@ -17,6 +16,7 @@ import (
 	"vbmo/internal/isa"
 	"vbmo/internal/pipeline"
 	"vbmo/internal/prog"
+	"vbmo/internal/reuse"
 	"vbmo/internal/stats"
 	"vbmo/internal/trace"
 	"vbmo/internal/workload"
@@ -141,6 +141,36 @@ func New(cfg config.Machine, work workload.Params, opt Options) *System {
 // per-core initial states (one per core). Tests use this to reproduce
 // the paper's Figure 1 scenarios exactly.
 func NewCustom(cfg config.Machine, program *prog.Program, inits []prog.ArchState, opt Options) *System {
+	s := new(System)
+	s.build(cfg, program, inits, opt)
+	return s
+}
+
+// Reset rebuilds s in place to run program from inits under opt. The
+// machine is then indistinguishable from NewCustom(s.Cfg, program,
+// inits, opt): every run result, committed stream, fast-forward and
+// stage-skip count, fault count, trace event and watchdog report comes
+// out the same (DESIGN.md §17). Reset keeps the cores' and caches'
+// storage, so it costs a fraction of a fresh build; litmus cells use it
+// to run many short programs on one machine. Nothing read from the
+// previous run (Commits, Cores) survives the call. Reset panics if the
+// core count differs from the machine's.
+func (s *System) Reset(program *prog.Program, inits []prog.ArchState, opt Options) {
+	n := opt.Cores
+	if n <= 0 {
+		n = len(inits)
+	}
+	if n != len(s.Cores) {
+		panic(fmt.Sprintf("system: Reset to %d cores on a %d-core machine", n, len(s.Cores)))
+	}
+	s.build(s.Cfg, program, inits, opt)
+}
+
+// build is the one construction path: NewCustom applies it to a zero
+// System, Reset to a used one, whose cores, hierarchies and commit
+// buffers it rebuilds in place. The image, bus, shadow and the other
+// per-run helpers are small and always built fresh.
+func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.ArchState, opt Options) {
 	if opt.Cores <= 0 {
 		opt.Cores = len(inits)
 	}
@@ -148,14 +178,22 @@ func NewCustom(cfg config.Machine, program *prog.Program, inits []prog.ArchState
 		panic(fmt.Sprintf("system: %d cores exceeds config.MaxCores (%d)",
 			opt.Cores, config.MaxCores))
 	}
+	cores, commits := s.Cores, s.Commits
+	if len(commits) != opt.Cores {
+		commits = make([][]prog.Committed, opt.Cores)
+	}
+	for c := range commits {
+		commits[c] = commits[c][:0]
+	}
 	img := prog.NewImage(opt.Seed)
 	bus := coherence.NewBus(opt.Cores, cfg.MemLatency)
-	s := &System{
+	*s = System{
 		Cfg:          cfg,
 		Image:        img,
 		Bus:          bus,
 		Program:      program,
-		Commits:      make([][]prog.Committed, opt.Cores),
+		Cores:        cores[:0],
+		Commits:      commits,
 		Trace:        opt.Trace,
 		snapInterval: opt.SnapshotInterval,
 		onCycle:      opt.OnCycle,
@@ -177,9 +215,16 @@ func NewCustom(cfg config.Machine, program *prog.Program, inits []prog.ArchState
 		s.wd = newWatchdog(opt.WatchdogCycles, opt.Cores)
 	}
 	for c := 0; c < opt.Cores; c++ {
-		hier := cache.NewHierarchy(c, cfg.Hier, bus)
+		var core *pipeline.Core
+		if c < len(cores) {
+			core = cores[c]
+		} else {
+			core = new(pipeline.Core)
+		}
+		hier := reuse.Ptr(core.Hierarchy())
+		hier.Reset(c, cfg.Hier, bus)
 		bus.AttachPeer(c, hier)
-		core := pipeline.New(c, cfg, program, img, hier, inits[c])
+		core.Reset(c, cfg, program, img, hier, inits[c])
 		core.SetStageSkip(!opt.NoStageSkip)
 		// External invalidations reach the load queue (baseline) or the
 		// no-recent-snoop filter; castouts must be treated identically
@@ -226,7 +271,6 @@ func NewCustom(cfg config.Machine, program *prog.Program, inits []prog.ArchState
 			}
 		}
 	}
-	return s
 }
 
 // wrapMessageFaults returns invalidation/fill delivery callbacks for one

@@ -11,6 +11,8 @@
 // premature-value error.
 package vpred
 
+import "vbmo/internal/reuse"
+
 // LastValue is a PC-indexed last-value predictor with 2-bit confidence.
 type LastValue struct {
 	entries []lvEntry
@@ -33,10 +35,18 @@ const ConfidenceThreshold = 2
 
 // New creates a predictor with the given entry count (power of two).
 func New(entries int) *LastValue {
+	p := new(LastValue)
+	p.Reset(entries)
+	return p
+}
+
+// Reset rebuilds p in place as New(entries) would build it, reusing its
+// table when it fits.
+func (p *LastValue) Reset(entries int) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("vpred: entries must be a positive power of two")
 	}
-	return &LastValue{entries: make([]lvEntry, entries), mask: uint64(entries - 1)}
+	*p = LastValue{entries: reuse.Zeroed(p.entries, entries), mask: uint64(entries - 1)}
 }
 
 func (p *LastValue) slot(pc uint64) *lvEntry {
