@@ -790,45 +790,44 @@ func (c *Core) issue() {
 		loadPorts: c.cfg.LoadPorts,
 		total:     c.cfg.Width,
 	}
-	// One pass with in-place compaction: issued entries (and strays left
-	// inIQ=false by a squash cycle) drop out, survivors keep their order.
-	// A mid-scan squash rebuilds c.iq via filterOlder and ends the cycle;
-	// entries issued earlier this cycle then linger (inIQ=false) until
-	// this loop drops them next cycle — before dispatch looks at the
-	// queue again, so occupancy checks never see them.
+	// Scan in queue (tag) order, then drop the issued entries. The queue
+	// is not compacted during the scan: a mid-scan squash (an insulated
+	// load-issue search) cuts it through squashFrom, and a cut of a
+	// half-compacted queue would keep an entry both at its new index and
+	// at its old one. A squash removes a suffix of the tag-ordered queue,
+	// so the scan ends there and the compaction below runs on the cut
+	// queue: neither a duplicate nor an issued stray outlives the cycle.
 	c.issueProbe = false
 	acted := false
-	out := 0
-	for i := 0; i < len(c.iq); i++ {
-		e := c.iq[i]
-		if !e.inIQ {
+	for i := 0; i < len(c.iq) && b.total > 0; i++ {
+		issued, squashed := c.tryIssue(c.iq[i], &b)
+		if issued {
 			acted = true
-			continue
+			b.total--
 		}
-		if b.total > 0 {
-			issued, squashed := c.tryIssue(e, &b)
-			if squashed {
-				return
-			}
-			if issued {
-				acted = true
-				b.total--
-				continue
-			}
+		if squashed {
+			break
 		}
-		c.iq[out] = e
-		out++
 	}
-	clearTail(c.iq[out:])
-	c.iq = c.iq[:out]
+	if acted {
+		out := 0
+		for _, e := range c.iq {
+			if e.inIQ {
+				c.iq[out] = e
+				out++
+			}
+		}
+		clearTail(c.iq[out:])
+		c.iq = c.iq[:out]
+	}
 	// Sleep the stage when this scan provably did nothing and would do
-	// nothing next cycle: nothing issued, no stray dropped, and no load
-	// reached the probe path (predictor and store-queue probes count
-	// their lookups, so a cycle that probes is never skippable — the
-	// same conservatism as issueWould in quiesce.go). Because nothing
-	// issued, every per-class budget was still full, so each survivor
-	// failed purely on operand readiness — which only a completion, a
-	// dispatch, or a squash can change; those clear the flag.
+	// nothing next cycle: nothing issued and no load reached the probe
+	// path (predictor and store-queue probes count their lookups, so a
+	// cycle that probes is never skippable — the same conservatism as
+	// issueWould in quiesce.go). Because nothing issued, every per-class
+	// budget was still full, so each entry failed purely on operand
+	// readiness — which only a completion, a dispatch, or a squash can
+	// change; those clear the flag.
 	if !acted && !c.issueProbe {
 		c.issueQuiet = true
 	}
