@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"vbmo/internal/bpred"
 	"vbmo/internal/cache"
 	"vbmo/internal/config"
@@ -35,10 +37,17 @@ type Core struct {
 
 	nextTag int64
 	rob     entryRing // reorder buffer, capacity ROBSize
-	iq      []*entry  // issue queue, preallocated to IQSize
 	pend    pendList  // issued, awaiting completion; preallocated
 	psd     []*entry  // stores awaiting data capture; preallocated
 	pool    pool
+
+	// Wake-up issue queue (DESIGN.md §18): entries by slot (nil when
+	// free), the occupied slots, and the occupied slots whose issue
+	// operands are all ready. Completions set iqReady bits through the
+	// producers' wake masks; issue visits only iqReady.
+	iq      [MaxIQSize]*entry
+	iqUsed  uint64
+	iqReady uint64
 
 	renameMap [isa.NumRegs]*entry
 	arch      prog.ArchState
@@ -69,13 +78,12 @@ type Core struct {
 	// Step elide a stage's scan when it provably has no work this cycle.
 	// A skipped scan is exactly a scan that would have mutated nothing
 	// and counted nothing, so skipping is bit-identical to full
-	// stepping; skipOff is the -stageskip=off escape hatch.
+	// stepping; skipOff is the -stageskip=off escape hatch. Issue needs
+	// no flag of its own: it runs when iqReady is nonzero.
 	skipOff     bool
 	wbMinDue    int64 // lower bound on the earliest pending completion cycle
 	psdQuiet    bool  // no store-data capture can progress until an event
 	commitQuiet bool  // the ROB head cannot commit until an event
-	issueQuiet  bool  // no issue-queue entry can act until an event
-	issueProbe  bool  // scratch: a load reached the probe path this scan
 	replayBase  int   // settled ROB prefix the replay scan starts past
 	loads       loadTracker
 
@@ -122,6 +130,10 @@ type Core struct {
 	Stats Stats
 }
 
+// MaxIQSize bounds config.Machine.IQSize: the issue queue's slot masks
+// are 64-bit words.
+const MaxIQSize = 64
+
 // New builds a core running program p against the shared image, with
 // the given cache hierarchy (already attached to its backend/bus).
 func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cache.Hierarchy, init prog.ArchState) *Core {
@@ -133,9 +145,9 @@ func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cac
 // Reset rebuilds c in place as New would build it from the same
 // arguments, keeping its storage (DESIGN.md §17): every predictor
 // table, queue array and the entry slab is reused when its size fits.
-// Only the ROB, issue-queue, pending and store-data slots the last run
-// occupied are cleared; the slab is not cleared at all, because
-// pool.get zeroes each entry as it hands it out. The hooks the system
+// Only the ROB, pending and store-data slots the last run occupied are
+// cleared; the slab is not cleared at all, because pool.get zeroes each
+// entry as it hands it out. The hooks the system
 // wires (CommitHook, Shadow, tracer, fault injector, stage skip) are
 // cleared and must be set again.
 func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cache.Hierarchy, init prog.ArchState) {
@@ -146,7 +158,6 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 	if entryPC == 0 {
 		entryPC = p.Entry
 	}
-	clearTail(c.iq)
 	clearTail(c.psd)
 	eng, alq, ssets, vp := c.eng, c.alq, c.ssets, c.vp
 	*c = Core{
@@ -165,7 +176,6 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 		wbMinDue:        noDue,
 		rob:             c.rob,
 		fetchQ:          c.fetchQ,
-		iq:              reuse.Empty(c.iq, cfg.IQSize),
 		psd:             reuse.Empty(c.psd, cfg.SQSize),
 		pend:            c.pend,
 		pool:            c.pool,
@@ -262,7 +272,7 @@ func (c *Core) SetTracer(t *trace.Tracer) {
 func (c *Core) ROBLen() int { return c.rob.Len() }
 
 // IQLen returns the issue queue's current occupancy.
-func (c *Core) IQLen() int { return len(c.iq) }
+func (c *Core) IQLen() int { return bits.OnesCount64(c.iqUsed) }
 
 // LQLen returns the load queue's current occupancy (FIFO queue on
 // replay machines, associative queue on baselines).
@@ -313,7 +323,7 @@ func (c *Core) Step() {
 		if c.cfg.Scheme == config.ValueReplay {
 			c.replayStage()
 		}
-		if !c.issueQuiet {
+		if c.iqReady != 0 {
 			c.issue()
 		} else {
 			c.Skip.Issue++
@@ -367,8 +377,8 @@ func (c *Core) complete(e *entry) bool {
 	e.resultReady = true
 	// A completion is the wake event for every sleeping back-end stage:
 	// it can ready a consumer's operand, a store's data, or the head.
+	c.wake(e)
 	c.commitQuiet = false
-	c.issueQuiet = false
 	c.psdQuiet = false
 	switch {
 	case e.isBranch:
@@ -781,6 +791,16 @@ type fuBudget struct {
 	intALU, intMulDiv, fpALU, fpMulDiv, loadPorts, total int
 }
 
+// issue visits the ready issue-queue entries oldest first under the
+// cycle's per-class and width budgets (DESIGN.md §18). The queue was
+// scanned in tag order before, and an entry whose issue operands are not
+// ready never acted, so visiting only iqReady in tag order issues the
+// same instructions in the same order. A load whose address is ready
+// stays in iqReady until it issues and probes again every cycle, as the
+// scan did. An issue-time squash (an insulated load-queue search) ends
+// the cycle's issue.
+//
+//vbr:hotpath
 func (c *Core) issue() {
 	b := fuBudget{
 		intALU:    c.cfg.IntALU,
@@ -790,47 +810,100 @@ func (c *Core) issue() {
 		loadPorts: c.cfg.LoadPorts,
 		total:     c.cfg.Width,
 	}
-	// Scan in queue (tag) order, then drop the issued entries. The queue
-	// is not compacted during the scan: a mid-scan squash (an insulated
-	// load-issue search) cuts it through squashFrom, and a cut of a
-	// half-compacted queue would keep an entry both at its new index and
-	// at its old one. A squash removes a suffix of the tag-ordered queue,
-	// so the scan ends there and the compaction below runs on the cut
-	// queue: neither a duplicate nor an issued stray outlives the cycle.
-	c.issueProbe = false
-	acted := false
-	for i := 0; i < len(c.iq) && b.total > 0; i++ {
-		issued, squashed := c.tryIssue(c.iq[i], &b)
+	ready := c.iqReady
+	for ready != 0 && b.total > 0 {
+		s := c.oldest(ready)
+		ready &^= 1 << s
+		issued, squashed := c.tryIssue(c.iq[s], &b)
 		if issued {
-			acted = true
 			b.total--
+			c.iqRemove(s)
 		}
 		if squashed {
-			break
+			return
+		}
+		// A castout of the load's own cache fill can squash without
+		// ending the scan; the squash freed its victims' slots.
+		ready &= c.iqReady
+	}
+}
+
+// oldest returns the slot of the oldest entry among the slots in m,
+// which must be nonzero. Reading the tags straight from the mask needs
+// no scratch array; m holds a handful of bits on most cycles.
+//
+//vbr:hotpath
+func (c *Core) oldest(m uint64) int {
+	best := bits.TrailingZeros64(m)
+	tag := c.iq[best].tag
+	for m &= m - 1; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		if t := c.iq[s].tag; t < tag {
+			best, tag = s, t
 		}
 	}
-	if acted {
-		out := 0
-		for _, e := range c.iq {
-			if e.inIQ {
-				c.iq[out] = e
-				out++
-			}
+	return best
+}
+
+// iqInsert puts a dispatched entry in the lowest free issue-queue slot
+// and enters the slot in the wake mask of each unfinished producer of
+// its issue operands: operand 1 always, operand 2 only for the ALU
+// classes (loads and stores issue on their address, branches on
+// operand 1). A producer read through both operands is waited on once.
+// An entry with nothing to wait for is ready at once.
+//
+//vbr:hotpath
+func (c *Core) iqInsert(e *entry) {
+	s := bits.TrailingZeros64(^c.iqUsed)
+	bit := uint64(1) << s
+	c.iq[s] = e
+	c.iqUsed |= bit
+	e.slot = uint8(s)
+	e.waitOn(e.src1, bit)
+	if e.cls != isa.ClassLoad && e.cls != isa.ClassStore && e.cls != isa.ClassBranch && e.src2 != e.src1 {
+		e.waitOn(e.src2, bit)
+	}
+	if e.waiting == 0 {
+		c.iqReady |= bit
+	}
+}
+
+// waitOn makes e, in the slot bit, wait on producer p unless p (nil for
+// an operand read at dispatch) has finished.
+//
+//vbr:hotpath
+func (e *entry) waitOn(p *entry, bit uint64) {
+	if p != nil && !p.done && !p.resultReady {
+		p.wakes |= bit
+		e.waiting++
+	}
+}
+
+// wake counts a finished producer off every queue entry waiting on it;
+// an entry whose last awaited producer finished becomes ready. Only
+// complete calls it: a value-predicted load is ready from its own
+// dispatch, before any consumer can wait on it.
+//
+//vbr:hotpath
+func (c *Core) wake(p *entry) {
+	for m := p.wakes; m != 0; m &= m - 1 {
+		s := bits.TrailingZeros64(m)
+		w := c.iq[s]
+		w.waiting--
+		if w.waiting == 0 {
+			c.iqReady |= 1 << s
 		}
-		clearTail(c.iq[out:])
-		c.iq = c.iq[:out]
 	}
-	// Sleep the stage when this scan provably did nothing and would do
-	// nothing next cycle: nothing issued and no load reached the probe
-	// path (predictor and store-queue probes count their lookups, so a
-	// cycle that probes is never skippable — the same conservatism as
-	// issueWould in quiesce.go). Because nothing issued, every per-class
-	// budget was still full, so each entry failed purely on operand
-	// readiness — which only a completion, a dispatch, or a squash can
-	// change; those clear the flag.
-	if !acted && !c.issueProbe {
-		c.issueQuiet = true
-	}
+	p.wakes = 0
+}
+
+// iqRemove frees issue-queue slot s.
+//
+//vbr:hotpath
+func (c *Core) iqRemove(s int) {
+	c.iq[s] = nil
+	c.iqUsed &^= 1 << s
+	c.iqReady &^= 1 << s
 }
 
 // clearTail nils dropped slots so recycled entries are not pinned by
@@ -897,7 +970,6 @@ func (c *Core) issueALU(e *entry, units *int, lat int) bool {
 	}
 	*units--
 	e.issued = true
-	e.inIQ = false
 	e.result = e.inst.Eval(s1, s2)
 	e.doneCycle = c.cycle + int64(lat)
 	c.pendPush(e)
@@ -916,16 +988,12 @@ func (c *Core) issueBranch(e *entry, units *int) bool {
 	e.src1Val = s1
 	e.src1 = nil // latch the value for resolution
 	e.issued = true
-	e.inIQ = false
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
 	c.pendPush(e)
 	return true
 }
 
 func (c *Core) issueStoreAgen(e *entry, units *int) bool {
-	if e.agenDone || e.issued {
-		return false
-	}
 	if *units == 0 {
 		return false
 	}
@@ -941,7 +1009,6 @@ func (c *Core) issueStoreAgen(e *entry, units *int) bool {
 	// agenDone ordering flag still take effect at writeback.
 	c.sq.SetAddr(e.tag, e.addr)
 	e.issued = true
-	e.inIQ = false
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
 	c.pendPush(e)
 	return true
@@ -955,7 +1022,6 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	if !ok {
 		return false, false
 	}
-	c.issueProbe = true // address ready: probes below count lookups
 	addr := e.inst.EffAddr(s1)
 	// Dependence predictor constraints.
 	if e.waitStoreTag >= 0 {
@@ -976,7 +1042,6 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	e.addr = addr
 	e.addrValid = true
 	e.issued = true
-	e.inIQ = false
 	e.forwardTag = -1
 	e.nus = r.UnresolvedOlder
 	if e.nus && c.flt != nil && c.flt.SuppressNUS(c.ID, c.cycle) {
@@ -1091,8 +1156,8 @@ func (c *Core) unlink(p *entry) {
 			p.consumers--
 		}
 	}
-	for _, e := range c.iq {
-		fix(e)
+	for m := c.iqUsed; m != 0; m &= m - 1 {
+		fix(c.iq[bits.TrailingZeros64(m)])
 	}
 	for _, e := range c.psd {
 		fix(e)
@@ -1133,7 +1198,7 @@ func (c *Core) dispatch() {
 		f := c.fetchQ.Front()
 		cls := f.cls
 		needIQ := cls != isa.ClassNop && cls != isa.ClassMembar
-		if needIQ && len(c.iq) >= c.cfg.IQSize {
+		if needIQ && c.IQLen() >= c.cfg.IQSize {
 			c.Stats.StallIQ++
 			return
 		}
@@ -1214,12 +1279,10 @@ func (c *Core) dispatchOne(f *fetched) {
 		c.dispatchBarrier = e.tag
 	case isa.ClassBranch:
 		e.isBranch = true
-		e.inIQ = true
-		c.iq = append(c.iq, e)
+		c.iqInsert(e)
 	case isa.ClassLoad:
 		e.isLoad = true
-		e.inIQ = true
-		c.iq = append(c.iq, e)
+		c.iqInsert(e)
 		c.loads.add(e.tag)
 		if c.vp != nil && !(c.noReplayArmed && e.pc == c.noReplayPC) {
 			if v, ok := c.vp.Predict(e.pc); ok {
@@ -1248,8 +1311,7 @@ func (c *Core) dispatchOne(f *fetched) {
 		}
 	case isa.ClassStore:
 		e.isStore = true
-		e.inIQ = true
-		c.iq = append(c.iq, e)
+		c.iqInsert(e)
 		c.sq.Insert(e.tag, e.pc)
 		c.psd = append(c.psd, e)
 		c.psdQuiet = false
@@ -1257,13 +1319,11 @@ func (c *Core) dispatchOne(f *fetched) {
 			c.ssets.StoreDispatched(e.pc, e.tag)
 		}
 	default:
-		e.inIQ = true
-		c.iq = append(c.iq, e)
+		c.iqInsert(e)
 	}
 	c.rob.Push(e)
-	// Dispatch wakes the issue stage (a new queue entry) and, when the
-	// ROB was empty, commit (the new head may already be done).
-	c.issueQuiet = false
+	// Dispatch into an empty ROB wakes commit: the new head may already
+	// be done.
 	if c.rob.Len() == 1 {
 		c.commitQuiet = false
 	}
@@ -1349,10 +1409,16 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.Stats.SquashedInstrs += uint64(robLen-cut) + uint64(c.fetchQ.Len())
 	// Recycle the killed entries (oldest first, matching the old append
 	// order) before the ring drops its references. Each killed consumer
-	// still holding a producer pointer releases its reference count, and
-	// killed loads leave the incomplete-load bitset.
+	// still holding a producer pointer releases its reference count,
+	// killed loads leave the incomplete-load bitset, and killed queue
+	// entries free their slots.
+	var killed uint64
 	for i := cut; i < robLen; i++ {
 		e := c.rob.At(i)
+		if c.iq[e.slot] == e {
+			killed |= 1 << e.slot
+			c.iq[e.slot] = nil
+		}
 		if e.src1 != nil {
 			e.src1.consumers--
 		}
@@ -1365,29 +1431,30 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 		c.pool.put(e)
 	}
 	c.rob.TruncateFrom(cut)
-	// Wake every sleeping stage: occupancies and readiness changed, and
-	// issue must drop any strays the cut left behind. The settled-prefix
-	// replay cursor clamps to the surviving prefix.
-	c.issueQuiet = false
+	c.iqUsed &^= killed
+	c.iqReady &^= killed
+	// Wake every sleeping stage: occupancies and readiness changed. The
+	// settled-prefix replay cursor clamps to the surviving prefix.
 	c.psdQuiet = false
 	c.commitQuiet = false
 	if c.replayBase > cut {
 		c.replayBase = cut
 	}
 
-	// Rebuild the rename map from survivors.
+	// Rebuild the rename map from survivors, and drop the freed slots
+	// from their wake masks.
 	for i := range c.renameMap {
 		c.renameMap[i] = nil
 	}
 	for i := 0; i < cut; i++ {
 		e := c.rob.At(i)
+		e.wakes &^= killed
 		if e.writesReg {
 			c.renameMap[e.inst.Dst] = e
 		}
 	}
 
 	// Filter the side lists.
-	c.iq = filterOlder(c.iq, fromTag)
 	c.pend.filterOlder(fromTag)
 	c.psd = filterOlder(c.psd, fromTag)
 

@@ -43,6 +43,12 @@ type EntryDump struct {
 	Store     bool   `json:"store,omitempty"`
 	Addr      uint64 `json:"addr,omitempty"`
 	AddrValid bool   `json:"addr_valid,omitempty"`
+	// Issue-queue state: whether the entry holds a queue slot, and how
+	// many unfinished producers of its issue operands it still waits on.
+	// An entry in the queue, waiting on a producer whose own line reads
+	// done, is a lost wake-up.
+	InIQ    bool `json:"in_iq,omitempty"`
+	Waiting int  `json:"waiting,omitempty"`
 	// Replay progress (value-replay machines).
 	ReplayDecided bool `json:"replay_decided,omitempty"`
 	NeedReplay    bool `json:"need_replay,omitempty"`
@@ -81,7 +87,7 @@ func (c *Core) Dump(maxROB int) StateDump {
 		FetchStallUntil: c.fetchStallUntil,
 		DispatchBarrier: c.dispatchBarrier,
 		ROBLen:          c.rob.Len(),
-		IQLen:           len(c.iq),
+		IQLen:           c.IQLen(),
 		LQLen:           c.LQLen(),
 		SQLen:           c.sq.Len(),
 		FetchQLen:       c.fetchQ.Len(),
@@ -98,6 +104,7 @@ func (c *Core) Dump(maxROB int) StateDump {
 			Issued: e.issued, Done: e.done,
 			Load: e.isLoad, Store: e.isStore,
 			Addr: e.addr, AddrValid: e.addrValid,
+			InIQ: c.iq[e.slot] == e, Waiting: int(e.waiting),
 			ReplayDecided: e.replayDecided, NeedReplay: e.needReplay,
 			ReplayIssued: e.replayIssued, ReplayedOK: e.replayedOK,
 			NoReplay: e.noReplay,
@@ -123,6 +130,9 @@ func (d StateDump) String() string {
 		}
 		if e.AddrValid {
 			fmt.Fprintf(&b, " addr=%#x", e.Addr)
+		}
+		if e.InIQ {
+			fmt.Fprintf(&b, " iq[waiting=%d]", e.Waiting)
 		}
 		if e.Load {
 			fmt.Fprintf(&b, " replay[decided=%v need=%v issued=%v ok=%v norepl=%v]",

@@ -49,8 +49,15 @@ type entry struct {
 	// skipped.
 	consumers int32
 
+	// Issue-queue state (DESIGN.md §18). slot is the queue slot the
+	// entry holds until it issues; waiting counts the distinct unfinished
+	// producers of its issue operands. wakes is the producer side: the
+	// slots of the queue entries waiting on this entry's completion.
+	slot    uint8
+	waiting uint8
+	wakes   uint64
+
 	// Scheduling state.
-	inIQ   bool
 	issued bool
 	done   bool
 	// resultReady lets consumers read result before done (value

@@ -12,7 +12,11 @@
 
 package pipeline
 
-import "vbmo/internal/isa"
+import (
+	"math/bits"
+
+	"vbmo/internal/isa"
+)
 
 // stallKind identifies which dispatch stall counter accrues once per
 // cycle while the core is quiescent (stallNone when dispatch is idle:
@@ -36,6 +40,7 @@ const noWake = int64(-1)
 // srcReady's value latching: Quiescent must observe, never mutate. The
 // latch itself is unobservable (a producer's result is immutable once
 // done/resultReady), so mirroring only the readiness test is exact.
+// The issue queue's ready mask is checked against it in tests.
 func (e *entry) wouldBeReady(n int) bool {
 	var p *entry
 	var reads bool
@@ -107,14 +112,10 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 		}
 	}
 
-	// Issue: any entry the scan would act on vetoes the cycle.
-	for _, e := range c.iq {
-		if !e.inIQ {
-			// A stray left by a mid-cycle squash: the issue scan would
-			// drop it, changing the queue occupancy dispatch checks.
-			return noWake, false
-		}
-		if c.issueWould(e) {
+	// Issue: only a ready entry can act, and one the issue stage would
+	// act on vetoes the cycle.
+	for m := c.iqReady; m != 0; m &= m - 1 {
+		if c.issueWould(c.iq[bits.TrailingZeros64(m)]) {
 			return noWake, false
 		}
 	}
@@ -136,7 +137,7 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 				c.ffStall = stallBarrier
 			case c.rob.Len() >= c.cfg.ROBSize:
 				c.ffStall = stallROB
-			case needIQ && len(c.iq) >= c.cfg.IQSize:
+			case needIQ && c.IQLen() >= c.cfg.IQSize:
 				c.ffStall = stallIQ
 			case f.cls == isa.ClassLoad && c.lqFull():
 				c.ffStall = stallLQ
@@ -205,34 +206,24 @@ func (c *Core) replayQuiescent(now int64) (int64, bool) {
 	return wake, true
 }
 
-// issueWould reports whether the issue stage would act on entry e this
-// cycle: actually issue it, or — for loads with a ready address
-// operand — probe the dependence predictor and store queue, both of
-// which count their lookups. Budget checks use the cycle's initial
-// per-class budgets: in a quiescent candidate cycle nothing has issued,
-// so none are spent.
+// issueWould reports whether the issue stage would act on e, a ready
+// issue-queue entry, this cycle: issue it, or — for a load — probe the
+// dependence predictor and store queue, both of which count their
+// lookups even when the load ends up blocked. In a quiescent candidate
+// cycle nothing has issued, so every class has its full unit budget;
+// only a class with no units at all cannot act.
 func (c *Core) issueWould(e *entry) bool {
 	switch e.cls {
-	case isa.ClassIntALU:
-		return c.cfg.IntALU > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
+	case isa.ClassIntALU, isa.ClassBranch, isa.ClassStore:
+		return c.cfg.IntALU > 0
 	case isa.ClassIntMul, isa.ClassIntDiv:
-		return c.cfg.IntMulDiv > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
+		return c.cfg.IntMulDiv > 0
 	case isa.ClassFPALU:
-		return c.cfg.FPALU > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
+		return c.cfg.FPALU > 0
 	case isa.ClassFPMul, isa.ClassFPDiv:
-		return c.cfg.FPMulDiv > 0 && e.wouldBeReady(1) && e.wouldBeReady(2)
-	case isa.ClassBranch:
-		return c.cfg.IntALU > 0 && e.wouldBeReady(1)
-	case isa.ClassStore:
-		if e.agenDone || e.issued {
-			return false
-		}
-		return c.cfg.IntALU > 0 && e.wouldBeReady(1)
+		return c.cfg.FPMulDiv > 0
 	case isa.ClassLoad:
-		// Conservative: once the address operand is ready, issueLoad's
-		// predictor and store-queue probes bump observable counters even
-		// when the load ends up blocked, so the cycle is not skippable.
-		return c.cfg.LoadPorts > 0 && e.wouldBeReady(1)
+		return c.cfg.LoadPorts > 0
 	}
 	return false
 }

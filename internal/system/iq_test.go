@@ -1,10 +1,12 @@
 package system
 
 import (
+	"strings"
 	"testing"
 
 	"vbmo/internal/config"
 	"vbmo/internal/isa"
+	"vbmo/internal/pipeline"
 )
 
 // TestIQOccupancyMatchesROB checks, before every cycle of a run on every
@@ -52,4 +54,36 @@ func TestIQOccupancyMatchesROB(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestIssueQueueSizeBound: the issue queue's slot masks are 64-bit
+// words, so a machine with a larger queue is refused at build time, as
+// a core count above config.MaxCores is. A queue of exactly
+// pipeline.MaxIQSize entries runs and fills to capacity.
+func TestIssueQueueSizeBound(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.IQSize = pipeline.MaxIQSize
+	peak := 0
+	var s *System
+	opt := Options{Cores: 1, Seed: 7, OnCycle: func(int64) {
+		if n := s.Cores[0].IQLen(); n > peak {
+			peak = n
+		}
+	}}
+	s = New(cfg, mustWork(t, "mcf"), opt)
+	if res := s.Run(5000, opt); res.Pipe.Committed < 5000 {
+		t.Fatalf("%d-entry issue queue committed %d of 5000", cfg.IQSize, res.Pipe.Committed)
+	}
+	if peak != cfg.IQSize {
+		t.Errorf("issue queue peaked at %d of %d entries", peak, cfg.IQSize)
+	}
+
+	cfg.IQSize = pipeline.MaxIQSize + 1
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "exceeds pipeline.MaxIQSize") {
+			t.Fatalf("oversized issue queue: recovered %q, want the MaxIQSize panic", msg)
+		}
+	}()
+	New(cfg, mustWork(t, "mcf"), Options{Cores: 1, Seed: 7})
 }

@@ -178,6 +178,10 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 		panic(fmt.Sprintf("system: %d cores exceeds config.MaxCores (%d)",
 			opt.Cores, config.MaxCores))
 	}
+	if cfg.IQSize > pipeline.MaxIQSize {
+		panic(fmt.Sprintf("system: %d-entry issue queue exceeds pipeline.MaxIQSize (%d)",
+			cfg.IQSize, pipeline.MaxIQSize))
+	}
 	cores, commits := s.Cores, s.Commits
 	if len(commits) != opt.Cores {
 		commits = make([][]prog.Committed, opt.Cores)

@@ -7,6 +7,7 @@ import (
 	"vbmo/internal/config"
 	"vbmo/internal/core"
 	"vbmo/internal/fault"
+	"vbmo/internal/pipeline"
 	"vbmo/internal/workload"
 )
 
@@ -53,6 +54,25 @@ func TestWatchdogDetectsLivelock(t *testing.T) {
 	text := rep.String()
 	if !strings.Contains(text, "no instruction committed") || !strings.Contains(text, "rob=") {
 		t.Fatalf("report text lacks ROB/LSQ state:\n%s", text)
+	}
+	// Issue-queue wait state: a fully dumped ROB accounts for the
+	// header's iq count, and a queued entry's line shows how many
+	// producers it still waits on. This livelock drains the ROB between
+	// refetches; TestLostWakeupInDeadlockReport (internal/pipeline)
+	// drives a stuck queue entry into a real report.
+	d := rep.Cores[0]
+	queued := 0
+	for _, e := range d.ROB {
+		if e.InIQ {
+			queued++
+		}
+	}
+	if d.ROBLen <= wdDumpROB && queued != d.IQLen {
+		t.Fatalf("dump lists %d queued entries, header iq=%d:\n%s", queued, d.IQLen, text)
+	}
+	d.ROB = []pipeline.EntryDump{{Tag: 7, Class: "int-alu", InIQ: true, Waiting: 1}}
+	if line := "tag=7 pc=0x0 int-alu iq[waiting=1]"; !strings.Contains(d.String(), line) {
+		t.Fatalf("queued entry renders without %q:\n%s", line, d.String())
 	}
 	// The run must have stopped at the watchdog, not the commit target.
 	if res.Pipe.Committed >= 50000 {
