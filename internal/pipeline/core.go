@@ -792,13 +792,12 @@ type fuBudget struct {
 }
 
 // issue visits the ready issue-queue entries oldest first under the
-// cycle's per-class and width budgets (DESIGN.md §18). The queue was
-// scanned in tag order before, and an entry whose issue operands are not
-// ready never acted, so visiting only iqReady in tag order issues the
-// same instructions in the same order. A load whose address is ready
-// stays in iqReady until it issues and probes again every cycle, as the
-// scan did. An issue-time squash (an insulated load-queue search) ends
-// the cycle's issue.
+// cycle's per-class and width budgets (DESIGN.md §18). An entry whose
+// issue operands are not ready cannot act, so this issues exactly what a
+// tag-order scan of the whole queue would. A load whose address is ready
+// stays in iqReady until it issues and probes the store queue every
+// cycle; each probe is counted. An issue-time squash (an insulated
+// load-queue search) ends the cycle's issue.
 //
 //vbr:hotpath
 func (c *Core) issue() {
@@ -845,12 +844,17 @@ func (c *Core) oldest(m uint64) int {
 	return best
 }
 
+// issuesOnBoth reports whether class cls issues only once both source
+// operands are ready: the ALU classes. Loads and stores issue on their
+// address and branches resolve on operand 1.
+func issuesOnBoth(cls isa.Class) bool {
+	return cls != isa.ClassLoad && cls != isa.ClassStore && cls != isa.ClassBranch
+}
+
 // iqInsert puts a dispatched entry in the lowest free issue-queue slot
 // and enters the slot in the wake mask of each unfinished producer of
-// its issue operands: operand 1 always, operand 2 only for the ALU
-// classes (loads and stores issue on their address, branches on
-// operand 1). A producer read through both operands is waited on once.
-// An entry with nothing to wait for is ready at once.
+// its issue operands. A producer read through both operands is waited
+// on once. An entry with nothing to wait for is ready at once.
 //
 //vbr:hotpath
 func (c *Core) iqInsert(e *entry) {
@@ -860,7 +864,7 @@ func (c *Core) iqInsert(e *entry) {
 	c.iqUsed |= bit
 	e.slot = uint8(s)
 	e.waitOn(e.src1, bit)
-	if e.cls != isa.ClassLoad && e.cls != isa.ClassStore && e.cls != isa.ClassBranch && e.src2 != e.src1 {
+	if issuesOnBoth(e.cls) && e.src2 != e.src1 {
 		e.waitOn(e.src2, bit)
 	}
 	if e.waiting == 0 {

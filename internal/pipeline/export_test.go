@@ -3,21 +3,16 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
-
-	"vbmo/internal/isa"
 )
 
 // issueProducers returns the producers e still reads its issue operands
 // through (nil for an operand latched or read at dispatch): operand 1,
 // and operand 2 for the ALU classes only.
 func issueProducers(e *entry) (p1, p2 *entry) {
-	p1 = e.src1
-	switch e.cls {
-	case isa.ClassLoad, isa.ClassStore, isa.ClassBranch:
-	default:
-		p2 = e.src2
+	if issuesOnBoth(e.cls) {
+		return e.src1, e.src2
 	}
-	return p1, p2
+	return e.src1, nil
 }
 
 // CheckIQ recomputes the wake-up issue queue's state from the entries

@@ -4,9 +4,10 @@
 // when most stages provably had no work. This file holds the state that
 // lets Step elide individual stage scans: a next-wake watermark for
 // writeback (the earliest pending completion cycle), dirty/quiet flags
-// for store-data capture, commit, and issue that are cleared by exactly
-// the events that could give the stage work, and a settled-prefix
-// cursor for the replay scan. The contract is the same as the
+// for store-data capture and commit that are cleared by exactly the
+// events that could give the stage work, and a settled-prefix cursor
+// for the replay scan. Issue runs off the issue queue's ready mask
+// (DESIGN.md §18). The contract is the same as the
 // fast-forward's: a skipped scan is precisely a scan that would have
 // mutated nothing and counted nothing, so a run with skipping on is
 // bit-identical — counters, stats, trace events, committed values — to
@@ -29,7 +30,7 @@ type SkipStats struct {
 	Capture   uint64 // store-data list empty or provably blocked
 	Commit    uint64 // ROB head provably unable to commit
 	Replay    uint64 // replay window fully settled past the cursor
-	Issue     uint64 // no issue-queue entry could issue or probe
+	Issue     uint64 // no issue-queue entry was ready
 }
 
 // Add accumulates o into s (the system sums per-core skip stats).
