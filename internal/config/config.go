@@ -43,7 +43,7 @@ type Machine struct {
 	// Pipeline shape.
 	Width         int // fetch/dispatch/issue/commit width (8)
 	ROBSize       int // 256
-	IQSize        int // 32
+	IQSize        int // 32; at most pipeline.MaxIQSize (64)
 	LQSize        int // load queue entries (128 in the unified baseline)
 	SQSize        int // store queue entries
 	FetchBuf      int // fetch-to-dispatch buffer
