@@ -847,6 +847,8 @@ func (c *Core) oldest(m uint64) int {
 // issuesOnBoth reports whether class cls issues only once both source
 // operands are ready: the ALU classes. Loads and stores issue on their
 // address and branches resolve on operand 1.
+//
+//vbr:hotpath
 func issuesOnBoth(cls isa.Class) bool {
 	return cls != isa.ClassLoad && cls != isa.ClassStore && cls != isa.ClassBranch
 }
