@@ -168,6 +168,37 @@ func (c Config) workloadSet() []workload.Params {
 	return out
 }
 
+// Cell is one (machine, workload, sample) unit of the §5.1 matrix:
+// the inputs MeasureCell takes.
+type Cell struct {
+	Machine  string
+	Workload workload.Params
+	Cores    int
+	Instr    uint64
+	Seed     uint64
+}
+
+// Cells returns the matrix's canonical cell list over machines:
+// machine-major, workloads in catalog order, a uniprocessor workload
+// once on one core at Seed, a multiprocessor workload Samples times on
+// MPCores at Seed + sample*101. Run folds observations in this order,
+// and the farm expands matrix jobs through it.
+func (c Config) Cells(machines []string) []Cell {
+	var cells []Cell
+	for _, name := range machines {
+		for _, w := range c.workloadSet() {
+			if !w.Multi {
+				cells = append(cells, Cell{name, w, 1, c.UniInstr, c.Seed})
+				continue
+			}
+			for s := 0; s < c.Samples; s++ {
+				cells = append(cells, Cell{name, w, c.MPCores, c.MPInstr, c.Seed + uint64(s)*101})
+			}
+		}
+	}
+	return cells
+}
+
 // CellObs is the raw measurement of one (machine, workload, sample)
 // cell. Cells run independently — possibly on different workers, in
 // any order — and are folded into Points afterwards in canonical cell
@@ -251,35 +282,20 @@ func foldCell(pt *Point, o CellObs) {
 // CLI maps it to the exit-code table) rather than panicking.
 func Run(cfg Config, machines []string) (*Matrix, error) {
 	m := &Matrix{Cfg: cfg, Points: make(map[string]map[string]*Point)}
-	type cell struct {
-		machine string
-		work    workload.Params
-		cores   int
-		instr   uint64
-		seed    uint64
-	}
-	var cells []cell
 	for _, name := range machines {
 		m.Points[name] = make(map[string]*Point)
 		for _, w := range cfg.workloadSet() {
 			m.Points[name][w.Name] = &Point{Machine: name, Workload: w.Name, Multi: w.Multi}
-			if w.Multi {
-				for s := 0; s < cfg.Samples; s++ {
-					cells = append(cells, cell{name, w, cfg.MPCores, cfg.MPInstr,
-						cfg.Seed + uint64(s)*101})
-				}
-			} else {
-				cells = append(cells, cell{name, w, 1, cfg.UniInstr, cfg.Seed})
-			}
 		}
 	}
+	cells := cfg.Cells(machines)
 	workers := 1
 	if cfg.Parallel {
 		workers = par.Workers(cfg.Workers)
 	}
-	key := func(c cell) string {
+	key := func(c Cell) string {
 		return fmt.Sprintf("%s|%s|cores=%d|instr=%d|seed=%d",
-			c.machine, c.work.Name, c.cores, c.instr, c.seed)
+			c.Machine, c.Workload.Name, c.Cores, c.Instr, c.Seed)
 	}
 	var journal *par.Journal
 	if cfg.Checkpoint != "" {
@@ -307,7 +323,7 @@ func Run(cfg Config, machines []string) (*Matrix, error) {
 	}, len(todo), func(j int) error {
 		i := todo[j]
 		c := cells[i]
-		obs[i] = MeasureCell(machineFor(c.machine), c.work, c.cores, c.instr, c.seed)
+		obs[i] = MeasureCell(machineFor(c.Machine), c.Workload, c.Cores, c.Instr, c.Seed)
 		if journal != nil {
 			return journal.Record(key(c), obs[i])
 		}
@@ -324,7 +340,7 @@ func Run(cfg Config, machines []string) (*Matrix, error) {
 	// Fold in canonical cell order, never in completion order.
 	for i, c := range cells {
 		if !failedIdx[i] {
-			foldCell(m.Points[c.machine][c.work.Name], obs[i])
+			foldCell(m.Points[c.Machine][c.Workload.Name], obs[i])
 		}
 	}
 	return m, nil

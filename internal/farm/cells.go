@@ -56,8 +56,8 @@ type BenchObs struct {
 
 // Cells expands the spec into its deterministic cell list: litmus cells
 // first (test-major, config-minor, exactly litmus.Sweep's order), then
-// matrix cells (machine-major, catalog-order workloads, samples), then
-// bench cells (machine-major).
+// matrix cells (experiments.Config.Cells, the order experiments.Run
+// folds in; samples <= 0 means one), then bench cells (machine-major).
 func (s JobSpec) Cells() ([]Cell, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -92,27 +92,15 @@ func (s JobSpec) Cells() ([]Cell, error) {
 		if len(machines) == 0 {
 			machines = experiments.MachineNames
 		}
-		samples := m.Samples
-		if samples <= 0 {
-			samples = 1
+		cfg := experiments.Config{
+			UniInstr: m.UniInstr, MPInstr: m.MPInstr, MPCores: m.MPCores,
+			Samples: max(m.Samples, 1), Seed: m.Seed, Workloads: m.Workloads,
 		}
-		for _, mc := range machines {
-			for _, w := range matrixWorkloads(m.Workloads) {
-				if w.Multi {
-					for sm := 0; sm < samples; sm++ {
-						cells = append(cells, Cell{
-							Kind: KindMatrix, Machine: mc, Workload: w.Name,
-							Cores: m.MPCores, Instr: m.MPInstr,
-							Seed: m.Seed + uint64(sm)*101,
-						})
-					}
-				} else {
-					cells = append(cells, Cell{
-						Kind: KindMatrix, Machine: mc, Workload: w.Name,
-						Cores: 1, Instr: m.UniInstr, Seed: m.Seed,
-					})
-				}
-			}
+		for _, c := range cfg.Cells(machines) {
+			cells = append(cells, Cell{
+				Kind: KindMatrix, Machine: c.Machine, Workload: c.Workload.Name,
+				Cores: c.Cores, Instr: c.Instr, Seed: c.Seed,
+			})
 		}
 	}
 	if b := s.Bench; b != nil {
@@ -129,32 +117,6 @@ func (s JobSpec) Cells() ([]Cell, error) {
 		return nil, fmt.Errorf("farm: job expands to zero cells")
 	}
 	return cells, nil
-}
-
-// matrixWorkloads mirrors experiments.Config.workloadSet: catalog order,
-// bench-only workloads excluded unless named explicitly.
-func matrixWorkloads(names []string) []workload.Params {
-	all := workload.Catalog()
-	if len(names) == 0 {
-		var out []workload.Params
-		for _, w := range all {
-			if !w.BenchOnly {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []workload.Params
-	for _, w := range all {
-		if want[w.Name] {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // Key derives the cell's content-addressed cache key: the code-version

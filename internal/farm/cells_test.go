@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"vbmo/internal/experiments"
 	"vbmo/internal/litmus"
+	"vbmo/internal/stats"
 )
 
 func testSpec() JobSpec {
@@ -198,5 +200,58 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := testSpec().Validate(); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
+	}
+}
+
+// TestMatrixCellsMatchRun: a farm matrix job computes what
+// experiments.Run computes. Executing its cells and folding IPC per
+// point in cell order gives every point the same observation count and
+// mean as Run on the same configuration.
+func TestMatrixCellsMatchRun(t *testing.T) {
+	m := &MatrixSpec{
+		Machines:  []string{"baseline", "no-recent-snoop"},
+		Workloads: []string{"gzip", "ocean"},
+		UniInstr:  3000, MPInstr: 400, MPCores: 2, Samples: 2, Seed: 5,
+	}
+	cells, err := JobSpec{Matrix: m}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct{ machine, workload string }
+	got := map[point]*stats.Sample{}
+	for _, c := range cells {
+		raw, err := c.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var obs experiments.CellObs
+		if err := json.Unmarshal(raw, &obs); err != nil {
+			t.Fatal(err)
+		}
+		p := point{c.Machine, c.Workload}
+		if got[p] == nil {
+			got[p] = &stats.Sample{}
+		}
+		got[p].Observe(obs.IPC)
+	}
+	want, err := experiments.Run(experiments.Config{
+		UniInstr: m.UniInstr, MPInstr: m.MPInstr, MPCores: m.MPCores,
+		Samples: m.Samples, Seed: m.Seed, Workloads: m.Workloads,
+	}, m.Machines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(m.Machines)*len(m.Workloads) {
+		t.Fatalf("farm cells cover %d points, want %d", len(got), len(m.Machines)*len(m.Workloads))
+	}
+	for p, s := range got {
+		w := want.Get(p.machine, p.workload)
+		if w == nil {
+			t.Fatalf("experiments.Run has no point %s/%s", p.machine, p.workload)
+		}
+		if s.N() != w.IPC.N() || s.Mean() != w.IPC.Mean() {
+			t.Fatalf("%s/%s: farm IPC n=%d mean=%v, Run n=%d mean=%v",
+				p.machine, p.workload, s.N(), s.Mean(), w.IPC.N(), w.IPC.Mean())
+		}
 	}
 }

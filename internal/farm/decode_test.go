@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,14 +11,24 @@ import (
 // TestRequestBodiesStrictlyDecoded runs every JSON-body endpoint through
 // the same table: a valid body (also with trailing whitespace) is
 // accepted; an unknown field, a second JSON value, trailing garbage and
-// malformed JSON are 400s; a body over maxRequestBytes is a 413.
+// malformed JSON are 400s; a body over maxRequestBytes is a 413. The
+// valid completion answers the job the /v1/jobs case submits, so its
+// trailing-whitespace repeat is a benign duplicate.
 func TestRequestBodiesStrictlyDecoded(t *testing.T) {
-	s, err := NewServerWith(t.TempDir(), ServerOptions{Shards: 1, NoLocalExec: true}, nil)
+	s, err := NewServerWith(t.TempDir(), ServerOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 	h := s.Handler()
+	cells, err := oneCellSpec().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := cells[0].Key()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	endpoints := []struct {
 		path, valid string
@@ -26,7 +37,7 @@ func TestRequestBodiesStrictlyDecoded(t *testing.T) {
 		{"/v1/jobs", `{"litmus":{"tests":["SB"],"configs":["baseline"],"runs":1,"seed":3}}`, http.StatusAccepted},
 		{"/v1/cells/lease", `{"worker":"w1","max":1}`, http.StatusOK},
 		{"/v1/cells/heartbeat", `{"worker":"w1"}`, http.StatusOK},
-		{"/v1/cells/complete", `{"worker":"w1","key":"k","error":"boom"}`, http.StatusOK},
+		{"/v1/cells/complete", fmt.Sprintf(`{"worker":"w1","key":%q,"result":{"ok":true}}`, key), http.StatusOK},
 	}
 	oversize := `{"worker":"` + strings.Repeat("a", maxRequestBytes) + `"}`
 	for _, ep := range endpoints {

@@ -1,10 +1,11 @@
 // Package farm is the simulation-farm service: a long-running server
 // that accepts sweep jobs — machine configurations × workloads × seeds ×
 // fault plans, litmus batteries, and simulator-speed bench cells — over
-// HTTP, shards the cells across a work-stealing worker pool, and dedupes
-// execution through a content-addressed result cache keyed on the
-// machine-config digest, workload-parameters digest, seed, and code
-// fingerprint (internal/farm/cachekey). Because the simulator is
+// HTTP, queues the cells in one FIFO that in-process executors and
+// remote worker leases both take from, and dedupes execution through a
+// content-addressed result cache keyed on the machine-config digest,
+// workload-parameters digest, seed, and code fingerprint
+// (internal/farm/cachekey). Because the simulator is
 // enforced-deterministic, a cell's result is a pure function of its key:
 // the cache is exact, results are bit-identical across restarts, and a
 // resubmitted job costs only the cells nobody has run before. Durability
@@ -18,8 +19,8 @@ package farm
 // lockorder analyzer. The locks are deliberately never nested today
 // (every helper releases one before taking the next); the declared
 // order is the contract new code must follow if it ever has to hold
-// two at once: server/pool/cache/metrics "mu" first, then the lease
-// table's leaseMu, then a worker's heartbeat hbMu.
+// two at once: server/cache/metrics "mu" first, then the queue's
+// leaseMu, then a worker's heartbeat hbMu.
 //
 //vbr:lockorder mu leaseMu hbMu
 
@@ -64,10 +65,10 @@ type LitmusSpec struct {
 	Fault *fault.Config `json:"fault,omitempty"`
 }
 
-// MatrixSpec selects §5.1 performance cells with the same cell
-// enumeration and seed derivation as experiments.Run: uniprocessor
-// workloads on one core at Seed, multiprocessor workloads on MPCores
-// with Samples samples at Seed + sample*101.
+// MatrixSpec selects §5.1 performance cells. It expands through
+// experiments.Config.Cells, the enumeration experiments.Run folds in:
+// uniprocessor workloads on one core at Seed, multiprocessor workloads
+// on MPCores with Samples samples at Seed + sample*101.
 type MatrixSpec struct {
 	// Machines names registry machines (empty = the five §5.1 configs).
 	Machines []string `json:"machines,omitempty"`

@@ -1,14 +1,16 @@
-// The distributed-worker lease layer: remote worker processes check
-// cells out in batches over HTTP, renew them with heartbeats, and post
-// results back through the cache-before-acknowledge path. A pending
-// cell is owned by exactly one executor at a time — the local pool or
-// one lease — but ownership is only an optimization: every completion
-// funnels through the content-addressed cache, where equal keys imply
-// equal results, so a worker finishing after its lease expired (or two
-// executors racing across an expiry window) resolves as a benign
-// duplicate rather than a conflict. A lease that outlives its TTL
-// without a heartbeat is swept back into the queue, so a SIGKILLed or
-// wedged worker strands nothing.
+// The farm's cell queue and its executors. Every cache-missed cell
+// joins one FIFO, and leaves it only through nextQueuedLocked: taken
+// by an in-process executor, or checked out in a batch by a remote
+// worker over HTTP, renewed with heartbeats, and posted back through
+// the cache-before-acknowledge path. A pending cell is owned by exactly
+// one executor at a time, but ownership is only an optimization: every
+// completion funnels through the content-addressed cache, where equal
+// keys imply equal results, so a worker finishing after its lease
+// expired resolves as a benign duplicate rather than a conflict. A
+// completion for a key no job is waiting on, and that is not cached,
+// is refused. A lease that outlives its TTL without a heartbeat is
+// swept back into the queue, so a SIGKILLed or wedged worker strands
+// nothing.
 
 package farm
 
@@ -72,7 +74,8 @@ type HeartbeatResponse struct {
 // CompleteRequest is the body of POST /v1/cells/complete: one finished
 // cell. Exactly one of Result and Error is set. The key, not the lease
 // token, is the real coordinate: a completion for an expired or unknown
-// lease is still accepted, cached, and deduped.
+// lease is still accepted while some job waits on its key, and answered
+// as a duplicate once the key is cached; any other key is refused.
 type CompleteRequest struct {
 	Worker string          `json:"worker"`
 	Lease  uint64          `json:"lease,omitempty"`
@@ -83,7 +86,8 @@ type CompleteRequest struct {
 
 // CompleteResponse acknowledges a completion after the result is
 // durably cached. Duplicate means the cell had already been resolved by
-// another executor — benign by construction.
+// another executor — benign by construction — and the completion's
+// result was not stored.
 type CompleteResponse struct {
 	Accepted  bool `json:"accepted"`
 	Duplicate bool `json:"duplicate"`
@@ -93,9 +97,9 @@ type CompleteResponse struct {
 type cellState int
 
 const (
-	// cellQueued: available for local execution or a worker lease.
+	// cellQueued: waiting in the queue for an executor or a lease.
 	cellQueued cellState = iota
-	// cellLocal: a local pool worker is executing it.
+	// cellLocal: a local executor is running it.
 	cellLocal
 	// cellLeased: a remote worker holds it under a live (or expired but
 	// not yet swept) lease.
@@ -112,7 +116,7 @@ type waiter struct {
 }
 
 // pendingCell is one not-yet-resolved unit of work, shared between the
-// queue, the by-key index, and any executor that claimed it.
+// queue, the by-key index, and the executor that took it.
 type pendingCell struct {
 	key     string
 	cell    Cell
@@ -143,10 +147,19 @@ func (s *Server) now() time.Time {
 }
 
 // dispatch routes one cache-missed cell: join an existing pending cell
-// with the same key, or queue a new one and (in hybrid mode) hand the
-// local pool a claim on it.
+// with the same key, or queue a new one and wake an idle executor. A
+// cell dispatched after Stop closed the queue is dropped like a queued
+// one, and its job ends interrupted.
 func (s *Server) dispatch(j *job, i int, c Cell, key string) {
 	s.leaseMu.Lock()
+	if s.closed {
+		s.leaseMu.Unlock()
+		s.mu.Lock()
+		j.interrupted = true
+		s.cond.Broadcast()
+		s.mu.Unlock()
+		return
+	}
 	if pc, ok := s.pending[key]; ok {
 		pc.waiters = append(pc.waiters, waiter{j, i})
 		s.leaseMu.Unlock()
@@ -156,54 +169,58 @@ func (s *Server) dispatch(j *job, i int, c Cell, key string) {
 		waiters: []waiter{{j, i}}}
 	s.pending[key] = pc
 	s.queue = append(s.queue, pc)
+	s.queued.Signal()
 	s.leaseMu.Unlock()
-	if !s.opt.NoLocalExec {
-		s.submitLocal(pc)
-	}
 }
 
-// submitLocal hands the pool a claim on pc. If the pool has stopped
-// (shutdown in progress — the crash analog), the cell's jobs are marked
-// interrupted exactly as dropped queue entries always were.
-func (s *Server) submitLocal(pc *pendingCell) {
-	ok := s.pool.Submit(shardOf(pc.key, s.pool.Shards()), func() { s.runLocal(pc) })
-	if ok {
-		return
-	}
-	s.leaseMu.Lock()
-	waiters := append([]waiter(nil), pc.waiters...)
-	s.leaseMu.Unlock()
-	s.mu.Lock()
-	for _, w := range waiters {
-		w.j.interrupted = true
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// runLocal is the pool-side executor: claim the cell if it is still
-// queued (a worker may have leased it first — then this claim is a
-// no-op and the lease, or its expiry sweep, owns the cell), execute,
-// cache before acknowledging, resolve.
-func (s *Server) runLocal(pc *pendingCell) {
-	s.leaseMu.Lock()
-	if pc.state != cellQueued {
-		s.leaseMu.Unlock()
-		return
-	}
-	pc.state = cellLocal
-	s.leaseMu.Unlock()
-
-	res, err := pc.cell.Execute()
-	if err == nil {
-		// Cache before acknowledging: once a result is visible it must
-		// be durable, or a crash between the two could serve a cell
-		// cheaply now and expensively later.
-		if cerr := s.cache.Put(pc.key, res); cerr != nil {
-			err = cerr
+// nextQueuedLocked pops the oldest queued cell, dropping entries that a
+// completion resolved while they waited, and returns nil when none is
+// left. It is the only way a cell leaves the queue. Caller holds
+// s.leaseMu.
+func (s *Server) nextQueuedLocked() *pendingCell {
+	for len(s.queue) > 0 {
+		pc := s.queue[0]
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		if pc.state == cellQueued {
+			return pc
 		}
 	}
-	s.resolve(pc.key, res, err, false)
+	return nil
+}
+
+// executor is one local executor: it takes the oldest queued cell,
+// runs it, caches the result before acknowledging, and resolves it,
+// until Stop closes the queue.
+func (s *Server) executor() {
+	defer s.executors.Done()
+	for {
+		s.leaseMu.Lock()
+		var pc *pendingCell
+		for !s.closed {
+			if pc = s.nextQueuedLocked(); pc != nil {
+				break
+			}
+			s.queued.Wait()
+		}
+		if pc == nil {
+			s.leaseMu.Unlock()
+			return
+		}
+		pc.state = cellLocal
+		s.leaseMu.Unlock()
+
+		res, err := s.execute(pc.cell)
+		if err == nil {
+			// Cache before acknowledging: once a result is visible it
+			// must be durable, or a crash between the two could serve a
+			// cell cheaply now and expensively later.
+			if cerr := s.cache.Put(pc.key, res); cerr != nil {
+				err = cerr
+			}
+		}
+		s.resolve(pc.key, res, err, false)
+	}
 }
 
 // resolve marks the pending cell for key done and fans its result out
@@ -244,8 +261,7 @@ func (s *Server) resolve(key string, raw json.RawMessage, execErr error, remote 
 }
 
 // grantLeases checks out up to max queued cells to worker, stamping
-// each with a fresh lease and the TTL deadline. Stale queue entries
-// (claimed locally or resolved) are compacted out in passing.
+// each with a fresh lease and the TTL deadline.
 func (s *Server) grantLeases(worker string, max int) []LeasedCell {
 	if max <= 0 {
 		max = 1
@@ -257,14 +273,10 @@ func (s *Server) grantLeases(worker string, max int) []LeasedCell {
 	s.leaseMu.Lock()
 	w := s.workerLocked(worker, now)
 	var out []LeasedCell
-	rest := s.queue[:0]
-	for _, pc := range s.queue {
-		if pc.state != cellQueued {
-			continue // claimed or resolved since queued: drop
-		}
-		if len(out) >= max {
-			rest = append(rest, pc)
-			continue
+	for len(out) < max {
+		pc := s.nextQueuedLocked()
+		if pc == nil {
+			break
 		}
 		s.leaseSeq++
 		pc.state = cellLeased
@@ -275,7 +287,6 @@ func (s *Server) grantLeases(worker string, max int) []LeasedCell {
 		w.leased++
 		out = append(out, LeasedCell{Lease: pc.lease, Key: pc.key, Cell: pc.cell})
 	}
-	s.queue = rest
 	s.leaseMu.Unlock()
 
 	if len(out) > 0 {
@@ -321,12 +332,12 @@ func (s *Server) renewLeases(worker string) int {
 }
 
 // expireLeases is the sweeper body: every leased cell past its deadline
-// goes back to the queue (and, in hybrid mode, back to the local pool),
-// so a dead worker's checkout strands nothing beyond one TTL.
+// goes back to the queue, where an idle executor or the next lease
+// takes it, so a dead worker's checkout strands nothing beyond one TTL.
 func (s *Server) expireLeases() {
 	now := s.now()
 	s.leaseMu.Lock()
-	var expired []*pendingCell
+	expired := 0
 	keys := make([]string, 0, len(s.pending))
 	for k := range s.pending {
 		keys = append(keys, k)
@@ -341,23 +352,21 @@ func (s *Server) expireLeases() {
 			pc.state = cellQueued
 			pc.worker = ""
 			s.queue = append(s.queue, pc)
-			expired = append(expired, pc)
+			expired++
 		}
+	}
+	if expired > 0 {
+		s.queued.Broadcast()
 	}
 	s.leaseMu.Unlock()
 
-	if len(expired) == 0 {
+	if expired == 0 {
 		return
 	}
-	s.metrics.leasesExpired(uint64(len(expired)))
+	s.metrics.leasesExpired(uint64(expired))
 	if s.tr != nil {
 		s.tr.Emit(trace.Event{Kind: trace.KFarmLease, Reason: trace.RFarmLeaseExpired,
-			Core: -1, Aux: uint64(len(expired))})
-	}
-	if !s.opt.NoLocalExec {
-		for _, pc := range expired {
-			s.submitLocal(pc)
-		}
+			Core: -1, Aux: uint64(expired)})
 	}
 }
 
@@ -376,15 +385,22 @@ func (s *Server) scheduleSweep() {
 	})
 }
 
-// stopSweeper halts lease expiry; called once from Stop.
-func (s *Server) stopSweeper() {
+// closeQueue is Stop's first step: it drops every queued cell, wakes
+// the idle executors so they exit, halts lease expiry, and returns how
+// many cells it dropped.
+func (s *Server) closeQueue() (dropped int) {
 	s.leaseMu.Lock()
 	s.closed = true
+	for s.nextQueuedLocked() != nil {
+		dropped++
+	}
+	s.queued.Broadcast()
 	t := s.sweeper
 	s.leaseMu.Unlock()
 	if t != nil {
 		t.Stop()
 	}
+	return dropped
 }
 
 // workerLocked finds or registers the worker's registry entry and
@@ -420,8 +436,9 @@ func (s *Server) workerSnapshots() []WorkerSnapshot {
 	return out
 }
 
-// queueDepth counts genuinely lease-able cells (state queued) and total
-// pending cells for the metrics snapshot.
+// queueDepth counts genuinely queued cells (entries a completion
+// resolved while they waited are skipped) and total pending cells for
+// the metrics snapshot.
 func (s *Server) queueDepth() (queued, pending int) {
 	s.leaseMu.Lock()
 	defer s.leaseMu.Unlock()
@@ -479,19 +496,34 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var execErr error
-	if req.Error != "" {
-		execErr = errors.New(req.Error)
-	} else {
-		// Cache before acknowledging. A put failure is the one
-		// non-acknowledgeable outcome: answer 500 and leave the lease
-		// standing — the worker retries, or expiry re-queues the cell.
-		if err := s.cache.Put(req.Key, req.Result); err != nil {
+	s.leaseMu.Lock()
+	_, pending := s.pending[req.Key]
+	s.leaseMu.Unlock()
+	dup := true
+	switch {
+	case pending:
+		var execErr error
+		if req.Error != "" {
+			execErr = errors.New(req.Error)
+		} else if err := s.cache.Put(req.Key, req.Result); err != nil {
+			// Cache before acknowledging. A put failure is the one
+			// non-acknowledgeable outcome: answer 500 and leave the
+			// lease standing — the worker retries, or expiry re-queues
+			// the cell.
 			http.Error(w, fmt.Sprintf("farm: caching result: %v", err), http.StatusInternalServerError)
 			return
 		}
+		dup = s.resolve(req.Key, req.Result, execErr, true)
+	case s.cache.Get(req.Key, new(json.RawMessage)):
+		// A late completion for a cell already resolved and cached:
+		// the benign duplicate. Its bytes are not stored.
+		s.metrics.duplicateCompletion()
+	default:
+		// No job is waiting on this key: caching the bytes would serve
+		// them later as that cell's result.
+		http.Error(w, "farm: completion for "+req.Key+": no job is waiting on that key", http.StatusConflict)
+		return
 	}
-	dup := s.resolve(req.Key, req.Result, execErr, true)
 
 	now := s.now()
 	s.leaseMu.Lock()

@@ -1,6 +1,10 @@
 package farm
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -29,14 +33,12 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// startLeaseServer runs a coordinator-only server (no local execution,
+// startLeaseServer runs a coordinator-only server (no local executors,
 // so every cell must flow through the lease protocol) on a fake lease
 // clock with a fast real-time sweeper.
 func startLeaseServer(t *testing.T, clock *fakeClock) (*Server, *Client) {
 	t.Helper()
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:        1,
-		NoLocalExec:   true,
 		LeaseTTL:      time.Minute,
 		SweepInterval: 20 * time.Millisecond,
 		Clock:         clock.Now,
@@ -266,8 +268,7 @@ func TestWorkerReportedErrorFailsJob(t *testing.T) {
 func TestLongPollBounded(t *testing.T) {
 	clock := newFakeClock()
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:      1,
-		NoLocalExec: true, // nobody will execute: the job stays running
+		Executors:   0, // nobody will execute: the job stays running
 		LeaseTTL:    time.Minute,
 		LongPollMax: 150 * time.Millisecond,
 		Clock:       clock.Now,
@@ -302,5 +303,66 @@ func TestLongPollBounded(t *testing.T) {
 	// own schedule instead of hanging on the unfinishable job.
 	if _, err := c.Wait(st.ID, 400*time.Millisecond); err == nil {
 		t.Fatal("Wait on an unfinishable job returned without error")
+	}
+}
+
+// TestCompletionForUnrequestedKeyRefused: a completion may only answer a
+// key some job is waiting on. One posted for a key nobody submitted is
+// a 409 that caches nothing, so the job that later asks for that key
+// runs the cell instead of being served the posted bytes.
+func TestCompletionForUnrequestedKeyRefused(t *testing.T) {
+	clock := newFakeClock()
+	srv, c := startLeaseServer(t, clock)
+
+	cells, err := oneCellSpec().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := cells[0].Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := json.RawMessage(`{"forged":true}`)
+	_, err = c.Complete(CompleteRequest{Worker: "forger", Key: key, Result: forged})
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("completion for an unrequested key: err %v, want a 409", err)
+	}
+	if m := srv.Snapshot(); m.CacheEntries != 0 || m.DuplicateCompletions != 0 {
+		t.Fatalf("refused completion left cache_entries=%d duplicate_completions=%d, want 0/0",
+			m.CacheEntries, m.DuplicateCompletions)
+	}
+
+	st, err := c.Submit(oneCellSpec(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cached != 0 {
+		t.Fatalf("job served %d cells from the cache, want 0", st.Cached)
+	}
+	la, err := c.Lease(LeaseRequest{Worker: "honest", Max: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(la.Cells) != 1 || la.Cells[0].Key != key {
+		t.Fatalf("leased %v, want the job's one cell %s", la.Cells, key)
+	}
+	raw, err := la.Cells[0].Cell.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Complete(CompleteRequest{Worker: "honest",
+		Lease: la.Cells[0].Lease, Key: key, Result: raw}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(st.ID, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Results(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Executed != 1 || !bytes.Equal(res.Results[0].Result, raw) {
+		t.Fatalf("job %+v result %s, want the executed cell's %s", st, res.Results[0].Result, raw)
 	}
 }

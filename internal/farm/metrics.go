@@ -1,9 +1,8 @@
 // Farm service metrics: monotonically increasing counters for the
 // /v1/metrics endpoint and the trace stream — jobs accepted and
-// completed, cells executed on a worker versus served from the
-// content-addressed cache, the pool's shard occupancy, and the
-// distributed-worker lease protocol (grants, renewals, expirations,
-// re-queues, remote and duplicate completions).
+// completed, cells executed versus served from the content-addressed
+// cache, and the distributed-worker lease protocol (grants, renewals,
+// expirations, re-queues, remote and duplicate completions).
 
 package farm
 
@@ -47,11 +46,6 @@ type MetricsSnapshot struct {
 	// win.
 	CellsExecuted uint64 `json:"cells_executed"`
 	CellsCached   uint64 `json:"cells_cached"`
-	// ShardOccupancy is tasks executed per local pool worker;
-	// TasksStolen is how many ran away from their home shard
-	// (work-stealing traffic).
-	ShardOccupancy []uint64 `json:"shard_occupancy"`
-	TasksStolen    uint64   `json:"tasks_stolen"`
 	// CacheEntries is the persistent result-cache size; CacheHits and
 	// CacheMisses are this process's lookup outcomes.
 	CacheEntries int    `json:"cache_entries"`
@@ -68,11 +62,13 @@ type MetricsSnapshot struct {
 	// DuplicateCompletions counts completions for cells somebody else
 	// had already resolved — benign by content-addressing, tracked
 	// because a high rate means leases are expiring under live workers.
+	// A completion for a key that is neither pending nor cached is
+	// refused and counted nowhere.
 	RemoteCompletions    uint64 `json:"remote_completions"`
 	DuplicateCompletions uint64 `json:"duplicate_completions"`
-	// QueuedCells is how many cells are currently lease-able;
-	// PendingCells additionally counts cells claimed by an executor but
-	// not yet resolved.
+	// QueuedCells is how many cells wait in the queue; PendingCells
+	// additionally counts cells a local executor or a lease holds but
+	// has not yet resolved.
 	QueuedCells  int `json:"queued_cells"`
 	PendingCells int `json:"pending_cells"`
 	// Workers is the remote-worker registry, sorted by ID.
@@ -133,8 +129,8 @@ func (m *Metrics) duplicateCompletion() {
 	m.mu.Unlock()
 }
 
-// snapshot captures the counters; pool, cache, queue, and worker
-// fields are filled by the server, which owns those objects.
+// snapshot captures the counters; cache, queue, and worker fields are
+// filled by the server, which owns those objects.
 func (m *Metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -123,18 +122,15 @@ func (j *job) status() JobStatus {
 	}
 }
 
-// ServerOptions tunes the farm service beyond its defaults. The zero
-// value of every field means "use the default".
+// ServerOptions tunes the farm service. The zero value of every field
+// but Executors means "use the default".
 type ServerOptions struct {
-	// Shards is the local work-stealing pool's shard count (default
-	// GOMAXPROCS via NewServer; minimum 1).
-	Shards int
-	// NoLocalExec turns the server into a pure coordinator: cache
-	// misses wait for remote workers instead of also being drained by
-	// the local pool. The default (false) is hybrid execution — the
-	// local pool is the fallback that finishes a job even if every
-	// worker dies.
-	NoLocalExec bool
+	// Executors is how many in-process executors take queued cells
+	// alongside remote worker leases. Zero is not a default here: it
+	// makes the server a pure coordinator whose cache misses wait for
+	// remote workers. Any positive count is hybrid execution, where the
+	// local executors finish a job even if every worker dies.
+	Executors int
 	// LeaseTTL is how long a checked-out cell survives without a
 	// heartbeat before the sweeper re-queues it (default 10s).
 	LeaseTTL time.Duration
@@ -156,9 +152,6 @@ type ServerOptions struct {
 
 // withDefaults fills unset options.
 func (o ServerOptions) withDefaults() ServerOptions {
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
@@ -182,40 +175,47 @@ func (o ServerOptions) withDefaults() ServerOptions {
 type Server struct {
 	dir     string
 	opt     ServerOptions
-	pool    *Pool
 	cache   *Cache
 	jobs    *par.Journal
 	tr      *trace.Tracer
 	metrics *Metrics
+	// execute runs one cell for a local executor: Cell.Execute, except
+	// where a test stands in to hold an executor inside a cell.
+	execute func(Cell) (json.RawMessage, error)
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	byID map[string]*job
 
-	// Lease state: pending cells by cache key, the FIFO of lease-able
-	// cells, the worker registry, and the expiry sweeper.
-	leaseMu  sync.Mutex
-	pending  map[string]*pendingCell
-	queue    []*pendingCell
-	workers  map[string]*workerInfo
-	leaseSeq uint64
-	sweeper  *time.Timer
-	closed   bool
+	// Queue state: pending cells by cache key, the one FIFO of queued
+	// cells that local executors and worker leases both take from, the
+	// worker registry, and the expiry sweeper. queued is signalled when
+	// a cell joins the queue, and broadcast when expired leases rejoin
+	// it or Stop closes it.
+	leaseMu   sync.Mutex
+	queued    *sync.Cond
+	pending   map[string]*pendingCell
+	queue     []*pendingCell
+	workers   map[string]*workerInfo
+	leaseSeq  uint64
+	sweeper   *time.Timer
+	closed    bool
+	executors sync.WaitGroup
 
 	ln   net.Listener
 	http *http.Server
 }
 
 // NewServer opens the farm's state directory with default options and
-// the given local pool shard count. See NewServerWith.
-func NewServer(dir string, shards int, tr *trace.Tracer) (*Server, error) {
-	return NewServerWith(dir, ServerOptions{Shards: shards}, tr)
+// the given local executor count. See NewServerWith.
+func NewServer(dir string, executors int, tr *trace.Tracer) (*Server, error) {
+	return NewServerWith(dir, ServerOptions{Executors: executors}, tr)
 }
 
 // NewServerWith opens the farm's state directory (results.jsonl: the
 // content-addressed cache; jobs.jsonl: accepted specs and completion
-// markers), starts the local pool and the lease-expiry sweeper, and
-// re-enqueues any job the previous process accepted but never
+// markers), starts the local executors and the lease-expiry sweeper,
+// and re-enqueues any job the previous process accepted but never
 // completed.
 func NewServerWith(dir string, opt ServerOptions, tr *trace.Tracer) (*Server, error) {
 	opt = opt.withDefaults()
@@ -234,16 +234,21 @@ func NewServerWith(dir string, opt ServerOptions, tr *trace.Tracer) (*Server, er
 	s := &Server{
 		dir:     dir,
 		opt:     opt,
-		pool:    NewPool(opt.Shards),
 		cache:   cache,
 		jobs:    jobs,
 		tr:      tr,
 		metrics: &Metrics{},
+		execute: Cell.Execute,
 		byID:    make(map[string]*job),
 		pending: make(map[string]*pendingCell),
 		workers: make(map[string]*workerInfo),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.queued = sync.NewCond(&s.leaseMu)
+	for n := 0; n < opt.Executors; n++ {
+		s.executors.Add(1)
+		go s.executor()
+	}
 	if err := s.recover(); err != nil {
 		s.Stop()
 		return nil, err
@@ -281,11 +286,10 @@ func (s *Server) recover() error {
 }
 
 // enqueue registers the job and dispatches its cells: cache hits are
-// filled synchronously, misses go to the pool shard their key hashes
-// to. Resubmitting an ID already known to this process returns the
-// existing state unless fresh is set, which re-runs the job through the
-// cache (the cells still hit; fresh forces re-counting, not
-// re-simulation).
+// filled synchronously, misses join the queue. Resubmitting an ID
+// already known to this process returns the existing state unless
+// fresh is set, which re-runs the job through the cache (the cells
+// still hit; fresh forces re-counting, not re-simulation).
 func (s *Server) enqueue(spec JobSpec, fresh bool) (*job, error) {
 	cells, err := spec.Cells()
 	if err != nil {
@@ -326,9 +330,9 @@ func (s *Server) enqueue(spec JobSpec, fresh bool) (*job, error) {
 			s.finishCell(j, i, raw, true, nil)
 			continue
 		}
-		// Cache miss: the cell goes to the dispatcher, where the local
-		// pool and remote worker leases drain one shared queue. Equal
-		// keys across jobs share one pending cell and one execution.
+		// Cache miss: the cell joins the queue that local executors
+		// and remote worker leases both take from. Equal keys across
+		// jobs share one pending cell and one execution.
 		s.dispatch(j, i, cells[i], keys[i])
 	}
 	return j, nil
@@ -396,21 +400,10 @@ func (s *Server) completeLocked(j *job) {
 	}
 }
 
-// shardOf hashes a cache key onto a shard. FNV-1a is deterministic
-// across processes, so a cell always lands on the same home shard.
-func shardOf(key string, shards int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key)) // hash.Hash.Write never returns an error
-
-	return int(h.Sum32() % uint32(shards))
-}
-
-// Snapshot returns the current metrics, including pool occupancy,
-// cache counters, lease-protocol counters, and the worker registry.
+// Snapshot returns the current metrics, including cache counters,
+// lease-protocol counters, and the worker registry.
 func (s *Server) Snapshot() MetricsSnapshot {
 	snap := s.metrics.snapshot()
-	snap.ShardOccupancy = s.pool.Occupancy()
-	snap.TasksStolen = s.pool.Stolen()
 	snap.CacheEntries = s.cache.Len()
 	snap.CacheHits, snap.CacheMisses = s.cache.Stats()
 	snap.QueuedCells, snap.PendingCells = s.queueDepth()
@@ -579,15 +572,15 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 // Stop shuts the server down abruptly — the crash analog the journal is
 // built for. Queued cells are dropped (recovery re-runs them), in-flight
 // cells finish into the cache, leases evaporate with the process's
-// memory (a worker's late completion lands in the next incarnation's
-// cache benignly), incomplete jobs are marked interrupted, and the
-// journals are closed. Stop returns how many queued cells were dropped.
+// memory (the next incarnation re-queues their cells), incomplete jobs
+// are marked interrupted, and the journals are closed. Stop returns how
+// many queued cells were dropped.
 func (s *Server) Stop() int {
-	s.stopSweeper()
+	dropped := s.closeQueue()
 	if s.http != nil {
 		_ = s.http.Close()
 	}
-	dropped := s.pool.Stop()
+	s.executors.Wait()
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.byID))
 	for id := range s.byID {

@@ -1,13 +1,17 @@
 package farm
 
 import (
+	"encoding/json"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func startServer(t *testing.T, dir string, shards int) (*Server, *Client) {
+func startServer(t *testing.T, dir string, executors int) (*Server, *Client) {
 	t.Helper()
-	s, err := NewServer(dir, shards, nil)
+	s, err := NewServer(dir, executors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +195,80 @@ func TestServerCrashRestartRecovery(t *testing.T) {
 	if st2.Executed+st2.Cached != total {
 		t.Fatalf("executed %d + cached %d != total %d",
 			st2.Executed, st2.Cached, total)
+	}
+}
+
+// holdFirstCell stands in for s's cell execution: the first cell a
+// local executor runs blocks until release is called, and held closes
+// once it has been entered. ran counts the cells executed. Register the
+// server's Stop with t.Cleanup before calling this, so a failing test
+// releases the executor before Stop waits for it.
+func holdFirstCell(t *testing.T, s *Server) (held <-chan struct{}, release func(), ran *atomic.Int32) {
+	t.Helper()
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	ran = new(atomic.Int32)
+	s.execute = func(c Cell) (json.RawMessage, error) {
+		if ran.Add(1) == 1 {
+			close(entered)
+			<-gate
+		}
+		return c.Execute()
+	}
+	return entered, release, ran
+}
+
+// TestStopDropsQueuedCells: Stop is the crash analog. With the one
+// executor held inside its first cell, the other three cells are still
+// queued; Stop drops exactly those, lets the in-flight cell finish into
+// the cache, and leaves the job interrupted.
+func TestStopDropsQueuedCells(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewServerWith(dir, ServerOptions{Executors: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Stop() })
+	held, release, ran := holdFirstCell(t, s)
+
+	j, err := s.enqueue(e2eSpec(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	stopped := make(chan int, 1)
+	go func() { stopped <- s.Stop() }()
+	waitUntil(t, "Stop to close the queue", func() bool {
+		s.leaseMu.Lock()
+		defer s.leaseMu.Unlock()
+		return s.closed
+	})
+	release()
+	if dropped := <-stopped; dropped != 3 {
+		t.Fatalf("Stop dropped %d queued cells, want 3", dropped)
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("%d cells ran, want only the in-flight one", n)
+	}
+	s.mu.Lock()
+	state := j.state()
+	s.mu.Unlock()
+	if state != StateInterrupted {
+		t.Fatalf("job state %s after Stop, want %s", state, StateInterrupted)
+	}
+
+	cache, err := OpenCache(filepath.Join(dir, "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	for i, key := range j.keys {
+		var raw json.RawMessage
+		if got := cache.Get(key, &raw); got != (i == 0) {
+			t.Fatalf("cell %d cached=%t, want only the in-flight cell 0 cached", i, got)
+		}
 	}
 }

@@ -117,8 +117,7 @@ func TestWorkerSIGKILLMidCell(t *testing.T) {
 	want := controlDigest(t, spec)
 
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:        1,
-		NoLocalExec:   true, // pure coordinator: only workers execute
+		Executors:     0, // pure coordinator: only workers execute
 		LeaseTTL:      400 * time.Millisecond,
 		SweepInterval: 50 * time.Millisecond,
 	}, nil)
@@ -171,20 +170,80 @@ func TestWorkerSIGKILLMidCell(t *testing.T) {
 	}
 }
 
-// TestExpiredLeaseFallsBackToLocalPool: in hybrid mode a dead worker's
-// cells re-enter the local pool, so a farm with zero live workers still
-// finishes the job. The pool's one shard is parked behind a blocker
-// until after the lease expires, which makes the claim/lease race
-// deterministic: the worker leases first, dies silently, and the local
-// pool executes the re-queued cell — no Complete call ever arrives.
-func TestExpiredLeaseFallsBackToLocalPool(t *testing.T) {
+// TestExpiredLeaseFallsBackToLocalExecutor: in hybrid mode a dead
+// worker's cells go back to the queue the local executors take from, so
+// a farm with zero live workers still finishes the job. The one
+// executor is held inside the first of two cells, so the worker can
+// only lease the second. Released, the executor finishes its cell and
+// goes idle; the worker dies silently, and its lease expiry must wake
+// the idle executor to run the re-queued cell — no Complete call ever
+// arrives.
+func TestExpiredLeaseFallsBackToLocalExecutor(t *testing.T) {
 	clock := newFakeClock()
 	s, err := NewServerWith(t.TempDir(), ServerOptions{
-		Shards:        1,
+		Executors:     1,
 		LeaseTTL:      time.Minute,
 		SweepInterval: 20 * time.Millisecond,
 		Clock:         clock.Now,
 	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Stop() })
+	held, release, ran := holdFirstCell(t, s)
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{Base: "http://" + addr.String(), Retry: RetryPolicy{Attempts: 1}}
+
+	st, err := c.Submit(JobSpec{Litmus: &LitmusSpec{
+		Tests: []string{"SB"}, Configs: []string{"baseline", "nus-only"}, Runs: 1, Seed: 3}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	la, err := c.Lease(LeaseRequest{Worker: "doomed", Max: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(la.Cells) != 1 {
+		t.Fatalf("leased %d cells, want 1 (the executor holds the other)", len(la.Cells))
+	}
+
+	// The executor finishes its cell and finds the queue empty.
+	release()
+	waitSnapshot(t, s, "the executor's first cell", func(m MetricsSnapshot) bool {
+		return m.CellsExecuted == 1
+	})
+
+	// The worker dies without a word; its lease expires.
+	clock.Advance(time.Minute + time.Second)
+	st, err = c.Wait(st.ID, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Digest == "" || st.Executed != 2 {
+		t.Fatalf("job %+v, want done with both cells executed via local fallback", st)
+	}
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("local executor ran %d cells, want 2", n)
+	}
+	if m := s.Snapshot(); m.LeasesExpired != 1 || m.RemoteCompletions != 0 {
+		t.Fatalf("leases expired %d, remote completions %d, want 1/0 — the local executor must have run the expired cell",
+			m.LeasesExpired, m.RemoteCompletions)
+	}
+}
+
+// TestHybridRunsEachCellOnce: two local executors and an in-process
+// worker drain the full 78-cell battery from the one queue. Whichever
+// side takes a cell, it runs once: every cell counts as executed, none
+// as a duplicate completion, and the digest equals a local-only run's.
+func TestHybridRunsEachCellOnce(t *testing.T) {
+	spec := JobSpec{Litmus: &LitmusSpec{Runs: 2, Seed: 17}} // full battery × all configs
+	want := controlDigest(t, spec)
+
+	s, err := NewServerWith(t.TempDir(), ServerOptions{Executors: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,42 +252,38 @@ func TestExpiredLeaseFallsBackToLocalPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Client{Base: "http://" + addr.String(), Retry: RetryPolicy{Attempts: 1}}
+	c := &Client{Base: "http://" + addr.String()}
+	ctx, cancel := context.WithCancel(context.Background())
+	worker := &Worker{Client: c, ID: "hybrid", Batch: 2,
+		Poll: 5 * time.Millisecond, MaxPoll: 20 * time.Millisecond}
+	stopped := make(chan error, 1)
+	go func() { stopped <- worker.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-stopped; err != nil {
+			t.Errorf("worker run: %v", err)
+		}
+	}()
 
-	release := make(chan struct{})
-	s.pool.Submit(0, func() { <-release })
-
-	st, err := c.Submit(oneCellSpec(), false)
+	st, err := c.Submit(spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, err := c.Lease(LeaseRequest{Worker: "doomed", Max: 4})
-	if err != nil {
+	if st, err = c.Wait(st.ID, 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(la.Cells) != 1 {
-		t.Fatalf("leased %d cells, want 1 (pool is parked; nothing local claimed it)", len(la.Cells))
+	if st.State != StateDone || st.Total != 78 {
+		t.Fatalf("hybrid job %+v, want done with 78 cells", st)
 	}
-
-	// The worker dies without a word; its lease expires.
-	clock.Advance(time.Minute + time.Second)
-	waitSnapshot(t, s, "lease expiry", func(m MetricsSnapshot) bool {
-		return m.LeasesExpired >= 1
-	})
-
-	// Unpark the pool: the re-queued cell runs locally.
-	close(release)
-	st, err = c.Wait(st.ID, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone || st.Digest == "" {
-		t.Fatalf("job %+v, want done via local fallback", st)
+	if st.Digest != want {
+		t.Fatalf("hybrid digest %s, want the local-only control's %s", st.Digest, want)
 	}
 	m := s.Snapshot()
-	if m.RemoteCompletions != 0 {
-		t.Fatalf("remote completions %d, want 0 — the local pool must have run the cell", m.RemoteCompletions)
+	if m.CellsExecuted != uint64(st.Total) || m.DuplicateCompletions != 0 {
+		t.Fatalf("cells_executed=%d duplicate_completions=%d, want %d/0",
+			m.CellsExecuted, m.DuplicateCompletions, st.Total)
 	}
+	t.Logf("%d of %d cells ran on the worker", m.RemoteCompletions, st.Total)
 }
 
 // TestWorkerSurvivesServerRestart: a running worker rides out a full
@@ -240,7 +295,7 @@ func TestWorkerSurvivesServerRestart(t *testing.T) {
 	want := controlDigest(t, spec)
 	dir := t.TempDir()
 
-	opts := ServerOptions{Shards: 1, NoLocalExec: true,
+	opts := ServerOptions{Executors: 0,
 		LeaseTTL: 2 * time.Second, SweepInterval: 100 * time.Millisecond}
 	s1, err := NewServerWith(dir, opts, nil)
 	if err != nil {

@@ -101,7 +101,7 @@ const (
 	// cells executed, Aux cells served from the result cache).
 	KFarmJob
 	// KFarmCell is one farm sweep cell reaching a terminal state: Reason
-	// is RFarmCellExecuted (simulated on a worker; Core is the shard),
+	// is RFarmCellExecuted (simulated by a local or remote executor),
 	// RFarmCellCached (served from the content-addressed result cache),
 	// or RFarmCellRemote (completed by a remote worker process).
 	KFarmCell
@@ -252,7 +252,7 @@ const (
 	RFarmJobAccepted
 	RFarmJobDone
 	// RFarmCellExecuted / RFarmCellCached / RFarmCellRemote qualify
-	// KFarmCell events: the cell was simulated on a local pool worker,
+	// KFarmCell events: the cell was simulated by an executor,
 	// served from the content-addressed cache without running the
 	// simulator, or completed by a remote worker process.
 	RFarmCellExecuted
