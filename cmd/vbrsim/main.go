@@ -56,8 +56,6 @@ func main() {
 		traceRing   = flag.Int("trace-ring", 512, "ring format: events retained")
 		traceFreeze = flag.String("trace-freeze", "", "ring format: freeze trigger: squash | replay-squash (empty = keep rolling)")
 		snapEvery   = flag.Int64("snapshot-interval", 0, "sample metrics snapshots every N cycles (0 = off)")
-		noFF        = flag.Bool("no-fastforward", false, "disable quiescence cycle-skipping (results are bit-identical either way; for A/B timing)")
-		noSkip      = flag.Bool("no-stageskip", false, "disable per-stage readiness skipping (results are bit-identical either way; for A/B timing)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -142,7 +140,7 @@ func main() {
 		runSeedSweep(cfg, work, sweepOptions{
 			cores: *cores, insts: *insts, baseSeed: *seed, seeds: *seeds,
 			parallel: *parallel, workers: *workers,
-			verifySC: *verifySC, jsonOut: *jsonOut, noFF: *noFF, noSkip: *noSkip,
+			verifySC: *verifySC, jsonOut: *jsonOut,
 			fault: fc, wdCycles: *wdCycles,
 			cellTimeout: *cellTimeout, retries: *retries, journal: *resume,
 		})
@@ -213,7 +211,7 @@ func main() {
 
 	opt := system.Options{Cores: *cores, Seed: *seed, DMAInterval: 4000, DMABurst: 2,
 		TrackConsistency: *verifySC, Trace: tracer, SnapshotInterval: *snapEvery,
-		Fault: fc, WatchdogCycles: *wdCycles, NoFastForward: *noFF, NoStageSkip: *noSkip}
+		Fault: fc, WatchdogCycles: *wdCycles}
 	s := system.New(cfg, work, opt)
 	start := time.Now()
 	res := s.Run(*insts, opt)
@@ -235,8 +233,9 @@ func main() {
 			float64(p.ReplayAccesses)/float64(p.Committed),
 			float64(p.Committed)/elapsed.Seconds())
 		if ffs := s.FastForwardStats(); ffs.Windows > 0 {
-			fmt.Printf("fast-forward: windows=%d skipped-cycles=%d (%.1f%% of cycles)\n",
-				ffs.Windows, ffs.SkippedCycles, 100*float64(ffs.SkippedCycles)/float64(max64(1, uint64(res.Cycles))))
+			fmt.Printf("fast-forward: windows=%d skipped-cycles=%d (%.1f%% of cycles) probes=%d\n",
+				ffs.Windows, ffs.SkippedCycles, 100*float64(ffs.SkippedCycles)/float64(max64(1, uint64(res.Cycles))),
+				ffs.Probes)
 		}
 		if sks := s.StageSkipStats(); sks.Total() > 0 {
 			// Rate denominators are core-cycles actually stepped (fast-
@@ -456,8 +455,6 @@ type sweepOptions struct {
 	workers  int
 	verifySC bool
 	jsonOut  bool
-	noFF     bool
-	noSkip   bool
 
 	fault       *fault.Config
 	wdCycles    int64
@@ -520,8 +517,6 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 			DMAInterval: 4000, DMABurst: 2,
 			TrackConsistency: o.verifySC,
 			WatchdogCycles:   o.wdCycles,
-			NoFastForward:    o.noFF,
-			NoStageSkip:      o.noSkip,
 		}
 		if o.fault.Enabled() {
 			// Each cell draws its own fault stream, derived from its seed

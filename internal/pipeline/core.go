@@ -78,12 +78,14 @@ type Core struct {
 	// Step elide a stage's scan when it provably has no work this cycle.
 	// A skipped scan is exactly a scan that would have mutated nothing
 	// and counted nothing, so skipping is bit-identical to full
-	// stepping; skipOff is the -stageskip=off escape hatch. Issue needs
-	// no flag of its own: it runs when iqReady is nonzero.
+	// stepping; skipOff (system.Options.NoStageSkip) scans every stage
+	// every cycle but still maintains the state, which Quiescent reads.
+	// Issue needs no flag of its own: it runs when iqReady is nonzero.
 	skipOff     bool
 	wbMinDue    int64 // lower bound on the earliest pending completion cycle
 	psdQuiet    bool  // no store-data capture can progress until an event
 	commitQuiet bool  // the ROB head cannot commit until an event
+	replayWake  int64 // the replay scan sleeps before this cycle; noDue waits on an event
 	replayBase  int   // settled ROB prefix the replay scan starts past
 	loads       loadTracker
 
@@ -296,38 +298,32 @@ func (c *Core) SQLen() int { return c.sq.Len() }
 func (c *Core) Step() {
 	c.portsUsed = 0
 	c.storeCommitted = false
-	if c.skipOff {
+	if c.skipOff || c.writebackDue() {
 		c.writeback()
+	} else {
+		c.Skip.Writeback++
+	}
+	if c.skipOff || c.captureDue() {
 		c.captureStoreData()
+	} else {
+		c.Skip.Capture++
+	}
+	if c.skipOff || c.commitDue() {
 		c.commit()
-		if c.cfg.Scheme == config.ValueReplay {
+	} else {
+		c.Skip.Commit++
+	}
+	if c.eng != nil {
+		if c.skipOff || c.replayDue() {
 			c.replayStage()
+		} else {
+			c.Skip.Replay++
 		}
+	}
+	if c.skipOff || c.issueDue() {
 		c.issue()
 	} else {
-		if c.cycle >= c.wbMinDue {
-			c.writeback()
-		} else {
-			c.Skip.Writeback++
-		}
-		if len(c.psd) > 0 && !c.psdQuiet {
-			c.captureStoreData()
-		} else {
-			c.Skip.Capture++
-		}
-		if !c.commitQuiet {
-			c.commit()
-		} else {
-			c.Skip.Commit++
-		}
-		if c.cfg.Scheme == config.ValueReplay {
-			c.replayStage()
-		}
-		if c.iqReady != 0 {
-			c.issue()
-		} else {
-			c.Skip.Issue++
-		}
+		c.Skip.Issue++
 	}
 	c.dispatch()
 	c.fetch()
@@ -380,6 +376,7 @@ func (c *Core) complete(e *entry) bool {
 	c.wake(e)
 	c.commitQuiet = false
 	c.psdQuiet = false
+	c.replayWake = 0
 	switch {
 	case e.isBranch:
 		return c.resolveBranch(e)
@@ -591,6 +588,7 @@ func (c *Core) commit() {
 		if c.replayBase > 0 {
 			c.replayBase-- // ROB indices shifted down by one
 		}
+		c.replayWake = 0 // the replay window slid
 		c.pool.put(e)
 	}
 	if c.rob.Len() == 0 {
@@ -617,13 +615,14 @@ func (c *Core) replayStage() {
 	start := 0
 	if !c.skipOff {
 		start = c.replayBase
-		if start >= depth {
-			if start > 0 {
-				c.Skip.Replay++ // the whole window is settled
-			}
-			return
-		}
 	}
+	// The scan then sleeps until wake (replayDue): the next cycle after
+	// any action or a port-limited stop, else the oldest pending
+	// compare's completion, else (noDue) an event. Stopped at a store,
+	// at a load still executing, or at the window's end, it would stop
+	// in the same place every cycle until a completion, commit,
+	// dispatch or squash, each of which clears replayWake.
+	wake := noDue
 	// Replay and compare are pipelined: one replay may *issue* per
 	// cycle even while older replays' compares are pending, but
 	// compares complete strictly in program order (olderPending) and a
@@ -634,7 +633,7 @@ func (c *Core) replayStage() {
 		if e.isStore {
 			// Constraint 1: all prior stores must have written the
 			// cache before any younger load replays.
-			return
+			break
 		}
 		if !e.isLoad || e.replayedOK {
 			if !c.skipOff && i == c.replayBase {
@@ -645,18 +644,20 @@ func (c *Core) replayStage() {
 		if !e.loadDone {
 			// Premature execution still in flight; replay is in-order,
 			// so nothing younger may replay either.
-			return
+			break
 		}
 		fe := c.eng.Queue.Find(e.tag)
 		if fe == nil {
 			e.replayedOK = true
 			c.commitQuiet = false
+			wake = c.cycle + 1
 			if !c.skipOff && i == c.replayBase {
 				c.replayBase++
 			}
 			continue
 		}
 		if !e.replayDecided {
+			wake = c.cycle + 1
 			e.replayDecided = true
 			e.needReplay = false
 			if !c.faultNoReplay {
@@ -681,9 +682,14 @@ func (c *Core) replayStage() {
 		if !e.replayIssued {
 			if budget == 0 || c.portsUsed >= c.portCap() {
 				// Constraint: replays share the commit-stage port(s)
-				// with stores; stores have priority.
-				return
+				// with stores; stores have priority. The port and the
+				// budget free up next cycle, unless there is no port.
+				if c.cfg.ReplayPerCycle != 0 {
+					wake = c.cycle + 1
+				}
+				break
 			}
+			wake = c.cycle + 1
 			budget--
 			c.portsUsed++
 			res := c.hier.ReadReplay(e.addr, c.cycle)
@@ -720,8 +726,10 @@ func (c *Core) replayStage() {
 			// Compare pending (or an older one is): completions stay
 			// in order, but younger replays may still issue.
 			olderPending = true
+			wake = min(wake, e.replayCycle)
 			continue
 		}
+		wake = c.cycle + 1
 		// A replayed load's ordering point is its replay instant: its
 		// provenance is the replay-time writer whether or not the value
 		// matched. (With a match the values agree, so the value-aware
@@ -774,7 +782,7 @@ func (c *Core) replayStage() {
 			} else {
 				c.squashFrom(e.tag+1, e.pc+prog.InstBytes, false)
 			}
-			return
+			return // squashFrom woke the scan
 		}
 		if c.flt != nil {
 			c.flt.OnReplayVerdict(c.ID, e.tag, false, c.cycle)
@@ -782,6 +790,7 @@ func (c *Core) replayStage() {
 		e.replayedOK = true
 		c.commitQuiet = false
 	}
+	c.replayWake = wake
 }
 
 // ---------------------------------------------------------------------
@@ -1328,6 +1337,7 @@ func (c *Core) dispatchOne(f *fetched) {
 		c.iqInsert(e)
 	}
 	c.rob.Push(e)
+	c.replayWake = 0 // the replay window may have grown
 	// Dispatch into an empty ROB wakes commit: the new head may already
 	// be done.
 	if c.rob.Len() == 1 {
@@ -1443,6 +1453,7 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	// settled-prefix replay cursor clamps to the surviving prefix.
 	c.psdQuiet = false
 	c.commitQuiet = false
+	c.replayWake = 0
 	if c.replayBase > cut {
 		c.replayBase = cut
 	}

@@ -15,6 +15,22 @@ func issueProducers(e *entry) (p1, p2 *entry) {
 	return e.src1, nil
 }
 
+// wouldBeReady reports whether operand slot n is available, without
+// srcReady's value latching, so CheckIQ only reads the core.
+func (e *entry) wouldBeReady(n int) bool {
+	var p *entry
+	var reads bool
+	if n == 1 {
+		p, reads = e.src1, e.reads1
+	} else {
+		p, reads = e.src2, e.reads2
+	}
+	if !reads || p == nil {
+		return true
+	}
+	return p.done || p.resultReady
+}
+
 // CheckIQ recomputes the wake-up issue queue's state from the entries
 // themselves, read-only, and reports the first disagreement: iqReady
 // must hold exactly the occupied slots whose issue operands pass

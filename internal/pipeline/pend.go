@@ -1,11 +1,11 @@
 // pendList is the issued-awaiting-completion list in struct-of-arrays
-// form (DESIGN.md §12): the completion cycles that writeback — and the
-// quiescence predicate — scan every cycle live in their own dense
-// int64 array, so the common no-completion cycle touches one cache
-// line per handful of in-flight instructions instead of chasing one
-// entry pointer each. The entry pointers are parallel cold payload,
-// dereferenced only for due completions. Both slices are preallocated
-// to ROB capacity; the hot loop never grows them.
+// form (DESIGN.md §12): the completion cycles that writeback scans
+// every cycle it runs live in their own dense int64 array, so the
+// common no-completion cycle touches one cache line per handful of
+// in-flight instructions instead of chasing one entry pointer each.
+// The entry pointers are parallel cold payload, dereferenced only for
+// due completions. Both slices are preallocated to ROB capacity; the
+// hot loop never grows them.
 
 package pipeline
 

@@ -5,20 +5,23 @@
 // lets Step elide individual stage scans: a next-wake watermark for
 // writeback (the earliest pending completion cycle), dirty/quiet flags
 // for store-data capture and commit that are cleared by exactly the
-// events that could give the stage work, and a settled-prefix cursor
-// for the replay scan. Issue runs off the issue queue's ready mask
-// (DESIGN.md §18). The contract is the same as the
-// fast-forward's: a skipped scan is precisely a scan that would have
-// mutated nothing and counted nothing, so a run with skipping on is
-// bit-identical — counters, stats, trace events, committed values — to
-// one with it off. The -stageskip=off escape hatch exists for A/B
-// equivalence tests and measurement, not for correctness.
+// events that could give the stage work, and a wake cycle plus a
+// settled-prefix cursor for the replay scan. Issue runs off the issue
+// queue's ready mask (DESIGN.md §18). One predicate method per stage
+// reads that state; Step and Quiescent both call them, so the
+// fast-forward's idle test is "no stage would run". The contract is
+// the fast-forward's: a skipped scan is precisely a scan that would
+// have mutated nothing and counted nothing, so a run with skipping on
+// is bit-identical — counters, stats, trace events, committed values —
+// to one with it off. system.Options.NoStageSkip turns skipping off
+// for A/B equivalence tests, not for correctness.
 
 package pipeline
 
 import "math"
 
-// noDue is the writeback watermark's "no pending completion" sentinel.
+// noDue is the "no deadline" sentinel of the writeback watermark and
+// the replay wake cycle: only an event wakes the stage.
 const noDue = int64(math.MaxInt64)
 
 // SkipStats counts, per stage, the Step cycles whose stage scan the
@@ -29,7 +32,7 @@ type SkipStats struct {
 	Writeback uint64 // cycles before the earliest pending completion
 	Capture   uint64 // store-data list empty or provably blocked
 	Commit    uint64 // ROB head provably unable to commit
-	Replay    uint64 // replay window fully settled past the cursor
+	Replay    uint64 // replay scan asleep until its wake cycle or an event
 	Issue     uint64 // no issue-queue entry was ready
 }
 
@@ -51,6 +54,17 @@ func (s *SkipStats) Total() uint64 {
 // Skipping is bit-identical to unconditional stage scans, so the
 // switch exists for A/B equivalence runs, never for correctness.
 func (c *Core) SetStageSkip(on bool) { c.skipOff = !on }
+
+// The stage predicates: each reports whether Step, with skipping on,
+// runs its stage this cycle, and Quiescent reads the same five. A
+// predicate may claim work the scan then does not find, never the
+// reverse. replayDue applies on value-replay machines only.
+
+func (c *Core) writebackDue() bool { return c.cycle >= c.wbMinDue }
+func (c *Core) captureDue() bool   { return len(c.psd) > 0 && !c.psdQuiet }
+func (c *Core) commitDue() bool    { return !c.commitQuiet }
+func (c *Core) replayDue() bool    { return c.cycle >= c.replayWake }
+func (c *Core) issueDue() bool     { return c.iqReady != 0 }
 
 // loadTracker holds the tags of ROB-resident loads whose premature
 // execution has not yet completed, sorted ascending. Dispatch appends

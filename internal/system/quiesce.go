@@ -28,6 +28,9 @@ type FFStats struct {
 	// SkippedCycles is the total cycles fast-forwarded (already included
 	// in CycleNum and every core's Stats.Cycles).
 	SkippedCycles int64 `json:"skipped_cycles"`
+	// Probes is the number of per-core Quiescent calls made looking for
+	// a window, successful or not.
+	Probes int64 `json:"probes"`
 }
 
 // FastForwardStats returns the run's fast-forward accounting (zero when
@@ -91,6 +94,7 @@ func (s *System) tryFastForward(target uint64, maxCycles int64) bool {
 		if c.Stats.Committed >= target {
 			continue
 		}
+		s.ff.Probes++
 		wake, ok := c.Quiescent()
 		if !ok {
 			return false

@@ -13,6 +13,7 @@ import (
 
 	"vbmo/internal/config"
 	"vbmo/internal/fault"
+	"vbmo/internal/pipeline"
 	"vbmo/internal/trace"
 	"vbmo/internal/workload"
 )
@@ -144,6 +145,127 @@ func TestFastForwardDisabledByHook(t *testing.T) {
 	s.Run(500, opt)
 	if s.FastForwardStats() != (FFStats{}) {
 		t.Errorf("fast-forward engaged with OnCycle set: %+v", s.FastForwardStats())
+	}
+}
+
+// TestQuiescentMeansStepSkips holds the fast-forward's idle test to the
+// stage-skip layer's: whenever Quiescent reports a core idle, the Step
+// that follows must skip every back-end stage (replay on value-replay
+// machines only) and leave the queues and the commit count as they
+// were. The cores are stepped by hand in Advance's order, fast-forward
+// off, with each core probed immediately before its own Step, since an
+// earlier core's Step can reach it through coherence.
+func TestQuiescentMeansStepSkips(t *testing.T) {
+	type cell struct {
+		machine, work string
+		cores         int
+		insts         uint64
+	}
+	var cells []cell
+	for _, name := range config.Names() {
+		cells = append(cells, cell{name, "mcf", 1, 20000}, cell{name, "ocean", 4, 3000})
+	}
+	cells = append(cells,
+		cell{"baseline", "spin-mp", 16, 1500},
+		cell{"no-recent-snoop", "spin-mp", 16, 1500},
+		cell{"replay-all", "jbb-mp", 16, 1500},
+	)
+	type view struct {
+		skip            pipeline.SkipStats
+		rob, iq, lq, sq int
+		committed       uint64
+	}
+	look := func(c *pipeline.Core) view {
+		return view{c.Skip, c.ROBLen(), c.IQLen(), c.LQLen(), c.SQLen(), c.Stats.Committed}
+	}
+	for _, tc := range cells {
+		cfg, _ := config.ByName(tc.machine)
+		t.Run(tc.machine+"/"+tc.work, func(t *testing.T) {
+			opt := Options{Cores: tc.cores, Seed: 3, DMAInterval: 4000, DMABurst: 2}
+			s := New(cfg, mustWork(t, tc.work), opt)
+			replay := cfg.Scheme == config.ValueReplay
+			steps, quiet, bad := 0, 0, 0
+			for limit := int64(tc.insts)*200 + 1_000_000; s.CycleNum < limit; s.CycleNum++ {
+				done := true
+				for _, c := range s.Cores {
+					done = done && c.Stats.Committed >= tc.insts
+				}
+				if done {
+					break
+				}
+				s.DMA.Tick(s.CycleNum)
+				for _, c := range s.Cores {
+					if c.Stats.Committed >= tc.insts {
+						continue
+					}
+					_, ok := c.Quiescent()
+					before := look(c)
+					c.Step()
+					steps++
+					if !ok {
+						continue
+					}
+					quiet++
+					after := look(c)
+					want := before
+					want.skip.Writeback++
+					want.skip.Capture++
+					want.skip.Commit++
+					want.skip.Issue++
+					if replay {
+						want.skip.Replay++
+					}
+					if after != want && bad < 3 {
+						bad++
+						t.Errorf("cycle %d core %d: Quiescent reported idle, but Step went from %+v to %+v",
+							s.CycleNum, c.ID, before, after)
+					}
+				}
+			}
+			if quiet == 0 {
+				t.Errorf("no quiescent core-step in %d", steps)
+			}
+			t.Logf("%d of %d core-steps quiescent", quiet, steps)
+		})
+	}
+}
+
+// TestFastForwardProbeBound runs BENCH_3's two fast-forward cells, a
+// warmed window of baseline spin/1 and of spin-mp/16, and bounds the
+// fast-forward by counts, which are the same on every host: the skip
+// must cover most of the window, and Advance may make at most one
+// per-core Quiescent probe per skipped core-cycle.
+func TestFastForwardProbeBound(t *testing.T) {
+	cfg, _ := config.ByName("baseline")
+	for _, tc := range []struct {
+		work         string
+		cores        int
+		warm, window uint64
+		minSkipped   float64
+	}{
+		{"spin", 1, 2000, 20000, 0.90},
+		{"spin-mp", 16, 300, 1200, 0.50},
+	} {
+		t.Run(tc.work, func(t *testing.T) {
+			opt := Options{Cores: tc.cores, Seed: 1, DMAInterval: 4000, DMABurst: 2}
+			s := New(cfg, mustWork(t, tc.work), opt)
+			s.Advance(tc.warm, opt)
+			s.ResetStats()
+			ff0, cyc0 := s.FastForwardStats(), s.CycleNum
+			s.Advance(tc.window, opt)
+			ff := s.FastForwardStats()
+			cycles := s.CycleNum - cyc0
+			skipped := ff.SkippedCycles - ff0.SkippedCycles
+			probes := ff.Probes - ff0.Probes
+			if frac := float64(skipped) / float64(cycles); frac < tc.minSkipped {
+				t.Errorf("fast-forward skipped %d of %d window cycles (%.1f%%), want >= %.0f%%",
+					skipped, cycles, 100*frac, 100*tc.minSkipped)
+			}
+			if bound := int64(tc.cores) * skipped; probes > bound {
+				t.Errorf("%d Quiescent probes, more than cores x skipped cycles = %d", probes, bound)
+			}
+			t.Logf("skipped %d of %d window cycles with %d probes", skipped, cycles, probes)
+		})
 	}
 }
 

@@ -152,17 +152,29 @@ func TestStageSkipEngagesOnGzip(t *testing.T) {
 	}
 }
 
-// TestStageSkipReplayCursor asserts the replay machines' settled-prefix
-// cursor fires: on a replay-all machine every committed load replays,
-// and whole-window-settled skips must still occur between bursts.
+// TestStageSkipReplayCursor asserts the replay scan sleeps on the
+// replay machines: between replay bursts the scan waits on its wake
+// cycle or an event, so Step must skip it on at least a fifth of the
+// stepped cycles (fast-forwarded cycles never reach the stage scans).
 func TestStageSkipReplayCursor(t *testing.T) {
-	cfg, ok := config.ByName("replay-all")
-	if !ok {
-		t.Skip("no replay-all machine registered")
-	}
-	on, off, resOn, resOff, csOn, csOff := skipPair(t, cfg, "gzip", 1, 20000, 0)
-	assertSkipIdentical(t, on, off, resOn, resOff, csOn, csOff)
-	if sk := on.StageSkipStats(); sk.Replay == 0 {
-		t.Errorf("replay scan never skipped on replay-all/gzip: %+v", sk)
+	for _, tc := range []struct{ machine, work string }{
+		{"replay-all", "gzip"},
+		{"replay-all", "mcf"},
+		{"no-recent-snoop", "mcf"},
+	} {
+		t.Run(tc.machine+"/"+tc.work, func(t *testing.T) {
+			cfg, ok := config.ByName(tc.machine)
+			if !ok {
+				t.Fatalf("unknown machine %q", tc.machine)
+			}
+			on, off, resOn, resOff, csOn, csOff := skipPair(t, cfg, tc.work, 1, 20000, 0)
+			assertSkipIdentical(t, on, off, resOn, resOff, csOn, csOff)
+			stepped := on.CycleNum - on.FastForwardStats().SkippedCycles
+			sk := on.StageSkipStats()
+			if frac := float64(sk.Replay) / float64(stepped); frac < 0.20 {
+				t.Errorf("replay scan skipped on %.2f%% of %d stepped cycles, want >= 20%%: %+v",
+					100*frac, stepped, sk)
+			}
+		})
 	}
 }
