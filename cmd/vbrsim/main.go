@@ -238,13 +238,17 @@ func main() {
 				ffs.Probes)
 		}
 		if sks := s.StageSkipStats(); sks.Total() > 0 {
-			// Rate denominators are core-cycles actually stepped (fast-
-			// forwarded windows never reach the stage scans).
-			cc := max64(1, uint64(res.Cycles)*uint64(*cores))
-			fmt.Printf("stage-skip: wb=%.1f%% capture=%.1f%% commit=%.1f%% replay=%.1f%% issue=%.1f%% of core-cycles\n",
+			// The rate denominator is the cores' summed cycle counts,
+			// vbrbench's pipeline.skip_*_frac denominator. It includes
+			// fast-forwarded cycles, which never reach the stage scans,
+			// and leaves out a core's cycles after it finished and
+			// stopped stepping. parked= counts the parked loads running
+			// issue scans charged instead of searching the store queue.
+			cc := max64(1, uint64(res.Pipe.Cycles))
+			fmt.Printf("stage-skip: wb=%.1f%% capture=%.1f%% commit=%.1f%% replay=%.1f%% issue=%.1f%% of core-cycles parked=%d\n",
 				100*float64(sks.Writeback)/float64(cc), 100*float64(sks.Capture)/float64(cc),
 				100*float64(sks.Commit)/float64(cc), 100*float64(sks.Replay)/float64(cc),
-				100*float64(sks.Issue)/float64(cc))
+				100*float64(sks.Issue)/float64(cc), sks.ParkedProbes)
 		}
 		if s.Metrics != nil {
 			fmt.Printf("snapshots: %d recorded  occupancy means: ROB=%.1f LQ=%.1f SQ=%.1f (core 0)\n",

@@ -46,12 +46,15 @@ func (s *Simple) idx(pc uint64) uint64 { return (pc >> 2) & s.mask }
 // ShouldWait reports whether the load at pc must wait for all prior
 // store addresses to resolve before issuing.
 func (s *Simple) ShouldWait(pc uint64) bool {
-	if s.bits[s.idx(pc)] {
+	if s.Predicts(pc) {
 		s.Waits++
 		return true
 	}
 	return false
 }
+
+// Predicts is ShouldWait without counting the wait.
+func (s *Simple) Predicts(pc uint64) bool { return s.bits[s.idx(pc)] }
 
 // TrainViolation records that the load at pc suffered a memory-order
 // violation.

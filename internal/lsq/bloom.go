@@ -68,9 +68,17 @@ func (f *BloomFilter) Remove(addr uint64) {
 // MayContain reports whether addr could be present; false is definite.
 func (f *BloomFilter) MayContain(addr uint64) bool {
 	f.Queries++
+	if !f.has(addr) {
+		f.Misses++
+		return false
+	}
+	return true
+}
+
+// has answers MayContain without counting the query.
+func (f *BloomFilter) has(addr uint64) bool {
 	for i := 0; i < f.hashes; i++ {
 		if f.counters[f.hash(addr, i)] == 0 {
-			f.Misses++
 			return false
 		}
 	}

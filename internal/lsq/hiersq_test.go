@@ -104,3 +104,59 @@ func TestFlatQueueUnaffected(t *testing.T) {
 		t.Errorf("flat queue changed: %+v", r)
 	}
 }
+
+// TestPeekCountsWhatSearchCounts pins the contract parked loads rely on:
+// Peek counts nothing and reports what a Search would count, and
+// Charging a remembered search's counts equals repeating the Search.
+func TestPeekCountsWhatSearchCounts(t *testing.T) {
+	type counts struct{ searches, l2, filtered, queries, misses uint64 }
+	read := func(q *StoreQueue) counts {
+		return counts{q.Searches, q.L2Searches, q.L2Filtered, q.filter.Queries, q.filter.Misses}
+	}
+	b2u := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for _, tc := range []struct {
+		name           string
+		unresolved     bool
+		addr           uint64
+		level2, filter bool
+	}{
+		{"level one", false, 0x1000 + 9*8, false, false},
+		{"level two after a filter query", false, 0x1000, true, true},
+		{"level two with a store unresolved", true, 0x1000, true, false},
+		{"filtered", false, 0x9000, false, true},
+	} {
+		q := twoLevelQueue(10)
+		if tc.unresolved {
+			q.Insert(50, 0)
+		}
+		before := read(q)
+		r := q.Peek(tc.addr, 100)
+		if got := read(q); got != before {
+			t.Fatalf("%s: Peek counted: %+v -> %+v", tc.name, before, got)
+		}
+		if r.Level2 != tc.level2 || r.FilterQueried != tc.filter {
+			t.Errorf("%s: Level2 %t FilterQueried %t, want %t %t",
+				tc.name, r.Level2, r.FilterQueried, tc.level2, tc.filter)
+		}
+		if s := q.Search(tc.addr, 100); s != r {
+			t.Fatalf("%s: Search %+v, Peek %+v", tc.name, s, r)
+		}
+		searched := read(q)
+		if r.FilterQueried && !r.Level2 {
+			continue // a filtered search finds no match, so no load charges one
+		}
+		q.Charge(1, b2u(r.Level2), b2u(r.FilterQueried))
+		want := searched
+		want.searches += searched.searches - before.searches
+		want.l2 += searched.l2 - before.l2
+		want.queries += searched.queries - before.queries
+		if got := read(q); got != want {
+			t.Errorf("%s: Charge after %+v gave %+v, a second Search %+v", tc.name, r, got, want)
+		}
+	}
+}

@@ -51,6 +51,12 @@ type SearchResult struct {
 	// unresolved address — the condition the no-unresolved-store
 	// filter records.
 	UnresolvedOlder bool
+	// Level2 is set when a two-level search crossed into the level-two
+	// buffer and probed it (L2Searches). FilterQueried is set when the
+	// crossing consulted the membership filter first, which it does only
+	// while no store is unresolved; a filter miss then ends the search
+	// with FilterQueried set and Level2 clear (L2Filtered).
+	Level2, FilterQueried bool
 }
 
 // StoreQueue holds in-flight stores in program order. Optionally it is
@@ -192,15 +198,51 @@ func (q *StoreQueue) Entry(tag int64) (StoreEntry, bool) {
 }
 
 // Search probes for the youngest older store matching addr, as a load
-// issuing with the given tag would. Word (8-byte) granularity. In
+// issuing with the given tag would, and counts the probe: Searches, and
+// in two-level mode L2Searches or L2Filtered and the filter's query as
+// the result's Level2 and FilterQueried report.
+//
+//vbr:hotpath
+func (q *StoreQueue) Search(addr uint64, loadTag int64) SearchResult {
+	r := q.Peek(addr, loadTag)
+	q.Searches++
+	if r.Level2 {
+		q.L2Searches++
+	}
+	if r.FilterQueried {
+		q.filter.Queries++
+		if !r.Level2 {
+			q.filter.Misses++
+			q.L2Filtered++
+		}
+	}
+	return r
+}
+
+// Charge counts searches a caller answered from an earlier Search
+// instead of repeating it: searches Searches, l2 of them crossing into
+// level two, filterQueries of those after a filter query. None of them
+// may have been filtered.
+func (q *StoreQueue) Charge(searches, l2, filterQueries uint64) {
+	q.Searches += searches
+	q.L2Searches += l2
+	if filterQueries != 0 {
+		q.filter.Queries += filterQueries
+	}
+}
+
+// TwoLevel reports whether the queue is hierarchical (EnableTwoLevel).
+func (q *StoreQueue) TwoLevel() bool { return q.l1Size > 0 }
+
+// Peek is Search without counting: it reads the queue and reports what
+// a Search would find and count. Word (8-byte) granularity. In
 // two-level mode a match found beyond the level-one region reports the
 // level-two latency, and the level-two probe is skipped entirely when
 // the membership filter proves no resolved store there can match (and
 // no unresolved store could alias).
 //
 //vbr:hotpath
-func (q *StoreQueue) Search(addr uint64, loadTag int64) SearchResult {
-	q.Searches++
+func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 	addr &^= 7
 	var r SearchResult
 	n := len(q.tags)
@@ -213,11 +255,13 @@ func (q *StoreQueue) Search(addr uint64, loadTag int64) SearchResult {
 			// Crossing into the level-two buffer: consult the filter
 			// once. With no unresolved stores anywhere and a filter
 			// miss, nothing deeper can match or alias.
-			if q.unresolved == 0 && q.filter != nil && !q.filter.MayContain(addr) {
-				q.L2Filtered++
-				return r
+			if q.unresolved == 0 && q.filter != nil {
+				r.FilterQueried = true
+				if !q.filter.has(addr) {
+					return r
+				}
 			}
-			q.L2Searches++
+			r.Level2 = true
 			l1Boundary = -1 // count the crossing only once
 		}
 		if q.tags[i] >= loadTag {

@@ -44,10 +44,16 @@ type Core struct {
 	// Wake-up issue queue (DESIGN.md §18): entries by slot (nil when
 	// free), the occupied slots, and the occupied slots whose issue
 	// operands are all ready. Completions set iqReady bits through the
-	// producers' wake masks; issue visits only iqReady.
-	iq      [MaxIQSize]*entry
-	iqUsed  uint64
-	iqReady uint64
+	// producers' wake masks. iqParked holds the loads whose operands are
+	// ready but which a probe found blocked on a store: they sit outside
+	// iqReady until an event that can change the answer wakes them, and
+	// parked records, per slot, the counters that probe bumped. Issue
+	// visits iqReady and iqParked.
+	iq       [MaxIQSize]*entry
+	iqUsed   uint64
+	iqReady  uint64
+	iqParked uint64
+	parked   parkCounts
 
 	renameMap [isa.NumRegs]*entry
 	arch      prog.ArchState
@@ -324,6 +330,9 @@ func (c *Core) Step() {
 		c.issue()
 	} else {
 		c.Skip.Issue++
+		if c.iqParked != 0 {
+			c.chargeParked(c.iqParked, 1) // the scan would have reached them all
+		}
 	}
 	c.dispatch()
 	c.fetch()
@@ -436,7 +445,17 @@ func (c *Core) trainViolation(loadPC, storePC uint64) {
 	if c.ssets != nil {
 		c.ssets.TrainViolation(loadPC, storePC)
 	} else {
-		c.simple.TrainViolation(loadPC)
+		c.trainSimple(loadPC)
+	}
+}
+
+// trainSimple trains the simple dependence predictor on a violating
+// load and wakes every parked load: the trained entry may alias a
+// parked load's PC, which changes whether its probe counts a wait.
+func (c *Core) trainSimple(pc uint64) {
+	c.simple.TrainViolation(pc)
+	if c.iqParked != 0 {
+		c.unpark(c.iqParked)
 	}
 }
 
@@ -455,6 +474,9 @@ func (c *Core) captureStoreData() {
 			e.value = v
 			e.dataDone = true
 			c.sq.SetData(e.tag, v)
+			if c.iqParked != 0 {
+				c.unpark(c.parkedAfter(e.tag)) // a load waiting to forward from e
+			}
 			if e.agenDone {
 				e.done = true
 				c.commitQuiet = false // the store may be the ROB head
@@ -756,7 +778,7 @@ func (c *Core) replayStage() {
 				c.Stats.SquashesVPred++
 				why = trace.RSquashVPred
 			case fe.NUS:
-				c.simple.TrainViolation(e.pc)
+				c.trainSimple(e.pc)
 				c.Stats.SquashesReplayRAW++
 				why = trace.RSquashReplayRAW
 			default:
@@ -800,13 +822,15 @@ type fuBudget struct {
 	intALU, intMulDiv, fpALU, fpMulDiv, loadPorts, total int
 }
 
-// issue visits the ready issue-queue entries oldest first under the
-// cycle's per-class and width budgets (DESIGN.md §18). An entry whose
-// issue operands are not ready cannot act, so this issues exactly what a
-// tag-order scan of the whole queue would. A load whose address is ready
-// stays in iqReady until it issues and probes the store queue every
-// cycle; each probe is counted. An issue-time squash (an insulated
-// load-queue search) ends the cycle's issue.
+// issue visits the ready and parked issue-queue entries oldest first
+// under the cycle's per-class and width budgets (DESIGN.md §18). An
+// entry whose issue operands are not ready cannot act, so this issues
+// exactly what a tag-order scan of the whole queue would. A parked load
+// is not probed again: while a load port is left, as the probe would
+// have counted, it is charged the counts its blocked probe recorded. A
+// store agen earlier in the scan may wake a younger parked load, which
+// then gets its real probe when the scan reaches it. An issue-time
+// squash (an insulated load-queue search) ends the cycle's issue.
 //
 //vbr:hotpath
 func (c *Core) issue() {
@@ -818,10 +842,22 @@ func (c *Core) issue() {
 		loadPorts: c.cfg.LoadPorts,
 		total:     c.cfg.Width,
 	}
-	ready := c.iqReady
+	ready := c.iqReady | c.iqParked
 	for ready != 0 && b.total > 0 {
+		if ready&c.iqReady == 0 {
+			// Only parked loads are left. With nothing left to issue,
+			// nothing can wake or kill one before the scan would reach
+			// it, so they are charged at once.
+			c.chargeVisits(ready, &b)
+			return
+		}
 		s := c.oldest(ready)
-		ready &^= 1 << s
+		bit := uint64(1) << s
+		ready &^= bit
+		if c.iqParked&bit != 0 {
+			c.chargeVisits(bit, &b)
+			continue
+		}
 		issued, squashed := c.tryIssue(c.iq[s], &b)
 		if issued {
 			b.total--
@@ -832,7 +868,7 @@ func (c *Core) issue() {
 		}
 		// A castout of the load's own cache fill can squash without
 		// ending the scan; the squash freed its victims' slots.
-		ready &= c.iqReady
+		ready &= c.iqReady | c.iqParked
 	}
 }
 
@@ -919,6 +955,103 @@ func (c *Core) iqRemove(s int) {
 	c.iq[s] = nil
 	c.iqUsed &^= 1 << s
 	c.iqReady &^= 1 << s
+}
+
+// parkCounts records, one bit per parked slot, the counters a parked
+// load's blocked probe bumped: a simple-predictor wait, a store-queue
+// search, the search's crossing into level two, and the level-two
+// filter's query on the way. Bits outside iqParked are clear.
+type parkCounts struct {
+	wait, search, l2, filter uint64
+}
+
+// park moves load e's slot from iqReady to iqParked after a probe that
+// found it blocked. searched reports whether the probe reached the
+// store-queue search, which returned r.
+//
+//vbr:hotpath
+func (c *Core) park(e *entry, wait, searched bool, r lsq.SearchResult) {
+	bit := uint64(1) << e.slot
+	c.iqReady &^= bit
+	c.iqParked |= bit
+	p := &c.parked
+	if wait {
+		p.wait |= bit
+	}
+	if searched {
+		p.search |= bit
+		if r.Level2 {
+			p.l2 |= bit
+		}
+		if r.FilterQueried {
+			p.filter |= bit
+		}
+	}
+}
+
+// unpark returns the parked slots in m to iqReady: each is probed again
+// when the issue scan next reaches it. Waking a load that is still
+// blocked is exact, since that probe counts what the charge would have,
+// and parks it again.
+//
+//vbr:hotpath
+func (c *Core) unpark(m uint64) {
+	c.iqParked &^= m
+	c.iqReady |= m
+	c.parked.drop(m)
+}
+
+// drop clears the slots in m.
+func (p *parkCounts) drop(m uint64) {
+	p.wait &^= m
+	p.search &^= m
+	p.l2 &^= m
+	p.filter &^= m
+}
+
+// parkedAfter returns the parked slots whose load is younger than tag.
+//
+//vbr:hotpath
+func (c *Core) parkedAfter(tag int64) uint64 {
+	var m uint64
+	for r := c.iqParked; r != 0; r &= r - 1 {
+		s := bits.TrailingZeros64(r)
+		if c.iq[s].tag > tag {
+			m |= 1 << s
+		}
+	}
+	return m
+}
+
+// chargeVisits charges the parked loads in m for the issue scan's
+// visits, which probe only while a load port is left.
+//
+//vbr:hotpath
+func (c *Core) chargeVisits(m uint64, b *fuBudget) {
+	if b.loadPorts == 0 {
+		return
+	}
+	c.chargeParked(m, 1)
+	if !c.skipOff {
+		c.Skip.ParkedProbes += uint64(bits.OnesCount64(m))
+	}
+}
+
+// chargeParked counts n probes of each parked load in m, as n issue
+// scans that reached them with a load port left would have: each adds
+// the counts its blocked probe recorded. Counters are therefore exact at
+// every cycle boundary, however long a load stays parked.
+//
+//vbr:hotpath
+func (c *Core) chargeParked(m, n uint64) {
+	p := &c.parked
+	if w := p.wait & m; w != 0 {
+		c.simple.Waits += n * uint64(bits.OnesCount64(w))
+	}
+	if sm := p.search & m; sm != 0 {
+		c.sq.Charge(n*uint64(bits.OnesCount64(sm)),
+			n*uint64(bits.OnesCount64(p.l2&m)), n*uint64(bits.OnesCount64(p.filter&m)))
+	}
 }
 
 // clearTail nils dropped slots so recycled entries are not pinned by
@@ -1023,6 +1156,16 @@ func (c *Core) issueStoreAgen(e *entry, units *int) bool {
 	// unresolved immediately); the load-queue violation search and the
 	// agenDone ordering flag still take effect at writeback.
 	c.sq.SetAddr(e.tag, e.addr)
+	if c.iqParked != 0 {
+		// A younger parked load may have waited on this address, or may
+		// now forward from it. A two-level search's counts depend on
+		// whether any store is unresolved, so there every load wakes.
+		if c.sq.TwoLevel() {
+			c.unpark(c.iqParked)
+		} else {
+			c.unpark(c.parkedAfter(e.tag))
+		}
+	}
 	e.issued = true
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
 	c.pendPush(e)
@@ -1038,20 +1181,25 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 		return false, false
 	}
 	addr := e.inst.EffAddr(s1)
-	// Dependence predictor constraints.
+	// Dependence predictor constraints. A blocked load parks until an
+	// event that can unblock it: its store's agen, an older agen, the
+	// forwarding store's data capture.
 	if e.waitStoreTag >= 0 {
 		if se, ok := c.sq.Entry(e.waitStoreTag); ok && !se.AddrValid {
-			return false, false // store-set: wait for the store's agen
+			c.park(e, false, false, lsq.SearchResult{}) // store-set: wait for the store's agen
+			return false, false
 		}
 		e.waitStoreTag = -1
 	}
 	simpleWait := c.ssets == nil && c.simple.ShouldWait(e.pc)
 	if simpleWait && c.sq.UnresolvedBefore(e.tag) {
-		return false, false // simple predictor: wait for all prior agens
+		c.park(e, true, false, lsq.SearchResult{}) // simple predictor: wait for all prior agens
+		return false, false
 	}
 	r := c.sq.Search(addr, e.tag)
 	if r.Match && !r.DataReady {
-		return false, false // forwarding store's data not ready yet
+		c.park(e, simpleWait, true, r) // forwarding store's data not ready yet
+		return false, false
 	}
 	b.loadPorts--
 	e.addr = addr
@@ -1328,6 +1476,11 @@ func (c *Core) dispatchOne(f *fetched) {
 		e.isStore = true
 		c.iqInsert(e)
 		c.sq.Insert(e.tag, e.pc)
+		if c.iqParked != 0 && c.sq.TwoLevel() {
+			// A deeper queue moves older stores toward level two, which
+			// changes what a parked load's search counts.
+			c.unpark(c.iqParked)
+		}
 		c.psd = append(c.psd, e)
 		c.psdQuiet = false
 		if c.ssets != nil {
@@ -1449,6 +1602,10 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.rob.TruncateFrom(cut)
 	c.iqUsed &^= killed
 	c.iqReady &^= killed
+	if c.iqParked != 0 {
+		c.iqParked &^= killed
+		c.parked.drop(killed)
+	}
 	// Wake every sleeping stage: occupancies and readiness changed. The
 	// settled-prefix replay cursor clamps to the surviving prefix.
 	c.psdQuiet = false
@@ -1476,6 +1633,10 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.psd = filterOlder(c.psd, fromTag)
 
 	c.sq.Squash(fromTag)
+	if c.iqParked != 0 && c.sq.TwoLevel() {
+		// The squash changed the queue's depth and its unresolved stores.
+		c.unpark(c.iqParked)
+	}
 	if c.alq != nil {
 		c.alq.Squash(fromTag)
 	}

@@ -43,12 +43,14 @@ type EntryDump struct {
 	Store     bool   `json:"store,omitempty"`
 	Addr      uint64 `json:"addr,omitempty"`
 	AddrValid bool   `json:"addr_valid,omitempty"`
-	// Issue-queue state: whether the entry holds a queue slot, and how
-	// many unfinished producers of its issue operands it still waits on.
-	// An entry in the queue, waiting on a producer whose own line reads
-	// done, is a lost wake-up.
+	// Issue-queue state: whether the entry holds a queue slot, how many
+	// unfinished producers of its issue operands it still waits on, and
+	// whether it is a load parked on a store. An entry in the queue,
+	// waiting on a producer whose own line reads done, is a lost wake-up;
+	// so is a parked load whose blocking store's line reads done.
 	InIQ    bool `json:"in_iq,omitempty"`
 	Waiting int  `json:"waiting,omitempty"`
+	Parked  bool `json:"parked,omitempty"`
 	// Replay progress (value-replay machines).
 	ReplayDecided bool `json:"replay_decided,omitempty"`
 	NeedReplay    bool `json:"need_replay,omitempty"`
@@ -99,12 +101,13 @@ func (c *Core) Dump(maxROB int) StateDump {
 	}
 	for i := 0; i < n; i++ {
 		e := c.rob.At(i)
+		inIQ := c.iq[e.slot] == e
 		d.ROB = append(d.ROB, EntryDump{
 			Tag: e.tag, PC: e.pc, Class: e.cls.String(),
 			Issued: e.issued, Done: e.done,
 			Load: e.isLoad, Store: e.isStore,
 			Addr: e.addr, AddrValid: e.addrValid,
-			InIQ: c.iq[e.slot] == e, Waiting: int(e.waiting),
+			InIQ: inIQ, Waiting: int(e.waiting), Parked: inIQ && c.iqParked&(1<<e.slot) != 0,
 			ReplayDecided: e.replayDecided, NeedReplay: e.needReplay,
 			ReplayIssued: e.replayIssued, ReplayedOK: e.replayedOK,
 			NoReplay: e.noReplay,
@@ -131,7 +134,10 @@ func (d StateDump) String() string {
 		if e.AddrValid {
 			fmt.Fprintf(&b, " addr=%#x", e.Addr)
 		}
-		if e.InIQ {
+		switch {
+		case e.Parked:
+			b.WriteString(" iq[parked]")
+		case e.InIQ:
 			fmt.Fprintf(&b, " iq[waiting=%d]", e.Waiting)
 		}
 		if e.Load {

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
+
+	"vbmo/internal/lsq"
 )
 
 // issueProducers returns the producers e still reads its issue operands
@@ -31,22 +33,75 @@ func (e *entry) wouldBeReady(n int) bool {
 	return p.done || p.resultReady
 }
 
+// loadAddr returns load e's effective address as issueLoad computes it,
+// without srcReady's latching; e's address operand must be ready.
+func (e *entry) loadAddr() uint64 {
+	var base uint64
+	switch {
+	case !e.reads1:
+	case e.src1 != nil:
+		base = e.src1.result
+	default:
+		base = e.src1Val
+	}
+	return e.inst.EffAddr(base)
+}
+
+// probeCount is what one load probe counts: a simple-predictor wait, a
+// store-queue search, its crossing into level two, a filter query.
+type probeCount struct{ wait, search, l2, filter bool }
+
+// recorded returns the probe counts parked slot bit recorded.
+func (p *parkCounts) recorded(bit uint64) probeCount {
+	return probeCount{p.wait&bit != 0, p.search&bit != 0, p.l2&bit != 0, p.filter&bit != 0}
+}
+
+// reprobe runs issueLoad's blocking checks on load e read-only: it
+// reports whether e would still be blocked if probed now, and what that
+// probe would count.
+func (c *Core) reprobe(e *entry) (bool, probeCount) {
+	if e.waitStoreTag >= 0 {
+		if se, ok := c.sq.Entry(e.waitStoreTag); ok && !se.AddrValid {
+			return true, probeCount{}
+		}
+	}
+	var k probeCount
+	k.wait = c.ssets == nil && c.simple.Predicts(e.pc)
+	if k.wait && c.sq.UnresolvedBefore(e.tag) {
+		return true, k
+	}
+	r := c.sq.Peek(e.loadAddr(), e.tag)
+	k.search, k.l2, k.filter = true, r.Level2, r.FilterQueried
+	return r.Match && !r.DataReady, k
+}
+
 // CheckIQ recomputes the wake-up issue queue's state from the entries
 // themselves, read-only, and reports the first disagreement: iqReady
-// must hold exactly the occupied slots whose issue operands pass
-// wouldBeReady, each entry's waiting count must equal its number of
-// distinct unfinished issue-operand producers (each of which has the
-// entry's slot in its wake mask), every wake-mask bit of every in-flight
-// entry must name an occupied slot whose entry reads that producer, and
-// IQLen must equal the number of occupied slots.
+// and iqParked must be disjoint and together hold exactly the occupied
+// slots whose issue operands pass wouldBeReady; every parked slot must
+// hold a load that a probe now would still find blocked and that would
+// count exactly what the slot recorded, and no free or ready slot may
+// carry a recorded count; Dump must mark exactly the parked entries;
+// each entry's waiting count must equal its number of distinct
+// unfinished issue-operand producers (each of which has the entry's
+// slot in its wake mask), every wake-mask bit of every in-flight entry
+// must name an occupied slot whose entry reads that producer, and IQLen
+// must equal the number of occupied slots.
 func (c *Core) CheckIQ() error {
+	if both := c.iqReady & c.iqParked; both != 0 {
+		return fmt.Errorf("slots %#x are both ready and parked", both)
+	}
+	pk := &c.parked
+	if stray := (pk.wait | pk.search | pk.l2 | pk.filter) &^ c.iqParked; stray != 0 {
+		return fmt.Errorf("slots %#x record probe counts but are not parked", stray)
+	}
 	occupied := 0
 	for s := 0; s < MaxIQSize; s++ {
 		e, bit := c.iq[s], uint64(1)<<s
 		if e == nil {
-			if (c.iqUsed|c.iqReady)&bit != 0 {
-				return fmt.Errorf("free slot %d is marked used (%t) or ready (%t)",
-					s, c.iqUsed&bit != 0, c.iqReady&bit != 0)
+			if (c.iqUsed|c.iqReady|c.iqParked)&bit != 0 {
+				return fmt.Errorf("free slot %d is marked used (%t), ready (%t) or parked (%t)",
+					s, c.iqUsed&bit != 0, c.iqReady&bit != 0, c.iqParked&bit != 0)
 			}
 			continue
 		}
@@ -61,9 +116,22 @@ func (c *Core) CheckIQ() error {
 		}
 		p1, p2 := issueProducers(e)
 		ready := e.wouldBeReady(1) && (p2 == nil || e.wouldBeReady(2))
-		if ready != (c.iqReady&bit != 0) {
-			return fmt.Errorf("slot %d (tag %d): operands ready %t, ready bit %t",
-				s, e.tag, ready, c.iqReady&bit != 0)
+		if ready != ((c.iqReady|c.iqParked)&bit != 0) {
+			return fmt.Errorf("slot %d (tag %d): operands ready %t, ready bit %t, parked bit %t",
+				s, e.tag, ready, c.iqReady&bit != 0, c.iqParked&bit != 0)
+		}
+		if c.iqParked&bit != 0 {
+			if !e.isLoad {
+				return fmt.Errorf("slot %d (tag %d, %s) is parked but not a load", s, e.tag, e.cls)
+			}
+			blocked, k := c.reprobe(e)
+			if !blocked {
+				return fmt.Errorf("slot %d (tag %d): parked load would issue if probed now", s, e.tag)
+			}
+			if rec := pk.recorded(bit); rec != k {
+				return fmt.Errorf("slot %d (tag %d): parked load recorded counts %+v, a probe now counts %+v",
+					s, e.tag, rec, k)
+			}
 		}
 		unready := 0
 		for i, p := range [2]*entry{p1, p2} {
@@ -98,14 +166,52 @@ func (c *Core) CheckIQ() error {
 			}
 		}
 	}
+	if c.iqParked != 0 { // with none parked, Dump marks none
+		return c.checkDumpParked()
+	}
 	return nil
+}
+
+// checkDumpParked checks that Dump marks exactly the parked entries.
+func (c *Core) checkDumpParked() error {
+	parkedTags := map[int64]bool{}
+	for m := c.iqParked; m != 0; m &= m - 1 {
+		parkedTags[c.iq[bits.TrailingZeros64(m)].tag] = true
+	}
+	marked := 0
+	for _, d := range c.Dump(0).ROB {
+		if d.Parked != parkedTags[d.Tag] {
+			return fmt.Errorf("Dump marks tag %d parked %t, its slot parked %t", d.Tag, d.Parked, !d.Parked)
+		}
+		if d.Parked {
+			marked++
+		}
+	}
+	if marked != len(parkedTags) {
+		return fmt.Errorf("Dump marks %d entries parked, %d slots are", marked, len(parkedTags))
+	}
+	return nil
+}
+
+// StrandLoad parks a ready load that no in-flight store is older than,
+// as a lost wake would leave it: only an older store's agen or data
+// capture wakes a parked load on a baseline machine. It reports whether
+// it found one.
+func (c *Core) StrandLoad() bool {
+	for m := c.iqReady; m != 0; m &= m - 1 {
+		if e := c.iq[bits.TrailingZeros64(m)]; e.isLoad && !c.sq.HasOlderThan(e.tag) {
+			c.park(e, false, false, lsq.SearchResult{})
+			return true
+		}
+	}
+	return false
 }
 
 // LoseWakeup drops one waiting queue entry's slot from the wake mask of
 // a producer it waits on, as a wake-up bug would, and reports whether it
 // found one. The entry then never becomes ready.
 func (c *Core) LoseWakeup() bool {
-	for m := c.iqUsed &^ c.iqReady; m != 0; m &= m - 1 {
+	for m := c.iqUsed &^ (c.iqReady | c.iqParked); m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
 		p1, p2 := issueProducers(c.iq[s])
 		for _, p := range [2]*entry{p1, p2} {

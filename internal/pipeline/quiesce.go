@@ -111,8 +111,9 @@ func (c *Core) lqFull() bool {
 // caller must have established via Quiescent (with no intervening
 // Step or external event) that every skipped cycle is a no-op apart
 // from the deterministic per-cycle accounting replicated here: the
-// cycle counter, the ROB-occupancy integral, and the dispatch stall
-// counter Quiescent recorded.
+// cycle counter, the ROB-occupancy integral, the dispatch stall
+// counter Quiescent recorded, and one charged probe per parked load
+// per cycle, as each skipped issue stage would have charged.
 //
 //vbr:hotpath
 func (c *Core) FastForward(n int64) {
@@ -120,6 +121,9 @@ func (c *Core) FastForward(n int64) {
 	c.Stats.Cycles += n
 	c.Stats.ROBOccupancySum += uint64(n) * uint64(c.rob.Len())
 	k := uint64(n)
+	if c.iqParked != 0 {
+		c.chargeParked(c.iqParked, k)
+	}
 	switch c.ffStall {
 	case stallBarrier:
 		c.Stats.StallBarrier += k

@@ -34,6 +34,13 @@ type SkipStats struct {
 	Commit    uint64 // ROB head provably unable to commit
 	Replay    uint64 // replay scan asleep until its wake cycle or an event
 	Issue     uint64 // no issue-queue entry was ready
+	// ParkedProbes counts the parked loads a running issue scan charged
+	// their recorded probe counts instead of searching the store queue
+	// (DESIGN.md §18). It is not a stage scan, and, like every count
+	// here, it stays zero with skipping off. The charges of skipped issue
+	// stages and fast-forwarded cycles are left out: Issue and the
+	// system's FFStats count those cycles.
+	ParkedProbes uint64
 }
 
 // Add accumulates o into s (the system sums per-core skip stats).
@@ -43,9 +50,10 @@ func (s *SkipStats) Add(o SkipStats) {
 	s.Commit += o.Commit
 	s.Replay += o.Replay
 	s.Issue += o.Issue
+	s.ParkedProbes += o.ParkedProbes
 }
 
-// Total returns the sum over all stages.
+// Total returns the sum over all stage scans (ParkedProbes is not one).
 func (s *SkipStats) Total() uint64 {
 	return s.Writeback + s.Capture + s.Commit + s.Replay + s.Issue
 }

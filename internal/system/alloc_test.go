@@ -42,11 +42,14 @@ func steadyAllocsPerInstr(t *testing.T, machine string, window uint64) float64 {
 // figure (~0.05 allocs/instr) so a reintroduced per-instruction or
 // per-window allocation fails loudly, while the rare residual (a cache
 // set touched for the first time, an MSHR growth) stays within it.
+// Besides the baseline and the paper's filtered replay machine, it
+// covers the machines whose simple-predictor, value-prediction and
+// two-level store-queue paths wake parked loads.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short")
 	}
-	for _, machine := range []string{"baseline", "no-recent-snoop"} {
+	for _, machine := range []string{"baseline", "no-recent-snoop", "replay-all", "replay-vpred", "baseline-hiersq"} {
 		got := steadyAllocsPerInstr(t, machine, 4000)
 		t.Logf("%s: %.5f allocs/committed instr", machine, got)
 		if got > 0.005 {
