@@ -319,8 +319,9 @@ func (g *Graph) String() string {
 // load queues provide on weakly-ordered machines (§2.1: "an insulated
 // load buffer ... order[s] those instructions that read the same
 // address"), as opposed to the full sequential consistency the
-// snooping queue and the composed replay filters enforce.
-func BuildPerLocation(procs [][]Op, chains map[uint64][]Versioned, background func(addr uint64) uint64) *Graph {
+// snooping queue and the composed replay filters enforce. onEdge is
+// BuildWith's edge observer.
+func BuildPerLocation(procs [][]Op, chains map[uint64][]Versioned, background func(addr uint64) uint64, onEdge func(from, to int32, kind EdgeKind)) *Graph {
 	// Split each processor's stream into per-address streams; indices
 	// are re-assigned within each stream, preserving relative order.
 	type key struct {
@@ -343,5 +344,5 @@ func BuildPerLocation(procs [][]Op, chains map[uint64][]Versioned, background fu
 	for _, k := range order {
 		streams = append(streams, split[k])
 	}
-	return Build(streams, chains, background)
+	return BuildWith(streams, chains, background, onEdge)
 }

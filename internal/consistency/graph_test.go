@@ -201,7 +201,7 @@ func TestPerLocationCoherence(t *testing.T) {
 	if _, cyc := Build(procs2(p0, p1), chains, nil).FindCycle(); !cyc {
 		t.Fatal("SC check must flag the reordering")
 	}
-	if _, cyc := BuildPerLocation(procs2(p0, p1), chains, nil).FindCycle(); cyc {
+	if _, cyc := BuildPerLocation(procs2(p0, p1), chains, nil, nil).FindCycle(); cyc {
 		t.Error("per-location coherence must accept different-address reordering")
 	}
 	// But a same-address inversion violates both.
@@ -209,7 +209,7 @@ func TestPerLocationCoherence(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x100, Value: 1, ReadsFrom: sA},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 9, ReadsFrom: InitialValue},
 	}
-	if _, cyc := BuildPerLocation(procs2(p0, p1bad), chains, nil).FindCycle(); !cyc {
+	if _, cyc := BuildPerLocation(procs2(p0, p1bad), chains, nil, nil).FindCycle(); !cyc {
 		t.Error("per-location check must flag same-address inversion")
 	}
 }

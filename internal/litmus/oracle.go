@@ -125,6 +125,12 @@ func (as *AllowedSet) WeakAllowed() bool {
 // "is this execution SC", so an acyclic result for every allowed
 // outcome is the cross-check that keeps both honest.
 func (as *AllowedSet) WitnessGraph(key string) *consistency.Graph {
+	return as.witnessGraph(key, nil)
+}
+
+// witnessGraph is WitnessGraph with consistency.BuildWith's edge
+// observer.
+func (as *AllowedSet) witnessGraph(key string, onEdge func(from, to int32, kind consistency.EdgeKind)) *consistency.Graph {
 	order, ok := as.Witness[key]
 	if !ok {
 		return nil
@@ -161,7 +167,7 @@ func (as *AllowedSet) WitnessGraph(key string) *consistency.Graph {
 			})
 		}
 	}
-	return consistency.Build(procs, chains, as.background())
+	return consistency.BuildWith(procs, chains, as.background(), onEdge)
 }
 
 // background returns the checker background function for this test:

@@ -263,21 +263,7 @@ func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed ui
 		res.Faults = s.Faults.Stats
 	}
 	if ok {
-		// Rebuild the constraint graph with the litmus background (the
-		// test pre-initializes its locations, so the image's hashed
-		// background is wrong exactly there).
-		procs, chains := s.Ops()
-		bg := as.background()
-		img := s.Image
-		g := consistency.Build(procs, chains, func(addr uint64) uint64 {
-			for _, a := range comp.Addrs {
-				if addr&^7 == a {
-					return bg(addr)
-				}
-			}
-			return img.Background(addr)
-		})
-		_, res.Cycle = g.FindCycle()
+		_, res.Cycle = runGraph(s, as, comp.Addrs, nil).FindCycle()
 	}
 	if tr != nil {
 		for i, v := range out.Loads {
@@ -296,6 +282,24 @@ func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed ui
 		})
 	}
 	return res, s
+}
+
+// runGraph builds the constraint graph of the run s just finished with
+// the litmus background: the test pre-initializes its locations, addrs,
+// so the image's hashed background is wrong exactly there. onEdge is
+// consistency.BuildWith's edge observer.
+func runGraph(s *system.System, as *AllowedSet, addrs []uint64, onEdge func(from, to int32, kind consistency.EdgeKind)) *consistency.Graph {
+	procs, chains := s.Ops()
+	bg := as.background()
+	img := s.Image
+	return consistency.BuildWith(procs, chains, func(addr uint64) uint64 {
+		for _, a := range addrs {
+			if addr&^7 == a {
+				return bg(addr)
+			}
+		}
+		return img.Background(addr)
+	}, onEdge)
 }
 
 // Verdict aggregates one (test, config) cell of the sweep.

@@ -316,29 +316,7 @@ func (s *System) wrapMessageFaults(core *pipeline.Core) (onInval, onFill func(bl
 // execution is not sequentially consistent.
 func (s *System) CheckSC() (consistency.Op, bool, *consistency.Graph) {
 	procs, chains := s.buildOps()
-	var onEdge func(from, to int32, kind consistency.EdgeKind)
-	var g *consistency.Graph
-	if s.Trace != nil {
-		// Edge-insertion events make the checker's verdict auditable:
-		// each edge lands in the trace as a KGraphEdge whose Tag/Aux are
-		// the endpoint node indices and whose Reason names the dependence
-		// order (DESIGN.md §6).
-		onEdge = func(from, to int32, kind consistency.EdgeKind) {
-			why := trace.REdgePO
-			switch kind {
-			case consistency.EdgeRAW:
-				why = trace.REdgeRAW
-			case consistency.EdgeWAW:
-				why = trace.REdgeWAW
-			case consistency.EdgeWAR:
-				why = trace.REdgeWAR
-			}
-			s.Trace.Emit(trace.Event{Cycle: s.CycleNum, Core: -1,
-				Kind: trace.KGraphEdge, Reason: why,
-				Tag: int64(from), Aux: uint64(to)})
-		}
-	}
-	g = consistency.BuildWith(procs, chains, s.Image.Background, onEdge)
+	g := consistency.BuildWith(procs, chains, s.Image.Background, s.edgeTracer())
 	op, cyc := g.FindCycle()
 	return op, cyc, g
 }
@@ -348,9 +326,34 @@ func (s *System) CheckSC() (consistency.Op, bool, *consistency.Graph) {
 // designs provide on weakly-ordered machines (paper §2.1).
 func (s *System) CheckCoherence() (consistency.Op, bool, *consistency.Graph) {
 	procs, chains := s.buildOps()
-	g := consistency.BuildPerLocation(procs, chains, s.Image.Background)
+	g := consistency.BuildPerLocation(procs, chains, s.Image.Background, s.edgeTracer())
 	op, cyc := g.FindCycle()
 	return op, cyc, g
+}
+
+// edgeTracer returns the checker's edge observer when a tracer is
+// attached, nil otherwise. Edge-insertion events make the checker's
+// verdict auditable: each edge lands in the trace as a KGraphEdge whose
+// Tag/Aux are the endpoint node indices and whose Reason names the
+// dependence order (DESIGN.md §6).
+func (s *System) edgeTracer() func(from, to int32, kind consistency.EdgeKind) {
+	if s.Trace == nil {
+		return nil
+	}
+	return func(from, to int32, kind consistency.EdgeKind) {
+		why := trace.REdgePO
+		switch kind {
+		case consistency.EdgeRAW:
+			why = trace.REdgeRAW
+		case consistency.EdgeWAW:
+			why = trace.REdgeWAW
+		case consistency.EdgeWAR:
+			why = trace.REdgeWAR
+		}
+		s.Trace.Emit(trace.Event{Cycle: s.CycleNum, Core: -1,
+			Kind: trace.KGraphEdge, Reason: why,
+			Tag: int64(from), Aux: uint64(to)})
+	}
 }
 
 // Ops exposes the recorded committed memory operations and per-word
