@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vbmo/internal/config"
+	"vbmo/internal/consistency"
 	"vbmo/internal/exitcode"
 	"vbmo/internal/fault"
 	"vbmo/internal/par"
@@ -270,7 +271,8 @@ func main() {
 		}
 		if !*jsonOut {
 			if cyc {
-				fmt.Printf("SC VIOLATION: %s\n", scResult)
+				fmt.Printf("SC VIOLATION: %s at proc %d memory op %d addr %#x\n", g, op.Proc, op.Index, op.Addr)
+				printCycle(g.FindCyclePath())
 			} else {
 				fmt.Printf("sequentially consistent ✓ (%s)\n", g)
 			}
@@ -447,6 +449,41 @@ func resultJSON(res system.Result, seed uint64, elapsed float64) jsonResult {
 		},
 		Counters: counters,
 	}
+}
+
+// maxCycleLines caps the cycle a violation prints.
+const maxCycleLines = 32
+
+// printCycle prints a constraint-graph cycle, one op per line: its
+// processor, memory-op index (its place among the processor's
+// committed loads and stores), kind, address, value, and the writer it
+// stored as or read from.
+func printCycle(path []consistency.Op) {
+	fmt.Printf("cycle of %d ops:\n", len(path))
+	for i, op := range path {
+		if i == maxCycleLines-1 && len(path) > maxCycleLines {
+			fmt.Printf("  ... %d more\n", len(path)-i)
+			return
+		}
+		kind, w := "load ", op.ReadsFrom
+		if op.Kind == consistency.OpStore {
+			kind, w = "store", op.Self
+		}
+		fmt.Printf("  proc %d memory op %d %s addr %#x value %#x writer %s\n",
+			op.Proc, op.Index, kind, op.Addr, op.Value, writerName(w))
+	}
+}
+
+// writerName renders a store identity: the initial value, a DMA write,
+// or a processor's n-th committed store.
+func writerName(w consistency.Writer) string {
+	switch {
+	case w == consistency.InitialValue:
+		return "initial"
+	case w.Proc() == consistency.DMAProc:
+		return fmt.Sprintf("dma#%d", w.StoreSeq())
+	}
+	return fmt.Sprintf("proc %d store#%d", w.Proc(), w.StoreSeq())
 }
 
 // sweepOptions scopes one -seeds sweep.

@@ -51,7 +51,7 @@ func main() {
 	op, cyclic, g := s.CheckSC()
 	fmt.Printf("\n%s\n", g)
 	if cyclic {
-		fmt.Printf("VIOLATION at proc %d op %d addr %#x — this must never happen "+
+		fmt.Printf("VIOLATION at proc %d memory op %d addr %#x — this must never happen "+
 			"with a sound filter configuration\n", op.Proc, op.Index, op.Addr)
 	} else {
 		fmt.Println("execution verified sequentially consistent ✓")
@@ -72,7 +72,7 @@ func main() {
 		s2 := system.New(config.Replay(core.NUSOnly), hot, o)
 		s2.Run(5_000, o)
 		if op2, cyc, _ := s2.CheckSC(); cyc {
-			fmt.Printf("seed %d: SC violation detected at proc %d op %d addr %#x "+
+			fmt.Printf("seed %d: SC violation detected at proc %d memory op %d addr %#x "+
 				"— the consistency filters are not optional\n",
 				seed, op2.Proc, op2.Index, op2.Addr)
 			return

@@ -17,35 +17,67 @@ func TestWriterPacking(t *testing.T) {
 }
 
 func TestShadow(t *testing.T) {
-	s := NewShadow(true)
+	s := NewShadow()
 	if s.Read(0x100) != InitialValue {
 		t.Error("unwritten word should read initial value")
 	}
 	w1 := MakeWriter(0, 0)
 	w2 := MakeWriter(1, 0)
+	w3 := MakeWriter(0, 1)
 	s.Write(0x100, w1, 10)
-	s.Write(0x100, w2, 20)
-	s.Write(0x104, w1, 30) // same word as 0x100
-	if s.Read(0x100) != w1 {
-		t.Error("last writer of word 0x100 should be w1 (via 0x104 alias)")
+	s.Write(0x200, w2, 20)
+	s.Write(0x104, w3, 30) // same word as 0x100
+	if s.Read(0x100) != w3 {
+		t.Error("last writer of word 0x100 should be w3 (via 0x104 alias)")
 	}
-	ch := s.Chain(0x100)
-	if len(ch) != 3 || ch[0].W != w1 || ch[1].W != w2 || ch[2].W != w1 {
-		t.Errorf("chain = %v", ch)
+	want := []Version{{0x100, w1, 10}, {0x200, w2, 20}, {0x100, w3, 30}}
+	if s.Log.Len() != len(want) {
+		t.Fatalf("log = %v", s.Log)
 	}
-	if ch[0].Value != 10 || ch[2].Value != 30 {
-		t.Errorf("chain values = %v", ch)
+	for i := range want {
+		if s.Log.At(i) != want[i] {
+			t.Errorf("log[%d] = %+v, want %+v", i, s.Log.At(i), want[i])
+		}
 	}
-	s2 := NewShadow(false)
-	s2.Write(0x100, w1, 0)
-	if len(s2.Chain(0x100)) != 0 {
-		t.Error("chains disabled should record nothing")
+}
+
+func TestStreamChunks(t *testing.T) {
+	var s Stream
+	for i := 0; i < 3*maxChunk; i++ {
+		s.Append(Op{Index: i})
+	}
+	if s.Len() != 3*maxChunk {
+		t.Fatalf("Len = %d", s.Len())
+	}
+	for _, i := range []int{0, firstChunk - 1, firstChunk, maxChunk, 3*maxChunk - 1} {
+		if got := s.At(i).Index; got != i {
+			t.Errorf("At(%d).Index = %d", i, got)
+		}
+	}
+	for i := 1; i < len(s); i++ {
+		if cap(s[i]) > maxChunk || cap(s[i]) < cap(s[i-1]) {
+			t.Errorf("chunk %d: cap %d after %d", i, cap(s[i]), cap(s[i-1]))
+		}
+	}
+	// A truncated stream refills its chunks instead of allocating.
+	first := &s[0][0]
+	s = s[:0]
+	if n := testing.AllocsPerRun(1, func() {
+		s = s[:0]
+		for i := 0; i < 2*maxChunk; i++ {
+			s.Append(Op{Index: i})
+		}
+	}); n != 0 {
+		t.Errorf("refilling a truncated stream allocated %v times", n)
+	}
+	if &s[0][0] != first || s.At(2*maxChunk-1).Index != 2*maxChunk-1 {
+		t.Error("truncated stream did not reuse its first chunk")
 	}
 }
 
 // seqOps builds a trivially SC execution: p0 stores A then B, p1 loads
 // B then A reading exactly p0's values in order.
-func scExecution() ([][]Op, map[uint64][]Versioned) {
+func scExecution() ([]Stream, Log) {
 	sA := MakeWriter(0, 0)
 	sB := MakeWriter(0, 1)
 	p0 := []Op{
@@ -56,13 +88,13 @@ func scExecution() ([][]Op, map[uint64][]Versioned) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x200, Value: 2, ReadsFrom: sB},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 1, ReadsFrom: sA},
 	}
-	chains := map[uint64][]Versioned{0x100: {{W: sA, Value: 1}}, 0x200: {{W: sB, Value: 2}}}
-	return [][]Op{p0, p1}, chains
+	log := Log{{{0x100, sA, 1}, {0x200, sB, 2}}}
+	return []Stream{{p0}, {p1}}, log
 }
 
 func TestSCExecutionAcyclic(t *testing.T) {
-	procs, chains := scExecution()
-	g := Build(procs, chains, nil)
+	procs, log := scExecution()
+	g := Build(procs, log, nil)
 	if op, cyc := g.FindCycle(); cyc {
 		t.Errorf("SC execution reported cyclic at %+v (%s)", op, g)
 	}
@@ -85,8 +117,8 @@ func TestFigure1bViolationCyclic(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x200, Value: 2, ReadsFrom: sB},           // load B: new
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 9, ReadsFrom: InitialValue}, // load A: old!
 	}
-	chains := map[uint64][]Versioned{0x100: {{W: sA, Value: 1}}, 0x200: {{W: sB, Value: 2}}}
-	g := Build(procs2(p0, p1), chains, nil)
+	log := Log{{{0x100, sA, 1}, {0x200, sB, 2}}}
+	g := Build(procs2(p0, p1), log, nil)
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Errorf("Figure 1(b) violation not detected (%s)", g)
 	}
@@ -107,8 +139,8 @@ func TestFigure4Example(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpStore, Addr: 0xC0, Value: 2, Self: sC},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0xA0, Value: 9, ReadsFrom: InitialValue},
 	}
-	chains := map[uint64][]Versioned{0xA0: {{W: sA, Value: 1}}, 0xC0: {{W: sC, Value: 2}}}
-	g := Build(procs2(p0, p1bad), chains, nil)
+	log := Log{{{0xA0, sA, 1}, {0xC0, sC, 2}}}
+	g := Build(procs2(p0, p1bad), log, nil)
 	// sA ->(PO) ldC ->(WAR) sC ->(PO) ldA ->(WAR) sA: cycle.
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Errorf("Figure 4 violation not detected (%s)", g)
@@ -119,7 +151,7 @@ func TestFigure4Example(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpStore, Addr: 0xC0, Value: 2, Self: sC},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0xA0, Value: 1, ReadsFrom: sA},
 	}
-	g2 := Build(procs2(p0, p1ok), chains, nil)
+	g2 := Build(procs2(p0, p1ok), log, nil)
 	if op, cyc := g2.FindCycle(); cyc {
 		t.Errorf("legal execution flagged cyclic at %+v", op)
 	}
@@ -136,8 +168,8 @@ func TestWAWOrderRespected(t *testing.T) {
 		{Proc: 2, Index: 0, Kind: OpLoad, Addr: 0x80, Value: 2, ReadsFrom: s1},
 		{Proc: 2, Index: 1, Kind: OpLoad, Addr: 0x80, Value: 1, ReadsFrom: s0},
 	}
-	chains := map[uint64][]Versioned{0x80: {{W: s0, Value: 1}, {W: s1, Value: 2}}} // coherence order: s0 then s1
-	g := Build([][]Op{p0, p1, p2}, chains, nil)
+	log := Log{{{0x80, s0, 1}, {0x80, s1, 2}}} // coherence order: s0 then s1
+	g := Build([]Stream{{p0}, {p1}, {p2}}, log, nil)
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Error("reading versions against coherence order must be cyclic")
 	}
@@ -146,7 +178,7 @@ func TestWAWOrderRespected(t *testing.T) {
 		{Proc: 2, Index: 0, Kind: OpLoad, Addr: 0x80, Value: 1, ReadsFrom: s0},
 		{Proc: 2, Index: 1, Kind: OpLoad, Addr: 0x80, Value: 2, ReadsFrom: s1},
 	}
-	g2 := Build([][]Op{p0, p1, p2ok}, chains, nil)
+	g2 := Build([]Stream{{p0}, {p1}, {p2ok}}, log, nil)
 	if _, cyc := g2.FindCycle(); cyc {
 		t.Error("in-order reads flagged cyclic")
 	}
@@ -161,8 +193,8 @@ func TestInitialValueBeforeFirstStore(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x40, Value: 1, ReadsFrom: s0},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x40, Value: 9, ReadsFrom: InitialValue},
 	}
-	chains := map[uint64][]Versioned{0x40: {{W: s0, Value: 1}}}
-	g := Build(procs2(p0, p1), chains, nil)
+	log := Log{{{0x40, s0, 1}}}
+	g := Build(procs2(p0, p1), log, nil)
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Error("stale re-read of initial value must be cyclic")
 	}
@@ -175,14 +207,14 @@ func TestUnknownWriterInChainIsSkipped(t *testing.T) {
 	dma := MakeWriter(DMAProc, 1)
 	p0 := []Op{{Proc: 0, Index: 0, Kind: OpStore, Addr: 0x40, Value: 1, Self: s0}}
 	p1 := []Op{{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x40, Value: 2, ReadsFrom: dma}}
-	chains := map[uint64][]Versioned{0x40: {{W: s0, Value: 1}, {W: dma, Value: 2}}}
-	g := Build(procs2(p0, p1), chains, nil)
+	log := Log{{{0x40, s0, 1}, {0x40, dma, 2}}}
+	g := Build(procs2(p0, p1), log, nil)
 	if _, cyc := g.FindCycle(); cyc {
 		t.Error("DMA-read execution flagged cyclic")
 	}
 }
 
-func procs2(a, b []Op) [][]Op { return [][]Op{a, b} }
+func procs2(a, b []Op) []Stream { return []Stream{{a}, {b}} }
 
 func TestPerLocationCoherence(t *testing.T) {
 	// The Figure 1(b) different-address reordering violates SC but not
@@ -197,11 +229,11 @@ func TestPerLocationCoherence(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x200, Value: 2, ReadsFrom: sB},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 9, ReadsFrom: InitialValue},
 	}
-	chains := map[uint64][]Versioned{0x100: {{W: sA, Value: 1}}, 0x200: {{W: sB, Value: 2}}}
-	if _, cyc := Build(procs2(p0, p1), chains, nil).FindCycle(); !cyc {
+	log := Log{{{0x100, sA, 1}, {0x200, sB, 2}}}
+	if _, cyc := Build(procs2(p0, p1), log, nil).FindCycle(); !cyc {
 		t.Fatal("SC check must flag the reordering")
 	}
-	if _, cyc := BuildPerLocation(procs2(p0, p1), chains, nil, nil).FindCycle(); cyc {
+	if _, cyc := BuildPerLocation(procs2(p0, p1), log, nil, nil).FindCycle(); cyc {
 		t.Error("per-location coherence must accept different-address reordering")
 	}
 	// But a same-address inversion violates both.
@@ -209,7 +241,7 @@ func TestPerLocationCoherence(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x100, Value: 1, ReadsFrom: sA},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 9, ReadsFrom: InitialValue},
 	}
-	if _, cyc := BuildPerLocation(procs2(p0, p1bad), chains, nil, nil).FindCycle(); !cyc {
+	if _, cyc := BuildPerLocation(procs2(p0, p1bad), log, nil, nil).FindCycle(); !cyc {
 		t.Error("per-location check must flag same-address inversion")
 	}
 }
@@ -225,8 +257,8 @@ func TestFindCyclePath(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpStore, Addr: 0xC0, Value: 2, Self: sC},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0xA0, Value: 9, ReadsFrom: InitialValue},
 	}
-	chains := map[uint64][]Versioned{0xA0: {{W: sA, Value: 1}}, 0xC0: {{W: sC, Value: 2}}}
-	g := Build(procs2(p0, p1), chains, nil)
+	log := Log{{{0xA0, sA, 1}, {0xC0, sC, 2}}}
+	g := Build(procs2(p0, p1), log, nil)
 	path := g.FindCyclePath()
 	if len(path) < 2 {
 		t.Fatalf("cycle path too short: %d", len(path))
@@ -239,7 +271,7 @@ func TestFindCyclePath(t *testing.T) {
 	}
 	// Acyclic graph yields nil.
 	ok := []Op{{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0xA0, Value: 1, ReadsFrom: sA}}
-	g2 := Build(procs2(p0[:1], ok), chains, nil)
+	g2 := Build(procs2(p0[:1], ok), log, nil)
 	if g2.FindCyclePath() != nil {
 		t.Error("acyclic graph returned a cycle path")
 	}
@@ -258,8 +290,8 @@ func TestValueAwareSilentStoreNoFalsePositive(t *testing.T) {
 		{Proc: 2, Index: 0, Kind: OpLoad, Addr: 0x40, Value: 5, ReadsFrom: s1},
 		{Proc: 2, Index: 1, Kind: OpLoad, Addr: 0x40, Value: 5, ReadsFrom: s0},
 	}
-	chains := map[uint64][]Versioned{0x40: {{W: s0, Value: 5}, {W: s1, Value: 5}}}
-	g := Build([][]Op{p0, p1, p2}, chains, nil)
+	log := Log{{{0x40, s0, 5}, {0x40, s1, 5}}}
+	g := Build([]Stream{{p0}, {p1}, {p2}}, log, nil)
 	if op, cyc := g.FindCycle(); cyc {
 		t.Errorf("silent-store identity inversion flagged as violation at %+v", op)
 	}

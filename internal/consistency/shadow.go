@@ -8,8 +8,12 @@
 // Reads-from edges require knowing which store each load observed, so
 // the simulator maintains a Shadow image mapping each word to the
 // identity of its last writer; loads sample it at the same instant they
-// sample their value.
+// sample their value. The Shadow also logs every write. That log and
+// each processor's committed loads and stores, recorded as a Stream,
+// are Build's input.
 package consistency
+
+import "fmt"
 
 // Writer identifies a store operation (or the initial memory value).
 // The zero Writer is the initial value.
@@ -33,49 +37,97 @@ func (w Writer) Proc() int { return int(w>>48) - 1 }
 // StoreSeq returns the writer's per-processor store sequence number.
 func (w Writer) StoreSeq() uint64 { return uint64(w) & 0xffffffffffff }
 
-// Versioned is one entry of a word's version chain: a store identity
-// and the value it wrote. Values make the constraint graph value-aware
-// (silent stores do not over-constrain loads; see Build).
-type Versioned struct {
+// Version is one entry of the version log: a store of Value to the
+// word Addr by writer W.
+type Version struct {
+	Addr  uint64
 	W     Writer
 	Value uint64
 }
 
-// Shadow tracks, per word, the identity of the last committed store and
-// the per-word version chain needed for WAW/WAR edges.
+// Chunks is an append-only sequence held as consecutive chunks:
+// Chunks[T]{s} is the one-chunk sequence of a slice. Append fills the
+// last chunk and then starts one twice its size, up to maxChunk
+// elements, so recording a run never copies what it has already
+// recorded.
+type Chunks[T any] [][]T
+
+// Stream is one processor's committed memory operations in program
+// order.
+type Stream = Chunks[Op]
+
+// Log is the version log: every write in write order.
+type Log = Chunks[Version]
+
+const (
+	firstChunk = 64
+	maxChunk   = 8192
+)
+
+// Append adds v at the end of the sequence. A sequence truncated to
+// length zero refills the chunks it held before.
+func (c *Chunks[T]) Append(v T) {
+	n := len(*c)
+	if n == 0 || len((*c)[n-1]) == cap((*c)[n-1]) {
+		if n < cap(*c) && cap((*c)[:n+1][n]) > 0 {
+			*c = (*c)[:n+1]
+			(*c)[n] = (*c)[n][:0]
+		} else {
+			size := firstChunk
+			if n > 0 {
+				size = min(2*cap((*c)[n-1]), maxChunk)
+			}
+			*c = append(*c, make([]T, 0, size))
+		}
+		n++
+	}
+	(*c)[n-1] = append((*c)[n-1], v)
+}
+
+// Len returns the number of elements in the sequence.
+func (c Chunks[T]) Len() int {
+	n := 0
+	for _, chunk := range c {
+		n += len(chunk)
+	}
+	return n
+}
+
+// At returns the sequence's i-th element.
+func (c Chunks[T]) At(i int) T {
+	j := i
+	for _, chunk := range c {
+		if j < len(chunk) {
+			return chunk[j]
+		}
+		j -= len(chunk)
+	}
+	panic(fmt.Sprintf("consistency: element %d is past the end of a %d-element sequence", i, c.Len()))
+}
+
+// Shadow tracks, per word, the identity of the last committed store,
+// and logs every store in write order. A word's version chain (its
+// coherence order, with values) is the log filtered to that word, in
+// order, which is how Build reads it.
 type Shadow struct {
-	last  map[uint64]Writer
-	chain map[uint64][]Versioned
-	// KeepChains enables version-chain recording (needed only when a
-	// constraint graph will be built; costs memory).
-	KeepChains bool
+	last map[uint64]Writer
+	// Log holds every write in write order, DMA writes included.
+	Log Log
 }
 
 // NewShadow creates an empty shadow image.
-func NewShadow(keepChains bool) *Shadow {
-	return &Shadow{
-		last:       make(map[uint64]Writer),
-		chain:      make(map[uint64][]Versioned),
-		KeepChains: keepChains,
-	}
+func NewShadow() *Shadow {
+	return &Shadow{last: make(map[uint64]Writer)}
 }
 
 // Write records a store commit of value to addr by the given writer.
 func (s *Shadow) Write(addr uint64, w Writer, value uint64) {
 	addr &^= 7
 	s.last[addr] = w
-	if s.KeepChains {
-		s.chain[addr] = append(s.chain[addr], Versioned{W: w, Value: value})
-	}
+	s.Log.Append(Version{Addr: addr, W: w, Value: value})
 }
 
 // Read returns the identity of addr's last writer.
 func (s *Shadow) Read(addr uint64) Writer {
 	return s.last[addr&^7]
-}
-
-// Chain returns addr's version chain (committed store order with
-// values).
-func (s *Shadow) Chain(addr uint64) []Versioned {
-	return s.chain[addr&^7]
 }

@@ -193,7 +193,7 @@ func TestFastForwardVerdictParity(t *testing.T) {
 		run := func(noFF bool) (Outcome, bool, int64, uint64) {
 			opt := system.Options{
 				Cores: len(comp.Inits), Seed: 0,
-				TrackConsistency: true, MaxCycles: maxCycles,
+				TrackConsistency: true, RecordCommits: true, MaxCycles: maxCycles,
 				NoFastForward: noFF,
 			}
 			s := system.NewCustom(Configs()[0].Machine, comp.Prog, comp.Inits, opt)
@@ -236,7 +236,7 @@ func TestStageSkipVerdictParity(t *testing.T) {
 				run := func(noSkip bool) (Outcome, bool, int64, uint64) {
 					opt := system.Options{
 						Cores: len(comp.Inits), Seed: seed,
-						TrackConsistency: true, MaxCycles: maxCycles,
+						TrackConsistency: true, RecordCommits: true, MaxCycles: maxCycles,
 						DMAInterval: p.DMAInterval, DMABurst: 2,
 						NoStageSkip: noSkip,
 					}

@@ -136,8 +136,8 @@ func (as *AllowedSet) witnessGraph(key string, onEdge func(from, to int32, kind 
 		return nil
 	}
 	t := as.Test
-	procs := make([][]consistency.Op, len(t.Threads))
-	chains := make(map[uint64][]consistency.Versioned)
+	procs := make([]consistency.Stream, len(t.Threads))
+	var log consistency.Log
 	writer := make([]consistency.Writer, t.Locs) // current writer per loc
 	mem := make([]uint64, t.Locs)
 	for i := range mem {
@@ -155,19 +155,19 @@ func (as *AllowedSet) witnessGraph(key string, onEdge func(from, to int32, kind 
 			w := consistency.MakeWriter(th, seq[th])
 			writer[op.Loc] = w
 			mem[op.Loc] = op.Val
-			chains[addr] = append(chains[addr], consistency.Versioned{W: w, Value: op.Val})
-			procs[th] = append(procs[th], consistency.Op{
-				Proc: th, Index: len(procs[th]), Kind: consistency.OpStore,
+			log.Append(consistency.Version{Addr: addr, W: w, Value: op.Val})
+			procs[th].Append(consistency.Op{
+				Proc: th, Index: procs[th].Len(), Kind: consistency.OpStore,
 				Addr: addr, Value: op.Val, Self: w,
 			})
 		case OpLoad:
-			procs[th] = append(procs[th], consistency.Op{
-				Proc: th, Index: len(procs[th]), Kind: consistency.OpLoad,
+			procs[th].Append(consistency.Op{
+				Proc: th, Index: procs[th].Len(), Kind: consistency.OpLoad,
 				Addr: addr, Value: mem[op.Loc], ReadsFrom: writer[op.Loc],
 			})
 		}
 	}
-	return consistency.BuildWith(procs, chains, as.background(), onEdge)
+	return consistency.BuildWith(procs, log, as.background(), onEdge)
 }
 
 // background returns the checker background function for this test:

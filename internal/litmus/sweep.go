@@ -208,6 +208,7 @@ func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed ui
 		Cores:            len(comp.Inits),
 		Seed:             seed,
 		TrackConsistency: true,
+		RecordCommits:    true, // Extract reads load values by PC
 		MaxCycles:        maxCycles,
 		DMAInterval:      p.DMAInterval,
 		DMABurst:         2,
@@ -289,10 +290,10 @@ func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed ui
 // so the image's hashed background is wrong exactly there. onEdge is
 // consistency.BuildWith's edge observer.
 func runGraph(s *system.System, as *AllowedSet, addrs []uint64, onEdge func(from, to int32, kind consistency.EdgeKind)) *consistency.Graph {
-	procs, chains := s.Ops()
+	procs, log := s.Ops()
 	bg := as.background()
 	img := s.Image
-	return consistency.BuildWith(procs, chains, func(addr uint64) uint64 {
+	return consistency.BuildWith(procs, log, func(addr uint64) uint64 {
 		for _, a := range addrs {
 			if addr&^7 == a {
 				return bg(addr)

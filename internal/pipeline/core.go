@@ -505,6 +505,7 @@ func (c *Core) commit() {
 			c.commitQuiet = true
 			return
 		}
+		var self consistency.Writer // a store's writer, when tracked
 		if e.isStore {
 			if c.storeCommitted || c.portsUsed >= c.portCap() {
 				return // one store per cycle through the commit port
@@ -516,13 +517,13 @@ func (c *Core) commit() {
 				c.Stats.SilentStores++
 			}
 			if c.Shadow != nil {
-				w := consistency.MakeWriter(c.ID, c.writerSeq)
+				self = consistency.MakeWriter(c.ID, c.writerSeq)
 				c.writerSeq++
-				c.Shadow.Write(e.addr, w, e.value)
+				c.Shadow.Write(e.addr, self, e.value)
 				if c.storeWriters == nil {
 					c.storeWriters = newWriterRing(2 * c.cfg.ROBSize)
 				}
-				c.storeWriters.Push(e.tag, w)
+				c.storeWriters.Push(e.tag, self)
 			}
 			c.hier.Write(e.addr, c.cycle)
 			c.Stats.StoreAccesses++
@@ -585,10 +586,7 @@ func (c *Core) commit() {
 			}
 			if e.isStore {
 				rec.Result = e.value
-				if c.Shadow != nil {
-					// Self-identity for the consistency checker.
-					rec.Writer = uint64(c.Shadow.Read(e.addr))
-				}
+				rec.Writer = uint64(self) // the checker's store identity
 			}
 			if e.isLoad && c.Shadow != nil {
 				w := e.writer

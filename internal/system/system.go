@@ -7,7 +7,6 @@ package system
 
 import (
 	"fmt"
-	"sort"
 
 	"vbmo/internal/coherence"
 	"vbmo/internal/config"
@@ -36,12 +35,13 @@ type Options struct {
 	DMABurst int
 	// MaxCycles bounds the run (0 = no bound).
 	MaxCycles int64
-	// RecordCommits retains every core's committed records (needed by
-	// the consistency checker; costs memory).
+	// RecordCommits retains every core's committed records in Commits
+	// (litmus outcome extraction reads load values by PC; costs memory).
 	RecordCommits bool
-	// TrackConsistency enables the shadow image and per-word version
-	// chains so CheckSC can build the constraint graph. Implies
-	// RecordCommits.
+	// TrackConsistency enables the shadow image and its version log, and
+	// records each core's committed loads and stores in the checker's
+	// form, so CheckSC and CheckCoherence can build the constraint
+	// graph. It does not imply RecordCommits.
 	TrackConsistency bool
 	// Trace, when non-nil, is threaded through every core, the bus, and
 	// the checker: the machine emits the DESIGN.md §6 event stream into
@@ -96,6 +96,9 @@ type System struct {
 	// Commits[c] holds core c's committed records when RecordCommits
 	// was set.
 	Commits [][]prog.Committed
+	// ops[c] holds core c's committed loads and stores when
+	// TrackConsistency was set.
+	ops []consistency.Stream
 	// Trace is the event tracer the machine was built with (nil when
 	// tracing is disabled).
 	Trace *trace.Tracer
@@ -153,7 +156,7 @@ func NewCustom(cfg config.Machine, program *prog.Program, inits []prog.ArchState
 // out the same (DESIGN.md §17). Reset keeps the cores' and caches'
 // storage, so it costs a fraction of a fresh build; litmus cells use it
 // to run many short programs on one machine. Nothing read from the
-// previous run (Commits, Cores) survives the call. Reset panics if the
+// previous run (Commits, Ops, Cores) survives the call. Reset panics if the
 // core count differs from the machine's.
 func (s *System) Reset(program *prog.Program, inits []prog.ArchState, opt Options) {
 	n := opt.Cores
@@ -182,12 +185,14 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 		panic(fmt.Sprintf("system: %d-entry issue queue exceeds pipeline.MaxIQSize (%d)",
 			cfg.IQSize, pipeline.MaxIQSize))
 	}
-	cores, commits := s.Cores, s.Commits
+	cores, commits, ops := s.Cores, s.Commits, s.ops
 	if len(commits) != opt.Cores {
 		commits = make([][]prog.Committed, opt.Cores)
+		ops = make([]consistency.Stream, opt.Cores)
 	}
 	for c := range commits {
 		commits[c] = commits[c][:0]
+		ops[c] = ops[c][:0]
 	}
 	img := prog.NewImage(opt.Seed)
 	bus := coherence.NewBus(opt.Cores, cfg.MemLatency)
@@ -198,6 +203,7 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 		Program:      program,
 		Cores:        cores[:0],
 		Commits:      commits,
+		ops:          ops,
 		Trace:        opt.Trace,
 		snapInterval: opt.SnapshotInterval,
 		onCycle:      opt.OnCycle,
@@ -209,8 +215,7 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 			cfg.ROBSize, cfg.LQSize, cfg.SQSize)
 	}
 	if opt.TrackConsistency {
-		opt.RecordCommits = true
-		s.Shadow = consistency.NewShadow(true)
+		s.Shadow = consistency.NewShadow()
 	}
 	if opt.Fault.Enabled() {
 		s.Faults = fault.NewInjector(*opt.Fault, opt.Trace)
@@ -250,10 +255,15 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 		core.SetFaults(s.Faults)
 		core.Shadow = s.Shadow
 		core.SetTracer(opt.Trace)
-		if opt.RecordCommits {
-			idx := c
+		if opt.RecordCommits || opt.TrackConsistency {
+			idx, keep, track := c, opt.RecordCommits, opt.TrackConsistency
 			core.CommitHook = func(r prog.Committed) {
-				s.Commits[idx] = append(s.Commits[idx], r)
+				if keep {
+					s.Commits[idx] = append(s.Commits[idx], r)
+				}
+				if track {
+					s.recordOp(idx, r)
+				}
 			}
 		}
 		s.Cores = append(s.Cores, core)
@@ -313,10 +323,12 @@ func (s *System) wrapMessageFaults(core *pipeline.Core) (onInval, onFill func(bl
 // CheckSC builds the constraint graph over the recorded committed
 // memory operations and tests it for a cycle. It requires
 // TrackConsistency. It returns the offending operation when the
-// execution is not sequentially consistent.
+// execution is not sequentially consistent. The graph reads the
+// recorded operations in place, so it describes the run only until the
+// next Reset or ResetStats.
 func (s *System) CheckSC() (consistency.Op, bool, *consistency.Graph) {
-	procs, chains := s.buildOps()
-	g := consistency.BuildWith(procs, chains, s.Image.Background, s.edgeTracer())
+	procs, log := s.Ops()
+	g := consistency.BuildWith(procs, log, s.Image.Background, s.edgeTracer())
 	op, cyc := g.FindCycle()
 	return op, cyc, g
 }
@@ -325,8 +337,8 @@ func (s *System) CheckSC() (consistency.Op, bool, *consistency.Graph) {
 // coherence) — the guarantee the insulated and hybrid load-queue
 // designs provide on weakly-ordered machines (paper §2.1).
 func (s *System) CheckCoherence() (consistency.Op, bool, *consistency.Graph) {
-	procs, chains := s.buildOps()
-	g := consistency.BuildPerLocation(procs, chains, s.Image.Background, s.edgeTracer())
+	procs, log := s.Ops()
+	g := consistency.BuildPerLocation(procs, log, s.Image.Background, s.edgeTracer())
 	op, cyc := g.FindCycle()
 	return op, cyc, g
 }
@@ -356,14 +368,33 @@ func (s *System) edgeTracer() func(from, to int32, kind consistency.EdgeKind) {
 	}
 }
 
-// Ops exposes the recorded committed memory operations and per-word
-// version chains in the constraint checker's input form, so callers
-// (the litmus subsystem) can build graphs with their own background
-// content — litmus tests pre-initialize shared memory, so the initial
-// value of a tested word is the test's, not the image hash's. Requires
-// TrackConsistency.
-func (s *System) Ops() ([][]consistency.Op, map[uint64][]consistency.Versioned) {
-	return s.buildOps()
+// Ops exposes the recorded committed memory operations and the
+// shadow's version log in the constraint checker's input form, so
+// callers (the litmus subsystem) can build graphs with their own
+// background content — litmus tests pre-initialize shared memory, so
+// the initial value of a tested word is the test's, not the image
+// hash's. Requires TrackConsistency.
+func (s *System) Ops() ([]consistency.Stream, consistency.Log) {
+	if s.Shadow == nil {
+		panic("system: consistency checks require Options.TrackConsistency")
+	}
+	return s.ops, s.Shadow.Log
+}
+
+// recordOp appends core c's committed load or store to its stream, in
+// the checker's form; other instructions are not recorded.
+func (s *System) recordOp(c int, r prog.Committed) {
+	var op consistency.Op
+	switch r.Op.Class() {
+	case isa.ClassLoad:
+		op = consistency.Op{Kind: consistency.OpLoad, ReadsFrom: consistency.Writer(r.Writer)}
+	case isa.ClassStore:
+		op = consistency.Op{Kind: consistency.OpStore, Self: consistency.Writer(r.Writer)}
+	default:
+		return
+	}
+	op.Proc, op.Index, op.Addr, op.Value = c, s.ops[c].Len(), r.Addr&^7, r.Result
+	s.ops[c].Append(op)
 }
 
 // Prewarm establishes a read copy of addr's block in core's hierarchy
@@ -372,58 +403,6 @@ func (s *System) Ops() ([][]consistency.Op, map[uint64][]consistency.Versioned) 
 // start runs from a warmed-cache state.
 func (s *System) Prewarm(core int, addr uint64) {
 	s.Cores[core].Hierarchy().Prewarm(addr)
-}
-
-func (s *System) buildOps() ([][]consistency.Op, map[uint64][]consistency.Versioned) {
-	if s.Shadow == nil {
-		panic("system: consistency checks require Options.TrackConsistency")
-	}
-	procs := make([][]consistency.Op, len(s.Cores))
-	for c, stream := range s.Commits {
-		idx := 0
-		for _, rec := range stream {
-			switch rec.Op.Class() {
-			case isa.ClassLoad:
-				procs[c] = append(procs[c], consistency.Op{
-					Proc: c, Index: idx, Kind: consistency.OpLoad,
-					Addr: rec.Addr &^ 7, Value: rec.Result,
-					ReadsFrom: consistency.Writer(rec.Writer),
-				})
-				idx++
-			case isa.ClassStore:
-				procs[c] = append(procs[c], consistency.Op{
-					Proc: c, Index: idx, Kind: consistency.OpStore,
-					Addr: rec.Addr &^ 7, Value: rec.Result,
-					Self: consistency.Writer(rec.Writer),
-				})
-				idx++
-			}
-		}
-	}
-	chains := make(map[uint64][]consistency.Versioned)
-	for _, addr := range allAddrs(procs) {
-		if ch := s.Shadow.Chain(addr); len(ch) > 0 {
-			chains[addr] = ch
-		}
-	}
-	return procs, chains
-}
-
-// allAddrs returns the distinct word addresses touched by any stream,
-// in ascending order, so downstream consumers never see map order.
-func allAddrs(procs [][]consistency.Op) []uint64 {
-	seen := make(map[uint64]struct{})
-	for _, stream := range procs {
-		for _, op := range stream {
-			seen[op.Addr] = struct{}{}
-		}
-	}
-	out := make([]uint64, 0, len(seen))
-	for addr := range seen {
-		out = append(out, addr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // StageSkipStats sums the per-core stage-skip counters (DESIGN.md §14).
@@ -446,6 +425,7 @@ func (s *System) ResetStats() {
 	s.Bus.Stats = coherence.Stats{}
 	for i := range s.Commits {
 		s.Commits[i] = nil
+		s.ops[i] = s.ops[i][:0]
 	}
 }
 

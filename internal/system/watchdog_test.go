@@ -11,7 +11,7 @@ import (
 	"vbmo/internal/workload"
 )
 
-func mustWork(t *testing.T, name string) workload.Params {
+func mustWork(t testing.TB, name string) workload.Params {
 	t.Helper()
 	w, ok := workload.ByName(name)
 	if !ok {
