@@ -35,8 +35,10 @@ func OpenCache(path string) (*Cache, error) {
 	return &Cache{j: j}, nil
 }
 
-// Get looks key up, unmarshalling the stored result into out and
-// counting the hit or miss.
+// Get looks key up, fills out with the stored result, and counts the
+// hit or miss. A *json.RawMessage receives the stored canonical bytes
+// themselves, with no copy and no decode; they are shared with the
+// cache and must not be modified. Any other out is decoded from them.
 func (c *Cache) Get(key string, out any) bool {
 	ok := c.j.Lookup(key, out)
 	c.mu.Lock()
@@ -49,9 +51,11 @@ func (c *Cache) Get(key string, out any) bool {
 	return ok
 }
 
-// Put records a result under key, fsyncing before returning. Duplicate
-// keys are dropped by the journal (first write wins), which is exactly
-// right for a content-addressed store: equal keys imply equal results.
+// Put records a result under key in canonical form (json.Marshal's
+// encoding: compact and HTML-escaped), fsyncing before returning.
+// Duplicate keys are dropped by the journal (first write wins), which
+// is exactly right for a content-addressed store: equal keys imply
+// equal results.
 func (c *Cache) Put(key string, result json.RawMessage) error {
 	return c.j.Record(key, result)
 }

@@ -44,6 +44,44 @@ func Hash(v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// HashArray returns the hex SHA-256 of the JSON array whose n elements
+// are elem(0), ..., elem(n-1), without building the array: it streams
+// "[", the elements joined by ",", and "]" into the hash, writing null
+// for an empty element as json.Marshal does for a nil json.RawMessage.
+//
+// Precondition: every element is canonical, a fixed point of
+// json.Marshal on a json.RawMessage (compact and HTML-escaped). Then the
+// streamed bytes are exactly json.Marshal's encoding of the elements as
+// a []json.RawMessage, and HashArray equals Hash over that slice. Hash
+// re-encodes each element and HashArray does not, so for any other
+// input the two differ.
+func HashArray(n int, elem func(i int) []byte) string {
+	h := sha256.New()
+	// Write on a hash.Hash never returns an error.
+	write := func(b []byte) { _, _ = h.Write(b) }
+	write(arrayOpen)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			write(arraySep)
+		}
+		e := elem(i)
+		if len(e) == 0 {
+			e = jsonNull
+		}
+		write(e)
+	}
+	write(arrayClose)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+var (
+	arrayOpen  = []byte("[")
+	arraySep   = []byte(",")
+	arrayClose = []byte("]")
+	jsonNull   = []byte("null")
+)
+
 // Machine returns the digest of a machine configuration. Two configs
 // that differ in any field — sizes, latencies, filter composition —
 // get different digests; renaming alone also changes the digest, which

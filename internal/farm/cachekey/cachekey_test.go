@@ -1,8 +1,14 @@
 package cachekey
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"vbmo/internal/config"
 	"vbmo/internal/fault"
@@ -105,5 +111,93 @@ func TestJoinInjective(t *testing.T) {
 	}
 	if !strings.Contains(Join("a", "b"), "|") {
 		t.Fatal("join separator missing")
+	}
+}
+
+// jsonDoc is a random JSON document for testing/quick, rendered loosely:
+// indented and with '<', '>', '&' left unescaped.
+type jsonDoc []byte
+
+// jsonRunes are the string characters a document draws from: the ones
+// canonical form escapes, quotes, controls and non-ASCII.
+var jsonRunes = []rune("ab<>&\"\\/\n\t\x01 \u2028\u2029\u00e9\U0001F600")
+
+func randomString(r *rand.Rand) string {
+	s := make([]rune, r.Intn(6))
+	for i := range s {
+		s[i] = jsonRunes[r.Intn(len(jsonRunes))]
+	}
+	return string(s)
+}
+
+func randomValue(r *rand.Rand, depth int) any {
+	k := r.Intn(8)
+	if depth <= 0 {
+		k %= 5
+	}
+	switch k {
+	case 0:
+		return nil
+	case 1:
+		return r.Intn(2) == 0
+	case 2:
+		// Exponents both ways, negative zero and integers.
+		return math.Copysign(r.Float64()*math.Pow(10, float64(r.Intn(60)-30)), float64(r.Intn(2)*2-1))
+	case 3:
+		return r.Int63n(1<<53) - 1<<52
+	case 4:
+		return randomString(r)
+	case 5, 6:
+		a := make([]any, r.Intn(4))
+		for i := range a {
+			a[i] = randomValue(r, depth-1)
+		}
+		return a
+	default:
+		m := map[string]any{}
+		for i := r.Intn(4); i > 0; i-- {
+			m[randomString(r)] = randomValue(r, depth-1)
+		}
+		return m
+	}
+}
+
+// Generate implements quick.Generator.
+func (jsonDoc) Generate(r *rand.Rand, size int) reflect.Value {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent(" ", "\t")
+	if err := enc.Encode(randomValue(r, 1+size%4)); err != nil {
+		panic(err)
+	}
+	return reflect.ValueOf(jsonDoc(buf.Bytes()))
+}
+
+// TestHashArrayMatchesHash: over canonicalized random JSON values, the
+// streamed HashArray equals Hash of the []json.RawMessage, in either
+// its canonical or its loose form (Hash re-encodes each element).
+func TestHashArrayMatchesHash(t *testing.T) {
+	prop := func(docs []jsonDoc) bool {
+		loose := make([]json.RawMessage, len(docs))
+		canon := make([]json.RawMessage, len(docs))
+		for i, d := range docs {
+			loose[i] = json.RawMessage(d)
+			c, err := json.Marshal(loose[i])
+			if err != nil {
+				t.Fatalf("canonicalizing %s: %v", d, err)
+			}
+			canon[i] = c
+		}
+		streamed := HashArray(len(canon), func(i int) []byte { return canon[i] })
+		return streamed == Hash(canon) && streamed == Hash(loose)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// A nil element streams as null, as json.Marshal writes it.
+	holes := []json.RawMessage{nil, json.RawMessage(`1`), nil}
+	if got, want := HashArray(len(holes), func(i int) []byte { return holes[i] }), Hash(holes); got != want {
+		t.Fatalf("nil elements: HashArray %s, Hash %s", got, want)
 	}
 }

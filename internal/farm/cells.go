@@ -152,9 +152,11 @@ func (c Cell) Key() (string, error) {
 	}
 }
 
-// Execute runs the cell and returns its result as canonical JSON — the
-// exact bytes the cache stores and the API serves, so a cached replay
-// is byte-identical to a fresh execution.
+// Execute runs the cell and returns its result as canonical JSON:
+// json.Marshal's encoding, compact and HTML-escaped, which json.Marshal
+// on a json.RawMessage leaves unchanged. These are the exact bytes the
+// cache stores, the job digest hashes and the API serves, so a cached
+// replay is byte-identical to a fresh execution.
 func (c Cell) Execute() (json.RawMessage, error) {
 	switch c.Kind {
 	case KindLitmus:

@@ -503,17 +503,29 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case pending:
 		var execErr error
+		var res json.RawMessage
 		if req.Error != "" {
 			execErr = errors.New(req.Error)
-		} else if err := s.cache.Put(req.Key, req.Result); err != nil {
-			// Cache before acknowledging. A put failure is the one
-			// non-acknowledgeable outcome: answer 500 and leave the
-			// lease standing — the worker retries, or expiry re-queues
-			// the cell.
-			http.Error(w, fmt.Sprintf("farm: caching result: %v", err), http.StatusInternalServerError)
-			return
+		} else {
+			// Canonicalize at ingress: however the worker formatted its
+			// bytes, the cache stores and the waiting jobs hold one
+			// canonical form, json.Marshal's, so a job digest streamed
+			// over them equals cachekey.Hash's.
+			var err error
+			if res, err = json.Marshal(req.Result); err != nil {
+				http.Error(w, "farm: bad completion: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			if err := s.cache.Put(req.Key, res); err != nil {
+				// Cache before acknowledging. A put failure is the one
+				// non-acknowledgeable outcome: answer 500 and leave the
+				// lease standing — the worker retries, or expiry
+				// re-queues the cell.
+				http.Error(w, fmt.Sprintf("farm: caching result: %v", err), http.StatusInternalServerError)
+				return
+			}
 		}
-		dup = s.resolve(req.Key, req.Result, execErr, true)
+		dup = s.resolve(req.Key, res, execErr, true)
 	case s.cache.Get(req.Key, new(json.RawMessage)):
 		// A late completion for a cell already resolved and cached:
 		// the benign duplicate. Its bytes are not stored.

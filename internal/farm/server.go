@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,7 +88,10 @@ type JobResults struct {
 	Results []CellResult `json:"results"`
 }
 
-// job is the in-memory state of one accepted job.
+// job is the in-memory state of one accepted job. id, spec, cells and
+// keys are read-only once the job is built: a fresh resubmission of the
+// same spec shares cells and keys with the job it replaces, and reads
+// them without holding s.mu. Every job has its own results.
 type job struct {
 	id      string
 	spec    JobSpec
@@ -180,7 +184,8 @@ type Server struct {
 	tr      *trace.Tracer
 	metrics *Metrics
 	// execute runs one cell for a local executor: Cell.Execute, except
-	// where a test stands in to hold an executor inside a cell.
+	// where a test stands in to hold an executor inside a cell. Its
+	// bytes must be canonical, as Cell.Execute's are.
 	execute func(Cell) (json.RawMessage, error)
 
 	mu   sync.Mutex
@@ -291,16 +296,10 @@ func (s *Server) recover() error {
 // fresh is set, which re-runs the job through the cache (the cells
 // still hit; fresh forces re-counting, not re-simulation).
 func (s *Server) enqueue(spec JobSpec, fresh bool) (*job, error) {
-	cells, err := spec.Cells()
+	id := JobID(spec)
+	cells, keys, err := s.expand(id, spec, fresh)
 	if err != nil {
 		return nil, err
-	}
-	id := JobID(spec)
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		if keys[i], err = c.Key(); err != nil {
-			return nil, err
-		}
 	}
 
 	s.mu.Lock()
@@ -324,8 +323,10 @@ func (s *Server) enqueue(spec JobSpec, fresh bool) (*job, error) {
 			Core: -1, Aux: uint64(len(cells))})
 	}
 
+	// One variable serves every hit: Get hands out the cache's own
+	// bytes, and finishCell keeps the slice, not the variable.
+	var raw json.RawMessage
 	for i := range cells {
-		var raw json.RawMessage
 		if s.cache.Get(keys[i], &raw) {
 			s.finishCell(j, i, raw, true, nil)
 			continue
@@ -336,6 +337,42 @@ func (s *Server) enqueue(spec JobSpec, fresh bool) (*job, error) {
 		s.dispatch(j, i, cells[i], keys[i])
 	}
 	return j, nil
+}
+
+// expand returns the cells and cache keys of spec, whose ID is id. A
+// fresh resubmission of a spec this server holds, in a job that is not
+// running, reuses that job's cells and keys: an equal spec was
+// validated, expanded and keyed when it was first accepted, and all
+// three are deterministic. The specs are compared, not just their IDs:
+// an ID is a 64-bit truncation, and a job must never inherit the cells
+// of another whose ID collides. Specs that differ in Go but encode
+// alike, such as nil and empty Tests, expand again.
+func (s *Server) expand(id string, spec JobSpec, fresh bool) ([]Cell, []string, error) {
+	if fresh {
+		s.mu.Lock()
+		held := s.byID[id]
+		reusable := held != nil && held.state() != StateRunning
+		s.mu.Unlock()
+		if reusable && reflect.DeepEqual(held.spec, spec) {
+			return held.cells, held.keys, nil
+		}
+	}
+	return cellsAndKeys(spec)
+}
+
+// cellsAndKeys validates and expands spec, and keys every cell.
+func cellsAndKeys(spec JobSpec) ([]Cell, []string, error) {
+	cells, err := spec.Cells()
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		if keys[i], err = c.Key(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return cells, keys, nil
 }
 
 // finishCell records one cell's terminal state and closes the job out
@@ -381,11 +418,11 @@ func (s *Server) finishCell(j *job, i int, raw json.RawMessage, cached bool, err
 // holds s.mu.
 func (s *Server) completeLocked(j *job) {
 	if j.failure == "" {
-		values := make([]json.RawMessage, len(j.results))
-		for i := range j.results {
-			values[i] = j.results[i].Result
-		}
-		j.digest = cachekey.Hash(values)
+		// Results are canonical wherever they enter the server: as
+		// Cell.Execute's bytes, as the cache's, or as a completion
+		// canonicalized by handleComplete. So the streamed digest
+		// equals cachekey.Hash over the result values.
+		j.digest = cachekey.HashArray(len(j.results), func(i int) []byte { return j.results[i].Result })
 		// The marker write is fsynced; an error here leaves the job
 		// re-enqueueable, which recovery handles idempotently.
 		if err := s.jobs.Record("done|"+j.id, j.digest); err != nil {
@@ -440,16 +477,9 @@ const maxRequestBytes = 1 << 20
 // answers 413 (body over the cap) or 400, naming what was being read,
 // and returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any, what string) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxRequestBytes), v)
 	if err == nil {
-		if _, err = dec.Token(); err == io.EOF {
-			return true
-		}
-		if err == nil {
-			err = errors.New("unexpected data after the JSON value")
-		}
+		return true
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
@@ -459,6 +489,23 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any, what string) b
 	}
 	http.Error(w, "farm: "+what+": "+err.Error(), http.StatusBadRequest)
 	return false
+}
+
+// decodeStrict decodes the one JSON value in r into v, rejecting
+// unknown fields and anything but whitespace after the value.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
+		return err
+	}
+	return nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

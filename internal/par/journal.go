@@ -98,7 +98,15 @@ func OpenJournal(path, fingerprint string) (*Journal, error) {
 				if err := json.Unmarshal(line, &l); err != nil {
 					break
 				}
-				j.done[l.Key] = l.Result
+				// The file is outside input, so its results may be
+				// formatted any way. Re-marshal each into the form
+				// Record stores, so that Lookup hands out canonical
+				// bytes however the line was written.
+				raw, err := json.Marshal(l.Result)
+				if err != nil {
+					break
+				}
+				j.done[l.Key] = raw
 			}
 			validLen += int64(idx) + 1
 			rest = rest[idx+1:]
@@ -151,8 +159,12 @@ func (j *Journal) Keys() []string {
 	return keys
 }
 
-// Lookup unmarshals the stored result for key into out, reporting
-// whether the cell was found.
+// Lookup reports whether key holds a result and, if so, fills out with
+// it. A *json.RawMessage receives the stored bytes themselves, with no
+// copy and no decode: they are canonical (compact and HTML-escaped, a
+// fixed point of json.Marshal on a json.RawMessage), capacity-clipped,
+// and shared with the journal and every other caller, so they must not
+// be modified. Any other out is decoded from them.
 func (j *Journal) Lookup(key string, out any) bool {
 	j.mu.Lock()
 	raw, ok := j.done[key]
@@ -160,15 +172,28 @@ func (j *Journal) Lookup(key string, out any) bool {
 	if !ok {
 		return false
 	}
+	if p, isRaw := out.(*json.RawMessage); isRaw {
+		*p = raw[:len(raw):len(raw)]
+		return true
+	}
 	return json.Unmarshal(raw, out) == nil
 }
 
-// Record appends one completed cell and fsyncs. Safe for concurrent
-// workers; calls after Close are dropped (a timed-out straggler may
-// finish after the sweep gave up on it). Write and fsync failures come
-// back as a *JournalError, and the cell is NOT marked done in memory —
-// the checkpoint only ever claims what the disk durably holds.
+// Record appends one completed cell and fsyncs. It stores the result as
+// json.Marshal encodes it. Safe for concurrent workers; a key already
+// held is a no-op that returns before encoding anything, and so are
+// calls after Close (a timed-out straggler may finish after the sweep
+// gave up on it). Write and fsync failures come back as a
+// *JournalError, and the cell is NOT marked done in memory — the
+// checkpoint only ever claims what the disk durably holds.
 func (j *Journal) Record(key string, result any) error {
+	j.mu.Lock()
+	_, held := j.done[key]
+	skip := held || j.closed
+	j.mu.Unlock()
+	if skip {
+		return nil
+	}
 	raw, err := json.Marshal(result)
 	if err != nil {
 		return err
@@ -179,6 +204,8 @@ func (j *Journal) Record(key string, result any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// Re-check: a concurrent Record of the same key, or Close, may have
+	// won while this one encoded.
 	if j.closed {
 		return nil
 	}

@@ -1,10 +1,13 @@
 package par
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -305,5 +308,163 @@ func TestJournalAppendFailureTyped(t *testing.T) {
 	var got cellResult
 	if !j.Lookup("cell-write", &got) || got.Count != 2 {
 		t.Fatalf("got %+v, want the recovered record", got)
+	}
+}
+
+// canonical is json.Marshal's encoding of raw as a json.RawMessage:
+// compact and HTML-escaped, the form the journal stores.
+func canonical(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	out, err := json.Marshal(json.RawMessage(raw))
+	if err != nil {
+		t.Fatalf("canonicalizing %q: %v", raw, err)
+	}
+	return out
+}
+
+// TestJournalCanonicalResults: a result recorded or recovered in any
+// formatting is held in canonical form, and a *json.RawMessage lookup
+// hands out those stored bytes, capacity-clipped, with no copy.
+func TestJournalCanonicalResults(t *testing.T) {
+	loose := "{ \"s\": \"<a> & b \u2028\",  \"n\": [ 1e+21, [ ] ] }"
+	want := `{"s":"\u003ca\u003e \u0026 b \u2028","n":[1e+21,[]]}`
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	file := "{\"fingerprint\":\"fp-v1\"}\n{\"key\": \"by-hand\",   \"result\": " + loose + "}\n"
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, "fp-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Record("recorded", json.RawMessage(loose)); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"by-hand", "recorded"} {
+		var a, b json.RawMessage
+		if !j.Lookup(key, &a) || !j.Lookup(key, &b) {
+			t.Fatalf("%s: not found", key)
+		}
+		if string(a) != want {
+			t.Errorf("%s: held %s, want %s", key, a, want)
+		}
+		if cap(a) != len(a) || &a[0] != &b[0] {
+			t.Errorf("%s: lookups are not the stored bytes, capacity-clipped", key)
+		}
+		var v struct{ S string }
+		if !j.Lookup(key, &v) || v.S != "<a> & b \u2028" {
+			t.Errorf("%s: decoded %+v", key, v)
+		}
+	}
+}
+
+// TestJournalHeldRecordZeroAlloc: recording a key the journal already
+// holds, or recording after Close, returns before encoding anything.
+func TestJournalHeldRecordZeroAlloc(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "sweep.jsonl"), "fp-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record("held", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { j.Record("held", "v") }); n != 0 {
+		t.Errorf("a no-op Record of a held key made %.0f allocations, want 0", n)
+	}
+	j.Close()
+	if n := testing.AllocsPerRun(100, func() { j.Record("new", "v") }); n != 0 {
+		t.Errorf("a Record after Close made %.0f allocations, want 0", n)
+	}
+}
+
+// FuzzJournalRecovery opens a journal whose valid header is followed by
+// any tail. Recovery must never fail, must hold every recovered result
+// in canonical form, and must keep every recovered key across a Record
+// and a reopen.
+func FuzzJournalRecovery(f *testing.F) {
+	for _, tail := range []string{
+		"",
+		`{"key":"cell-a","result":{"ipc":0.3333333333333333,"count":42}}` + "\n",
+		`{"key":"cell-a","result":1}` + "\n" + `{"key":"cell-a","result":2}` + "\n",
+		"{\"key\": \"by-hand\", \"result\": { \"s\": \"<a> & b \u2028\", \"n\": [1e+21, [ ]] }}\n",
+		`{"key":"spec|9003a0fe7ff699f0","result":{"litmus":{"tests":["SB"],"runs":2,"seed":7}}}` + "\n",
+		`{"key":"done|9003a0fe7ff699f0","result":"7b0012afe5eaa71774acf87c42ecfe14"}` + "\n",
+		`{"key":"cell-a","result":{"ipc":1}}` + "\nnot json at all\n" + `{"key":"cell-b","result":2}` + "\n",
+		`{"key":"cell-a","result":{"ipc":1}}` + "\n" + `{"key":"cell-b","res`,
+		"null\n",
+		`{"key":"no-result"}` + "\n",
+		`{"fingerprint":"fp-v1"}` + "\n",
+		"\n\n",
+	} {
+		f.Add([]byte(tail))
+	}
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "sweep.jsonl")
+		if err := os.WriteFile(path, append([]byte("{\"fingerprint\":\"fp-v1\"}\n"), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, "fp-v1")
+		if err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		keys := j.Keys()
+		for _, k := range keys {
+			var raw json.RawMessage
+			if !j.Lookup(k, &raw) {
+				t.Fatalf("recovered key %q has no result", k)
+			}
+			if c := canonical(t, raw); !bytes.Equal(c, raw) {
+				t.Fatalf("recovered result of %q is %q, not canonical %q", k, raw, c)
+			}
+		}
+		if err := j.Record("fuzz-new", json.RawMessage(`{"ok":true}`)); err != nil {
+			t.Fatalf("record after recovery: %v", err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, err = OpenJournal(path, "fp-v1")
+		if err != nil {
+			t.Fatalf("reopen failed: %v", err)
+		}
+		defer j.Close()
+		var raw json.RawMessage
+		for _, k := range append(keys, "fuzz-new") {
+			if !j.Lookup(k, &raw) {
+				t.Fatalf("key %q lost across a Record and a reopen", k)
+			}
+		}
+	})
+}
+
+// TestJournalConcurrentRecordOnce: Records of one key racing from
+// several goroutines write it once; the first to reach the file wins.
+func TestJournalConcurrentRecordOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	j, err := OpenJournal(path, "fp-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := j.Record("cell-a", cellResult{Count: uint64(g)}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(raw, []byte("\n")); lines != 2 {
+		t.Fatalf("journal has %d lines, want the header and one record:\n%s", lines, raw)
 	}
 }
