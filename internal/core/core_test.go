@@ -1,16 +1,21 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"vbmo/internal/lsq"
 )
 
 func TestFIFOInsertOrderAndCapacity(t *testing.T) {
 	q := NewFIFOQueue(2)
-	if !q.Insert(1, 0x10) || !q.Insert(5, 0x20) {
+	_, ok1 := q.Insert(1, 0x10)
+	_, ok2 := q.Insert(5, 0x20)
+	if !ok1 || !ok2 {
 		t.Fatal("inserts failed")
 	}
-	if q.Insert(9, 0x30) {
+	if _, ok := q.Insert(9, 0x30); ok {
 		t.Error("full queue accepted insert")
 	}
 	if q.Len() != 2 || !q.Full() {
@@ -32,21 +37,32 @@ func TestFIFOOutOfOrderInsertPanics(t *testing.T) {
 	q.Insert(2, 0)
 }
 
+// TestFIFOFindRemoveSquash: a handle reaches its load until the load is
+// popped or squashed, and an absent handle panics.
 func TestFIFOFindRemoveSquash(t *testing.T) {
 	q := NewFIFOQueue(8)
+	var hs []lsq.Handle
 	for i := int64(1); i <= 5; i++ {
-		q.Insert(i, uint64(i)*4)
+		h, _ := q.Insert(i, uint64(i)*4)
+		hs = append(hs, h)
 	}
-	if e := q.Find(3); e == nil || e.PC != 12 {
-		t.Errorf("Find(3) = %+v", e)
+	if e := q.At(hs[2]); e.Tag != 3 || e.PC != 12 {
+		t.Errorf("At(handle of 3) = %+v", e)
 	}
-	if q.Find(99) != nil {
-		t.Error("Find of absent tag should be nil")
-	}
-	q.Remove(1)
+	q.Pop()
 	q.Squash(4)
-	if q.Len() != 2 || q.Head().Tag != 2 {
-		t.Errorf("after remove+squash: len=%d head=%+v", q.Len(), q.Head())
+	if q.Len() != 2 || q.Head().Tag != 2 || q.At(hs[2]).Tag != 3 {
+		t.Errorf("after pop+squash: len=%d head=%+v", q.Len(), q.Head())
+	}
+	for _, h := range []lsq.Handle{hs[0], hs[3], hs[4]} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%d) of a popped or squashed load did not panic", h)
+				}
+			}()
+			q.At(h)
+		}()
 	}
 	empty := NewFIFOQueue(2)
 	if empty.Head() != nil {
@@ -277,9 +293,10 @@ func TestFIFOQueueProperty(t *testing.T) {
 		}
 		q.Squash(int64(k))
 		last := int64(-1)
-		for i := 0; i < q.Len(); i++ {
-			e := q.entries[i]
-			if e.Tag >= int64(k) || e.Tag <= last {
+		w := q.Window()
+		for h := w.Head(); h < w.Tail(); h++ {
+			e := q.At(h)
+			if e.Tag >= int64(k) || e.Tag <= last || e.Tag != w.Tag(h) {
 				return false
 			}
 			last = e.Tag
@@ -288,5 +305,70 @@ func TestFIFOQueueProperty(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFIFOQueueMatchesNaive drives the FIFO load queue and a naive
+// tag-ordered slice through a seeded stream of dispatch, issue (which
+// writes the entry through its handle), commit and squash, with gaps in
+// the tag sequence, and compares every entry, reached by its handle, and
+// the queue's ends after every operation. The queue is small, so its
+// window re-bases often.
+func TestFIFOQueueMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const capacity = 10
+	q := NewFIFOQueue(capacity)
+	type load struct {
+		h lsq.Handle
+		e FIFOEntry
+	}
+	var ref []load // the naive queue, oldest first
+	next := int64(0)
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(8); {
+		case op < 3: // dispatch
+			next += 1 + int64(rng.Intn(3))
+			pc := uint64(rng.Intn(1 << 12))
+			h, ok := q.Insert(next, pc)
+			if ok != (len(ref) < capacity) {
+				t.Fatalf("step %d: Insert ok %t with %d of %d loads queued", step, ok, len(ref), capacity)
+			}
+			if ok {
+				ref = append(ref, load{h, FIFOEntry{Tag: next, PC: pc}})
+			}
+		case op < 5 && len(ref) > 0: // issue
+			l := &ref[rng.Intn(len(ref))]
+			e := q.At(l.h)
+			e.Addr, e.Value, e.Issued = rng.Uint64(), rng.Uint64(), true
+			e.NUS, e.Reordered = rng.Intn(2) == 0, rng.Intn(2) == 0
+			l.e.Addr, l.e.Value, l.e.Issued, l.e.NUS, l.e.Reordered = e.Addr, e.Value, true, e.NUS, e.Reordered
+		case op < 7 && len(ref) > 0: // commit
+			q.Pop()
+			ref = ref[1:]
+		case len(ref) > 0: // squash, possibly from inside a tag gap
+			from := ref[rng.Intn(len(ref))].e.Tag - int64(rng.Intn(2))
+			q.Squash(from)
+			for len(ref) > 0 && ref[len(ref)-1].e.Tag >= from {
+				ref = ref[:len(ref)-1]
+			}
+		}
+		if q.Len() != len(ref) || q.Full() != (len(ref) == capacity) {
+			t.Fatalf("step %d: Len %d Full %t, naive %d", step, q.Len(), q.Full(), len(ref))
+		}
+		youngest := int64(-1)
+		if len(ref) > 0 {
+			youngest = ref[len(ref)-1].e.Tag
+			if h := q.Head(); *h != ref[0].e {
+				t.Fatalf("step %d: Head %+v, naive %+v", step, *h, ref[0].e)
+			}
+		}
+		if got := q.YoungestTag(); got != youngest {
+			t.Fatalf("step %d: YoungestTag %d, naive %d", step, got, youngest)
+		}
+		for _, l := range ref {
+			if got := *q.At(l.h); got != l.e {
+				t.Fatalf("step %d: At(%d) = %+v, naive %+v", step, l.h, got, l.e)
+			}
+		}
 	}
 }

@@ -21,7 +21,10 @@
 // enforces that composition.
 package core
 
-import "vbmo/internal/reuse"
+import (
+	"vbmo/internal/lsq"
+	"vbmo/internal/reuse"
+)
 
 // FIFOEntry is one in-flight load in the replay machine's load queue.
 // Unlike the associative queue it stores the premature value — needed by
@@ -53,19 +56,16 @@ type FIFOEntry struct {
 	Replayed bool
 }
 
-// FIFOQueue is the non-associative load queue: a simple in-order buffer
-// with head/tail access only. Its capacity can scale with the reorder
-// buffer because nothing in it is searched.
+// FIFOQueue is the non-associative load queue: an in-order buffer with
+// no search port, so its capacity can scale with the reorder buffer.
 //
-// The tags live in a dense parallel array (struct-of-arrays, DESIGN.md
-// §12): Find, Remove and Squash scan one int64 per load instead of
-// striding over the ten-word FIFOEntry payload, which is only touched
-// for the entry actually addressed. Both slices are preallocated to
-// capacity and their indices always align.
+// Loads are addressed by the handle Insert returns (lsq.Window,
+// DESIGN.md §21): issue and the replay stage reach their entry in O(1),
+// commit pops the head, and a squash truncates the tail. The entries
+// sit in a preallocated array parallel to the window's tags.
 type FIFOQueue struct {
-	tags    []int64
+	w       lsq.Window
 	entries []FIFOEntry
-	cap     int
 }
 
 // NewFIFOQueue creates a queue with the given capacity.
@@ -78,70 +78,58 @@ func NewFIFOQueue(capacity int) *FIFOQueue {
 // Reset rebuilds q in place as NewFIFOQueue(capacity) would build it,
 // reusing its arrays when they fit.
 func (q *FIFOQueue) Reset(capacity int) {
-	*q = FIFOQueue{
-		cap:     capacity,
-		tags:    reuse.Empty(q.tags, capacity),
-		entries: reuse.Empty(q.entries, capacity),
-	}
+	q.w.Reset(capacity)
+	q.entries = reuse.Resized(q.entries, 2*capacity)
 }
 
 // Len returns the occupancy.
-func (q *FIFOQueue) Len() int { return len(q.tags) }
+func (q *FIFOQueue) Len() int { return q.w.Len() }
 
 // Full reports whether another load can dispatch.
-func (q *FIFOQueue) Full() bool { return len(q.tags) >= q.cap }
+func (q *FIFOQueue) Full() bool { return q.w.Full() }
 
-// Insert appends a load at dispatch, in program order.
-func (q *FIFOQueue) Insert(tag int64, pc uint64) bool {
-	if q.Full() {
-		return false
-	}
-	if n := len(q.tags); n > 0 && q.tags[n-1] >= tag {
-		panic("core: load tags must be inserted in program order")
-	}
-	q.tags = append(q.tags, tag)
-	q.entries = append(q.entries, FIFOEntry{Tag: tag, PC: pc})
-	return true
-}
+// Window returns a copy of the queue's tag window, for invariant checks.
+func (q *FIFOQueue) Window() lsq.Window { return q.w }
 
-// Find returns the entry with the given tag, or nil.
+// Insert appends a load at dispatch, in program order, and returns its
+// handle; it fails when the queue is full.
 //
 //vbr:hotpath
-func (q *FIFOQueue) Find(tag int64) *FIFOEntry {
-	for i, t := range q.tags {
-		if t == tag {
-			return &q.entries[i]
-		}
+func (q *FIFOQueue) Insert(tag int64, pc uint64) (lsq.Handle, bool) {
+	if q.w.Full() {
+		return 0, false
 	}
-	return nil
+	if from, n := q.w.Rebase(); n > 0 {
+		copy(q.entries, q.entries[from:from+n])
+	}
+	h, i := q.w.Push(tag)
+	q.entries[i] = FIFOEntry{Tag: tag, PC: pc}
+	return h, true
+}
+
+// At returns the entry of the load with handle h.
+//
+//vbr:hotpath
+func (q *FIFOQueue) At(h lsq.Handle) *FIFOEntry {
+	return &q.entries[q.w.Index(h)]
 }
 
 // Head returns the oldest entry, or nil.
 func (q *FIFOQueue) Head() *FIFOEntry {
-	if len(q.entries) == 0 {
+	if q.w.Len() == 0 {
 		return nil
 	}
-	return &q.entries[0]
+	return q.At(q.w.Head())
 }
 
-// Remove deletes the load with the given tag (at commit).
-func (q *FIFOQueue) Remove(tag int64) {
-	for i, t := range q.tags {
-		if t == tag {
-			q.tags = append(q.tags[:i], q.tags[i+1:]...)
-			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			return
-		}
-	}
-}
+// YoungestTag returns the youngest load's tag, or -1 when the queue is
+// empty.
+func (q *FIFOQueue) YoungestTag() int64 { return q.w.YoungestTag() }
+
+// Pop removes the oldest load (at commit).
+//
+//vbr:hotpath
+func (q *FIFOQueue) Pop() { q.w.Pop() }
 
 // Squash removes every load with tag >= fromTag.
-func (q *FIFOQueue) Squash(fromTag int64) {
-	for i, t := range q.tags {
-		if t >= fromTag {
-			q.tags = q.tags[:i]
-			q.entries = q.entries[:i]
-			return
-		}
-	}
-}
+func (q *FIFOQueue) Squash(fromTag int64) { q.w.Squash(fromTag) }

@@ -10,6 +10,8 @@ package lsq
 // reduces search *energy*, not queue complexity, which is the paper's
 // §1 argument for replacing the structure outright.
 
+import "vbmo/internal/reuse"
+
 // BloomFilter is a counting Bloom filter over block/word addresses.
 type BloomFilter struct {
 	counters []uint8
@@ -23,14 +25,23 @@ type BloomFilter struct {
 // NewBloomFilter builds a filter with the given counter count (power of
 // two) and hash count.
 func NewBloomFilter(counters, hashes int) *BloomFilter {
+	f := new(BloomFilter)
+	f.Reset(counters, hashes)
+	return f
+}
+
+// Reset rebuilds f in place as NewBloomFilter(counters, hashes) would
+// build it — every counter zero, no queries — reusing its counter array
+// when it fits.
+func (f *BloomFilter) Reset(counters, hashes int) {
 	if counters <= 0 || counters&(counters-1) != 0 {
 		panic("lsq: bloom counters must be a positive power of two")
 	}
 	if hashes < 1 || hashes > 4 {
 		panic("lsq: bloom hash count must be 1..4")
 	}
-	return &BloomFilter{
-		counters: make([]uint8, counters),
+	*f = BloomFilter{
+		counters: reuse.Zeroed(f.counters, counters),
 		mask:     uint64(counters - 1),
 		hashes:   hashes,
 	}

@@ -8,10 +8,7 @@ func twoLevelQueue(n int) *StoreQueue {
 	q := NewStoreQueue(64)
 	q.EnableTwoLevel(4, 3, 256)
 	for i := 0; i < n; i++ {
-		tag := int64(i)
-		q.Insert(tag, 0)
-		q.SetAddr(tag, uint64(0x1000+i*8))
-		q.SetData(tag, uint64(i))
+		insertStore(q, int64(i), uint64(0x1000+i*8), uint64(i))
 	}
 	return q
 }
@@ -74,7 +71,7 @@ func TestTwoLevelFilterMaintenance(t *testing.T) {
 	q := twoLevelQueue(10)
 	// Remove the oldest store; its address leaves the filter, so a
 	// search for it is now filtered.
-	q.Remove(0)
+	q.Pop()
 	r := q.Search(0x1000, 100)
 	if r.Match {
 		t.Error("removed store still matches")
@@ -96,9 +93,7 @@ func TestTwoLevelFilterMaintenance(t *testing.T) {
 
 func TestFlatQueueUnaffected(t *testing.T) {
 	q := NewStoreQueue(8)
-	q.Insert(1, 0)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 5)
+	insertStore(q, 1, 0x1000, 5)
 	r := q.Search(0x1000, 9)
 	if !r.Match || r.Latency != 0 {
 		t.Errorf("flat queue changed: %+v", r)

@@ -2,6 +2,7 @@ package lsq
 
 import (
 	"vbmo/internal/cache"
+	"vbmo/internal/reuse"
 	"vbmo/internal/trace"
 )
 
@@ -34,10 +35,9 @@ func (m Mode) String() string {
 	return "?"
 }
 
-// LoadEntry is one in-flight load in the associative queue.
+// LoadEntry is the payload of one in-flight load in the associative
+// queue; its tag (ROB sequence number) lives in the queue's Window.
 type LoadEntry struct {
-	// Tag is the load's ROB sequence number (program order).
-	Tag int64
 	// PC is the load's program counter (for predictor training).
 	PC uint64
 	// Addr is the word-aligned effective address, valid once Issued.
@@ -64,11 +64,12 @@ type Squash struct {
 
 // AssocLoadQueue is the conventional CAM-based load queue. Searches are
 // counted, along with the occupancy at each search, for the Table 2 /
-// §5.3 energy accounting.
+// §5.3 energy accounting. Loads are addressed by the handle Insert
+// returns (DESIGN.md §21); only the modelled CAM searches scan.
 type AssocLoadQueue struct {
 	mode    Mode
-	entries []LoadEntry
-	cap     int
+	w       Window      // the tags, and the index of every handle
+	entries []LoadEntry // parallel to the tags
 	// Searches counts CAM search operations; SearchedEntries
 	// accumulates occupancy over searches (energy scales with entries
 	// searched).
@@ -77,10 +78,12 @@ type AssocLoadQueue struct {
 	// InvalSquashes, RAWSquashes, IssueSquashes count violations found
 	// by each search type.
 	InvalSquashes, RAWSquashes, IssueSquashes uint64
-	// bloom, when enabled, summarizes issued-load block addresses so
+	// bloom, when bloomOn, summarizes issued-load block addresses so
 	// store-agen and snoop searches can skip the CAM when no issued
-	// load can match (Sethumadhavan et al.; see bloom.go).
-	bloom *BloomFilter
+	// load can match (Sethumadhavan et al.; see bloom.go). Reset keeps
+	// the filter, off, for EnableBloom to reuse.
+	bloom   *BloomFilter
+	bloomOn bool
 	// BloomFiltered counts CAM searches avoided by the filter.
 	BloomFiltered uint64
 	// Emit, when non-nil, receives trace events only the queue itself
@@ -98,73 +101,83 @@ func NewAssocLoadQueue(mode Mode, capacity int) *AssocLoadQueue {
 }
 
 // Reset rebuilds q in place as NewAssocLoadQueue would build it —
-// empty, unfiltered, counters zero, no Emit hook — reusing its entry
-// array.
+// empty, unfiltered, counters zero, no Emit hook — reusing its arrays.
 func (q *AssocLoadQueue) Reset(mode Mode, capacity int) {
-	*q = AssocLoadQueue{mode: mode, cap: capacity, entries: q.entries[:0]}
+	*q = AssocLoadQueue{mode: mode, w: q.w,
+		entries: reuse.Resized(q.entries, 2*capacity), bloom: q.bloom}
+	q.w.Reset(capacity)
 }
 
 // EnableBloom attaches a counting Bloom filter with the given counter
 // count and hash functions.
 func (q *AssocLoadQueue) EnableBloom(counters, hashes int) {
-	q.bloom = NewBloomFilter(counters, hashes)
+	q.bloom = reuse.Ptr(q.bloom)
+	q.bloom.Reset(counters, hashes)
+	q.bloomOn = true
 }
 
 // Bloom returns the attached filter (nil when disabled).
-func (q *AssocLoadQueue) Bloom() *BloomFilter { return q.bloom }
+func (q *AssocLoadQueue) Bloom() *BloomFilter {
+	if !q.bloomOn {
+		return nil
+	}
+	return q.bloom
+}
 
 // Mode returns the queue's consistency-enforcement style.
 func (q *AssocLoadQueue) Mode() Mode { return q.mode }
 
 // Len returns the occupancy.
-func (q *AssocLoadQueue) Len() int { return len(q.entries) }
+func (q *AssocLoadQueue) Len() int { return q.w.Len() }
 
 // Full reports whether another load can be dispatched. A full load
 // queue stalls dispatch — the size-constrained configurations of
 // Figure 8 bite here.
-func (q *AssocLoadQueue) Full() bool { return len(q.entries) >= q.cap }
+func (q *AssocLoadQueue) Full() bool { return q.w.Full() }
 
-// Insert adds a load at dispatch in program order.
-func (q *AssocLoadQueue) Insert(tag int64, pc uint64) bool {
-	if q.Full() {
-		return false
-	}
-	if n := len(q.entries); n > 0 && q.entries[n-1].Tag >= tag {
-		panic("lsq: load tags must be inserted in program order")
-	}
-	q.entries = append(q.entries, LoadEntry{Tag: tag, PC: pc, ForwardTag: -1})
-	return true
-}
+// Window returns a copy of the queue's tag window, for invariant checks.
+func (q *AssocLoadQueue) Window() Window { return q.w }
 
-func (q *AssocLoadQueue) find(tag int64) *LoadEntry {
-	for i := range q.entries {
-		if q.entries[i].Tag == tag {
-			return &q.entries[i]
-		}
+// Insert adds a load at dispatch in program order and returns its
+// handle; it fails when the queue is full.
+//
+//vbr:hotpath
+func (q *AssocLoadQueue) Insert(tag int64, pc uint64) (Handle, bool) {
+	if q.w.Full() {
+		return 0, false
 	}
-	return nil
+	if from, n := q.w.Rebase(); n > 0 {
+		copy(q.entries, q.entries[from:from+n])
+	}
+	h, i := q.w.Push(tag)
+	q.entries[i] = LoadEntry{PC: pc, ForwardTag: -1}
+	return h, true
 }
 
 func (q *AssocLoadQueue) countSearch() {
 	q.Searches++
-	q.SearchedEntries += uint64(len(q.entries))
+	q.SearchedEntries += uint64(q.w.Len())
 }
 
-// OnIssue records a load's premature execution and, in the insulated
-// and hybrid designs, searches for younger already-issued loads to the
-// same address that must squash (paper Figure 1(c)). It returns the
-// oldest such violation, if any.
+// live returns the queued tags and entries, oldest first, index-aligned.
+func (q *AssocLoadQueue) live() ([]int64, []LoadEntry) {
+	lo, hi := q.w.Bounds()
+	return q.w.tags[lo:hi], q.entries[lo:hi]
+}
+
+// OnIssue records the premature execution of the load with handle h
+// and, in the insulated and hybrid designs, searches for younger
+// already-issued loads to the same address that must squash (paper
+// Figure 1(c)). It returns the oldest such violation, if any.
 //
 //vbr:hotpath
-func (q *AssocLoadQueue) OnIssue(tag int64, addr uint64, forwardTag int64) (Squash, bool) {
-	e := q.find(tag)
-	if e == nil {
-		return Squash{}, false
-	}
+func (q *AssocLoadQueue) OnIssue(h Handle, addr uint64, forwardTag int64) (Squash, bool) {
+	i := q.w.Index(h)
+	e := &q.entries[i]
 	e.Addr = addr &^ 7
 	e.Issued = true
 	e.ForwardTag = forwardTag
-	if q.bloom != nil {
+	if q.bloomOn {
 		q.bloom.Insert(cache.BlockAddr(addr))
 	}
 	if q.mode == Snooping {
@@ -172,9 +185,12 @@ func (q *AssocLoadQueue) OnIssue(tag int64, addr uint64, forwardTag int64) (Squa
 		return Squash{}, false
 	}
 	q.countSearch()
-	for i := range q.entries {
-		le := &q.entries[i]
-		if le.Tag <= tag || !le.Issued || le.Addr != e.Addr {
+	// Only younger loads can violate: the search starts past this one.
+	_, hi := q.w.Bounds()
+	tags, entries := q.w.tags[i+1:hi], q.entries[i+1:hi]
+	for j := range entries {
+		le := &entries[j]
+		if !le.Issued || le.Addr != e.Addr {
 			continue
 		}
 		if q.mode == Hybrid && !le.Marked {
@@ -182,7 +198,7 @@ func (q *AssocLoadQueue) OnIssue(tag int64, addr uint64, forwardTag int64) (Squa
 			continue
 		}
 		q.IssueSquashes++
-		return Squash{Tag: le.Tag, PC: le.PC}, true
+		return Squash{Tag: tags[j], PC: le.PC}, true
 	}
 	return Squash{}, false
 }
@@ -194,15 +210,16 @@ func (q *AssocLoadQueue) OnIssue(tag int64, addr uint64, forwardTag int64) (Squa
 //
 //vbr:hotpath
 func (q *AssocLoadQueue) OnStoreAgen(addr uint64, storeTag int64) (Squash, bool) {
-	if q.bloom != nil && !q.bloom.MayContain(cache.BlockAddr(addr)) {
+	if q.bloomOn && !q.bloom.MayContain(cache.BlockAddr(addr)) {
 		q.BloomFiltered++
 		return Squash{}, false
 	}
 	q.countSearch()
 	addr &^= 7
-	for i := range q.entries {
-		le := &q.entries[i]
-		if le.Tag <= storeTag || !le.Issued || le.Addr != addr {
+	tags, entries := q.live()
+	for i := range entries {
+		le := &entries[i]
+		if tags[i] <= storeTag || !le.Issued || le.Addr != addr {
 			continue
 		}
 		if le.ForwardTag >= storeTag {
@@ -211,7 +228,7 @@ func (q *AssocLoadQueue) OnStoreAgen(addr uint64, storeTag int64) (Squash, bool)
 			continue
 		}
 		q.RAWSquashes++
-		return Squash{Tag: le.Tag, PC: le.PC}, true
+		return Squash{Tag: tags[i], PC: le.PC}, true
 	}
 	return Squash{}, false
 }
@@ -237,58 +254,50 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 	if q.mode == Insulated {
 		return Squash{}, false
 	}
-	if q.bloom != nil && !q.bloom.MayContain(cache.BlockAddr(block)) {
+	if q.bloomOn && !q.bloom.MayContain(cache.BlockAddr(block)) {
 		q.BloomFiltered++
 		return Squash{}, false
 	}
 	q.countSearch()
-	for i := range q.entries {
-		le := &q.entries[i]
+	tags, entries := q.live()
+	for i := range entries {
+		le := &entries[i]
 		if !le.Issued || cache.BlockAddr(le.Addr) != cache.BlockAddr(block) {
 			continue
 		}
-		if le.Tag == commitTag {
+		if tags[i] == commitTag {
 			continue
 		}
 		if q.mode == Hybrid {
 			le.Marked = true
 			if q.Emit != nil {
-				q.Emit(trace.KLQMark, le.Tag, le.PC, block)
+				q.Emit(trace.KLQMark, tags[i], le.PC, block)
 			}
 			continue
 		}
 		q.InvalSquashes++
-		return Squash{Tag: le.Tag, PC: le.PC}, true
+		return Squash{Tag: tags[i], PC: le.PC}, true
 	}
 	return Squash{}, false
 }
 
-// Remove deletes the load with the given tag (at commit).
-func (q *AssocLoadQueue) Remove(tag int64) {
-	for i := range q.entries {
-		if q.entries[i].Tag == tag {
-			q.unfilter(&q.entries[i])
-			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			return
-		}
-	}
+// Pop removes the oldest load (at commit).
+//
+//vbr:hotpath
+func (q *AssocLoadQueue) Pop() {
+	q.unfilter(&q.entries[q.w.Pop()])
 }
 
 // Squash removes every load with tag >= fromTag.
 func (q *AssocLoadQueue) Squash(fromTag int64) {
-	for i := range q.entries {
-		if q.entries[i].Tag >= fromTag {
-			for j := i; j < len(q.entries); j++ {
-				q.unfilter(&q.entries[j])
-			}
-			q.entries = q.entries[:i]
-			return
-		}
+	i, end := q.w.Squash(fromTag)
+	for ; i < end; i++ {
+		q.unfilter(&q.entries[i])
 	}
 }
 
 func (q *AssocLoadQueue) unfilter(e *LoadEntry) {
-	if q.bloom != nil && e.Issued {
+	if q.bloomOn && e.Issued {
 		q.bloom.Remove(cache.BlockAddr(e.Addr))
 	}
 }

@@ -5,12 +5,39 @@ import (
 	"testing/quick"
 )
 
+// insertStore dispatches a store and resolves its address and data.
+func insertStore(q *StoreQueue, tag int64, addr, data uint64) Handle {
+	h, ok := q.Insert(tag, 0)
+	if !ok {
+		panic("store queue full")
+	}
+	q.SetAddr(h, addr)
+	q.SetData(h, data)
+	return h
+}
+
+// insertLoads dispatches loads with the given tags, PC 0x100 + 4·i for
+// the i-th, and returns their handles.
+func insertLoads(q *AssocLoadQueue, tags ...int64) []Handle {
+	hs := make([]Handle, len(tags))
+	for i, tag := range tags {
+		h, ok := q.Insert(tag, 0x100+4*uint64(i))
+		if !ok {
+			panic("load queue full")
+		}
+		hs[i] = h
+	}
+	return hs
+}
+
 func TestStoreQueueInsertFull(t *testing.T) {
 	q := NewStoreQueue(2)
-	if !q.Insert(1, 0x10) || !q.Insert(2, 0x14) {
+	_, ok1 := q.Insert(1, 0x10)
+	_, ok2 := q.Insert(2, 0x14)
+	if !ok1 || !ok2 {
 		t.Fatal("inserts into empty queue failed")
 	}
-	if q.Insert(3, 0x18) {
+	if _, ok := q.Insert(3, 0x18); ok {
 		t.Error("insert into full queue should fail")
 	}
 	if q.Len() != 2 || !q.Full() {
@@ -31,12 +58,8 @@ func TestStoreQueueOutOfOrderInsertPanics(t *testing.T) {
 
 func TestStoreQueueForwarding(t *testing.T) {
 	q := NewStoreQueue(8)
-	q.Insert(1, 0x10)
-	q.Insert(3, 0x14)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 42)
-	q.SetAddr(3, 0x2000)
-	q.SetData(3, 99)
+	insertStore(q, 1, 0x1000, 42)
+	insertStore(q, 3, 0x2000, 99)
 
 	// Load tag 5 at 0x1000 forwards from store 1.
 	r := q.Search(0x1000, 5)
@@ -55,12 +78,8 @@ func TestStoreQueueForwarding(t *testing.T) {
 
 func TestStoreQueueYoungestMatchWins(t *testing.T) {
 	q := NewStoreQueue(8)
-	q.Insert(1, 0)
-	q.Insert(2, 0)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 1)
-	q.SetAddr(2, 0x1000)
-	q.SetData(2, 2)
+	insertStore(q, 1, 0x1000, 1)
+	insertStore(q, 2, 0x1000, 2)
 	r := q.Search(0x1000, 9)
 	if r.MatchTag != 2 || r.Data != 2 {
 		t.Errorf("should forward from youngest older store: %+v", r)
@@ -69,10 +88,8 @@ func TestStoreQueueYoungestMatchWins(t *testing.T) {
 
 func TestStoreQueueUnresolvedOlder(t *testing.T) {
 	q := NewStoreQueue(8)
-	q.Insert(1, 0)
+	insertStore(q, 1, 0x1000, 7)
 	q.Insert(2, 0) // address never set
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 7)
 	r := q.Search(0x3000, 9)
 	if r.Match {
 		t.Error("no address match expected")
@@ -95,8 +112,8 @@ func TestStoreQueueUnresolvedOlder(t *testing.T) {
 
 func TestStoreQueueMatchWithoutData(t *testing.T) {
 	q := NewStoreQueue(8)
-	q.Insert(1, 0)
-	q.SetAddr(1, 0x1000)
+	h, _ := q.Insert(1, 0)
+	q.SetAddr(h, 0x1000)
 	r := q.Search(0x1000, 5)
 	if !r.Match || r.DataReady {
 		t.Errorf("address match with pending data: %+v", r)
@@ -105,9 +122,7 @@ func TestStoreQueueMatchWithoutData(t *testing.T) {
 
 func TestStoreQueueWordGranularity(t *testing.T) {
 	q := NewStoreQueue(8)
-	q.Insert(1, 0)
-	q.SetAddr(1, 0x1000)
-	q.SetData(1, 7)
+	insertStore(q, 1, 0x1000, 7)
 	if r := q.Search(0x1004, 5); !r.Match {
 		t.Error("same word, different byte offset should match")
 	}
@@ -121,7 +136,7 @@ func TestStoreQueueRemoveSquash(t *testing.T) {
 	for i := int64(1); i <= 4; i++ {
 		q.Insert(i, 0)
 	}
-	q.Remove(1)
+	q.Pop()
 	if q.OldestTag() != 2 {
 		t.Errorf("OldestTag = %d", q.OldestTag())
 	}
@@ -143,7 +158,8 @@ func TestStoreQueueRemoveSquash(t *testing.T) {
 
 func TestAssocLQInsertCapacity(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 2)
-	if !q.Insert(1, 0) || !q.Insert(2, 0) || q.Insert(3, 0) {
+	insertLoads(q, 1, 2)
+	if _, ok := q.Insert(3, 0); ok {
 		t.Error("capacity enforcement failed")
 	}
 }
@@ -152,8 +168,8 @@ func TestRAWViolationDetection(t *testing.T) {
 	// Figure 1(a): load issues before an older store's address
 	// resolves; the store agen search finds it.
 	q := NewAssocLoadQueue(Snooping, 8)
-	q.Insert(5, 0x100) // load, program order after store tag 3
-	q.OnIssue(5, 0x1000, -1)
+	h := insertLoads(q, 5) // load, program order after store tag 3
+	q.OnIssue(h[0], 0x1000, -1)
 	sq, found := q.OnStoreAgen(0x1000, 3)
 	if !found || sq.Tag != 5 || sq.PC != 0x100 {
 		t.Fatalf("RAW violation not found: %+v %v", sq, found)
@@ -169,16 +185,16 @@ func TestRAWViolationDetection(t *testing.T) {
 
 func TestRAWForwardedFromYoungerStoreIsSafe(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 8)
-	q.Insert(5, 0x100)
+	h := insertLoads(q, 5)
 	// Load forwarded from store tag 4 (younger than resolving store 3).
-	q.OnIssue(5, 0x1000, 4)
+	q.OnIssue(h[0], 0x1000, 4)
 	if _, found := q.OnStoreAgen(0x1000, 3); found {
 		t.Error("load with value from a younger store must not squash")
 	}
 	// But a store younger than the forwarding store is a violation.
 	q2 := NewAssocLoadQueue(Snooping, 8)
-	q2.Insert(5, 0x100)
-	q2.OnIssue(5, 0x1000, 2)
+	h2 := insertLoads(q2, 5)
+	q2.OnIssue(h2[0], 0x1000, 2)
 	if _, found := q2.OnStoreAgen(0x1000, 3); !found {
 		t.Error("store between forwarder and load must squash the load")
 	}
@@ -188,10 +204,9 @@ func TestSnoopingInvalidation(t *testing.T) {
 	// Figure 1(b): an external invalidation matches an issued load that
 	// is not at the head.
 	q := NewAssocLoadQueue(Snooping, 8)
-	q.Insert(1, 0x100)
-	q.Insert(2, 0x104)
-	q.OnIssue(1, 0x1000, -1)
-	q.OnIssue(2, 0x1040, -1)
+	h := insertLoads(q, 1, 2)
+	q.OnIssue(h[0], 0x1000, -1)
+	q.OnIssue(h[1], 0x1040, -1)
 	sq, found := q.OnInvalidation(0x1040, 1)
 	if !found || sq.Tag != 2 {
 		t.Fatalf("snoop should squash load 2: %+v %v", sq, found)
@@ -205,8 +220,8 @@ func TestSnoopCommitPointExemption(t *testing.T) {
 	// The load at the commit point is never squashed (forward progress;
 	// paper §2.1)...
 	q := NewAssocLoadQueue(Snooping, 8)
-	q.Insert(1, 0x100)
-	q.OnIssue(1, 0x1000, -1)
+	h := insertLoads(q, 1)
+	q.OnIssue(h[0], 0x1000, -1)
 	if _, found := q.OnInvalidation(0x1000, 1); found {
 		t.Error("commit-point load must never squash on snoops")
 	}
@@ -227,10 +242,9 @@ func TestSnoopInFlightLoadSquashes(t *testing.T) {
 	// guarantee at commit (the MP litmus test observes that hole as
 	// r=1,0 under probe contention).
 	q := NewAssocLoadQueue(Snooping, 8)
-	q.Insert(1, 0x100)
-	q.Insert(2, 0x104)
-	q.OnIssue(1, 0x1000, -1)
-	q.OnIssue(2, 0x1000, -1)
+	h := insertLoads(q, 1, 2)
+	q.OnIssue(h[0], 0x1000, -1)
+	q.OnIssue(h[1], 0x1000, -1)
 	sq, found := q.OnInvalidation(0x1000, 0)
 	if !found || sq.Tag != 1 {
 		t.Fatalf("oldest in-flight load must squash: %+v %v", sq, found)
@@ -240,14 +254,13 @@ func TestSnoopInFlightLoadSquashes(t *testing.T) {
 func TestInsulatedLoadIssueSearch(t *testing.T) {
 	// Figure 1(c): younger load to the same address already issued.
 	q := NewAssocLoadQueue(Insulated, 8)
-	q.Insert(1, 0x100)
-	q.Insert(2, 0x104)
+	h := insertLoads(q, 1, 2)
 	// Younger load 2 issues first.
-	if _, found := q.OnIssue(2, 0x1000, -1); found {
+	if _, found := q.OnIssue(h[1], 0x1000, -1); found {
 		t.Error("first issue cannot conflict")
 	}
 	// Older load 1 issues to the same address: load 2 must squash.
-	sq, found := q.OnIssue(1, 0x1000, -1)
+	sq, found := q.OnIssue(h[0], 0x1000, -1)
 	if !found || sq.Tag != 2 {
 		t.Fatalf("insulated issue search failed: %+v %v", sq, found)
 	}
@@ -262,10 +275,9 @@ func TestInsulatedLoadIssueSearch(t *testing.T) {
 
 func TestInsulatedDifferentAddressNoSquash(t *testing.T) {
 	q := NewAssocLoadQueue(Insulated, 8)
-	q.Insert(1, 0x100)
-	q.Insert(2, 0x104)
-	q.OnIssue(2, 0x2000, -1)
-	if _, found := q.OnIssue(1, 0x1000, -1); found {
+	h := insertLoads(q, 1, 2)
+	q.OnIssue(h[1], 0x2000, -1)
+	if _, found := q.OnIssue(h[0], 0x1000, -1); found {
 		t.Error("different addresses must not conflict")
 	}
 }
@@ -274,33 +286,29 @@ func TestHybridMarkThenSquash(t *testing.T) {
 	// Power4: the snoop marks; only a later same-address load-issue
 	// search squashes marked conflicts.
 	q := NewAssocLoadQueue(Hybrid, 8)
-	q.Insert(1, 0x100)
-	q.Insert(2, 0x104)
-	q.Insert(3, 0x108)
-	q.OnIssue(2, 0x1040, -1)
+	h := insertLoads(q, 1, 2, 3)
+	q.OnIssue(h[1], 0x1040, -1)
 	if _, found := q.OnInvalidation(0x1040, 1); found {
 		t.Fatal("hybrid snoop must mark, not squash")
 	}
 	// Older load 1 issues to the same address: marked load 2 squashes.
-	sq, found := q.OnIssue(1, 0x1040, -1)
+	sq, found := q.OnIssue(h[0], 0x1040, -1)
 	if !found || sq.Tag != 2 {
 		t.Fatalf("marked conflict not squashed: %+v %v", sq, found)
 	}
 	// Unmarked same-address conflicts do not squash in hybrid mode.
 	q2 := NewAssocLoadQueue(Hybrid, 8)
-	q2.Insert(1, 0x100)
-	q2.Insert(2, 0x104)
-	q2.OnIssue(2, 0x1040, -1)
-	if _, found := q2.OnIssue(1, 0x1040, -1); found {
+	h2 := insertLoads(q2, 1, 2)
+	q2.OnIssue(h2[1], 0x1040, -1)
+	if _, found := q2.OnIssue(h2[0], 0x1040, -1); found {
 		t.Error("hybrid without snoop mark must not squash")
 	}
 }
 
 func TestSearchAccounting(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 8)
-	q.Insert(1, 0)
-	q.Insert(2, 0)
-	q.OnIssue(1, 0x1000, -1) // snooping: no search at issue
+	h := insertLoads(q, 1, 2)
+	q.OnIssue(h[0], 0x1000, -1) // snooping: no search at issue
 	if q.Searches != 0 {
 		t.Errorf("snooping issue should not search; Searches=%d", q.Searches)
 	}
@@ -314,8 +322,8 @@ func TestSearchAccounting(t *testing.T) {
 	}
 
 	ins := NewAssocLoadQueue(Insulated, 8)
-	ins.Insert(1, 0)
-	ins.OnIssue(1, 0x1000, -1)
+	hi := insertLoads(ins, 1)
+	ins.OnIssue(hi[0], 0x1000, -1)
 	if ins.Searches != 1 {
 		t.Errorf("insulated issue must search; Searches=%d", ins.Searches)
 	}
@@ -323,16 +331,14 @@ func TestSearchAccounting(t *testing.T) {
 
 func TestLoadQueueRemoveSquash(t *testing.T) {
 	q := NewAssocLoadQueue(Snooping, 8)
-	for i := int64(1); i <= 4; i++ {
-		q.Insert(i, 0)
-	}
-	q.Remove(1)
+	h := insertLoads(q, 1, 2, 3, 4)
+	q.Pop()
 	q.Squash(3)
 	if q.Len() != 1 {
 		t.Errorf("Len = %d, want 1", q.Len())
 	}
 	// Remaining load is tag 2 and now at the commit point: snoops skip it.
-	q.OnIssue(2, 0x1000, -1)
+	q.OnIssue(h[1], 0x1000, -1)
 	if _, found := q.OnInvalidation(0x1000, 2); found {
 		t.Error("commit-point skip after remove/squash failed")
 	}
@@ -357,10 +363,7 @@ func TestStoreQueueSearchProperty(t *testing.T) {
 			if i >= 60 {
 				break
 			}
-			tag := int64(i)
-			q.Insert(tag, 0)
-			q.SetAddr(tag, uint64(a)*8)
-			q.SetData(tag, uint64(i))
+			insertStore(q, int64(i), uint64(a)*8, uint64(i))
 		}
 		r := q.Search(uint64(addrs[0])*8, int64(loadTag))
 		return !r.Match || r.MatchTag < int64(loadTag)

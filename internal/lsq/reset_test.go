@@ -16,22 +16,27 @@ func driveQueues(sq *StoreQueue, lq *AssocLoadQueue, seed uint64) []any {
 		addr := (x >> 33) % 64 * 8
 		switch x >> 61 {
 		case 0, 1:
-			sq.Insert(tag, uint64(tag))
-			sq.SetAddr(tag, addr)
-			sq.SetData(tag, x)
+			if h, ok := sq.Insert(tag, uint64(tag)); ok {
+				sq.SetAddr(h, addr)
+				sq.SetData(h, x)
+			}
 			sqz, ok := lq.OnStoreAgen(addr, tag)
 			out = append(out, sqz, ok)
 		case 2, 3:
-			lq.Insert(tag, uint64(tag))
+			h, inserted := lq.Insert(tag, uint64(tag))
 			out = append(out, sq.Search(addr, tag))
-			sqz, ok := lq.OnIssue(tag, addr, -1)
+			var sqz Squash
+			var ok bool
+			if inserted {
+				sqz, ok = lq.OnIssue(h, addr, -1)
+			}
 			out = append(out, sqz, ok)
 		case 4:
 			sqz, ok := lq.OnInvalidation(addr, tag)
 			out = append(out, sqz, ok)
 		case 5:
-			if t := sq.OldestTag(); t >= 0 {
-				sq.Remove(t)
+			if sq.Len() > 0 {
+				sq.Pop()
 			}
 		default:
 			sq.Squash(tag - int64(x>>40%8))

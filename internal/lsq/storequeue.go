@@ -4,13 +4,19 @@
 // designs the paper describes — snooping, insulated, and Power4-style
 // hybrid — with CAM-search accounting for the §5.3 power model. The
 // replay machine's non-associative FIFO load queue lives in package
-// core, next to the replay engine that owns it.
+// core, next to the replay engine that owns it. Every one of these
+// queues keeps its entries in a Window and hands out a Handle per
+// entry, so only the modelled CAM searches scan.
 //
 // Tags are reorder-buffer sequence numbers: monotonically increasing,
 // never reused within a run, so tag order is program order.
 package lsq
 
-import "vbmo/internal/reuse"
+import (
+	"slices"
+
+	"vbmo/internal/reuse"
+)
 
 // StoreEntry is one in-flight store.
 type StoreEntry struct {
@@ -66,15 +72,18 @@ type SearchResult struct {
 // level-two buffer whose lookups are avoided by a membership filter
 // when no resolved older store can match.
 //
-// Internally the queue is struct-of-arrays (DESIGN.md §12): the fields
-// every Search touches for every entry — tag, resolved address, and the
-// resolved bit — live in dense parallel arrays the scan walks without
-// loading the cold payload (PC, data), which is only read on a match.
-// All arrays are preallocated to capacity; steady state never grows
-// them. Indices align across all six arrays at all times.
+// Stores are addressed by the handle Insert returns (DESIGN.md §21):
+// agen and data capture write their entry in O(1), commit pops the
+// head, and a squash truncates the tail. Internally the queue is
+// struct-of-arrays (DESIGN.md §12): the fields every Search touches for
+// every entry — tag, resolved address, and the resolved bit — live in
+// dense parallel arrays the scan walks without loading the cold payload
+// (PC, data), which is only read on a match. All arrays are
+// preallocated; steady state never grows them, and indices align with
+// the Window's tags at all times.
 type StoreQueue struct {
-	// Hot scan state, one element per in-flight store, program order.
-	tags   []int64
+	w Window // the tags, and the index of every handle
+	// Hot scan state, parallel to the tags.
 	addrs  []uint64
 	addrOK []bool
 	// Cold payload, parallel to the hot arrays.
@@ -82,12 +91,12 @@ type StoreQueue struct {
 	data   []uint64
 	dataOK []bool
 
-	cap int
 	// Searches counts associative lookups (loads probing for
 	// forwarding).
 	Searches uint64
 
-	// Two-level mode (0 = flat queue).
+	// Two-level mode (l1Size 0 = flat queue). Only a two-level queue
+	// uses its filter; Reset keeps it for EnableTwoLevel to reuse.
 	l1Size     int
 	l2Latency  int
 	filter     *BloomFilter
@@ -104,7 +113,8 @@ type StoreQueue struct {
 func (q *StoreQueue) EnableTwoLevel(l1Size, l2Latency, filterCounters int) {
 	q.l1Size = l1Size
 	q.l2Latency = l2Latency
-	q.filter = NewBloomFilter(filterCounters, 2)
+	q.filter = reuse.Ptr(q.filter)
+	q.filter.Reset(filterCounters, 2)
 }
 
 // NewStoreQueue creates a queue with the given capacity.
@@ -115,86 +125,91 @@ func NewStoreQueue(capacity int) *StoreQueue {
 }
 
 // Reset rebuilds q in place as NewStoreQueue(capacity) would build it —
-// empty, flat, counters zero — reusing its arrays when they fit.
+// empty, flat, counters zero — reusing its arrays when they fit. The
+// filter of an earlier EnableTwoLevel is kept for the next one to reuse.
 func (q *StoreQueue) Reset(capacity int) {
+	n := 2 * capacity
 	*q = StoreQueue{
-		cap:    capacity,
-		tags:   reuse.Empty(q.tags, capacity),
-		addrs:  reuse.Empty(q.addrs, capacity),
-		addrOK: reuse.Empty(q.addrOK, capacity),
-		pcs:    reuse.Empty(q.pcs, capacity),
-		data:   reuse.Empty(q.data, capacity),
-		dataOK: reuse.Empty(q.dataOK, capacity),
+		w:      q.w,
+		addrs:  reuse.Resized(q.addrs, n),
+		addrOK: reuse.Resized(q.addrOK, n),
+		pcs:    reuse.Resized(q.pcs, n),
+		data:   reuse.Resized(q.data, n),
+		dataOK: reuse.Resized(q.dataOK, n),
+		filter: q.filter,
 	}
+	q.w.Reset(capacity)
 }
 
 // Len returns the current occupancy.
-func (q *StoreQueue) Len() int { return len(q.tags) }
+func (q *StoreQueue) Len() int { return q.w.Len() }
 
 // Full reports whether another store can be inserted.
-func (q *StoreQueue) Full() bool { return len(q.tags) >= q.cap }
+func (q *StoreQueue) Full() bool { return q.w.Full() }
 
-// Insert adds a store at dispatch; it fails when the queue is full.
-// Tags must arrive in increasing order.
-func (q *StoreQueue) Insert(tag int64, pc uint64) bool {
-	if q.Full() {
-		return false
+// Insert adds a store at dispatch and returns its handle; it fails when
+// the queue is full. Tags must arrive in increasing order.
+//
+//vbr:hotpath
+func (q *StoreQueue) Insert(tag int64, pc uint64) (Handle, bool) {
+	if q.w.Full() {
+		return 0, false
 	}
-	if n := len(q.tags); n > 0 && q.tags[n-1] >= tag {
-		panic("lsq: store tags must be inserted in program order")
+	if from, n := q.w.Rebase(); n > 0 {
+		copy(q.addrs, q.addrs[from:from+n])
+		copy(q.addrOK, q.addrOK[from:from+n])
+		copy(q.pcs, q.pcs[from:from+n])
+		copy(q.data, q.data[from:from+n])
+		copy(q.dataOK, q.dataOK[from:from+n])
 	}
-	q.tags = append(q.tags, tag)
-	q.addrs = append(q.addrs, 0)
-	q.addrOK = append(q.addrOK, false)
-	q.pcs = append(q.pcs, pc)
-	q.data = append(q.data, 0)
-	q.dataOK = append(q.dataOK, false)
+	h, i := q.w.Push(tag)
+	q.addrs[i], q.addrOK[i] = 0, false
+	q.pcs[i] = pc
+	q.data[i], q.dataOK[i] = 0, false
 	q.unresolved++
-	return true
+	return h, true
 }
 
-// findIdx returns the index of the store with the given tag, or -1.
-func (q *StoreQueue) findIdx(tag int64) int {
-	for i, t := range q.tags {
-		if t == tag {
-			return i
+// SetAddr records the resolved effective address of the store with
+// handle h (agen).
+//
+//vbr:hotpath
+func (q *StoreQueue) SetAddr(h Handle, addr uint64) {
+	i := q.w.Index(h)
+	if !q.addrOK[i] {
+		q.unresolved--
+		if q.l1Size > 0 {
+			q.filter.Insert(addr &^ 7)
 		}
 	}
-	return -1
+	q.addrs[i] = addr
+	q.addrOK[i] = true
 }
 
-// SetAddr records the store's resolved effective address (agen).
-func (q *StoreQueue) SetAddr(tag int64, addr uint64) {
-	if i := q.findIdx(tag); i >= 0 {
-		if !q.addrOK[i] {
-			q.unresolved--
-			if q.filter != nil {
-				q.filter.Insert(addr &^ 7)
-			}
-		}
-		q.addrs[i] = addr
-		q.addrOK[i] = true
-	}
+// SetData records the data operand of the store with handle h.
+//
+//vbr:hotpath
+func (q *StoreQueue) SetData(h Handle, data uint64) {
+	i := q.w.Index(h)
+	q.data[i] = data
+	q.dataOK[i] = true
 }
 
-// SetData records the store's data operand.
-func (q *StoreQueue) SetData(tag int64, data uint64) {
-	if i := q.findIdx(tag); i >= 0 {
-		q.data[i] = data
-		q.dataOK[i] = true
-	}
-}
-
-// Entry returns a copy of the entry with the given tag.
+// Entry returns a copy of the entry with the given tag, found by binary
+// search: a store-set wait names its store by tag.
 func (q *StoreQueue) Entry(tag int64) (StoreEntry, bool) {
-	if i := q.findIdx(tag); i >= 0 {
-		return StoreEntry{
-			Tag: q.tags[i], PC: q.pcs[i],
-			Addr: q.addrs[i], AddrValid: q.addrOK[i],
-			Data: q.data[i], DataValid: q.dataOK[i],
-		}, true
+	tags := q.w.Tags()
+	j, found := slices.BinarySearch(tags, tag)
+	if !found {
+		return StoreEntry{}, false
 	}
-	return StoreEntry{}, false
+	lo, _ := q.w.Bounds()
+	i := lo + j
+	return StoreEntry{
+		Tag: tag, PC: q.pcs[i],
+		Addr: q.addrs[i], AddrValid: q.addrOK[i],
+		Data: q.data[i], DataValid: q.dataOK[i],
+	}, true
 }
 
 // Search probes for the youngest older store matching addr, as a load
@@ -245,7 +260,9 @@ func (q *StoreQueue) TwoLevel() bool { return q.l1Size > 0 }
 func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 	addr &^= 7
 	var r SearchResult
-	n := len(q.tags)
+	lo, hi := q.w.Bounds()
+	tags, addrs, addrOK := q.w.Tags(), q.addrs[lo:hi], q.addrOK[lo:hi]
+	n := len(tags)
 	l1Boundary := -1
 	if q.l1Size > 0 {
 		l1Boundary = n - q.l1Size
@@ -255,7 +272,7 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 			// Crossing into the level-two buffer: consult the filter
 			// once. With no unresolved stores anywhere and a filter
 			// miss, nothing deeper can match or alias.
-			if q.unresolved == 0 && q.filter != nil {
+			if q.unresolved == 0 {
 				r.FilterQueried = true
 				if !q.filter.has(addr) {
 					return r
@@ -264,19 +281,19 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 			r.Level2 = true
 			l1Boundary = -1 // count the crossing only once
 		}
-		if q.tags[i] >= loadTag {
+		if tags[i] >= loadTag {
 			continue
 		}
-		if !q.addrOK[i] {
+		if !addrOK[i] {
 			r.UnresolvedOlder = true
 			continue
 		}
-		if q.addrs[i]&^7 == addr {
+		if addrs[i]&^7 == addr {
 			r.Match = true
-			r.MatchTag = q.tags[i]
-			r.MatchPC = q.pcs[i]
-			r.Data = q.data[i]
-			r.DataReady = q.dataOK[i]
+			r.MatchTag = tags[i]
+			r.MatchPC = q.pcs[lo+i]
+			r.Data = q.data[lo+i]
+			r.DataReady = q.dataOK[lo+i]
 			if q.l1Size > 0 && i < n-q.l1Size {
 				r.Latency = q.l2Latency
 			}
@@ -289,11 +306,13 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 // UnresolvedBefore reports whether any store older than tag has an
 // unresolved address.
 func (q *StoreQueue) UnresolvedBefore(tag int64) bool {
-	for i, t := range q.tags {
+	lo, hi := q.w.Bounds()
+	addrOK := q.addrOK[lo:hi]
+	for i, t := range q.w.Tags() {
 		if t >= tag {
 			break
 		}
-		if !q.addrOK[i] {
+		if !addrOK[i] {
 			return true
 		}
 	}
@@ -301,58 +320,37 @@ func (q *StoreQueue) UnresolvedBefore(tag int64) bool {
 }
 
 // OldestTag returns the tag of the oldest in-flight store, or -1.
-func (q *StoreQueue) OldestTag() int64 {
-	if len(q.tags) == 0 {
-		return -1
-	}
-	return q.tags[0]
-}
+func (q *StoreQueue) OldestTag() int64 { return q.w.OldestTag() }
 
 // HasOlderThan reports whether any store older than tag is in flight.
-func (q *StoreQueue) HasOlderThan(tag int64) bool {
-	return len(q.tags) > 0 && q.tags[0] < tag
-}
+//
+//vbr:hotpath
+func (q *StoreQueue) HasOlderThan(tag int64) bool { return q.w.HasOlderThan(tag) }
 
-// Remove deletes the store with the given tag (at commit, after its
-// cache write).
-func (q *StoreQueue) Remove(tag int64) {
-	i := q.findIdx(tag)
-	if i < 0 {
-		return
-	}
-	q.dropAt(i)
-	q.tags = append(q.tags[:i], q.tags[i+1:]...)
-	q.addrs = append(q.addrs[:i], q.addrs[i+1:]...)
-	q.addrOK = append(q.addrOK[:i], q.addrOK[i+1:]...)
-	q.pcs = append(q.pcs[:i], q.pcs[i+1:]...)
-	q.data = append(q.data[:i], q.data[i+1:]...)
-	q.dataOK = append(q.dataOK[:i], q.dataOK[i+1:]...)
+// Window returns a copy of the queue's tag window, for invariant checks.
+func (q *StoreQueue) Window() Window { return q.w }
+
+// Pop removes the oldest store (at commit, after its cache write).
+//
+//vbr:hotpath
+func (q *StoreQueue) Pop() {
+	q.drop(q.w.Pop())
 }
 
 // Squash removes every store with tag >= fromTag.
 func (q *StoreQueue) Squash(fromTag int64) {
-	for i, t := range q.tags {
-		if t >= fromTag {
-			for j := i; j < len(q.tags); j++ {
-				q.dropAt(j)
-			}
-			q.tags = q.tags[:i]
-			q.addrs = q.addrs[:i]
-			q.addrOK = q.addrOK[:i]
-			q.pcs = q.pcs[:i]
-			q.data = q.data[:i]
-			q.dataOK = q.dataOK[:i]
-			return
-		}
+	i, end := q.w.Squash(fromTag)
+	for ; i < end; i++ {
+		q.drop(i)
 	}
 }
 
-// dropAt maintains the unresolved count and membership filter as the
-// entry at index i leaves the queue.
-func (q *StoreQueue) dropAt(i int) {
+// drop maintains the unresolved count and membership filter as the
+// entry at buffer index i leaves the queue.
+func (q *StoreQueue) drop(i int) {
 	if !q.addrOK[i] {
 		q.unresolved--
-	} else if q.filter != nil {
+	} else if q.l1Size > 0 {
 		q.filter.Remove(q.addrs[i] &^ 7)
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/bits"
+	"sort"
 
 	"vbmo/internal/bpred"
 	"vbmo/internal/cache"
@@ -392,7 +393,7 @@ func (c *Core) complete(e *entry) bool {
 	case e.isStore:
 		// Store agen completing.
 		e.agenDone = true
-		c.sq.SetAddr(e.tag, e.addr)
+		c.sq.SetAddr(e.qh, e.addr)
 		if e.dataDone {
 			e.done = true
 		} else {
@@ -413,7 +414,7 @@ func (c *Core) complete(e *entry) bool {
 		}
 	case e.isLoad:
 		e.loadDone = true
-		c.loads.remove(e.tag)
+		c.loads.complete(e.lth)
 	}
 	return false
 }
@@ -473,7 +474,7 @@ func (c *Core) captureStoreData() {
 		if v, ok := e.srcReady(2); ok {
 			e.value = v
 			e.dataDone = true
-			c.sq.SetData(e.tag, v)
+			c.sq.SetData(e.qh, v)
 			if c.iqParked != 0 {
 				c.unpark(c.parkedAfter(e.tag)) // a load waiting to forward from e
 			}
@@ -528,7 +529,7 @@ func (c *Core) commit() {
 			c.hier.Write(e.addr, c.cycle)
 			c.Stats.StoreAccesses++
 			c.Stats.CommittedStores++
-			c.sq.Remove(e.tag)
+			c.sq.Pop()
 			if c.ssets != nil {
 				c.ssets.StoreRetired(e.pc, e.tag)
 			}
@@ -546,9 +547,9 @@ func (c *Core) commit() {
 					// commit (replayed loads trained at compare).
 					c.vp.Train(e.pc, e.result, false)
 				}
-				c.eng.Queue.Remove(e.tag)
+				c.eng.Queue.Pop()
 			} else {
-				c.alq.Remove(e.tag)
+				c.alq.Pop()
 			}
 			if e.valuePredicted {
 				c.Stats.ValuePredictedCommitted++
@@ -666,16 +667,7 @@ func (c *Core) replayStage() {
 			// so nothing younger may replay either.
 			break
 		}
-		fe := c.eng.Queue.Find(e.tag)
-		if fe == nil {
-			e.replayedOK = true
-			c.commitQuiet = false
-			wake = c.cycle + 1
-			if !c.skipOff && i == c.replayBase {
-				c.replayBase++
-			}
-			continue
-		}
+		fe := c.eng.Queue.At(e.qh)
 		if !e.replayDecided {
 			wake = c.cycle + 1
 			e.replayDecided = true
@@ -1153,7 +1145,7 @@ func (c *Core) issueStoreAgen(e *entry, units *int) bool {
 	// searches in the same cycle (loads stop seeing this store as
 	// unresolved immediately); the load-queue violation search and the
 	// agenDone ordering flag still take effect at writeback.
-	c.sq.SetAddr(e.tag, e.addr)
+	c.sq.SetAddr(e.qh, e.addr)
 	if c.iqParked != 0 {
 		// A younger parked load may have waited on this address, or may
 		// now forward from it. A two-level search's counts depend on
@@ -1273,19 +1265,18 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	}
 
 	if c.eng != nil {
-		if fe := c.eng.Queue.Find(e.tag); fe != nil {
-			fe.Addr = e.addr
-			fe.Value = e.value
-			fe.Issued = true
-			fe.Forwarded = r.Match
-			fe.NUS = e.nus
-			fe.Reordered = e.reordered
-			fe.NoReplay = e.noReplay
-			fe.ValuePredicted = e.valuePredicted
-		}
+		fe := c.eng.Queue.At(e.qh)
+		fe.Addr = e.addr
+		fe.Value = e.value
+		fe.Issued = true
+		fe.Forwarded = r.Match
+		fe.NUS = e.nus
+		fe.Reordered = e.reordered
+		fe.NoReplay = e.noReplay
+		fe.ValuePredicted = e.valuePredicted
 		return true, false
 	}
-	if sqz, found := c.alq.OnIssue(e.tag, e.addr, e.forwardTag); found {
+	if sqz, found := c.alq.OnIssue(e.qh, e.addr, e.forwardTag); found {
 		// Insulated/hybrid load-issue search found a younger issued
 		// load to the same address (Figure 1(c)).
 		c.Stats.SquashesLoadIssue++
@@ -1330,9 +1321,9 @@ func (c *Core) unlink(p *entry) {
 // unresolved) — the no-reorder filter's issue-time condition. A store
 // is incomplete until it commits (writes the cache), and the store
 // queue holds exactly the dispatched-uncommitted stores, so its oldest
-// tag answers the store half in O(1); the loadTracker's sorted
-// incomplete-load tags answer the load half with one comparison. Both
-// are exact replacements for the former O(ROB) entry walk, not
+// tag answers the store half in O(1); the loadTracker's head, the
+// oldest incomplete load, answers the load half with one comparison.
+// Both are exact replacements for the former O(ROB) entry walk, not
 // approximations.
 //
 //vbr:hotpath
@@ -1444,7 +1435,7 @@ func (c *Core) dispatchOne(f *fetched) {
 	case isa.ClassLoad:
 		e.isLoad = true
 		c.iqInsert(e)
-		c.loads.add(e.tag)
+		e.lth = c.loads.add(e.tag)
 		if c.vp != nil && !(c.noReplayArmed && e.pc == c.noReplayPC) {
 			if v, ok := c.vp.Predict(e.pc); ok {
 				// Consumers may use the predicted value immediately;
@@ -1457,7 +1448,7 @@ func (c *Core) dispatchOne(f *fetched) {
 			}
 		}
 		if c.eng != nil {
-			c.eng.Queue.Insert(e.tag, e.pc)
+			e.qh, _ = c.eng.Queue.Insert(e.tag, e.pc) // dispatch checked Full
 			if c.noReplayArmed && e.pc == c.noReplayPC {
 				// Forward-progress rule 3: the refetched instance of a
 				// load that caused a replay squash is not replayed.
@@ -1465,7 +1456,7 @@ func (c *Core) dispatchOne(f *fetched) {
 				c.noReplayArmed = false
 			}
 		} else {
-			c.alq.Insert(e.tag, e.pc)
+			e.qh, _ = c.alq.Insert(e.tag, e.pc) // dispatch checked Full
 			if c.ssets != nil {
 				e.waitStoreTag = c.ssets.LoadDispatched(e.pc)
 			}
@@ -1473,7 +1464,7 @@ func (c *Core) dispatchOne(f *fetched) {
 	case isa.ClassStore:
 		e.isStore = true
 		c.iqInsert(e)
-		c.sq.Insert(e.tag, e.pc)
+		e.qh, _ = c.sq.Insert(e.tag, e.pc) // dispatch checked Full
 		if c.iqParked != 0 && c.sq.TwoLevel() {
 			// A deeper queue moves older stores toward level two, which
 			// changes what a parked load's search counts.
@@ -1555,15 +1546,9 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 		// Pending injections on killed loads leave the machine with them.
 		c.flt.OnSquash(c.ID, fromTag, c.cycle)
 	}
-	// Find the cut point.
+	// Find the cut point: ROB tags increase from the head.
 	robLen := c.rob.Len()
-	cut := robLen
-	for i := 0; i < robLen; i++ {
-		if c.rob.At(i).tag >= fromTag {
-			cut = i
-			break
-		}
-	}
+	cut := sort.Search(robLen, func(i int) bool { return c.rob.At(i).tag >= fromTag })
 	if !branchRepair {
 		if cut < robLen {
 			c.bp.SetHistory(c.rob.At(cut).histSnapshot)
@@ -1576,9 +1561,8 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.Stats.SquashedInstrs += uint64(robLen-cut) + uint64(c.fetchQ.Len())
 	// Recycle the killed entries (oldest first, matching the old append
 	// order) before the ring drops its references. Each killed consumer
-	// still holding a producer pointer releases its reference count,
-	// killed loads leave the incomplete-load bitset, and killed queue
-	// entries free their slots.
+	// still holding a producer pointer releases its reference count, and
+	// killed issue-queue entries free their slots.
 	var killed uint64
 	for i := cut; i < robLen; i++ {
 		e := c.rob.At(i)
@@ -1591,9 +1575,6 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 		}
 		if e.src2 != nil {
 			e.src2.consumers--
-		}
-		if e.isLoad {
-			c.loads.remove(e.tag)
 		}
 		c.pool.put(e)
 	}
@@ -1630,6 +1611,7 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.pend.filterOlder(fromTag)
 	c.psd = filterOlder(c.psd, fromTag)
 
+	c.loads.squash(fromTag)
 	c.sq.Squash(fromTag)
 	if c.iqParked != 0 && c.sq.TwoLevel() {
 		// The squash changed the queue's depth and its unresolved stores.
@@ -1699,7 +1681,7 @@ func (c *Core) HandleExternalInvalidation(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRS window never opens
 		}
-		c.eng.NoteExternalEvent(c.youngestLoadTag())
+		c.eng.NoteExternalEvent(c.eng.Queue.YoungestTag())
 	}
 }
 
@@ -1714,17 +1696,8 @@ func (c *Core) HandleExternalFill(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRM window never opens
 		}
-		c.eng.NoteExternalEvent(c.youngestLoadTag())
+		c.eng.NoteExternalEvent(c.eng.Queue.YoungestTag())
 	}
-}
-
-func (c *Core) youngestLoadTag() int64 {
-	for i := c.rob.Len() - 1; i >= 0; i-- {
-		if e := c.rob.At(i); e.isLoad {
-			return e.tag
-		}
-	}
-	return -1
 }
 
 // portCap returns the commit-stage cache port count (1 in the paper).

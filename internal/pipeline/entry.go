@@ -13,6 +13,7 @@ import (
 	"vbmo/internal/bpred"
 	"vbmo/internal/consistency"
 	"vbmo/internal/isa"
+	"vbmo/internal/lsq"
 	"vbmo/internal/reuse"
 )
 
@@ -84,6 +85,10 @@ type entry struct {
 	waitStoreTag    int64
 	nus             bool // issued past an unresolved store address
 	reordered       bool // issued while prior memory ops incomplete
+	// qh is a load's handle in the load queue (FIFO or associative) or a
+	// store's in the store queue; lth is a load's handle in the
+	// incomplete-load tracker. Both are set at dispatch (DESIGN.md §21).
+	qh, lth lsq.Handle
 
 	// Provenance (consistency tracking): the identity of the store
 	// whose value this load observed, sampled with the value.

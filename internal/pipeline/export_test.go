@@ -172,6 +172,77 @@ func (c *Core) CheckIQ() error {
 	return nil
 }
 
+// CheckLSQ checks the handle-addressed memory queues (DESIGN.md §21)
+// against the ROB, read-only, and reports the first disagreement: the
+// load queue (FIFO or associative) and the store queue hold exactly the
+// ROB's loads and stores, oldest first; every ROB load's and store's
+// queue handle addresses the entry holding its own tag; and the
+// incomplete-load tracker holds exactly the ROB's loads from the oldest
+// one that is not loadDone on, each reached by its tracker handle.
+func (c *Core) CheckLSQ() error {
+	var lq lsq.Window
+	if c.eng != nil {
+		lq = c.eng.Queue.Window()
+	} else {
+		lq = c.alq.Window()
+	}
+	queues := [2]struct {
+		name string
+		w    lsq.Window
+		n    int // ROB entries of the queue's kind seen so far
+	}{{name: "load queue", w: lq}, {name: "store queue", w: c.sq.Window()}}
+	tr := c.loads.w
+	tracked := 0 // ROB loads seen from the oldest incomplete one on
+	for i := 0; i < c.rob.Len(); i++ {
+		e := c.rob.At(i)
+		if !e.isLoad && !e.isStore {
+			continue
+		}
+		q := &queues[0]
+		if e.isStore {
+			q = &queues[1]
+		}
+		if tags := q.w.Tags(); q.n >= len(tags) || tags[q.n] != e.tag {
+			return fmt.Errorf("tag %d is %s %d of the ROB's, which holds tags %v", e.tag, q.name, q.n, tags)
+		}
+		q.n++
+		if err := checkHandle(q.name, q.w, e.qh, e.tag); err != nil {
+			return err
+		}
+		if e.isStore || (tracked == 0 && e.loadDone) {
+			continue
+		}
+		if tags := tr.Tags(); tracked >= len(tags) || tags[tracked] != e.tag {
+			return fmt.Errorf("load %d is tracked load %d, the tracker holds tags %v", e.tag, tracked, tags)
+		}
+		tracked++
+		if err := checkHandle("load tracker", tr, e.lth, e.tag); err != nil {
+			return err
+		}
+	}
+	for _, q := range queues {
+		if q.n != q.w.Len() {
+			return fmt.Errorf("the ROB holds %d entries of the %s, which holds %d", q.n, q.name, q.w.Len())
+		}
+	}
+	if tracked != tr.Len() {
+		return fmt.Errorf("the tracker holds %d loads, %d ROB loads are from the oldest incomplete one on", tr.Len(), tracked)
+	}
+	return nil
+}
+
+// checkHandle reports whether handle h addresses an entry of w that
+// holds tag.
+func checkHandle(queue string, w lsq.Window, h lsq.Handle, tag int64) error {
+	if h < w.Head() || h >= w.Tail() {
+		return fmt.Errorf("tag %d: %s handle %d is outside [%d, %d)", tag, queue, h, w.Head(), w.Tail())
+	}
+	if got := w.Tag(h); got != tag {
+		return fmt.Errorf("tag %d: %s handle %d addresses tag %d", tag, queue, h, got)
+	}
+	return nil
+}
+
 // checkDumpParked checks that Dump marks exactly the parked entries.
 func (c *Core) checkDumpParked() error {
 	parkedTags := map[int64]bool{}
@@ -201,6 +272,24 @@ func (c *Core) StrandLoad() bool {
 	for m := c.iqReady; m != 0; m &= m - 1 {
 		if e := c.iq[bits.TrailingZeros64(m)]; e.isLoad && !c.sq.HasOlderThan(e.tag) {
 			c.park(e, false, false, lsq.SearchResult{})
+			return true
+		}
+	}
+	return false
+}
+
+// SwapLoadHandles swaps the load-queue handles of the two oldest ROB
+// loads, as a dispatch that recorded the wrong handle would, and reports
+// whether it found two. A second call undoes the first.
+func (c *Core) SwapLoadHandles() bool {
+	var first *entry
+	for i := 0; i < c.rob.Len(); i++ {
+		if e := c.rob.At(i); e.isLoad {
+			if first == nil {
+				first = e
+				continue
+			}
+			first.qh, e.qh = e.qh, first.qh
 			return true
 		}
 	}

@@ -9,14 +9,15 @@ import (
 	"vbmo/internal/workload"
 )
 
-// TestIQReadyMaskInvariants checks the wake-up issue queue before every
-// cycle (Core.CheckIQ) across the machine registry — baseline and
-// insulated load queues, the replay filters, value prediction, the
-// two-level store queue — on a uniprocessor run and a 4-way coherence
-// run, plus 16-way runs. A lost wake-up, or a parked load that missed
-// the event that unblocked it or changed what its probe counts, would
-// otherwise show only as a timing change, a counter drift or a watchdog
-// deadlock.
+// TestIQReadyMaskInvariants checks the wake-up issue queue (Core.CheckIQ)
+// and the handle-addressed memory queues (Core.CheckLSQ) before every
+// cycle across the machine registry — baseline and insulated load
+// queues, the replay filters, value prediction, the two-level store
+// queue — on a uniprocessor run and a 4-way coherence run, plus 16-way
+// runs. A lost wake-up, a parked load that missed the event that
+// unblocked it or changed what its probe counts, or a stale queue
+// handle would otherwise show only as a timing change, a counter drift
+// or a watchdog deadlock.
 func TestIQReadyMaskInvariants(t *testing.T) {
 	type run struct {
 		name  string
@@ -63,11 +64,44 @@ func TestIQReadyMaskInvariants(t *testing.T) {
 						if err := c.CheckIQ(); err != nil {
 							t.Fatalf("cycle %d core %d: %v", cycle, c.ID, err)
 						}
+						if err := c.CheckLSQ(); err != nil {
+							t.Fatalf("cycle %d core %d: %v", cycle, c.ID, err)
+						}
 					}
 				}}
 			s = system.New(r.cfg, work, opt)
 			s.Run(r.insts, opt)
 		})
+	}
+}
+
+// TestCheckLSQCatchesStaleHandle swaps two loads' queue handles in the
+// middle of a run, as a handle recorded for the wrong load would, and
+// checks that CheckLSQ reports it at that cycle, on the associative and
+// the FIFO load queue.
+func TestCheckLSQCatchesStaleHandle(t *testing.T) {
+	work, _ := workload.ByName("gzip")
+	for _, machine := range []string{"baseline", "no-recent-snoop"} {
+		cfg, _ := config.ByName(machine)
+		var s *system.System
+		caught := false
+		opt := system.Options{Cores: 1, Seed: 5, OnCycle: func(cycle int64) {
+			c := s.Cores[0]
+			if caught || cycle < 500 || !c.SwapLoadHandles() {
+				return
+			}
+			err := c.CheckLSQ()
+			c.SwapLoadHandles()
+			if err == nil || !strings.Contains(err.Error(), "load queue handle") {
+				t.Fatalf("%s cycle %d: swapped load handles, CheckLSQ reported %v", machine, cycle, err)
+			}
+			caught = true
+		}}
+		s = system.New(cfg, work, opt)
+		s.Run(2000, opt)
+		if !caught {
+			t.Errorf("%s: never held two loads to swap", machine)
+		}
 	}
 }
 

@@ -18,7 +18,12 @@
 
 package pipeline
 
-import "math"
+import (
+	"math"
+
+	"vbmo/internal/lsq"
+	"vbmo/internal/reuse"
+)
 
 // noDue is the "no deadline" sentinel of the writeback watermark and
 // the replay wake cycle: only an event wakes the stage.
@@ -74,62 +79,53 @@ func (c *Core) commitDue() bool    { return !c.commitQuiet }
 func (c *Core) replayDue() bool    { return c.cycle >= c.replayWake }
 func (c *Core) issueDue() bool     { return c.iqReady != 0 }
 
-// loadTracker holds the tags of ROB-resident loads whose premature
-// execution has not yet completed, sorted ascending. Dispatch appends
-// (tags are monotone), completion and squash remove, so "is any older
-// load still incomplete?" — issueLoad's prior-memory-incomplete
-// condition — is one comparison against the oldest tracked tag instead
-// of a walk over the ROB. A residue bitset would not do here: squashes
-// leave gaps in the ROB's tag sequence, so the live tag window is
-// unbounded and tag-mod-capacity indexing aliases.
+// loadTracker answers "is any older load still incomplete?" —
+// issueLoad's prior-memory-incomplete condition — with one comparison
+// instead of a walk over the ROB. It queues the ROB's loads in program
+// order from the oldest one whose premature execution has not completed:
+// dispatch pushes, a completion marks its load done through the handle
+// dispatch recorded and pops every done load at the head, and a squash
+// truncates the tail. The head is therefore the oldest incomplete load.
+// Every queued load is in the ROB (a load commits only after it and
+// every older load completed, by which time it was popped), so ROBSize
+// entries suffice, and a squash's tag gaps do not matter.
 type loadTracker struct {
-	tags []int64
+	w    lsq.Window
+	done []bool // parallel to the window's tags
 }
 
 func (t *loadTracker) init(robSize int) {
-	t.tags = t.tags[:0]
-	if cap(t.tags) < robSize {
-		t.tags = make([]int64, 0, robSize)
+	t.w.Reset(robSize)
+	t.done = reuse.Resized(t.done, 2*robSize)
+}
+
+// add queues a newly dispatched load and returns its handle.
+//
+//vbr:hotpath
+func (t *loadTracker) add(tag int64) lsq.Handle {
+	if from, n := t.w.Rebase(); n > 0 {
+		copy(t.done, t.done[from:from+n])
+	}
+	h, i := t.w.Push(tag)
+	t.done[i] = false
+	return h
+}
+
+// complete marks the load with handle h done and pops the done loads at
+// the head.
+//
+//vbr:hotpath
+func (t *loadTracker) complete(h lsq.Handle) {
+	t.done[t.w.Index(h)] = true
+	for lo, hi := t.w.Bounds(); lo < hi && t.done[lo]; lo++ {
+		t.w.Pop()
 	}
 }
 
-// add records a newly dispatched load. Tags arrive in increasing order,
-// so appending keeps the list sorted. The backing array holds ROBSize
-// tags — the most that can ever be in flight — so the append never
-// grows it.
-//
-//vbr:hotpath
-func (t *loadTracker) add(tag int64) {
-	t.tags = append(t.tags, tag) //vbr:allow hotalloc capacity preallocated to ROB size in init
-}
+// squash drops every load with tag >= fromTag.
+func (t *loadTracker) squash(fromTag int64) { t.w.Squash(fromTag) }
 
-// remove drops tag from the list if present (a squashed load may have
-// completed already, in which case it was removed at completion).
-// Loads complete roughly in order, so the binary search usually lands
-// near the front and the shift is short.
+// hasBefore reports whether any incomplete load is older than tag.
 //
 //vbr:hotpath
-func (t *loadTracker) remove(tag int64) {
-	lo, hi := 0, len(t.tags)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.tags[mid] < tag {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(t.tags) && t.tags[lo] == tag {
-		copy(t.tags[lo:], t.tags[lo+1:])
-		t.tags = t.tags[:len(t.tags)-1]
-	}
-}
-
-// hasBefore reports whether any tracked (incomplete) load is older
-// than tag. Every tracked tag belongs to a ROB-resident load, so no
-// lower bound is needed.
-//
-//vbr:hotpath
-func (t *loadTracker) hasBefore(tag int64) bool {
-	return len(t.tags) > 0 && t.tags[0] < tag
-}
+func (t *loadTracker) hasBefore(tag int64) bool { return t.w.HasOlderThan(tag) }

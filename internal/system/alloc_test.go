@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vbmo/internal/config"
+	"vbmo/internal/prog"
 	"vbmo/internal/workload"
 )
 
@@ -44,17 +45,44 @@ func steadyAllocsPerInstr(t *testing.T, machine string, window uint64) float64 {
 // set touched for the first time, an MSHR growth) stays within it.
 // Besides the baseline and the paper's filtered replay machine, it
 // covers the machines whose simple-predictor, value-prediction and
-// two-level store-queue paths wake parked loads.
+// two-level store-queue paths wake parked loads, and every associative
+// load-queue mode, with and without its Bloom filter.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement skipped in -short")
 	}
-	for _, machine := range []string{"baseline", "no-recent-snoop", "replay-all", "replay-vpred", "baseline-hiersq"} {
+	for _, machine := range []string{"baseline", "no-recent-snoop", "replay-all", "replay-vpred", "baseline-hiersq",
+		"baseline-bloom", "baseline-insulated", "baseline-hybrid"} {
 		got := steadyAllocsPerInstr(t, machine, 4000)
 		t.Logf("%s: %.5f allocs/committed instr", machine, got)
 		if got > 0.005 {
 			t.Errorf("%s: steady-state allocations regressed: %.5f allocs/instr (want <= 0.005)",
 				machine, got)
+		}
+	}
+}
+
+// TestResetAllocs: a Reset keeps the machine's storage (DESIGN.md §17),
+// the Bloom filters of the load queue and the two-level store queue
+// included, so resetting a machine with either filter allocates exactly
+// what resetting the baseline does: only the small per-run helpers
+// every build makes afresh.
+func TestResetAllocs(t *testing.T) {
+	work := mustWork(t, "gzip")
+	opt := Options{Cores: 1, Seed: 42}
+	program := workload.Generate(work, opt.Seed)
+	inits := []prog.ArchState{workload.InitState(work, 0, opt.Seed)}
+	resetAllocs := func(machine string) float64 {
+		mc, _ := config.ByName(machine)
+		s := NewCustom(mc, program, inits, opt)
+		s.Advance(3000, opt)
+		return testing.AllocsPerRun(10, func() { s.Reset(program, inits, opt) })
+	}
+	want := resetAllocs("baseline")
+	t.Logf("baseline: %.0f allocs per Reset", want)
+	for _, machine := range []string{"baseline-bloom", "baseline-hiersq"} {
+		if got := resetAllocs(machine); got != want {
+			t.Errorf("%s: %.0f allocs per Reset, baseline %.0f", machine, got, want)
 		}
 	}
 }
