@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"vbmo/internal/config"
@@ -504,31 +505,37 @@ type sweepOptions struct {
 	journal     string
 }
 
-// runSeedSweep runs the workload once per seed across a worker pool
-// and reports every run in seed order: JSON Lines (one -json object
-// per run) or a text table with an IPC summary. Results are written
-// only after every cell finishes, so output order — and, because each
-// cell derives its own seed, every number in it — is independent of
-// worker scheduling.
-func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
-	// seedRun is the journaled per-cell record: the full -json result
-	// plus the SC verdict bit, so a resumed cell replays bit-identically
-	// in both output modes without re-simulating.
-	type seedRun struct {
-		Out    jsonResult `json:"out"`
-		SCViol bool       `json:"sc_viol,omitempty"`
-	}
-	runs := make([]seedRun, o.seeds)
-	failed := make([]bool, o.seeds)
+// seedRun is the journaled per-cell record of a -seeds sweep: the full
+// -json result plus the SC verdict bit, so a resumed cell replays
+// bit-identically in both output modes without re-simulating.
+type seedRun struct {
+	Out    jsonResult `json:"out"`
+	SCViol bool       `json:"sc_viol,omitempty"`
+}
+
+// seedSweep is a finished -seeds sweep: one record per seed in seed
+// order, which seeds failed, the failures, and how many cells were
+// replayed from the journal.
+type seedSweep struct {
+	runs     []seedRun
+	failed   []bool
+	failures []par.Failure
+	resumed  int
+}
+
+// sweepSeeds runs the workload once per seed across a worker pool. An
+// attempt abandoned at its deadline keeps running, but its record is
+// dropped: the seed keeps the failure record the sweep gave it.
+func sweepSeeds(cfg config.Machine, work workload.Params, o sweepOptions) (seedSweep, error) {
+	sw := seedSweep{runs: make([]seedRun, o.seeds), failed: make([]bool, o.seeds)}
+	runs := sw.runs
 	key := func(i int) string { return fmt.Sprintf("seed=%d", o.baseSeed+uint64(i)) }
 
 	var journal *par.Journal
-	resumed := 0
 	if o.journal != "" {
 		j, err := par.OpenJournal(o.journal, sweepFingerprint(cfg, work, o))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(exitcode.Err)
+			return sw, err
 		}
 		journal = j
 		defer journal.Close()
@@ -536,17 +543,28 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 	todo := make([]int, 0, o.seeds)
 	for i := 0; i < o.seeds; i++ {
 		if journal != nil && journal.Lookup(key(i), &runs[i]) {
-			resumed++
+			sw.resumed++
 			continue
 		}
 		todo = append(todo, i)
+	}
+	// abandoned marks the seeds the sweep gave up on: a straggler that
+	// finishes later must not write its record.
+	var mu sync.Mutex
+	abandoned := make([]bool, o.seeds)
+	finish := func(i int, r seedRun) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !abandoned[i] {
+			runs[i] = r
+		}
 	}
 
 	workers := 1
 	if o.parallel {
 		workers = par.Workers(o.workers)
 	}
-	failures := par.RunSafe(par.SafeOptions{
+	sw.failures = par.RunSafe(par.SafeOptions{
 		Workers: workers, Retries: o.retries, Backoff: 50 * time.Millisecond,
 		Timeout: o.cellTimeout,
 		Label:   func(t int) string { return key(todo[t]) },
@@ -582,7 +600,7 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 			r.Out.SC = &scText
 		}
 		attachDiagnostics(&r.Out, s, res.Pipe.Committed < o.insts*uint64(o.cores))
-		runs[i] = r
+		finish(i, r)
 		if journal != nil {
 			if err := journal.Record(key(i), r); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)
@@ -590,17 +608,35 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 		}
 		return nil
 	})
-	for _, f := range failures {
+	mu.Lock()
+	defer mu.Unlock()
+	for _, f := range sw.failures {
 		// Remap to the original cell index; the slot may hold a
-		// straggler's partial write, so it is replaced wholesale and
-		// excluded from every fold below.
+		// straggler's record, so it is replaced wholesale and excluded
+		// from every fold of the report.
 		i := todo[f.Index]
-		failed[i] = true
+		abandoned[i] = true
+		sw.failed[i] = true
 		runs[i] = seedRun{Out: jsonResult{
 			Machine: cfg.Name, Workload: work.Name, Cores: o.cores,
 			Seed: o.baseSeed + uint64(i), Error: f.String(),
 		}}
 	}
+	return sw, nil
+}
+
+// runSeedSweep runs the sweep and reports every run in seed order: JSON
+// Lines (one -json object per run) or a text table with an IPC summary.
+// Results are written only after every cell finishes, so output order —
+// and, because each cell derives its own seed, every number in it — is
+// independent of worker scheduling.
+func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
+	sw, err := sweepSeeds(cfg, work, o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(exitcode.Err)
+	}
+	runs, failed, failures := sw.runs, sw.failed, sw.failures
 
 	anyViolation, anyDeadlock, anyMissed, anyIncomplete := false, false, false, false
 	var ipc stats.Sample
@@ -642,8 +678,8 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 	}
 	if !o.jsonOut {
 		fmt.Printf("%d seeds: IPC %s\n", o.seeds, ipc.String())
-		if resumed > 0 {
-			fmt.Printf("resumed %d cell(s) from %s\n", resumed, o.journal)
+		if sw.resumed > 0 {
+			fmt.Printf("resumed %d cell(s) from %s\n", sw.resumed, o.journal)
 		}
 	}
 	for _, f := range failures {

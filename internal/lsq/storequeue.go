@@ -94,6 +94,9 @@ type StoreQueue struct {
 	// Searches counts associative lookups (loads probing for
 	// forwarding).
 	Searches uint64
+	// Compared counts the entries Peek compared: host work, not a
+	// modelled count (pipeline.WorkStats.SQCompares).
+	Compared uint64
 
 	// Two-level mode (l1Size 0 = flat queue). Only a two-level queue
 	// uses its filter; Reset keeps it for EnableTwoLevel to reuse.
@@ -250,11 +253,12 @@ func (q *StoreQueue) Charge(searches, l2, filterQueries uint64) {
 func (q *StoreQueue) TwoLevel() bool { return q.l1Size > 0 }
 
 // Peek is Search without counting: it reads the queue and reports what
-// a Search would find and count. Word (8-byte) granularity. In
-// two-level mode a match found beyond the level-one region reports the
-// level-two latency, and the level-two probe is skipped entirely when
-// the membership filter proves no resolved store there can match (and
-// no unresolved store could alias).
+// a Search would find and count. Only the host-work count Compared
+// moves. Word (8-byte) granularity. In two-level mode a match found
+// beyond the level-one region reports the level-two latency, and the
+// level-two probe is skipped entirely when the membership filter proves
+// no resolved store there can match (and no unresolved store could
+// alias).
 //
 //vbr:hotpath
 func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
@@ -281,6 +285,7 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 			r.Level2 = true
 			l1Boundary = -1 // count the crossing only once
 		}
+		q.Compared++
 		if tags[i] >= loadTag {
 			continue
 		}

@@ -100,6 +100,9 @@ type Core struct {
 	// lives outside Stats so a skipping run's Result stays bit-identical
 	// to a non-skipping one (same contract as the system's FFStats).
 	Skip SkipStats
+	// work counts the stage scans' host work (WorkStats), outside Stats
+	// for the same reason.
+	work WorkStats
 
 	// CommitHook, if set, observes every committed instruction (the
 	// machine-equivalence oracle and the constraint-graph checker).
@@ -259,6 +262,14 @@ func (c *Core) SimplePredictor() *deppred.Simple { return c.simple }
 // Cycle returns the current cycle.
 func (c *Core) Cycle() int64 { return c.cycle }
 
+// Work returns the core's host work counts since the last Reset or
+// ResetStats.
+func (c *Core) Work() WorkStats {
+	w := c.work
+	w.SQCompares = c.sq.Compared
+	return w
+}
+
 // SetTracer attaches (or, with nil, detaches) the observability event
 // stream. It also hooks the events only the queue structures can see
 // (the hybrid load queue's snoop marks).
@@ -303,6 +314,7 @@ func (c *Core) SQLen() int { return c.sq.Len() }
 //
 //vbr:hotpath
 func (c *Core) Step() {
+	c.work.Steps++
 	c.portsUsed = 0
 	c.storeCommitted = false
 	if c.skipOff || c.writebackDue() {
@@ -354,6 +366,7 @@ func (c *Core) writeback() {
 	min := noDue
 	i := 0
 	for i < c.pend.len() {
+		c.work.Writeback++
 		if d := c.pend.due[i]; d > c.cycle {
 			if d < min {
 				min = d
@@ -466,6 +479,7 @@ func (c *Core) trainSimple(pc uint64) {
 func (c *Core) captureStoreData() {
 	i := 0
 	for i < len(c.psd) {
+		c.work.Capture++
 		e := c.psd[i]
 		if e.dataDone {
 			c.psd = swapRemove(c.psd, i)
@@ -497,6 +511,7 @@ func (c *Core) captureStoreData() {
 
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.Width && c.rob.Len() > 0; n++ {
+		c.work.Commit++
 		e := c.rob.At(0)
 		if !e.done {
 			// Head blocked on completion: only a completion, a data
@@ -650,6 +665,7 @@ func (c *Core) replayStage() {
 	// replay miss delays every younger completion (lastReplayCycle).
 	olderPending := false
 	for i := start; i < depth; i++ {
+		c.work.Replay++
 		e := c.rob.At(i)
 		if e.isStore {
 			// Constraint 1: all prior stores must have written the
@@ -838,9 +854,11 @@ func (c *Core) issue() {
 			// Only parked loads are left. With nothing left to issue,
 			// nothing can wake or kill one before the scan would reach
 			// it, so they are charged at once.
+			c.work.Issue += uint64(bits.OnesCount64(ready))
 			c.chargeVisits(ready, &b)
 			return
 		}
+		c.work.Issue++
 		s := c.oldest(ready)
 		bit := uint64(1) << s
 		ready &^= bit
@@ -1714,6 +1732,7 @@ func (c *Core) portCap() int {
 func (c *Core) ResetStats() {
 	c.Stats = Stats{}
 	c.Skip = SkipStats{}
+	c.work = WorkStats{}
 	c.hier.ResetStats()
 	c.bp.Lookups, c.bp.Mispredicts = 0, 0
 	if c.eng != nil {
@@ -1727,7 +1746,7 @@ func (c *Core) ResetStats() {
 		c.alq.IssueSquashes = 0
 		c.alq.BloomFiltered = 0
 	}
-	c.sq.Searches, c.sq.L2Searches, c.sq.L2Filtered = 0, 0, 0
+	c.sq.Searches, c.sq.L2Searches, c.sq.L2Filtered, c.sq.Compared = 0, 0, 0, 0
 	c.simple.Trainings, c.simple.Waits = 0, 0
 	if c.ssets != nil {
 		c.ssets.Violations, c.ssets.Dependences = 0, 0

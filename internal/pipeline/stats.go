@@ -48,6 +48,33 @@ type Stats struct {
 	StallROB, StallIQ, StallLQ, StallSQ, StallBarrier uint64
 }
 
+// WorkStats counts the host work that the speed layers exist to save
+// (DESIGN.md §22): Step calls, the entries each back-end stage scan
+// visits, and the store-queue entries load searches compare. The counts
+// are exact, so a change that adds work shows on any host. They stay
+// outside Stats, like SkipStats, because runs that are otherwise
+// bit-identical differ in them by design: skipping exists to lower them.
+type WorkStats struct {
+	Steps      uint64 // Core.Step calls
+	Writeback  uint64 // pending-list entries the writeback scan visited
+	Capture    uint64 // store-data list entries the capture scan visited
+	Commit     uint64 // ROB heads the commit stage checked
+	Replay     uint64 // ROB entries the replay scan visited
+	Issue      uint64 // issue-queue entries the issue scan visited, parked loads included
+	SQCompares uint64 // store-queue entries load searches compared
+}
+
+// Add accumulates o into w (the system sums per-core work).
+func (w *WorkStats) Add(o WorkStats) {
+	w.Steps += o.Steps
+	w.Writeback += o.Writeback
+	w.Capture += o.Capture
+	w.Commit += o.Commit
+	w.Replay += o.Replay
+	w.Issue += o.Issue
+	w.SQCompares += o.SQCompares
+}
+
 // IPC returns committed instructions per cycle.
 func (s *Stats) IPC() float64 {
 	if s.Cycles == 0 {

@@ -230,11 +230,11 @@ func TestQuiescentMeansStepSkips(t *testing.T) {
 	}
 }
 
-// TestFastForwardProbeBound runs BENCH_3's two fast-forward cells, a
-// warmed window of baseline spin/1 and of spin-mp/16, and bounds the
-// fast-forward by counts, which are the same on every host: the skip
-// must cover most of the window, and Advance may make at most one
-// per-core Quiescent probe per skipped core-cycle.
+// TestFastForwardProbeBound runs the two fast-forward windows of
+// TestSpeedLayersAddNoWork, a warmed window of baseline spin/1 and of
+// spin-mp/16, and bounds the fast-forward by counts, which are the same
+// on every host: the skip must cover most of the window, and Advance
+// may make at most one per-core Quiescent probe per skipped core-cycle.
 func TestFastForwardProbeBound(t *testing.T) {
 	cfg, _ := config.ByName("baseline")
 	for _, tc := range []struct {
@@ -332,9 +332,9 @@ func TestFastForwardNeverCrossesFaultDelivery(t *testing.T) {
 }
 
 // benchSpin measures simulated instructions per wall-second on the
-// latency-bound spin workload with or without fast-forward; the BENCH_3
-// gate (≥1.8× with skipping — the non-fast-forward baseline got faster
-// in BENCH_3, shrinking the ratio) mirrors this pair.
+// latency-bound spin workload with or without fast-forward. The pair
+// is for reading by hand; the fast-forward is gated on counts
+// (TestFastForwardProbeBound, TestSpeedLayersAddNoWork).
 func benchSpin(b *testing.B, noFF bool) {
 	cfg, _ := config.ByName("baseline")
 	work, _ := workload.ByName("spin")

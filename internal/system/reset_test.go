@@ -150,6 +150,9 @@ func assertSameMachine(t *testing.T, reset, fresh *System, logR, logF *eventLog)
 	if a, b := reset.StageSkipStats(), fresh.StageSkipStats(); a != b {
 		t.Errorf("StageSkipStats diverged: reset %+v fresh %+v", a, b)
 	}
+	if a, b := reset.WorkStats(), fresh.WorkStats(); a != b {
+		t.Errorf("WorkStats diverged: reset %+v fresh %+v", a, b)
+	}
 	if (reset.Faults == nil) != (fresh.Faults == nil) {
 		t.Fatalf("fault injector presence diverged")
 	}
@@ -276,8 +279,9 @@ func TestResetCoreCountPanics(t *testing.T) {
 }
 
 // TestResetStatsZeroesCounters: right after a warm-up and ResetStats,
-// every counter Result reports reads zero on every registered machine,
-// so no warm-up activity leaks into a measured window. The warm-up
+// every counter Result reports, and every host work count, reads zero
+// on every registered machine, so no warm-up activity leaks into a
+// measured window. The warm-up
 // must have moved the counters first, or the test proves nothing.
 func TestResetStatsZeroesCounters(t *testing.T) {
 	work := mustWork(t, "gzip")
@@ -286,7 +290,7 @@ func TestResetStatsZeroesCounters(t *testing.T) {
 		opt := Options{Cores: 1, Seed: 42, DMAInterval: 4000, DMABurst: 2}
 		s := New(mc, work, opt)
 		s.Advance(5000, opt)
-		warm := s.Result().Counters
+		warm, warmWork := s.Result().Counters, s.WorkStats()
 		s.ResetStats()
 		res := s.Result()
 		for _, k := range res.Counters.Names() {
@@ -297,6 +301,12 @@ func TestResetStatsZeroesCounters(t *testing.T) {
 		}
 		if res.Pipe != (pipeline.Stats{}) {
 			t.Errorf("%s: pipeline statistics survive ResetStats: %+v", name, res.Pipe)
+		}
+		if w := s.WorkStats(); w != (pipeline.WorkStats{}) {
+			t.Errorf("%s: work counts survive ResetStats: %+v (warm-up: %+v)", name, w, warmWork)
+		}
+		if warmWork.Steps == 0 || warmWork.SQCompares == 0 {
+			t.Errorf("%s: the warm-up never moved the work counts: %+v", name, warmWork)
 		}
 		for _, k := range []string{"tlb.accesses", "bp.lookups", "sq.searches"} {
 			if warm.Get(k) == 0 {

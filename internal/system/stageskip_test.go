@@ -124,7 +124,10 @@ func TestStageSkipBitIdenticalMulti(t *testing.T) {
 
 // TestStageSkipEngagesOnGzip asserts the readiness layer actually
 // elides scans on the busy high-IPC workload it was built for — a
-// guard against the quiet flags silently degrading into "never set".
+// guard against the quiet flags silently degrading into "never set" —
+// and that no stage's predicate degrades into "always quiet": each of
+// the writeback, capture, commit and issue scans is skipped on more
+// than 1% and fewer than 99.9% of core-cycles.
 func TestStageSkipEngagesOnGzip(t *testing.T) {
 	cfg, _ := config.ByName("baseline")
 	on, off, resOn, resOff, csOn, csOff := skipPair(t, cfg, "gzip", 1, 20000, 0)
@@ -133,7 +136,7 @@ func TestStageSkipEngagesOnGzip(t *testing.T) {
 	if sk.Total() == 0 {
 		t.Fatalf("stage skip never engaged on gzip: %+v", sk)
 	}
-	cc := uint64(on.CycleNum)
+	cc := float64(resOn.Pipe.Cycles)
 	for _, st := range []struct {
 		name string
 		n    uint64
@@ -143,12 +146,11 @@ func TestStageSkipEngagesOnGzip(t *testing.T) {
 		{"commit", sk.Commit},
 		{"issue", sk.Issue},
 	} {
-		if st.n == 0 {
-			t.Errorf("stage %s never skipped on gzip", st.name)
+		if frac := float64(st.n) / cc; frac <= 0.01 || frac >= 0.999 {
+			t.Errorf("stage %s skipped on %d of %.0f core-cycles (%.2f%%), want within (1%%, 99.9%%)",
+				st.name, st.n, cc, 100*frac)
 		}
-		if st.n >= cc {
-			t.Errorf("stage %s skip count %d exceeds cycles %d", st.name, st.n, cc)
-		}
+		t.Logf("stage %s skipped on %.1f%% of core-cycles", st.name, 100*float64(st.n)/cc)
 	}
 }
 

@@ -416,8 +416,20 @@ func (s *System) StageSkipStats() pipeline.SkipStats {
 	return t
 }
 
-// ResetStats zeroes all statistics (pipeline, caches, predictors, bus)
-// after a warmup period; microarchitectural state is preserved.
+// WorkStats sums the per-core host work counts (DESIGN.md §22). They
+// live outside Result too: the speed layers lower them and change
+// nothing else.
+func (s *System) WorkStats() pipeline.WorkStats {
+	var t pipeline.WorkStats
+	for _, c := range s.Cores {
+		t.Add(c.Work())
+	}
+	return t
+}
+
+// ResetStats zeroes all statistics (pipeline, caches, predictors, bus,
+// host work counts) after a warmup period; microarchitectural state is
+// preserved.
 func (s *System) ResetStats() {
 	for _, c := range s.Cores {
 		c.ResetStats()

@@ -18,10 +18,10 @@ type Params struct {
 	Suite string
 	// Multi marks workloads intended for the multiprocessor system.
 	Multi bool
-	// BenchOnly marks workloads used only by the benchmark harness
-	// (cmd/experiments -experiment bench); they are excluded from the
-	// figure and litmus sweeps so the paper-facing outputs are
-	// unchanged by their presence.
+	// BenchOnly marks workloads used only to measure the simulator's
+	// own speed (cmd/vbrbench and the speed-layer tests); they are
+	// excluded from the figure and litmus sweeps so the paper-facing
+	// outputs are unchanged by their presence.
 	BenchOnly bool
 
 	// Instruction mix targets. The remainder after loads, stores and
