@@ -27,8 +27,7 @@ func main() {
 		mpInstr     = flag.Uint64("mp", 0, "override per-core MP instructions")
 		samples     = flag.Int("samples", 0, "override MP sample count")
 		works       = flag.String("workloads", "", "comma-separated workload subset")
-		parallel    = flag.Bool("parallel", true, "run data points in parallel")
-		workers     = flag.Int("workers", 0, "worker pool size when -parallel (0 = one per GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker pool size (1 = serial, 0 = one per GOMAXPROCS)")
 		resume      = flag.String("resume", "", "JSONL checkpoint journal for the §5.1 matrix; completed cells are replayed, not re-run")
 		retries     = flag.Int("retries", 0, "re-attempts for a failed matrix cell")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for the §5.1 matrix (0 = none; nondeterministic)")
@@ -85,7 +84,6 @@ func main() {
 	if *works != "" {
 		cfg.Workloads = strings.Split(*works, ",")
 	}
-	cfg.Parallel = *parallel
 	cfg.Workers = *workers
 	cfg.Checkpoint = *resume
 	cfg.Retries = *retries

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -39,7 +38,7 @@ func main() {
 		cfgName  = flag.String("config", "", "restrict the sweep to one configuration")
 		list     = flag.Bool("list", false, "list battery tests and configurations, then exit")
 		runs     = flag.Int("runs", 1000, "perturbed executions per (test, config) cell")
-		workers  = flag.Int("workers", runtime.NumCPU(), "worker pool size")
+		workers  = flag.Int("workers", 0, "worker pool size (1 = serial, 0 = one per GOMAXPROCS)")
 		seed     = flag.Uint64("seed", 1, "base seed for the perturbation streams")
 		jsonOut  = flag.Bool("json", false, "emit the verdict matrix as JSON instead of text")
 		oracle   = flag.Bool("oracle", false, "also print each test's SC-allowed outcome set")
@@ -51,7 +50,7 @@ func main() {
 		faultSeed   = flag.Uint64("fault-seed", 0, "fault RNG seed (0 = derive from -seed)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline (0 = none; nondeterministic)")
 		retries     = flag.Int("retries", 0, "re-attempts for a failed sweep cell")
-		resume      = flag.String("resume", "", "JSONL checkpoint journal; existing completed cells are replayed, not re-run")
+		resume      = flag.String("resume", "", "JSONL checkpoint journal; cells it already holds are replayed, not re-run")
 	)
 	flag.Parse()
 

@@ -14,12 +14,12 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"vbmo/internal/config"
 	"vbmo/internal/consistency"
 	"vbmo/internal/exitcode"
+	"vbmo/internal/farm/cachekey"
 	"vbmo/internal/fault"
 	"vbmo/internal/par"
 	"vbmo/internal/stats"
@@ -36,8 +36,7 @@ func main() {
 		insts    = flag.Uint64("n", 100000, "instructions to commit per core")
 		seed     = flag.Uint64("seed", 42, "random seed")
 		seeds    = flag.Int("seeds", 1, "sweep N consecutive seeds (seed, seed+1, ...) and report each run")
-		parallel = flag.Bool("parallel", true, "run a -seeds sweep on multiple OS threads")
-		workers  = flag.Int("workers", 0, "worker pool size for a parallel sweep (0 = one per GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "worker pool size for a -seeds sweep (1 = serial, 0 = one per GOMAXPROCS)")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		listMach = flag.Bool("list-machines", false, "list machine configurations and exit")
 		verifySC = flag.Bool("sc", false, "verify sequential consistency with the constraint-graph checker")
@@ -51,7 +50,7 @@ func main() {
 		wdCycles    = flag.Int64("watchdog-cycles", 0, "declare deadlock after N cycles with no commit on any core (0 = off)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for a -seeds sweep (0 = none; nondeterministic)")
 		retries     = flag.Int("retries", 0, "re-attempts for a failed sweep cell")
-		resume      = flag.String("resume", "", "JSONL checkpoint journal for a -seeds sweep; existing completed cells are replayed, not re-run")
+		resume      = flag.String("resume", "", "JSONL checkpoint journal for a -seeds sweep; seeds it already holds are replayed, not re-run")
 
 		traceOut    = flag.String("trace", "", "write the event trace to this file (- for stdout)")
 		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl | chrome | ring")
@@ -141,8 +140,7 @@ func main() {
 		}
 		runSeedSweep(cfg, work, sweepOptions{
 			cores: *cores, insts: *insts, baseSeed: *seed, seeds: *seeds,
-			parallel: *parallel, workers: *workers,
-			verifySC: *verifySC, jsonOut: *jsonOut,
+			workers: *workers, verifySC: *verifySC, jsonOut: *jsonOut,
 			fault: fc, wdCycles: *wdCycles,
 			cellTimeout: *cellTimeout, retries: *retries, journal: *resume,
 		})
@@ -493,7 +491,6 @@ type sweepOptions struct {
 	insts    uint64
 	baseSeed uint64
 	seeds    int
-	parallel bool
 	workers  int
 	verifySC bool
 	jsonOut  bool
@@ -523,106 +520,69 @@ type seedSweep struct {
 	resumed  int
 }
 
-// sweepSeeds runs the workload once per seed across a worker pool. An
-// attempt abandoned at its deadline keeps running, but its record is
-// dropped: the seed keeps the failure record the sweep gave it.
+// sweepSeeds runs the workload once per seed on par.Sweep. The journal
+// keys each seed as a "run" cell (cachekey.Sim) holding everything
+// that shapes its record, so a journal serves any later sweep over the
+// same runs: -seeds 8 after -seeds 4 replays four seeds and runs four.
+// A failed seed's record carries its error.
 func sweepSeeds(cfg config.Machine, work workload.Params, o sweepOptions) (seedSweep, error) {
-	sw := seedSweep{runs: make([]seedRun, o.seeds), failed: make([]bool, o.seeds)}
-	runs := sw.runs
-	key := func(i int) string { return fmt.Sprintf("seed=%d", o.baseSeed+uint64(i)) }
-
-	var journal *par.Journal
-	if o.journal != "" {
-		j, err := par.OpenJournal(o.journal, sweepFingerprint(cfg, work, o))
-		if err != nil {
-			return sw, err
-		}
-		journal = j
-		defer journal.Close()
+	seed := func(i int) uint64 { return o.baseSeed + uint64(i) }
+	runs, failures, resumed, err := par.Sweep(par.SweepOptions[seedRun]{
+		Workers: o.workers, Retries: o.retries, Timeout: o.cellTimeout,
+		Journal: o.journal,
+		Key: func(i int) string {
+			return cachekey.Sim("run", cfg, work, o.cores, 0, o.insts, seed(i),
+				fmt.Sprintf("sc=%t", o.verifySC), cachekey.Fault(o.fault),
+				fmt.Sprintf("watchdog=%d", o.wdCycles))
+		},
+		Label: func(i int) string { return fmt.Sprintf("seed=%d", seed(i)) },
+	}, o.seeds, func(i int) (seedRun, error) { return runSeed(cfg, work, o, seed(i)), nil })
+	if err != nil {
+		return seedSweep{}, err
 	}
-	todo := make([]int, 0, o.seeds)
-	for i := 0; i < o.seeds; i++ {
-		if journal != nil && journal.Lookup(key(i), &runs[i]) {
-			sw.resumed++
-			continue
-		}
-		todo = append(todo, i)
-	}
-	// abandoned marks the seeds the sweep gave up on: a straggler that
-	// finishes later must not write its record.
-	var mu sync.Mutex
-	abandoned := make([]bool, o.seeds)
-	finish := func(i int, r seedRun) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !abandoned[i] {
-			runs[i] = r
-		}
-	}
-
-	workers := 1
-	if o.parallel {
-		workers = par.Workers(o.workers)
-	}
-	sw.failures = par.RunSafe(par.SafeOptions{
-		Workers: workers, Retries: o.retries, Backoff: 50 * time.Millisecond,
-		Timeout: o.cellTimeout,
-		Label:   func(t int) string { return key(todo[t]) },
-	}, len(todo), func(t int) error {
-		i := todo[t]
-		seed := o.baseSeed + uint64(i)
-		opt := system.Options{
-			Cores: o.cores, Seed: seed,
-			DMAInterval: 4000, DMABurst: 2,
-			TrackConsistency: o.verifySC,
-			WatchdogCycles:   o.wdCycles,
-		}
-		if o.fault.Enabled() {
-			// Each cell draws its own fault stream, derived from its seed
-			// the same way the litmus sweep derives per-run fault seeds.
-			d := *o.fault
-			d.Seed = o.fault.Seed ^ (seed * 0x2545f4914f6cdd1d)
-			opt.Fault = &d
-		}
-		s := system.New(cfg, work, opt)
-		start := time.Now()
-		res := s.Run(o.insts, opt)
-		r := seedRun{Out: resultJSON(res, seed, time.Since(start).Seconds())}
-		if o.verifySC {
-			op, cyc, g := s.CheckSC()
-			var scText string
-			if cyc {
-				scText = fmt.Sprintf("violation: %s at proc %d op %d addr %#x", g, op.Proc, op.Index, op.Addr)
-				r.SCViol = true
-			} else {
-				scText = fmt.Sprintf("consistent (%s)", g)
-			}
-			r.Out.SC = &scText
-		}
-		attachDiagnostics(&r.Out, s, res.Pipe.Committed < o.insts*uint64(o.cores))
-		finish(i, r)
-		if journal != nil {
-			if err := journal.Record(key(i), r); err != nil {
-				return fmt.Errorf("checkpoint: %w", err)
-			}
-		}
-		return nil
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	for _, f := range sw.failures {
-		// Remap to the original cell index; the slot may hold a
-		// straggler's record, so it is replaced wholesale and excluded
-		// from every fold of the report.
-		i := todo[f.Index]
-		abandoned[i] = true
-		sw.failed[i] = true
-		runs[i] = seedRun{Out: jsonResult{
+	sw := seedSweep{runs: runs, failed: make([]bool, o.seeds), failures: failures, resumed: resumed}
+	for _, f := range failures {
+		sw.failed[f.Index] = true
+		runs[f.Index] = seedRun{Out: jsonResult{
 			Machine: cfg.Name, Workload: work.Name, Cores: o.cores,
-			Seed: o.baseSeed + uint64(i), Error: f.String(),
+			Seed: seed(f.Index), Error: f.String(),
 		}}
 	}
 	return sw, nil
+}
+
+// runSeed is one cell of a -seeds sweep: the workload run at seed.
+func runSeed(cfg config.Machine, work workload.Params, o sweepOptions, seed uint64) seedRun {
+	opt := system.Options{
+		Cores: o.cores, Seed: seed,
+		DMAInterval: 4000, DMABurst: 2,
+		TrackConsistency: o.verifySC,
+		WatchdogCycles:   o.wdCycles,
+	}
+	if o.fault.Enabled() {
+		// Each cell draws its own fault stream, derived from its seed
+		// the same way the litmus sweep derives per-run fault seeds.
+		d := *o.fault
+		d.Seed = o.fault.Seed ^ (seed * 0x2545f4914f6cdd1d)
+		opt.Fault = &d
+	}
+	s := system.New(cfg, work, opt)
+	start := time.Now()
+	res := s.Run(o.insts, opt)
+	r := seedRun{Out: resultJSON(res, seed, time.Since(start).Seconds())}
+	if o.verifySC {
+		op, cyc, g := s.CheckSC()
+		var scText string
+		if cyc {
+			scText = fmt.Sprintf("violation: %s at proc %d op %d addr %#x", g, op.Proc, op.Index, op.Addr)
+			r.SCViol = true
+		} else {
+			scText = fmt.Sprintf("consistent (%s)", g)
+		}
+		r.Out.SC = &scText
+	}
+	attachDiagnostics(&r.Out, s, res.Pipe.Committed < o.insts*uint64(o.cores))
+	return r
 }
 
 // runSeedSweep runs the sweep and reports every run in seed order: JSON
@@ -699,25 +659,6 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 	case len(failures) > 0:
 		os.Exit(exitcode.Err)
 	}
-}
-
-// sweepFingerprint binds a checkpoint journal to every input that
-// shapes this sweep's cell results.
-func sweepFingerprint(cfg config.Machine, work workload.Params, o sweepOptions) string {
-	fp := fmt.Sprintf("vbrsim-v1|machine=%s|workload=%s|cores=%d|n=%d|base=%d|seeds=%d|sc=%t",
-		cfg.Name, work.Name, o.cores, o.insts, o.baseSeed, o.seeds, o.verifySC)
-	if o.fault.Enabled() {
-		kinds := make([]string, 0, len(o.fault.Kinds))
-		for _, k := range o.fault.Kinds {
-			kinds = append(kinds, k.String())
-		}
-		fp += fmt.Sprintf("|fault=%s@%g/%d/%d", strings.Join(kinds, "+"),
-			o.fault.Rate, o.fault.Seed, o.fault.Delay)
-	}
-	if o.wdCycles > 0 {
-		fp += fmt.Sprintf("|wd=%d", o.wdCycles)
-	}
-	return fp
 }
 
 func max64(a, b uint64) uint64 {

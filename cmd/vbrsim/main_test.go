@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -37,5 +41,66 @@ func TestSweepKeepsAbandonedSeedsFailed(t *testing.T) {
 		if sw.failed[i] && (r.Out.Error == "" || r.Out.Committed != 0) {
 			t.Errorf("seed %d failed, but its record is the abandoned run's: %+v", r.Out.Seed, r.Out)
 		}
+	}
+}
+
+// TestSeedSweepResume tears a 4-seed journal after two records and
+// resumes it: the two journaled seeds are replayed, the other two run,
+// and every record equals an uninterrupted sweep's but for its elapsed
+// time. A longer sweep on the same journal replays all four and runs
+// the rest; a sweep with a different -n replays nothing.
+func TestSeedSweepResume(t *testing.T) {
+	cfg, _ := config.ByName("no-recent-snoop")
+	work, _ := workload.ByName("gzip")
+	o := sweepOptions{cores: 1, insts: 3000, baseSeed: 1, seeds: 4}
+	sweep := func(o sweepOptions) seedSweep {
+		t.Helper()
+		sw, err := sweepSeeds(cfg, work, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sw.failures) != 0 {
+			t.Fatalf("failures: %v", sw.failures)
+		}
+		for i := range sw.runs {
+			sw.runs[i].Out.ElapsedSec = 0
+		}
+		return sw
+	}
+	clean := sweep(o)
+
+	o.journal = filepath.Join(t.TempDir(), "seeds.jsonl")
+	sweep(o)
+	raw, err := os.ReadFile(o.journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	if len(lines) < 5 {
+		t.Fatalf("journal holds %d lines, want a header and 4 records", len(lines))
+	}
+	torn := append(bytes.Join(lines[:3], nil), `{"key":"torn","result":{"out`...)
+	if err := os.WriteFile(o.journal, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := sweep(o)
+	if resumed.resumed != 2 {
+		t.Fatalf("resumed %d seeds from a journal holding 2", resumed.resumed)
+	}
+	if !reflect.DeepEqual(resumed.runs, clean.runs) {
+		t.Fatalf("resumed records differ from an uninterrupted sweep's:\n resumed %+v\n clean   %+v",
+			resumed.runs, clean.runs)
+	}
+
+	o.seeds = 6
+	longer := sweep(o)
+	if longer.resumed != 4 || !reflect.DeepEqual(longer.runs[:4], clean.runs) {
+		t.Fatalf("-seeds 6 on a 4-seed journal resumed %d seeds (want 4) or changed their records", longer.resumed)
+	}
+
+	o.insts = 4000
+	if other := sweep(o); other.resumed != 0 {
+		t.Fatalf("a sweep with a different -n replayed %d seeds", other.resumed)
 	}
 }

@@ -13,9 +13,9 @@ import (
 
 // TestSweepDeterminism runs the full registry — every machine, a
 // uniprocessor and a multiprocessor workload, multiple MP samples —
-// through the serial and the parallel sweep paths and requires the two
-// matrices to be bit-identical. This is the contract that lets
-// Parallel default to on: the worker pool may schedule cells in any
+// on one worker and on four and requires the two matrices to be
+// bit-identical. This is the contract that lets the CLIs default to
+// one worker per GOMAXPROCS: the worker pool may schedule cells in any
 // order, but seeds are derived per cell and observations are folded in
 // canonical cell order, so parallelism must be invisible in the
 // results.
@@ -33,9 +33,9 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 	machines := config.Names()
 
-	cfg.Parallel = false
+	cfg.Workers = 1
 	serial := mustRun(t, cfg, machines)
-	cfg.Parallel = true
+	cfg.Workers = 4
 	parallel := mustRun(t, cfg, machines)
 
 	for _, mc := range machines {
@@ -64,7 +64,6 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 		Samples:   2,
 		Seed:      42,
 		Workloads: []string{"gzip", "radiosity"},
-		Parallel:  true,
 	}
 	machines := []string{"baseline", "replay-all"}
 

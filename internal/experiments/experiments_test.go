@@ -25,7 +25,6 @@ func tinyCfg() Config {
 		Samples:   1,
 		Seed:      42,
 		Workloads: []string{"gzip", "vortex", "radiosity"},
-		Parallel:  true,
 	}
 }
 
@@ -122,9 +121,9 @@ func TestWorkloadSubsetFilter(t *testing.T) {
 func TestSerialMatchesParallel(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Workloads = []string{"gzip"}
-	cfg.Parallel = false
+	cfg.Workers = 1
 	a := mustRun(t, cfg, []string{"baseline"})
-	cfg.Parallel = true
+	cfg.Workers = 4
 	b := mustRun(t, cfg, []string{"baseline"})
 	ia := a.Get("baseline", "gzip").IPC.Mean()
 	ib := b.Get("baseline", "gzip").IPC.Mean()

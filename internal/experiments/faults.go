@@ -98,16 +98,12 @@ func FaultMatrix(w io.Writer, cfg Config) FaultSummary {
 	}
 	fmt.Fprintf(w, "\n== Fault injection: value corruption vs. replay detection (rate %g) ==\n", faultValueRate)
 
-	workers := 1
-	if cfg.Parallel {
-		workers = par.Workers(cfg.Workers)
-	}
 	type valueObs struct {
 		stats fault.Stats
 		lat   fault.Hist
 	}
 	obs := make([]valueObs, len(cells))
-	par.Run(workers, len(cells), func(i int) {
+	par.Run(cfg.Workers, len(cells), func(i int) {
 		c := cells[i]
 		seed := cfg.Seed + uint64(i)*7919
 		opt := system.Options{
@@ -214,7 +210,7 @@ func FaultMatrix(w io.Writer, cfg Config) FaultSummary {
 	for _, sb := range sabotage {
 		verdicts, err := litmus.Sweep(litmus.SweepOptions{
 			Tests: tests, Configs: cols,
-			Runs: runs, Workers: workers, Seed: cfg.Seed,
+			Runs: runs, Workers: cfg.Workers, Seed: cfg.Seed,
 			Fault: &fault.Config{
 				Kinds: []fault.Kind{sb.kind},
 				Rate:  1.0,

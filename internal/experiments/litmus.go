@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"vbmo/internal/litmus"
-	"vbmo/internal/par"
 )
 
 // LitmusMatrix runs the battery sweep and writes the per-config verdict
@@ -23,17 +22,13 @@ func LitmusMatrix(w io.Writer, cfg Config) litmus.Summary {
 	if runs <= 0 {
 		runs = 300
 	}
-	workers := 1
-	if cfg.Parallel {
-		workers = par.Workers(cfg.Workers)
-	}
 	tests := litmus.Battery()
 	cols := litmus.Configs()
 	fmt.Fprintf(w, "\n== Litmus battery: %d tests × %d configs × %d perturbed runs ==\n",
 		len(tests), len(cols), runs)
 	verdicts, err := litmus.Sweep(litmus.SweepOptions{
 		Tests: tests, Configs: cols,
-		Runs: runs, Workers: workers, Seed: cfg.Seed,
+		Runs: runs, Workers: cfg.Workers, Seed: cfg.Seed,
 	})
 	if err != nil {
 		// No checkpoint is configured here, so this cannot fire today;

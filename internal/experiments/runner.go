@@ -10,10 +10,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"vbmo/internal/config"
+	"vbmo/internal/farm/cachekey"
 	"vbmo/internal/par"
 	"vbmo/internal/stats"
 	"vbmo/internal/system"
@@ -37,20 +37,18 @@ type Config struct {
 	Seed uint64
 	// Workloads restricts the run to the named workloads (nil = all).
 	Workloads []string
-	// Parallel enables running data points on multiple OS threads.
-	Parallel bool
-	// Workers bounds the worker pool when Parallel is set (0 = one per
-	// runtime.GOMAXPROCS; see par.Workers).
+	// Workers bounds the worker pool: 1 runs serially, 0 runs one
+	// worker per runtime.GOMAXPROCS (see par.Workers).
 	Workers int
 	// LitmusRuns is the perturbed executions per litmus (test, config)
 	// cell in the litmus experiment.
 	LitmusRuns int
 	// Checkpoint, when non-empty, journals completed cells to this JSONL
-	// file as the matrix runs; re-running with the same path (and the
-	// same sweep inputs) resumes, replaying journaled cells instead of
-	// re-simulating them. Folds happen in canonical order from stored
-	// results, so a resumed matrix is bit-identical to an uninterrupted
-	// one.
+	// file as the matrix runs (par.Sweep), keyed like the farm's matrix
+	// cells (cachekey.Sim); re-running with the same path replays every
+	// cell the journal holds instead of re-simulating it. Folds happen
+	// in canonical order from stored results, so a resumed matrix is
+	// bit-identical to an uninterrupted one.
 	Checkpoint string
 	// Retries re-attempts a failed (panicked) cell this many times.
 	Retries int
@@ -68,6 +66,7 @@ func DefaultConfig() Config {
 		MPCores:    16,
 		Samples:    2,
 		Seed:       42,
+		Workers:    1,
 		LitmusRuns: 300,
 	}
 }
@@ -81,6 +80,7 @@ func QuickConfig() Config {
 		Samples:    1,
 		LitmusRuns: 40,
 		Seed:       42,
+		Workers:    1,
 	}
 }
 
@@ -275,11 +275,12 @@ func foldCell(pt *Point, o CellObs) {
 // Run computes the full §5.1 matrix: every machine × every selected
 // workload (uniprocessor workloads on one core, multiprocessor
 // workloads on MPCores with Samples samples). The unit of parallelism
-// is the (machine, workload, sample) cell — each sample already has a
-// deterministic derived seed, so samples of one point spread across
-// the worker pool like any other cell. A bad checkpoint path or a
-// journal belonging to a different sweep is returned as an error (the
-// CLI maps it to the exit-code table) rather than panicking.
+// is the (machine, workload, sample) cell, run on par.Sweep — each
+// sample already has a deterministic derived seed, so samples of one
+// point spread across the worker pool like any other cell. A bad
+// checkpoint path or a journal written by a different build is
+// returned as an error (the CLI maps it to the exit-code table) rather
+// than panicking.
 func Run(cfg Config, machines []string) (*Matrix, error) {
 	m := &Matrix{Cfg: cfg, Points: make(map[string]map[string]*Point)}
 	for _, name := range machines {
@@ -289,57 +290,33 @@ func Run(cfg Config, machines []string) (*Matrix, error) {
 		}
 	}
 	cells := cfg.Cells(machines)
-	workers := 1
-	if cfg.Parallel {
-		workers = par.Workers(cfg.Workers)
-	}
-	key := func(c Cell) string {
-		return fmt.Sprintf("%s|%s|cores=%d|instr=%d|seed=%d",
-			c.Machine, c.Workload.Name, c.Cores, c.Instr, c.Seed)
-	}
-	var journal *par.Journal
-	if cfg.Checkpoint != "" {
-		fp := fmt.Sprintf("experiments-v1|uni=%d|mp=%d|cores=%d|samples=%d|seed=%d|machines=%s",
-			cfg.UniInstr, cfg.MPInstr, cfg.MPCores, cfg.Samples, cfg.Seed,
-			strings.Join(machines, ","))
-		var err error
-		if journal, err = par.OpenJournal(cfg.Checkpoint, fp); err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
-	obs := make([]CellObs, len(cells))
-	var todo []int
-	for i, c := range cells {
-		if journal != nil && journal.Lookup(key(c), &obs[i]) {
-			m.Resumed++
-			continue
-		}
-		todo = append(todo, i)
-	}
-	failures := par.RunSafe(par.SafeOptions{
-		Workers: workers, Retries: cfg.Retries, Timeout: cfg.CellTimeout,
-		Label: func(j int) string { return key(cells[todo[j]]) },
-	}, len(todo), func(j int) error {
-		i := todo[j]
+	obs, failures, resumed, err := par.Sweep(par.SweepOptions[CellObs]{
+		Workers: cfg.Workers, Retries: cfg.Retries, Timeout: cfg.CellTimeout,
+		Journal: cfg.Checkpoint,
+		Key: func(i int) string {
+			c := cells[i]
+			return cachekey.Sim("matrix", machineFor(c.Machine), c.Workload, c.Cores, 0, c.Instr, c.Seed)
+		},
+		Label: func(i int) string {
+			c := cells[i]
+			return fmt.Sprintf("%s|%s|cores=%d|instr=%d|seed=%d",
+				c.Machine, c.Workload.Name, c.Cores, c.Instr, c.Seed)
+		},
+	}, len(cells), func(i int) (CellObs, error) {
 		c := cells[i]
-		obs[i] = MeasureCell(machineFor(c.Machine), c.Workload, c.Cores, c.Instr, c.Seed)
-		if journal != nil {
-			return journal.Record(key(c), obs[i])
-		}
-		return nil
+		return MeasureCell(machineFor(c.Machine), c.Workload, c.Cores, c.Instr, c.Seed), nil
 	})
-	// A timed-out straggler may still be writing its own obs slot; never
-	// read a failed cell's slot.
-	failedIdx := make(map[int]bool, len(failures))
+	if err != nil {
+		return nil, err
+	}
+	m.Failed, m.Resumed = failures, resumed
+	failed := make(map[int]bool, len(failures))
 	for _, f := range failures {
-		f.Index = todo[f.Index]
-		failedIdx[f.Index] = true
-		m.Failed = append(m.Failed, f)
+		failed[f.Index] = true
 	}
 	// Fold in canonical cell order, never in completion order.
 	for i, c := range cells {
-		if !failedIdx[i] {
+		if !failed[i] {
 			foldCell(m.Points[c.Machine][c.Workload.Name], obs[i])
 		}
 	}

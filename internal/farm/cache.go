@@ -1,5 +1,6 @@
 // The content-addressed result cache: a thin accounting layer over the
-// same fsynced JSONL journal the sweep CLIs use for -resume. The
+// same fsynced JSONL journal the sweep CLIs use for -resume, with the
+// same header and the same cell keys (par.Sweep, cachekey). The
 // journal's header fingerprint is the code-version fingerprint, so a
 // cache written by one build is never silently consumed by another.
 

@@ -130,6 +130,30 @@ func Version() string {
 	return versionVal
 }
 
+// Litmus returns the key of a litmus sweep cell: the test and sweep
+// configuration names, the configuration's machine digest, the runs,
+// the core count (0 = the test's natural width), the cell's seed
+// (litmus.CellSeed) and the fault plan's digest. The farm's litmus
+// cells and the litmus CLI's checkpoint journal both key through it.
+func Litmus(test, cfg string, mc config.Machine, runs, cores int, seed uint64, fc *fault.Config) string {
+	return Join(Version(), "litmus", test, cfg, Machine(mc),
+		fmt.Sprintf("runs=%d", runs), fmt.Sprintf("cores=%d", cores),
+		fmt.Sprintf("seed=%d", seed), Fault(fc))
+}
+
+// Sim returns the key of a simulation cell of the given kind: the
+// machine and workload digests, then the core count, the warm-up and
+// measured instruction counts and the seed in the clear, then extra,
+// the parameters the kind adds. The farm's matrix and bench cells,
+// the §5.1 matrix's checkpoint journal and vbrsim's seed-sweep journal
+// ("run" cells) all key through it.
+func Sim(kind string, mc config.Machine, w workload.Params, cores int, warm, instr, seed uint64, extra ...string) string {
+	parts := append([]string{Version(), kind, Machine(mc), Workload(w),
+		fmt.Sprintf("cores=%d", cores), fmt.Sprintf("warm=%d", warm),
+		fmt.Sprintf("instr=%d", instr), fmt.Sprintf("seed=%d", seed)}, extra...)
+	return Join(parts...)
+}
+
 // Join builds a composite cache key from parts. Parts are joined with a
 // separator that cannot appear in a hex digest or a decimal number, so
 // distinct part vectors cannot collide by concatenation.

@@ -119,10 +119,11 @@ func (s JobSpec) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// Key derives the cell's content-addressed cache key: the code-version
-// fingerprint, the cell kind, the content digests of the machine and
-// workload (not just their registry names — a retuned machine changes
-// the key), and every remaining parameter in the clear.
+// Key derives the cell's content-addressed cache key through
+// cachekey.Litmus or cachekey.Sim: the code-version fingerprint, the
+// cell kind, the content digests of the machine and workload (not just
+// their registry names — a retuned machine changes the key), and every
+// remaining parameter in the clear.
 func (c Cell) Key() (string, error) {
 	switch c.Kind {
 	case KindLitmus:
@@ -130,10 +131,7 @@ func (c Cell) Key() (string, error) {
 		if !ok {
 			return "", fmt.Errorf("farm: unknown litmus config %q", c.Config)
 		}
-		return cachekey.Join(cachekey.Version(), KindLitmus, c.Test, c.Config,
-			cachekey.Machine(cfg.Machine),
-			fmt.Sprintf("runs=%d", c.Runs), fmt.Sprintf("cores=%d", c.Cores),
-			fmt.Sprintf("seed=%d", c.Seed), cachekey.Fault(c.Fault)), nil
+		return cachekey.Litmus(c.Test, c.Config, cfg.Machine, c.Runs, c.Cores, c.Seed, c.Fault), nil
 	case KindMatrix, KindBench:
 		mc, ok := config.ByName(c.Machine)
 		if !ok {
@@ -143,10 +141,7 @@ func (c Cell) Key() (string, error) {
 		if !ok {
 			return "", fmt.Errorf("farm: unknown workload %q", c.Workload)
 		}
-		return cachekey.Join(cachekey.Version(), c.Kind,
-			cachekey.Machine(mc), cachekey.Workload(w),
-			fmt.Sprintf("cores=%d", c.Cores), fmt.Sprintf("warm=%d", c.Warm),
-			fmt.Sprintf("instr=%d", c.Instr), fmt.Sprintf("seed=%d", c.Seed)), nil
+		return cachekey.Sim(c.Kind, mc, w, c.Cores, c.Warm, c.Instr, c.Seed), nil
 	default:
 		return "", fmt.Errorf("farm: unknown cell kind %q", c.Kind)
 	}

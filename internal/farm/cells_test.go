@@ -3,11 +3,15 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"vbmo/internal/experiments"
+	"vbmo/internal/farm/cachekey"
 	"vbmo/internal/litmus"
+	"vbmo/internal/par"
 	"vbmo/internal/stats"
 )
 
@@ -115,25 +119,7 @@ func TestLitmusCellMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tests []*litmus.Test
-	for _, name := range spec.Litmus.Tests {
-		tt, ok := litmus.ByName(name)
-		if !ok {
-			t.Fatalf("unknown test %s", name)
-		}
-		tests = append(tests, tt)
-	}
-	var cfgs []litmus.Config
-	for _, name := range spec.Litmus.Configs {
-		c, ok := litmus.ConfigByName(name)
-		if !ok {
-			t.Fatalf("unknown config %s", name)
-		}
-		cfgs = append(cfgs, c)
-	}
-	want, err := litmus.Sweep(litmus.SweepOptions{
-		Tests: tests, Configs: cfgs, Runs: 3, Seed: 11,
-	})
+	want, err := litmus.Sweep(litmusSweepOptions(t, spec.Litmus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +140,27 @@ func TestLitmusCellMatchesSweep(t *testing.T) {
 				i, c.Test, c.Config, got, want[i])
 		}
 	}
+}
+
+// litmusSweepOptions is the litmus.Sweep that l describes.
+func litmusSweepOptions(t *testing.T, l *LitmusSpec) litmus.SweepOptions {
+	t.Helper()
+	o := litmus.SweepOptions{Runs: l.Runs, Seed: l.Seed, Cores: l.Cores, Fault: l.Fault}
+	for _, name := range l.Tests {
+		tt, ok := litmus.ByName(name)
+		if !ok {
+			t.Fatalf("unknown test %s", name)
+		}
+		o.Tests = append(o.Tests, tt)
+	}
+	for _, name := range l.Configs {
+		c, ok := litmus.ConfigByName(name)
+		if !ok {
+			t.Fatalf("unknown config %s", name)
+		}
+		o.Configs = append(o.Configs, c)
+	}
+	return o
 }
 
 // TestBenchCellDeterministic: a bench cell carries no wall-clock term,
@@ -208,11 +215,7 @@ func TestValidateRejects(t *testing.T) {
 // point in cell order gives every point the same observation count and
 // mean as Run on the same configuration.
 func TestMatrixCellsMatchRun(t *testing.T) {
-	m := &MatrixSpec{
-		Machines:  []string{"baseline", "no-recent-snoop"},
-		Workloads: []string{"gzip", "ocean"},
-		UniInstr:  3000, MPInstr: 400, MPCores: 2, Samples: 2, Seed: 5,
-	}
+	m := testMatrixSpec()
 	cells, err := JobSpec{Matrix: m}.Cells()
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +237,7 @@ func TestMatrixCellsMatchRun(t *testing.T) {
 		}
 		got[p].Observe(obs.IPC)
 	}
-	want, err := experiments.Run(experiments.Config{
-		UniInstr: m.UniInstr, MPInstr: m.MPInstr, MPCores: m.MPCores,
-		Samples: m.Samples, Seed: m.Seed, Workloads: m.Workloads,
-	}, m.Machines)
+	want, err := experiments.Run(matrixConfig(m), m.Machines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +252,83 @@ func TestMatrixCellsMatchRun(t *testing.T) {
 		if s.N() != w.IPC.N() || s.Mean() != w.IPC.Mean() {
 			t.Fatalf("%s/%s: farm IPC n=%d mean=%v, Run n=%d mean=%v",
 				p.machine, p.workload, s.N(), s.Mean(), w.IPC.N(), w.IPC.Mean())
+		}
+	}
+}
+
+func testMatrixSpec() *MatrixSpec {
+	return &MatrixSpec{
+		Machines:  []string{"baseline", "no-recent-snoop"},
+		Workloads: []string{"gzip", "ocean"},
+		UniInstr:  3000, MPInstr: 400, MPCores: 2, Samples: 2, Seed: 5,
+	}
+}
+
+// matrixConfig is the experiments.Run configuration that m describes.
+func matrixConfig(m *MatrixSpec) experiments.Config {
+	return experiments.Config{
+		UniInstr: m.UniInstr, MPInstr: m.MPInstr, MPCores: m.MPCores,
+		Samples: m.Samples, Seed: m.Seed, Workloads: m.Workloads,
+	}
+}
+
+// TestSweepJournalsAreFarmCaches: the CLI sweeps' checkpoint journals
+// key their cells as the farm's cache does. A journaled litmus.Sweep
+// over testSpec()'s litmus section and a journaled experiments.Run
+// over TestMatrixCellsMatchRun's matrix spec hold exactly the keys
+// Cell.Key derives for the same cells, and under each key the bytes
+// Cell.Execute returns.
+func TestSweepJournalsAreFarmCaches(t *testing.T) {
+	dir := t.TempDir()
+	l := testSpec().Litmus
+	lo := litmusSweepOptions(t, l)
+	lo.Checkpoint = filepath.Join(dir, "litmus.jsonl")
+	if _, err := litmus.Sweep(lo); err != nil {
+		t.Fatal(err)
+	}
+	m := testMatrixSpec()
+	mc := matrixConfig(m)
+	mc.Checkpoint = filepath.Join(dir, "matrix.jsonl")
+	if _, err := experiments.Run(mc, m.Machines); err != nil {
+		t.Fatal(err)
+	}
+	for _, sweep := range []struct {
+		journal string
+		spec    JobSpec
+	}{{lo.Checkpoint, JobSpec{Litmus: l}}, {mc.Checkpoint, JobSpec{Matrix: m}}} {
+		cells, err := sweep.spec.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := par.OpenJournal(sweep.journal, cachekey.Version())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, c := range cells {
+			key, err := c.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, key)
+			var held json.RawMessage
+			if !j.Lookup(key, &held) {
+				t.Fatalf("%s lacks cell %+v under its key %s", sweep.journal, c, key)
+			}
+			raw, err := c.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(held, raw) {
+				t.Fatalf("cell %+v: journal holds\n%s\nExecute returns\n%s", c, held, raw)
+			}
+		}
+		sort.Strings(keys)
+		if got := j.Keys(); !reflect.DeepEqual(got, keys) {
+			t.Fatalf("%s holds keys\n%v\nthe farm's cells key as\n%v", sweep.journal, got, keys)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

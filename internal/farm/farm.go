@@ -12,7 +12,9 @@
 // rides on the same fsynced JSONL journal the sweep CLIs use for
 // -resume (internal/par): a server killed mid-job loses at worst the
 // cells still queued, and the next start re-queues interrupted jobs from
-// the journal.
+// the journal. The CLIs also key their journals like this cache, through
+// the same cachekey.Litmus and cachekey.Sim that Cell.Key calls, so a
+// litmus or matrix checkpoint holds the records a farm cache would.
 package farm
 
 // The package's mutex acquisition order, enforced by vbrlint's

@@ -167,7 +167,7 @@ func TestSixteenWaySoundSB(t *testing.T) {
 			continue
 		}
 		for seed := uint64(0); seed < 4; seed++ {
-			res := RunOneFaultOn(cfg.Machine, sb, as, seed, nil, nil, 16)
+			res := RunOne(cfg.Machine, sb, as, seed, nil, nil, 16)
 			if !res.OK {
 				t.Fatalf("%s seed %d: incomplete 16-way run", cfg.Name, seed)
 			}
@@ -279,7 +279,7 @@ func TestSoundConfigsSB(t *testing.T) {
 			continue
 		}
 		for seed := uint64(0); seed < 12; seed++ {
-			res := RunOne(cfg.Machine, sb, as, seed, nil)
+			res := RunOne(cfg.Machine, sb, as, seed, nil, nil, 0)
 			if !res.OK {
 				t.Fatalf("%s seed %d: incomplete run", cfg.Name, seed)
 			}
@@ -304,7 +304,7 @@ func TestCoherenceTestsEverywhere(t *testing.T) {
 		as := Allowed(test)
 		for _, cfg := range Configs() {
 			for seed := uint64(0); seed < 6; seed++ {
-				res := RunOne(cfg.Machine, test, as, seed, nil)
+				res := RunOne(cfg.Machine, test, as, seed, nil, nil, 0)
 				if !res.OK {
 					t.Fatalf("%s/%s seed %d: incomplete run", name, cfg.Name, seed)
 				}
@@ -331,7 +331,7 @@ func TestNUSOnlyCaught(t *testing.T) {
 	}
 	caught := 0
 	for seed := uint64(0); seed < 20; seed++ {
-		res := RunOne(cfg.Machine, sb, as, seed, nil)
+		res := RunOne(cfg.Machine, sb, as, seed, nil, nil, 0)
 		if res.OK && (!res.Allowed || res.Cycle) {
 			caught++
 			if !res.Allowed && !res.Cycle {

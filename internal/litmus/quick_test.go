@@ -67,7 +67,7 @@ func TestQuickNUSOnlyForbiddenImpliesCycle(t *testing.T) {
 	cfg, _ := ConfigByName("nus-only")
 	forbidden := 0
 	prop := func(seed uint64) bool {
-		res := RunOne(cfg.Machine, sb, as, seed, nil)
+		res := RunOne(cfg.Machine, sb, as, seed, nil, nil, 0)
 		if !res.OK {
 			return true
 		}

@@ -113,3 +113,33 @@ func TestSweepFaultSeedIsolation(t *testing.T) {
 		t.Fatal("different fault seeds produced identical sweeps")
 	}
 }
+
+// TestSweepResumeMissesChangedMachine: a journal keys each cell by the
+// content of its machine, not by the column's name. Re-sweeping SB on
+// a journal written under nrs+nus, with a column of the same name that
+// now holds nus-only's machine, must simulate that machine again and
+// find its forbidden outcomes, not replay nrs+nus's clean verdict.
+func TestSweepResumeMissesChangedMachine(t *testing.T) {
+	sb, _ := ByName("SB")
+	nrs, _ := ConfigByName("nrs+nus")
+	nus, _ := ConfigByName("nus-only")
+	renamed := Config{Name: nrs.Name, Machine: nus.Machine, Sound: nrs.Sound}
+	opts := func(c Config, checkpoint string) SweepOptions {
+		return SweepOptions{
+			Tests: []*Test{sb}, Configs: []Config{c},
+			Runs: 200, Seed: 1, Checkpoint: checkpoint,
+		}
+	}
+
+	journal := filepath.Join(t.TempDir(), "litmus.jsonl")
+	mustSweep(t, opts(nrs, journal))
+	resumed := mustSweep(t, opts(renamed, journal))
+	fresh := mustSweep(t, opts(renamed, ""))
+	if fresh[0].Forbidden == 0 {
+		t.Fatalf("nus-only's machine found no forbidden SB outcome in 200 runs: %+v", fresh[0])
+	}
+	if !reflect.DeepEqual(resumed, fresh) {
+		t.Fatalf("sweep resumed after the machine changed replayed the old verdict:\n resumed %+v\n fresh   %+v",
+			resumed[0], fresh[0])
+	}
+}

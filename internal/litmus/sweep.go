@@ -13,14 +13,13 @@ package litmus
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"vbmo/internal/cache"
 	"vbmo/internal/config"
 	"vbmo/internal/consistency"
 	"vbmo/internal/core"
+	"vbmo/internal/farm/cachekey"
 	"vbmo/internal/fault"
 	"vbmo/internal/par"
 	"vbmo/internal/system"
@@ -168,30 +167,19 @@ type RunResult struct {
 // RunOne executes one litmus test once on one machine with the
 // perturbation derived from seed, classifies the outcome against the
 // oracle, and cross-checks the run with the constraint-graph checker.
-func RunOne(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *trace.Tracer) RunResult {
-	return RunOneFault(mc, t, as, seed, tr, nil)
-}
-
-// RunOneFault is RunOne under fault injection: fc (when enabled) is
-// instantiated with a per-run derived seed so every run of a sweep cell
-// draws an independent, reproducible fault stream. A nil fc is exactly
-// RunOne.
-func RunOneFault(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *trace.Tracer, fc *fault.Config) RunResult {
-	return RunOneFaultOn(mc, t, as, seed, tr, fc, 0)
-}
-
-// RunOneFaultOn is RunOneFault on a machine of the given core count:
-// cores beyond the test's threads run spin-only sections (CompileOn),
-// so the test executes inside a wider SMP with the extra cores
-// contributing bus traffic. cores at or below the thread count
-// (including 0) is exactly RunOneFault.
-func RunOneFaultOn(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *trace.Tracer, fc *fault.Config, cores int) RunResult {
+// fc (when enabled) is instantiated with a per-run derived seed, so
+// every run of a sweep cell draws an independent, reproducible fault
+// stream. cores beyond the test's threads run spin-only sections
+// (CompileOn), so the test executes inside a wider SMP with the extra
+// cores contributing bus traffic; cores at or below the thread count
+// (including 0) keeps the test at its natural width.
+func RunOne(mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *trace.Tracer, fc *fault.Config, cores int) RunResult {
 	res, _ := runOn(nil, mc, t, as, seed, tr, fc, cores)
 	return res
 }
 
-// runOn is RunOneFaultOn on a given machine: s, when non-nil, is reset
-// in place (system.Reset) instead of building a fresh machine, and must
+// runOn is RunOne on a given machine: s, when non-nil, is reset in
+// place (system.Reset) instead of building a fresh machine, and must
 // have been built for mc at the same core count. It returns the machine
 // it ran on, for the next run to reuse.
 func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed uint64, tr *trace.Tracer, fc *fault.Config, cores int) (RunResult, *system.System) {
@@ -380,7 +368,8 @@ type SweepOptions struct {
 	Workers int
 	// Seed offsets every run's perturbation stream.
 	Seed uint64
-	// Progress, when non-nil, is called after each finished cell.
+	// Progress, when non-nil, is called once per finished or replayed
+	// cell, with how many have so far.
 	Progress func(done, total int, v Verdict)
 	// Cores, when positive, runs every test on a machine of this many
 	// cores, padding cores beyond a test's threads with spin-only
@@ -388,11 +377,13 @@ type SweepOptions struct {
 	// thread count.
 	Cores int
 	// Fault, when enabled, injects faults into every run (per-run
-	// derived seeds; see RunOneFault).
+	// derived seeds; see RunOne).
 	Fault *fault.Config
 	// Checkpoint, when non-empty, journals completed cells to this JSONL
-	// file; re-running with the same path resumes, replaying journaled
-	// cells bit-identically instead of re-simulating them.
+	// file (par.Sweep), keyed like the farm's litmus cells
+	// (cachekey.Litmus); re-running with the same path replays every
+	// cell the journal holds bit-identically and runs the rest. A cell
+	// whose machine changed misses and runs again.
 	Checkpoint string
 	// Retries re-attempts a panicked cell this many times.
 	Retries int
@@ -454,14 +445,15 @@ func RunCell(t *Test, cfg Config, as *AllowedSet, runs int, base uint64, fc *fau
 	return v
 }
 
-// Sweep runs the battery across the machine set in a bounded worker
-// pool (par.Run) — one job per (test, config) cell, each cell running
-// Runs perturbed executions — and returns the verdict matrix in
-// battery order (tests outer, configs inner). Cell seeds depend only
-// on the cell's (test, config) indices, so the matrix is identical at
-// any worker count. A bad checkpoint path or a journal belonging to a
-// different sweep is returned as an error (the CLIs map it to the
-// exit-code table) rather than panicking.
+// Sweep runs the battery across the machine set on par.Sweep — one
+// cell per (test, config), each cell running Runs perturbed executions
+// — and returns the verdict matrix in battery order (tests outer,
+// configs inner). Cell seeds depend only on the cell's (test, config)
+// indices, so the matrix is identical at any worker count. A cell that
+// did not complete carries its failure in Verdict.Error. A bad
+// checkpoint path or a journal written by a different build is
+// returned as an error (the CLIs map it to the exit-code table) rather
+// than panicking.
 func Sweep(o SweepOptions) ([]Verdict, error) {
 	tests := o.Tests
 	if tests == nil {
@@ -481,99 +473,37 @@ func Sweep(o SweepOptions) ([]Verdict, error) {
 	for i, t := range tests {
 		allowed[i] = Allowed(t)
 	}
-
-	faultKey := ""
-	if o.Fault.Enabled() {
-		kinds := make([]string, len(o.Fault.Kinds))
-		for i, k := range o.Fault.Kinds {
-			kinds[i] = k.String()
-		}
-		faultKey = fmt.Sprintf("|fault=%s@%g/%d", strings.Join(kinds, ","), o.Fault.Rate, o.Fault.Seed)
-	}
-	if o.Cores > 0 {
-		// Folded into the same suffix as the fault key so pre-existing
-		// natural-width journals keep resuming unchanged.
-		faultKey += fmt.Sprintf("|cores=%d", o.Cores)
-	}
-	cellKey := func(ti, ci int) string {
-		return fmt.Sprintf("%s|%s|runs=%d|seed=%d%s",
-			tests[ti].Name, cfgs[ci].Name, runs, o.Seed, faultKey)
-	}
-	var journal *par.Journal
-	if o.Checkpoint != "" {
-		names := make([]string, 0, len(tests)+len(cfgs))
-		for _, t := range tests {
-			names = append(names, t.Name)
-		}
-		for _, c := range cfgs {
-			names = append(names, c.Name)
-		}
-		fp := fmt.Sprintf("litmus-v1|runs=%d|seed=%d|%s%s",
-			runs, o.Seed, strings.Join(names, ","), faultKey)
-		var err error
-		if journal, err = par.OpenJournal(o.Checkpoint, fp); err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
-
-	verdicts := make([]Verdict, len(tests)*len(cfgs))
-	var done int
-	var mu sync.Mutex
-	// abandoned marks cells the sweep gave up on (timeout): a straggler
-	// goroutine that finishes later must not write its verdict slot.
-	abandoned := make([]bool, len(verdicts))
-	finish := func(cell int, v Verdict) {
-		mu.Lock()
-		defer mu.Unlock()
-		if abandoned[cell] {
-			return
-		}
-		verdicts[cell] = v
-		done++
-		if o.Progress != nil {
-			o.Progress(done, len(verdicts), v)
-		}
-	}
-	var todo []int
-	for cell := range verdicts {
-		ti, ci := cell/len(cfgs), cell%len(cfgs)
-		var v Verdict
-		if journal != nil && journal.Lookup(cellKey(ti, ci), &v) {
-			finish(cell, v)
-			continue
-		}
-		todo = append(todo, cell)
-	}
-	failures := par.RunSafe(par.SafeOptions{
+	n := len(tests) * len(cfgs)
+	sw := par.SweepOptions[Verdict]{
 		Workers: o.Workers, Retries: o.Retries, Timeout: o.CellTimeout,
-		Label: func(j int) string {
-			cell := todo[j]
-			return cellKey(cell/len(cfgs), cell%len(cfgs))
+		Journal: o.Checkpoint,
+		Key: func(cell int) string {
+			ti, ci := cell/len(cfgs), cell%len(cfgs)
+			return cachekey.Litmus(tests[ti].Name, cfgs[ci].Name, cfgs[ci].Machine,
+				runs, o.Cores, CellSeed(o.Seed, ti, ci), o.Fault)
 		},
-	}, len(todo), func(j int) error {
-		cell := todo[j]
+		Label: func(cell int) string {
+			return fmt.Sprintf("%s|%s|runs=%d|seed=%d",
+				tests[cell/len(cfgs)].Name, cfgs[cell%len(cfgs)].Name, runs, o.Seed)
+		},
+	}
+	if o.Progress != nil {
+		sw.Done = func(done, _ int, v Verdict) { o.Progress(done, n, v) }
+	}
+	verdicts, failures, _, err := par.Sweep(sw, n, func(cell int) (Verdict, error) {
 		ti, ci := cell/len(cfgs), cell%len(cfgs)
-		v := RunCell(tests[ti], cfgs[ci], allowed[ti], runs, CellSeed(o.Seed, ti, ci), o.Fault, o.Cores)
-		if journal != nil {
-			if err := journal.Record(cellKey(ti, ci), v); err != nil {
-				return err
-			}
-		}
-		finish(cell, v)
-		return nil
+		return RunCell(tests[ti], cfgs[ci], allowed[ti], runs, CellSeed(o.Seed, ti, ci), o.Fault, o.Cores), nil
 	})
-	mu.Lock()
+	if err != nil {
+		return nil, err
+	}
 	for _, f := range failures {
-		cell := todo[f.Index]
-		ti, ci := cell/len(cfgs), cell%len(cfgs)
-		abandoned[cell] = true
-		verdicts[cell] = Verdict{
-			Test: tests[ti].Name, Config: cfgs[ci].Name,
-			Sound: cfgs[ci].Sound, Runs: runs, Error: f.String(),
+		c := cfgs[f.Index%len(cfgs)]
+		verdicts[f.Index] = Verdict{
+			Test: tests[f.Index/len(cfgs)].Name, Config: c.Name,
+			Sound: c.Sound, Runs: runs, Error: f.String(),
 		}
 	}
-	mu.Unlock()
 	return verdicts, nil
 }
 

@@ -1,15 +1,15 @@
 // Package par is the one shared bounded-parallelism helper behind
 // every sweep in the simulator: the experiment matrix, the litmus
 // campaign, and the CLI seed sweeps. Work is always expressed as n
-// independent index-addressed cells whose results land in
-// caller-preallocated slots, so parallel execution is free to schedule
-// cells in any order while the caller's fold over the slots stays
-// deterministic.
+// independent index-addressed cells whose results land in slots
+// indexed by cell, so parallel execution is free to schedule cells in
+// any order while the caller's fold over the slots stays
+// deterministic. Run is the bare pool; Sweep adds the resilience and
+// the checkpoint journal every CLI sweep shares.
 package par
 
 // Mutex acquisition order for vbrlint's lockorder analyzer: the
-// journal's mu (and RunSafe's panic-collection mu) stand alone and
-// must never nest.
+// journal's mu stands alone and must never nest.
 //
 //vbr:lockorder mu
 
