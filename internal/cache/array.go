@@ -6,6 +6,8 @@
 // events*, which is all the memory-ordering mechanisms consume.
 package cache
 
+import "math/bits"
+
 // BlockSize is the cache block size in bytes (Table 3: 64-byte lines).
 const BlockSize = 64
 
@@ -30,21 +32,25 @@ type line struct {
 
 // Array is a set-associative tag array with true-LRU replacement. It
 // tracks presence only; block data lives in the memory image.
+//
+// The set table holds no pointers (DESIGN.md §23): sets[si] is 1 + the
+// ordinal at which newSet carved set si out of the storage chunks, or 0
+// while the set is not built, so the collector neither scans the table
+// (16,384 entries per core for the L3) nor fences its stores.
 type Array struct {
 	cfg     Config
-	sets    [][]line
+	sets    []uint32
 	setMask uint64
-	tick    uint32
-	// arena is the tail of the current line-storage chunk; newSet carves
-	// lazily-materialized sets out of it (see NewArray).
-	arena []line
-	// chunks holds every storage chunk in carve order; chunks[:used]
-	// back the sets of this run, and Reset rewinds used to zero so the
-	// next run carves the same chunks again.
+	// chunkShift is log2 of the sets one storage chunk holds: set
+	// ordinal k lives in chunks[k>>chunkShift].
+	chunkShift uint
+	tick       uint32
+	// chunks holds every storage chunk in carve order. Reset keeps them,
+	// so the next run carves the same chunks again.
 	chunks [][]line
-	used   int
-	// touched lists the indices of materialized sets: exactly the
-	// non-nil elements of sets, which Reset nils again.
+	// touched is the inverse of sets: touched[k] is the index of the set
+	// with ordinal k, so len(touched) sets are built, and Reset zeroes
+	// exactly their entries of sets.
 	touched []uint32
 	// Accesses, Hits count Lookup calls and their hits.
 	Accesses, Hits uint64
@@ -55,8 +61,8 @@ type Array struct {
 // allocated lazily on first Insert: a large lightly-used array (an 8 MB
 // L3 per core) costs memory proportional to its touched footprint, and
 // construction-heavy paths (one fresh hierarchy per experiment cell)
-// stop paying for sets the run never references. A nil set behaves
-// exactly like a set of invalid lines.
+// stop paying for sets the run never references. A set not built yet
+// behaves exactly like a set of invalid lines.
 func NewArray(cfg Config) *Array {
 	a := new(Array)
 	a.Reset(cfg)
@@ -64,9 +70,9 @@ func NewArray(cfg Config) *Array {
 }
 
 // Reset rebuilds a in place as NewArray(cfg) would build it. With an
-// unchanged geometry it keeps its storage: the sets the last run
-// materialized are un-materialized and the arena chunks are rewound,
-// so the cost is proportional to the footprint the run touched.
+// unchanged geometry it keeps its storage: the sets the last run built
+// are unbuilt and their chunks are carved again from the first, so the
+// cost is proportional to the footprint the run touched.
 func (a *Array) Reset(cfg Config) {
 	nsets := cfg.Size / BlockSize / cfg.Ways
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
@@ -75,13 +81,14 @@ func (a *Array) Reset(cfg Config) {
 	sets, chunks := a.sets, a.chunks
 	if cfg == a.cfg {
 		for _, si := range a.touched {
-			sets[si] = nil
+			sets[si] = 0
 		}
 	} else {
-		sets, chunks = make([][]line, nsets), nil
+		sets, chunks = make([]uint32, nsets), nil
 	}
 	*a = Array{cfg: cfg, setMask: uint64(nsets - 1), sets: sets,
-		chunks: chunks, touched: a.touched[:0]}
+		chunkShift: uint(bits.TrailingZeros(uint(min(arenaSets, nsets)))),
+		chunks:     chunks, touched: a.touched[:0]}
 }
 
 // Config returns the array's configuration.
@@ -92,37 +99,39 @@ func (a *Array) setIndex(addr uint64) uint64 {
 }
 
 // arenaSets is how many sets each storage chunk holds. Chunking keeps
-// first-touch materialization amortized (one allocation per arenaSets
+// first-touch set building amortized (one allocation per arenaSets
 // sets) so a workload that keeps expanding its footprint does not pay
 // one heap allocation per newly-touched set in steady state.
 const arenaSets = 256
 
-// newSet materializes storage for set si. A rewound chunk still holds
-// the lines of an earlier run, so each carved set is cleared.
-func (a *Array) newSet(si uint64) []line {
+// lines returns the storage of the set with ordinal k.
+func (a *Array) lines(k uint32) []line {
 	w := a.cfg.Ways
-	if len(a.arena) < w {
-		if a.used < len(a.chunks) {
-			a.arena = a.chunks[a.used]
-		} else {
-			chunk := arenaSets
-			if n := int(a.setMask) + 1; n < chunk {
-				chunk = n
-			}
-			a.arena = make([]line, chunk*w)
-			a.chunks = append(a.chunks, a.arena)
-		}
-		a.used++
+	i := int(k&(1<<a.chunkShift-1)) * w
+	return a.chunks[k>>a.chunkShift][i : i+w : i+w]
+}
+
+// newSet builds set si: it takes the next ordinal, carving a new chunk
+// when the chunks kept so far are used up. A kept chunk still holds the
+// lines of an earlier run, so each carved set is cleared.
+func (a *Array) newSet(si uint64) []line {
+	k := uint32(len(a.touched))
+	if int(k>>a.chunkShift) == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]line, a.cfg.Ways<<a.chunkShift))
 	}
-	s := a.arena[:w:w]
+	s := a.lines(k)
 	clear(s)
-	a.arena = a.arena[w:]
 	a.touched = append(a.touched, uint32(si))
+	a.sets[si] = k + 1
 	return s
 }
 
+// set returns addr's set, nil while it is not built.
 func (a *Array) set(addr uint64) []line {
-	return a.sets[a.setIndex(addr)]
+	if k := a.sets[a.setIndex(addr)]; k != 0 {
+		return a.lines(k - 1)
+	}
+	return nil
 }
 
 // Lookup probes for addr's block, updating LRU and hit statistics.
@@ -156,11 +165,9 @@ func (a *Array) Contains(addr uint64) bool {
 // valid victim was displaced.
 func (a *Array) Insert(addr uint64) (victim uint64, evicted bool) {
 	tag := BlockAddr(addr)
-	si := a.setIndex(addr)
-	set := a.sets[si]
+	set := a.set(addr)
 	if set == nil {
-		set = a.newSet(si)
-		a.sets[si] = set
+		set = a.newSet(a.setIndex(addr))
 	}
 	a.tick++
 	vi := 0

@@ -6,7 +6,7 @@ import (
 )
 
 // resetCfg is a small hierarchy with every optional part (prefetcher,
-// TLB) enabled and more sets than one arena chunk holds, so a run
+// TLB) enabled and more sets than one storage chunk holds, so a run
 // spans several chunks.
 func resetCfg() HierConfig {
 	return HierConfig{
@@ -49,7 +49,7 @@ func driveHierarchy(h *Hierarchy, seed uint64, walk *[32]uint64) []any {
 }
 
 // TestHierarchyResetMatchesNew: a used hierarchy rebuilt by Reset —
-// sets un-materialized, arena chunks rewound, MSHRs, TLB and
+// sets unbuilt, storage chunks carved again, MSHRs, TLB and
 // prefetcher cleared — times every access exactly like a new one.
 func TestHierarchyResetMatchesNew(t *testing.T) {
 	be := MemoryBackend{Latency: 100}

@@ -39,10 +39,10 @@ type Core struct {
 	nextTag int64
 	rob     entryRing // reorder buffer, capacity ROBSize
 	pend    pendList  // issued, awaiting completion; preallocated
-	psd     []*entry  // stores awaiting data capture; preallocated
+	psd     []handle  // stores awaiting data capture; preallocated
 	pool    pool
 
-	// Wake-up issue queue (DESIGN.md §18): entries by slot (nil when
+	// Wake-up issue queue (DESIGN.md §18): entries by slot (0 when
 	// free), the occupied slots, and the occupied slots whose issue
 	// operands are all ready. Completions set iqReady bits through the
 	// producers' wake masks. iqParked holds the loads whose operands are
@@ -50,13 +50,13 @@ type Core struct {
 	// iqReady until an event that can change the answer wakes them, and
 	// parked records, per slot, the counters that probe bumped. Issue
 	// visits iqReady and iqParked.
-	iq       [MaxIQSize]*entry
+	iq       [MaxIQSize]handle
 	iqUsed   uint64
 	iqReady  uint64
 	iqParked uint64
 	parked   parkCounts
 
-	renameMap [isa.NumRegs]*entry
+	renameMap [isa.NumRegs]handle
 	arch      prog.ArchState
 
 	fetchPC         uint64
@@ -170,7 +170,6 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 	if entryPC == 0 {
 		entryPC = p.Entry
 	}
-	clearTail(c.psd)
 	eng, alq, ssets, vp := c.eng, c.alq, c.ssets, c.vp
 	*c = Core{
 		ID:              id,
@@ -374,7 +373,7 @@ func (c *Core) writeback() {
 			i++
 			continue
 		}
-		e := c.pend.entries[i]
+		e := c.pool.at(c.pend.entries[i])
 		if e.done {
 			i++
 			continue
@@ -433,7 +432,7 @@ func (c *Core) complete(e *entry) bool {
 }
 
 func (c *Core) resolveBranch(e *entry) bool {
-	src1, _ := e.srcReady(1)
+	src1, _ := c.pool.srcReady(e, 1)
 	e.taken = e.inst.BranchTaken(src1)
 	if e.inst.IsConditional() {
 		c.bp.Update(e.pc, e.taken, e.meta)
@@ -480,12 +479,12 @@ func (c *Core) captureStoreData() {
 	i := 0
 	for i < len(c.psd) {
 		c.work.Capture++
-		e := c.psd[i]
+		e := c.pool.at(c.psd[i])
 		if e.dataDone {
 			c.psd = swapRemove(c.psd, i)
 			continue
 		}
-		if v, ok := e.srcReady(2); ok {
+		if v, ok := c.pool.srcReady(e, 2); ok {
 			e.value = v
 			e.dataDone = true
 			c.sq.SetData(e.qh, v)
@@ -512,7 +511,7 @@ func (c *Core) captureStoreData() {
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.Width && c.rob.Len() > 0; n++ {
 		c.work.Commit++
-		e := c.rob.At(0)
+		e := c.robAt(0)
 		if !e.done {
 			// Head blocked on completion: only a completion, a data
 			// capture, a replay verdict, or a squash can unblock it, and
@@ -581,11 +580,11 @@ func (c *Core) commit() {
 		}
 		if e.writesReg {
 			c.arch.WriteReg(e.inst.Dst, e.result)
-			if c.renameMap[e.inst.Dst] == e {
-				c.renameMap[e.inst.Dst] = nil
+			if c.renameMap[e.inst.Dst] == e.self {
+				c.renameMap[e.inst.Dst] = 0
 			}
 			// Unlink unissued consumers before the entry is recycled:
-			// they latch the value now instead of holding a pointer. The
+			// they latch the value now instead of naming it. The
 			// reference count makes the common no-consumer case O(1)
 			// instead of an IQ+PSD scan.
 			if e.consumers != 0 {
@@ -666,7 +665,7 @@ func (c *Core) replayStage() {
 	olderPending := false
 	for i := start; i < depth; i++ {
 		c.work.Replay++
-		e := c.rob.At(i)
+		e := c.robAt(i)
 		if e.isStore {
 			// Constraint 1: all prior stores must have written the
 			// cache before any younger load replays.
@@ -866,7 +865,7 @@ func (c *Core) issue() {
 			c.chargeVisits(bit, &b)
 			continue
 		}
-		issued, squashed := c.tryIssue(c.iq[s], &b)
+		issued, squashed := c.tryIssue(c.pool.at(c.iq[s]), &b)
 		if issued {
 			b.total--
 			c.iqRemove(s)
@@ -887,10 +886,10 @@ func (c *Core) issue() {
 //vbr:hotpath
 func (c *Core) oldest(m uint64) int {
 	best := bits.TrailingZeros64(m)
-	tag := c.iq[best].tag
+	tag := c.pool.at(c.iq[best]).tag
 	for m &= m - 1; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
-		if t := c.iq[s].tag; t < tag {
+		if t := c.pool.at(c.iq[s]).tag; t < tag {
 			best, tag = s, t
 		}
 	}
@@ -915,24 +914,27 @@ func issuesOnBoth(cls isa.Class) bool {
 func (c *Core) iqInsert(e *entry) {
 	s := bits.TrailingZeros64(^c.iqUsed)
 	bit := uint64(1) << s
-	c.iq[s] = e
+	c.iq[s] = e.self
 	c.iqUsed |= bit
 	e.slot = uint8(s)
-	e.waitOn(e.src1, bit)
+	c.waitOn(e, e.src1, bit)
 	if issuesOnBoth(e.cls) && e.src2 != e.src1 {
-		e.waitOn(e.src2, bit)
+		c.waitOn(e, e.src2, bit)
 	}
 	if e.waiting == 0 {
 		c.iqReady |= bit
 	}
 }
 
-// waitOn makes e, in the slot bit, wait on producer p unless p (nil for
+// waitOn makes e, in the slot bit, wait on producer h unless h (0 for
 // an operand read at dispatch) has finished.
 //
 //vbr:hotpath
-func (e *entry) waitOn(p *entry, bit uint64) {
-	if p != nil && !p.done && !p.resultReady {
+func (c *Core) waitOn(e *entry, h handle, bit uint64) {
+	if h == 0 {
+		return
+	}
+	if p := c.pool.at(h); !p.done && !p.resultReady {
 		p.wakes |= bit
 		e.waiting++
 	}
@@ -947,7 +949,7 @@ func (e *entry) waitOn(p *entry, bit uint64) {
 func (c *Core) wake(p *entry) {
 	for m := p.wakes; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
-		w := c.iq[s]
+		w := c.pool.at(c.iq[s])
 		w.waiting--
 		if w.waiting == 0 {
 			c.iqReady |= 1 << s
@@ -960,7 +962,7 @@ func (c *Core) wake(p *entry) {
 //
 //vbr:hotpath
 func (c *Core) iqRemove(s int) {
-	c.iq[s] = nil
+	c.iq[s] = 0
 	c.iqUsed &^= 1 << s
 	c.iqReady &^= 1 << s
 }
@@ -1024,7 +1026,7 @@ func (c *Core) parkedAfter(tag int64) uint64 {
 	var m uint64
 	for r := c.iqParked; r != 0; r &= r - 1 {
 		s := bits.TrailingZeros64(r)
-		if c.iq[s].tag > tag {
+		if c.pool.at(c.iq[s]).tag > tag {
 			m |= 1 << s
 		}
 	}
@@ -1062,20 +1064,10 @@ func (c *Core) chargeParked(m, n uint64) {
 	}
 }
 
-// clearTail nils dropped slots so recycled entries are not pinned by
-// the slice's backing array.
-func clearTail(s []*entry) {
-	for i := range s {
-		s[i] = nil
-	}
-}
-
-// swapRemove drops s[i] by moving the last element into its place and
-// nils the vacated slot, so no slot past the length pins an entry.
-func swapRemove(s []*entry, i int) []*entry {
+// swapRemove drops s[i] by moving the last element into its place.
+func swapRemove(s []handle, i int) []handle {
 	last := len(s) - 1
 	s[i] = s[last]
-	s[last] = nil
 	return s[:last]
 }
 
@@ -1119,8 +1111,8 @@ func (c *Core) issueALU(e *entry, units *int, lat int) bool {
 	if *units == 0 {
 		return false
 	}
-	s1, ok1 := e.srcReady(1)
-	s2, ok2 := e.srcReady(2)
+	s1, ok1 := c.pool.srcReady(e, 1)
+	s2, ok2 := c.pool.srcReady(e, 2)
 	if !ok1 || !ok2 {
 		return false
 	}
@@ -1136,13 +1128,13 @@ func (c *Core) issueBranch(e *entry, units *int) bool {
 	if *units == 0 {
 		return false
 	}
-	s1, ok := e.srcReady(1)
+	s1, ok := c.pool.srcReady(e, 1)
 	if !ok {
 		return false
 	}
 	*units--
 	e.src1Val = s1
-	e.src1 = nil // latch the value for resolution
+	e.src1 = 0 // latch the value for resolution
 	e.issued = true
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
 	c.pendPush(e)
@@ -1153,7 +1145,7 @@ func (c *Core) issueStoreAgen(e *entry, units *int) bool {
 	if *units == 0 {
 		return false
 	}
-	s1, ok := e.srcReady(1)
+	s1, ok := c.pool.srcReady(e, 1)
 	if !ok {
 		return false
 	}
@@ -1184,7 +1176,7 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	if b.loadPorts == 0 {
 		return false, false
 	}
-	s1, ok := e.srcReady(1)
+	s1, ok := c.pool.srcReady(e, 1)
 	if !ok {
 		return false, false
 	}
@@ -1310,18 +1302,19 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 }
 
 // unlink copies a committing producer's result into any consumer that
-// still references it, so the producer's storage can be recycled safely.
-// Only unissued instructions hold producer pointers: everything in the
-// issue queue, plus stores awaiting data capture.
+// still names it, so the producer's storage can be recycled safely.
+// Only unissued instructions name producers: everything in the issue
+// queue, plus stores awaiting data capture.
 func (c *Core) unlink(p *entry) {
-	fix := func(e *entry) {
-		if e.src1 == p {
-			e.src1 = nil
+	fix := func(h handle) {
+		e := c.pool.at(h)
+		if e.src1 == p.self {
+			e.src1 = 0
 			e.src1Val = p.result
 			p.consumers--
 		}
-		if e.src2 == p {
-			e.src2 = nil
+		if e.src2 == p.self {
+			e.src2 = 0
 			e.src2Val = p.result
 			p.consumers--
 		}
@@ -1329,8 +1322,8 @@ func (c *Core) unlink(p *entry) {
 	for m := c.iqUsed; m != 0; m &= m - 1 {
 		fix(c.iq[bits.TrailingZeros64(m)])
 	}
-	for _, e := range c.psd {
-		fix(e)
+	for _, h := range c.psd {
+		fix(h)
 	}
 }
 
@@ -1415,8 +1408,9 @@ func (c *Core) dispatchOne(f *fetched) {
 	if f.inst.ReadsReg(1) {
 		r := f.inst.Src1
 		e.reads1 = true
-		if p := c.renameMap[r]; p != nil && r != isa.RZero {
-			e.src1 = p
+		if h := c.renameMap[r]; h != 0 && r != isa.RZero {
+			p := c.pool.at(h)
+			e.src1 = h
 			e.src1Gen = p.gen
 			p.consumers++
 		} else {
@@ -1426,8 +1420,9 @@ func (c *Core) dispatchOne(f *fetched) {
 	if f.inst.ReadsReg(2) {
 		r := f.inst.Src2
 		e.reads2 = true
-		if p := c.renameMap[r]; p != nil && r != isa.RZero {
-			e.src2 = p
+		if h := c.renameMap[r]; h != 0 && r != isa.RZero {
+			p := c.pool.at(h)
+			e.src2 = h
 			e.src2Gen = p.gen
 			p.consumers++
 		} else {
@@ -1436,7 +1431,7 @@ func (c *Core) dispatchOne(f *fetched) {
 	}
 	e.writesReg = f.inst.WritesReg()
 	if e.writesReg {
-		c.renameMap[f.inst.Dst] = e
+		c.renameMap[f.inst.Dst] = e.self
 	}
 
 	switch f.cls {
@@ -1488,7 +1483,7 @@ func (c *Core) dispatchOne(f *fetched) {
 			// changes what a parked load's search counts.
 			c.unpark(c.iqParked)
 		}
-		c.psd = append(c.psd, e)
+		c.psd = append(c.psd, e.self)
 		c.psdQuiet = false
 		if c.ssets != nil {
 			c.ssets.StoreDispatched(e.pc, e.tag)
@@ -1496,7 +1491,7 @@ func (c *Core) dispatchOne(f *fetched) {
 	default:
 		c.iqInsert(e)
 	}
-	c.rob.Push(e)
+	c.rob.Push(e.self)
 	c.replayWake = 0 // the replay window may have grown
 	// Dispatch into an empty ROB wakes commit: the new head may already
 	// be done.
@@ -1566,10 +1561,10 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	}
 	// Find the cut point: ROB tags increase from the head.
 	robLen := c.rob.Len()
-	cut := sort.Search(robLen, func(i int) bool { return c.rob.At(i).tag >= fromTag })
+	cut := sort.Search(robLen, func(i int) bool { return c.robAt(i).tag >= fromTag })
 	if !branchRepair {
 		if cut < robLen {
-			c.bp.SetHistory(c.rob.At(cut).histSnapshot)
+			c.bp.SetHistory(c.robAt(cut).histSnapshot)
 		} else if c.fetchQ.Len() > 0 {
 			// Nothing in the ROB was killed, but the fetch buffer holds
 			// speculative predictions that polluted global history.
@@ -1578,21 +1573,21 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	}
 	c.Stats.SquashedInstrs += uint64(robLen-cut) + uint64(c.fetchQ.Len())
 	// Recycle the killed entries (oldest first, matching the old append
-	// order) before the ring drops its references. Each killed consumer
-	// still holding a producer pointer releases its reference count, and
-	// killed issue-queue entries free their slots.
+	// order) before the ring drops them. Each killed consumer still
+	// naming a producer releases its reference count, and killed
+	// issue-queue entries free their slots.
 	var killed uint64
 	for i := cut; i < robLen; i++ {
-		e := c.rob.At(i)
-		if c.iq[e.slot] == e {
+		e := c.robAt(i)
+		if c.iq[e.slot] == e.self {
 			killed |= 1 << e.slot
-			c.iq[e.slot] = nil
+			c.iq[e.slot] = 0
 		}
-		if e.src1 != nil {
-			e.src1.consumers--
+		if e.src1 != 0 {
+			c.pool.at(e.src1).consumers--
 		}
-		if e.src2 != nil {
-			e.src2.consumers--
+		if e.src2 != 0 {
+			c.pool.at(e.src2).consumers--
 		}
 		c.pool.put(e)
 	}
@@ -1614,20 +1609,18 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 
 	// Rebuild the rename map from survivors, and drop the freed slots
 	// from their wake masks.
-	for i := range c.renameMap {
-		c.renameMap[i] = nil
-	}
+	c.renameMap = [isa.NumRegs]handle{}
 	for i := 0; i < cut; i++ {
-		e := c.rob.At(i)
+		e := c.robAt(i)
 		e.wakes &^= killed
 		if e.writesReg {
-			c.renameMap[e.inst.Dst] = e
+			c.renameMap[e.inst.Dst] = e.self
 		}
 	}
 
 	// Filter the side lists.
-	c.pend.filterOlder(fromTag)
-	c.psd = filterOlder(c.psd, fromTag)
+	c.pend.filterOlder(fromTag, &c.pool)
+	c.psd = filterOlder(c.psd, fromTag, &c.pool)
 
 	c.loads.squash(fromTag)
 	c.sq.Squash(fromTag)
@@ -1656,16 +1649,20 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	}
 }
 
-func filterOlder(s []*entry, fromTag int64) []*entry {
+func filterOlder(s []handle, fromTag int64, pl *pool) []handle {
 	out := s[:0]
-	for _, e := range s {
-		if e.tag < fromTag {
-			out = append(out, e)
+	for _, h := range s {
+		if pl.at(h).tag < fromTag {
+			out = append(out, h)
 		}
 	}
-	clearTail(s[len(out):])
 	return out
 }
+
+// robAt returns the i-th oldest ROB entry (0 = next to commit).
+//
+//vbr:hotpath
+func (c *Core) robAt(i int) *entry { return c.pool.at(c.rob.At(i)) }
 
 // ---------------------------------------------------------------------
 // External events (wired by the system package).
@@ -1681,7 +1678,7 @@ func (c *Core) HandleExternalInvalidation(block uint64) {
 	if c.alq != nil {
 		commitTag := int64(-1)
 		if c.rob.Len() > 0 {
-			commitTag = c.rob.At(0).tag
+			commitTag = c.robAt(0).tag
 		}
 		sqz, found := c.alq.OnInvalidation(block, commitTag)
 		if found {

@@ -100,8 +100,8 @@ func (c *Core) Dump(maxROB int) StateDump {
 		n = maxROB
 	}
 	for i := 0; i < n; i++ {
-		e := c.rob.At(i)
-		inIQ := c.iq[e.slot] == e
+		e := c.robAt(i)
+		inIQ := c.iq[e.slot] == e.self
 		d.ROB = append(d.ROB, EntryDump{
 			Tag: e.tag, PC: e.pc, Class: e.cls.String(),
 			Issued: e.issued, Done: e.done,

@@ -18,14 +18,19 @@ import (
 )
 
 // entry is one reorder-buffer entry (a dynamic instruction in flight).
-// Dataflow uses direct producer pointers: a consumer is always younger
-// than its producers, so a squash that frees a producer also frees every
-// consumer holding a pointer to it. Entries are recycled through a
-// generation-tagged freelist (pool): every recycle bumps gen, and a
-// consumer snapshots its producer's generation at rename, so a read
-// through a stale pointer — a pointer that survived its producer's
-// recycling, which the squash/unlink invariants forbid — is detected
-// instead of silently reading the wrong instruction's result.
+// Entries live in the pool's slab and are named by handle, never by
+// pointer: the ROB ring, the issue-queue slots, the pending and
+// store-data lists, the rename map and a consumer's operand producers
+// all hold handles, so the entry holds no pointer and neither do they,
+// and the collector neither scans this state nor fences its stores
+// (DESIGN.md §23). A consumer is always younger than its producers, so
+// a squash that frees a producer also frees every consumer naming it.
+// Entries are recycled through a generation-tagged freelist (pool):
+// every recycle bumps gen, and a consumer snapshots its producer's
+// generation at rename, so a read through a stale handle — one that
+// survived its producer's recycling, which the squash/unlink invariants
+// forbid — is detected instead of silently reading the wrong
+// instruction's result.
 type entry struct {
 	tag       int64
 	pc        uint64
@@ -33,9 +38,12 @@ type entry struct {
 	cls       isa.Class // inst.Class(), computed once at fetch
 	writesReg bool      // inst.WritesReg(), computed once at dispatch
 
-	// Dataflow. srcN is nil when the operand was ready at dispatch (its
+	// self is the entry's own handle, set as the pool hands it out.
+	self handle
+
+	// Dataflow. srcN is 0 when the operand was ready at dispatch (its
 	// value is in srcNVal) or when the instruction does not read slot N.
-	src1, src2   *entry
+	src1, src2   handle
 	src1Gen      uint64 // src1's generation at rename
 	src2Gen      uint64 // src2's generation at rename
 	src1Val      uint64
@@ -44,7 +52,7 @@ type entry struct {
 	reads2       bool
 	histSnapshot uint64 // branch-history state at fetch, for repair
 	// consumers counts live references held by younger entries' srcN
-	// pointers: incremented at rename, decremented when a consumer
+	// handles: incremented at rename, decremented when a consumer
 	// latches the value (srcReady), is squashed, or is unlinked. When it
 	// is zero at commit, unlink's IQ+PSD scan is provably a no-op and
 	// skipped.
@@ -112,50 +120,54 @@ type entry struct {
 	gen uint64
 }
 
-// srcReady reports whether operand slot n is available and returns its
-// value. On the first ready observation the value is latched into the
-// entry and the producer pointer dropped: a producer's result is
+// srcReady reports whether e's operand slot n is available and returns
+// its value. On the first ready observation the value is latched into
+// the entry and the producer handle dropped: a producer's result is
 // immutable once done/resultReady (a mispredicted value reaches
 // consumers only through a squash that kills them), so latching is
 // invisible to results while sparing the issue loop's repeated scans a
-// pointer chase per operand per cycle.
-func (e *entry) srcReady(n int) (uint64, bool) {
-	var p *entry
+// slab lookup per operand per cycle.
+func (p *pool) srcReady(e *entry, n int) (uint64, bool) {
+	var h handle
 	var v uint64
 	var gen uint64
 	var reads bool
 	if n == 1 {
-		p, v, gen, reads = e.src1, e.src1Val, e.src1Gen, e.reads1
+		h, v, gen, reads = e.src1, e.src1Val, e.src1Gen, e.reads1
 	} else {
-		p, v, gen, reads = e.src2, e.src2Val, e.src2Gen, e.reads2
+		h, v, gen, reads = e.src2, e.src2Val, e.src2Gen, e.reads2
 	}
 	if !reads {
 		return 0, true
 	}
-	if p == nil {
+	if h == 0 {
 		return v, true
 	}
-	if p.gen != gen {
-		// The producer slot was recycled while this consumer still held a
-		// pointer to it. The squash and commit-time unlink invariants make
-		// this unreachable; reaching it means the freelist would otherwise
+	pe := p.at(h)
+	if pe.gen != gen {
+		// The producer slot was recycled while this consumer still named
+		// it. The squash and commit-time unlink invariants make this
+		// unreachable; reaching it means the freelist would otherwise
 		// have handed this consumer another instruction's result.
 		panic("pipeline: consumer read a recycled producer entry")
 	}
-	if p.done || p.resultReady {
-		v = p.result
-		p.consumers--
+	if pe.done || pe.resultReady {
+		v = pe.result
+		pe.consumers--
 		if n == 1 {
-			e.src1 = nil
+			e.src1 = 0
 			e.src1Val = v
 		} else {
-			e.src2 = nil
+			e.src2 = 0
 			e.src2Val = v
 		}
 		return v, true
 	}
 	return 0, false
 }
+
+// handle names a pool entry: 1 + its slab index, or 0 for none.
+type handle uint32
 
 // pool is a generation-tagged freelist of entries. At most ROBSize
 // entries are ever live (every entry is in the ROB), so the pool hands
@@ -165,36 +177,43 @@ func (e *entry) srcReady(n int) (uint64, bool) {
 type pool struct {
 	slab []entry
 	next int      // slab[next:] has not been handed out since init
-	free []*entry // recycled entries, handed out first
+	free []handle // recycled entries, handed out first
 }
 
 // init arms the pool over a slab of n entries, reusing the current slab
 // when it fits. The slab is not cleared: get zeroes each entry as it
-// hands it out and keeps its generation counting up, so a pointer that
+// hands it out and keeps its generation counting up, so a handle that
 // outlived an init still fails the stale-producer check.
 func (p *pool) init(n int) {
 	*p = pool{slab: reuse.Resized(p.slab, n), free: reuse.Empty(p.free, n)}
 }
 
+// at returns the entry h names; h must not be 0.
+//
+//vbr:hotpath
+func (p *pool) at(h handle) *entry { return &p.slab[h-1] }
+
+// get hands out a zeroed entry. The ROB caps live entries at the slab's
+// size, so running out means an entry leaked.
 func (p *pool) get() *entry {
-	var e *entry
+	var h handle
 	switch n := len(p.free); {
 	case n > 0:
-		e = p.free[n-1]
+		h = p.free[n-1]
 		p.free = p.free[:n-1]
 	case p.next < len(p.slab):
-		e = &p.slab[p.next]
 		p.next++
+		h = handle(p.next)
 	default:
-		return &entry{gen: 1}
+		panic("pipeline: entry pool exhausted")
 	}
+	e := p.at(h)
 	gen := e.gen
-	*e = entry{}
-	e.gen = gen + 1
+	*e = entry{self: h, gen: gen + 1}
 	return e
 }
 
-func (p *pool) put(e *entry) { p.free = append(p.free, e) }
+func (p *pool) put(e *entry) { p.free = append(p.free, e.self) }
 
 // fetched is one instruction in the fetch-to-dispatch buffer.
 type fetched struct {

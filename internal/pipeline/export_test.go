@@ -8,39 +8,40 @@ import (
 )
 
 // issueProducers returns the producers e still reads its issue operands
-// through (nil for an operand latched or read at dispatch): operand 1,
+// through (0 for an operand latched or read at dispatch): operand 1,
 // and operand 2 for the ALU classes only.
-func issueProducers(e *entry) (p1, p2 *entry) {
+func issueProducers(e *entry) (p1, p2 handle) {
 	if issuesOnBoth(e.cls) {
 		return e.src1, e.src2
 	}
-	return e.src1, nil
+	return e.src1, 0
 }
 
-// wouldBeReady reports whether operand slot n is available, without
+// wouldBeReady reports whether e's operand slot n is available, without
 // srcReady's value latching, so CheckIQ only reads the core.
-func (e *entry) wouldBeReady(n int) bool {
-	var p *entry
+func (p *pool) wouldBeReady(e *entry, n int) bool {
+	var h handle
 	var reads bool
 	if n == 1 {
-		p, reads = e.src1, e.reads1
+		h, reads = e.src1, e.reads1
 	} else {
-		p, reads = e.src2, e.reads2
+		h, reads = e.src2, e.reads2
 	}
-	if !reads || p == nil {
+	if !reads || h == 0 {
 		return true
 	}
-	return p.done || p.resultReady
+	pe := p.at(h)
+	return pe.done || pe.resultReady
 }
 
 // loadAddr returns load e's effective address as issueLoad computes it,
 // without srcReady's latching; e's address operand must be ready.
-func (e *entry) loadAddr() uint64 {
+func (p *pool) loadAddr(e *entry) uint64 {
 	var base uint64
 	switch {
 	case !e.reads1:
-	case e.src1 != nil:
-		base = e.src1.result
+	case e.src1 != 0:
+		base = p.at(e.src1).result
 	default:
 		base = e.src1Val
 	}
@@ -70,7 +71,7 @@ func (c *Core) reprobe(e *entry) (bool, probeCount) {
 	if k.wait && c.sq.UnresolvedBefore(e.tag) {
 		return true, k
 	}
-	r := c.sq.Peek(e.loadAddr(), e.tag)
+	r := c.sq.Peek(c.pool.loadAddr(e), e.tag)
 	k.search, k.l2, k.filter = true, r.Level2, r.FilterQueried
 	return r.Match && !r.DataReady, k
 }
@@ -97,14 +98,15 @@ func (c *Core) CheckIQ() error {
 	}
 	occupied := 0
 	for s := 0; s < MaxIQSize; s++ {
-		e, bit := c.iq[s], uint64(1)<<s
-		if e == nil {
+		h, bit := c.iq[s], uint64(1)<<s
+		if h == 0 {
 			if (c.iqUsed|c.iqReady|c.iqParked)&bit != 0 {
 				return fmt.Errorf("free slot %d is marked used (%t), ready (%t) or parked (%t)",
 					s, c.iqUsed&bit != 0, c.iqReady&bit != 0, c.iqParked&bit != 0)
 			}
 			continue
 		}
+		e := c.pool.at(h)
 		occupied++
 		switch {
 		case c.iqUsed&bit == 0:
@@ -115,7 +117,7 @@ func (c *Core) CheckIQ() error {
 			return fmt.Errorf("slot %d holds tag %d, which has issued", s, e.tag)
 		}
 		p1, p2 := issueProducers(e)
-		ready := e.wouldBeReady(1) && (p2 == nil || e.wouldBeReady(2))
+		ready := c.pool.wouldBeReady(e, 1) && (p2 == 0 || c.pool.wouldBeReady(e, 2))
 		if ready != ((c.iqReady|c.iqParked)&bit != 0) {
 			return fmt.Errorf("slot %d (tag %d): operands ready %t, ready bit %t, parked bit %t",
 				s, e.tag, ready, c.iqReady&bit != 0, c.iqParked&bit != 0)
@@ -134,8 +136,12 @@ func (c *Core) CheckIQ() error {
 			}
 		}
 		unready := 0
-		for i, p := range [2]*entry{p1, p2} {
-			if p == nil || p.done || p.resultReady || (i == 1 && p == p1) {
+		for i, ph := range [2]handle{p1, p2} {
+			if ph == 0 || (i == 1 && ph == p1) {
+				continue
+			}
+			p := c.pool.at(ph)
+			if p.done || p.resultReady {
 				continue
 			}
 			unready++
@@ -153,14 +159,14 @@ func (c *Core) CheckIQ() error {
 		return fmt.Errorf("IQLen %d, %d occupied slots", c.IQLen(), occupied)
 	}
 	for i := 0; i < c.rob.Len(); i++ {
-		p := c.rob.At(i)
+		p := c.robAt(i)
 		for m := p.wakes; m != 0; m &= m - 1 {
 			s := bits.TrailingZeros64(m)
-			e := c.iq[s]
-			if e == nil {
+			if c.iq[s] == 0 {
 				return fmt.Errorf("tag %d wakes free slot %d", p.tag, s)
 			}
-			if p1, p2 := issueProducers(e); p1 != p && p2 != p {
+			e := c.pool.at(c.iq[s])
+			if p1, p2 := issueProducers(e); p1 != p.self && p2 != p.self {
 				return fmt.Errorf("tag %d wakes slot %d (tag %d), which does not read it",
 					p.tag, s, e.tag)
 			}
@@ -194,7 +200,7 @@ func (c *Core) CheckLSQ() error {
 	tr := c.loads.w
 	tracked := 0 // ROB loads seen from the oldest incomplete one on
 	for i := 0; i < c.rob.Len(); i++ {
-		e := c.rob.At(i)
+		e := c.robAt(i)
 		if !e.isLoad && !e.isStore {
 			continue
 		}
@@ -247,7 +253,7 @@ func checkHandle(queue string, w lsq.Window, h lsq.Handle, tag int64) error {
 func (c *Core) checkDumpParked() error {
 	parkedTags := map[int64]bool{}
 	for m := c.iqParked; m != 0; m &= m - 1 {
-		parkedTags[c.iq[bits.TrailingZeros64(m)].tag] = true
+		parkedTags[c.pool.at(c.iq[bits.TrailingZeros64(m)]).tag] = true
 	}
 	marked := 0
 	for _, d := range c.Dump(0).ROB {
@@ -270,7 +276,7 @@ func (c *Core) checkDumpParked() error {
 // it found one.
 func (c *Core) StrandLoad() bool {
 	for m := c.iqReady; m != 0; m &= m - 1 {
-		if e := c.iq[bits.TrailingZeros64(m)]; e.isLoad && !c.sq.HasOlderThan(e.tag) {
+		if e := c.pool.at(c.iq[bits.TrailingZeros64(m)]); e.isLoad && !c.sq.HasOlderThan(e.tag) {
 			c.park(e, false, false, lsq.SearchResult{})
 			return true
 		}
@@ -284,7 +290,7 @@ func (c *Core) StrandLoad() bool {
 func (c *Core) SwapLoadHandles() bool {
 	var first *entry
 	for i := 0; i < c.rob.Len(); i++ {
-		if e := c.rob.At(i); e.isLoad {
+		if e := c.robAt(i); e.isLoad {
 			if first == nil {
 				first = e
 				continue
@@ -302,9 +308,12 @@ func (c *Core) SwapLoadHandles() bool {
 func (c *Core) LoseWakeup() bool {
 	for m := c.iqUsed &^ (c.iqReady | c.iqParked); m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
-		p1, p2 := issueProducers(c.iq[s])
-		for _, p := range [2]*entry{p1, p2} {
-			if p != nil && p.wakes&(1<<s) != 0 {
+		p1, p2 := issueProducers(c.pool.at(c.iq[s]))
+		for _, h := range [2]handle{p1, p2} {
+			if h == 0 {
+				continue
+			}
+			if p := c.pool.at(h); p.wakes&(1<<s) != 0 {
 				p.wakes &^= 1 << s
 				return true
 			}

@@ -14,20 +14,19 @@ import (
 // preallocated array serves every access pattern they need: push-back,
 // pop-front, random access by age, and truncate-from-back (squash).
 
-// entryRing is a fixed-capacity FIFO of ROB entries. Index 0 is the
-// oldest (next to commit); capacity is config.Machine.ROBSize, which
-// dispatch enforces before every Push.
+// entryRing is a fixed-capacity FIFO of ROB entry handles. Index 0 is
+// the oldest (next to commit); capacity is config.Machine.ROBSize,
+// which dispatch enforces before every Push.
 type entryRing struct {
-	buf  []*entry
+	buf  []handle
 	head int
 	n    int
 }
 
 // init empties the ring at the given capacity, reusing its array when
-// it fits. Only the occupied slots need clearing: every other slot is
-// nil already (PopFront and TruncateFrom nil what they drop).
+// it fits. Stale slots need no clearing: Push overwrites each slot it
+// fills.
 func (r *entryRing) init(capacity int) {
-	r.TruncateFrom(0)
 	*r = entryRing{buf: reuse.Resized(r.buf, capacity)}
 }
 
@@ -35,7 +34,7 @@ func (r *entryRing) init(capacity int) {
 func (r *entryRing) Len() int { return r.n }
 
 // At returns the i-th oldest entry (0 = next to commit).
-func (r *entryRing) At(i int) *entry {
+func (r *entryRing) At(i int) handle {
 	idx := r.head + i
 	if idx >= len(r.buf) {
 		idx -= len(r.buf)
@@ -44,39 +43,29 @@ func (r *entryRing) At(i int) *entry {
 }
 
 // Push appends a dispatched entry at the young end.
-func (r *entryRing) Push(e *entry) {
+func (r *entryRing) Push(h handle) {
 	idx := r.head + r.n
 	if idx >= len(r.buf) {
 		idx -= len(r.buf)
 	}
-	r.buf[idx] = e
+	r.buf[idx] = h
 	r.n++
 }
 
 // PopFront removes and returns the oldest entry (commit).
-func (r *entryRing) PopFront() *entry {
-	e := r.buf[r.head]
-	r.buf[r.head] = nil
+func (r *entryRing) PopFront() handle {
+	h := r.buf[r.head]
 	r.head++
 	if r.head == len(r.buf) {
 		r.head = 0
 	}
 	r.n--
-	return e
+	return h
 }
 
 // TruncateFrom drops entries [i, Len) — the squash path. The caller has
 // already recycled the dropped entries.
-func (r *entryRing) TruncateFrom(i int) {
-	for j := i; j < r.n; j++ {
-		idx := r.head + j
-		if idx >= len(r.buf) {
-			idx -= len(r.buf)
-		}
-		r.buf[idx] = nil
-	}
-	r.n = i
-}
+func (r *entryRing) TruncateFrom(i int) { r.n = i }
 
 // fetchRing is a fixed-capacity FIFO of fetched instructions (the
 // fetch-to-dispatch buffer). Capacity is config.Machine.FetchBuf, which

@@ -15,26 +15,25 @@ func TestEntryRingFIFOWraparound(t *testing.T) {
 	const capacity = 4
 	var r entryRing
 	r.init(capacity)
-	mk := func(tag int64) *entry { return &entry{tag: tag} }
 
 	// Push/pop enough times to wrap the head several times over.
-	next := int64(0)
-	oldest := int64(0)
+	next := handle(1)
+	oldest := handle(1)
 	for round := 0; round < 5; round++ {
 		for r.Len() < capacity {
-			r.Push(mk(next))
+			r.Push(next)
 			next++
 		}
 		// Random access must see entries oldest-first.
 		for i := 0; i < r.Len(); i++ {
-			if got := r.At(i).tag; got != oldest+int64(i) {
-				t.Fatalf("round %d: At(%d).tag = %d, want %d", round, i, got, oldest+int64(i))
+			if got := r.At(i); got != oldest+handle(i) {
+				t.Fatalf("round %d: At(%d) = %d, want %d", round, i, got, oldest+handle(i))
 			}
 		}
 		// Drain a couple from the front.
 		for k := 0; k < 2; k++ {
-			if got := r.PopFront().tag; got != oldest {
-				t.Fatalf("round %d: PopFront tag = %d, want %d", round, got, oldest)
+			if got := r.PopFront(); got != oldest {
+				t.Fatalf("round %d: PopFront = %d, want %d", round, got, oldest)
 			}
 			oldest++
 		}
@@ -45,39 +44,27 @@ func TestEntryRingTruncateFrom(t *testing.T) {
 	const capacity = 4
 	var r entryRing
 	r.init(capacity)
-	mk := func(tag int64) *entry { return &entry{tag: tag} }
 
 	// Arrange a wrapped state: head in the middle of the backing array.
-	for i := int64(0); i < capacity; i++ {
-		r.Push(mk(i))
+	for h := handle(1); h <= capacity; h++ {
+		r.Push(h)
 	}
 	r.PopFront()
 	r.PopFront()
-	r.Push(mk(4))
-	r.Push(mk(5)) // ring now holds 2,3,4,5 with head=2
+	r.Push(5)
+	r.Push(6) // ring now holds 3,4,5,6 with head=2
 
 	r.TruncateFrom(1) // squash everything younger than the oldest
 	if r.Len() != 1 {
 		t.Fatalf("Len after TruncateFrom(1) = %d, want 1", r.Len())
 	}
-	if got := r.At(0).tag; got != 2 {
-		t.Fatalf("survivor tag = %d, want 2", got)
-	}
-	// Dropped slots must be nil'd so the pool's recycled entries are not
-	// also reachable through the ring.
-	nils := 0
-	for _, e := range r.buf {
-		if e == nil {
-			nils++
-		}
-	}
-	if nils != capacity-1 {
-		t.Fatalf("nil backing slots = %d, want %d", nils, capacity-1)
+	if got := r.At(0); got != 3 {
+		t.Fatalf("survivor = %d, want 3", got)
 	}
 
 	// The ring stays usable after a truncate.
-	r.Push(mk(6))
-	if r.Len() != 2 || r.At(1).tag != 6 {
+	r.Push(7)
+	if r.Len() != 2 || r.At(1) != 7 {
 		t.Fatal("push after truncate broke the ring")
 	}
 }
@@ -160,8 +147,8 @@ func TestWriterRingNilSafe(t *testing.T) {
 
 // TestPoolGenerationTags checks the freelist's recycle contract: the
 // generation survives zeroing and strictly increases, so a consumer
-// holding a stale producer pointer is detectable (entry.srcReady
-// panics on a generation mismatch).
+// holding a stale producer handle is detectable (pool.srcReady panics
+// on a generation mismatch).
 func TestPoolGenerationTags(t *testing.T) {
 	var p pool
 	p.init(2)
@@ -184,8 +171,8 @@ func TestPoolGenerationTags(t *testing.T) {
 		t.Fatalf("generation after recycle = %d, want %d", b.gen, g+1)
 	}
 
-	// Stale-pointer detection end to end.
-	consumer := &entry{reads1: true, src1: b, src1Gen: b.gen}
+	// Stale-handle detection end to end.
+	consumer := &entry{reads1: true, src1: b.self, src1Gen: b.gen}
 	p.put(b)
 	stale := p.get() // same slot, bumped generation
 	if stale != b {
@@ -196,17 +183,19 @@ func TestPoolGenerationTags(t *testing.T) {
 			t.Error("srcReady must panic on a stale producer generation")
 		}
 	}()
-	consumer.srcReady(1)
+	p.srcReady(consumer, 1)
 }
 
-// TestPoolExhaustionFallback: an empty pool falls back to heap
-// allocation with a fresh generation rather than failing.
-func TestPoolExhaustionFallback(t *testing.T) {
+// TestPoolExhaustionPanics: the ROB caps live entries at the slab's
+// size, so a get from an exhausted pool is a leak and panics.
+func TestPoolExhaustionPanics(t *testing.T) {
 	var p pool
 	p.init(1)
 	_ = p.get()
-	extra := p.get()
-	if extra == nil || extra.gen != 1 {
-		t.Fatalf("fallback entry gen = %v, want 1", extra.gen)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("get on an exhausted pool must panic")
+		}
+	}()
+	p.get()
 }

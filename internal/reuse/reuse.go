@@ -2,7 +2,9 @@
 // component's in-place Reset. A component keeps its old buffers, zeroes
 // its struct, rebuilds it, and reuses a buffer when its size fits, so a
 // constructor is just that rebuild applied to a zero value (DESIGN.md
-// §17).
+// §17). PointerFree checks that a type holds nothing the garbage
+// collector scans, as the pipeline's and caches' hot state must not
+// (§23).
 package reuse
 
 // Zeroed returns a zeroed slice of length n, reusing s's backing array

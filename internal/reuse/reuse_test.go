@@ -1,6 +1,10 @@
 package reuse
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 func TestZeroedReusesWhenItFits(t *testing.T) {
 	s := []int{1, 2, 3, 4}
@@ -73,5 +77,30 @@ func TestPtr(t *testing.T) {
 	}
 	if p := Ptr[int](nil); p == nil || *p != 0 {
 		t.Fatal("Ptr(nil) must return a new zero value")
+	}
+}
+
+func TestPointerFree(t *testing.T) {
+	type flat struct {
+		a uint32
+		b [3]struct {
+			c bool
+			d float64
+		}
+	}
+	if err := PointerFree(reflect.TypeOf(flat{})); err != nil {
+		t.Errorf("flat struct: %v", err)
+	}
+	for _, v := range []any{
+		new(int), []int(nil), map[int]int(nil), "", [1]any{}, func() {}, make(chan int),
+		unsafe.Pointer(nil), struct{ x [2]struct{ p *flat } }{},
+	} {
+		if PointerFree(reflect.TypeOf(v)) == nil {
+			t.Errorf("%T passed as pointer-free", v)
+		}
+	}
+	err := PointerFree(reflect.TypeOf(struct{ x [2]struct{ p *flat } }{}))
+	if want := "struct { x [2]struct { p *reuse.flat } }.x[].p is a ptr"; err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
 	}
 }
