@@ -10,19 +10,19 @@ import (
 
 func TestFIFOInsertOrderAndCapacity(t *testing.T) {
 	q := NewFIFOQueue(2)
-	_, ok1 := q.Insert(1, 0x10)
-	_, ok2 := q.Insert(5, 0x20)
+	_, ok1 := q.Insert(1)
+	_, ok2 := q.Insert(5)
 	if !ok1 || !ok2 {
 		t.Fatal("inserts failed")
 	}
-	if _, ok := q.Insert(9, 0x30); ok {
+	if _, ok := q.Insert(9); ok {
 		t.Error("full queue accepted insert")
 	}
 	if q.Len() != 2 || !q.Full() {
 		t.Errorf("Len=%d Full=%v", q.Len(), q.Full())
 	}
-	if h := q.Head(); h == nil || h.Tag != 1 {
-		t.Errorf("Head = %+v", q.Head())
+	if w := q.Window(); w.OldestTag() != 1 || q.YoungestTag() != 5 {
+		t.Errorf("oldest %d youngest %d, want 1 and 5", w.OldestTag(), q.YoungestTag())
 	}
 }
 
@@ -33,51 +33,53 @@ func TestFIFOOutOfOrderInsertPanics(t *testing.T) {
 		}
 	}()
 	q := NewFIFOQueue(4)
-	q.Insert(5, 0)
-	q.Insert(2, 0)
+	q.Insert(5)
+	q.Insert(2)
 }
 
-// TestFIFOFindRemoveSquash: a handle reaches its load until the load is
-// popped or squashed, and an absent handle panics.
+// TestFIFOFindRemoveSquash: a handle reaches its load's tag through the
+// queue's window until the load is popped or squashed, and an absent
+// handle panics.
 func TestFIFOFindRemoveSquash(t *testing.T) {
 	q := NewFIFOQueue(8)
 	var hs []lsq.Handle
 	for i := int64(1); i <= 5; i++ {
-		h, _ := q.Insert(i, uint64(i)*4)
+		h, _ := q.Insert(i)
 		hs = append(hs, h)
 	}
-	if e := q.At(hs[2]); e.Tag != 3 || e.PC != 12 {
-		t.Errorf("At(handle of 3) = %+v", e)
+	if w := q.Window(); w.Tag(hs[2]) != 3 {
+		t.Errorf("Tag(handle of 3) = %d", w.Tag(hs[2]))
 	}
 	q.Pop()
 	q.Squash(4)
-	if q.Len() != 2 || q.Head().Tag != 2 || q.At(hs[2]).Tag != 3 {
-		t.Errorf("after pop+squash: len=%d head=%+v", q.Len(), q.Head())
+	if w := q.Window(); q.Len() != 2 || w.OldestTag() != 2 || w.Tag(hs[2]) != 3 {
+		t.Errorf("after pop+squash: len=%d tags=%v", q.Len(), w.Tags())
 	}
 	for _, h := range []lsq.Handle{hs[0], hs[3], hs[4]} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("At(%d) of a popped or squashed load did not panic", h)
+					t.Errorf("Tag(%d) of a popped or squashed load did not panic", h)
 				}
 			}()
-			q.At(h)
+			w := q.Window()
+			w.Tag(h)
 		}()
 	}
 	empty := NewFIFOQueue(2)
-	if empty.Head() != nil {
-		t.Error("empty Head should be nil")
+	if w := empty.Window(); w.OldestTag() != -1 || empty.YoungestTag() != -1 {
+		t.Error("an empty queue has no oldest or youngest tag")
 	}
 }
 
 func TestReplayAllReplaysEverything(t *testing.T) {
 	e := NewEngine(ReplayAll, 8)
-	en := &FIFOEntry{Tag: 1}
-	if !e.ShouldReplay(en) {
+	en := Load{Tag: 1}
+	if !decide(e, en) {
 		t.Error("replay-all must replay")
 	}
-	en2 := &FIFOEntry{Tag: 2, NUS: true, Reordered: true}
-	if !e.ShouldReplay(en2) {
+	en2 := Load{Tag: 2, NUS: true, Reordered: true}
+	if !decide(e, en2) {
 		t.Error("replay-all must replay flagged loads too")
 	}
 	if e.Stats.LoadsSeen != 2 || e.Stats.Filtered != 0 {
@@ -87,10 +89,10 @@ func TestReplayAllReplaysEverything(t *testing.T) {
 
 func TestNoReorderFilter(t *testing.T) {
 	e := NewEngine(NoReorder, 8)
-	if e.ShouldReplay(&FIFOEntry{Tag: 1}) {
+	if decide(e, Load{Tag: 1}) {
 		t.Error("in-order load must be filtered")
 	}
-	if !e.ShouldReplay(&FIFOEntry{Tag: 2, Reordered: true}) {
+	if !decide(e, Load{Tag: 2, Reordered: true}) {
 		t.Error("reordered load must replay")
 	}
 	if e.Stats.Filtered != 1 {
@@ -103,14 +105,14 @@ func TestNUSComposition(t *testing.T) {
 	// so (paper §3.3).
 	for _, f := range []Filter{NoRecentMiss, NoRecentSnoop} {
 		e := NewEngine(f, 8)
-		if e.ShouldReplay(&FIFOEntry{Tag: 1}) {
+		if decide(e, Load{Tag: 1}) {
 			t.Errorf("%v: quiet window, no NUS: filtered expected", f)
 		}
-		if !e.ShouldReplay(&FIFOEntry{Tag: 2, NUS: true}) {
+		if !decide(e, Load{Tag: 2, NUS: true}) {
 			t.Errorf("%v: NUS load must replay regardless of window", f)
 		}
 		e.NoteExternalEvent(10)
-		if !e.ShouldReplay(&FIFOEntry{Tag: 3}) {
+		if !decide(e, Load{Tag: 3}) {
 			t.Errorf("%v: open window must force replay", f)
 		}
 	}
@@ -123,8 +125,8 @@ func TestEventWindowOpensAndCloses(t *testing.T) {
 		t.Fatal("window should open")
 	}
 	// Loads older than 10 replay and do not close the window.
-	en := &FIFOEntry{Tag: 7}
-	if !e.ShouldReplay(en) {
+	en := Load{Tag: 7}
+	if !decide(e, en) {
 		t.Error("tag 7 must replay")
 	}
 	e.OnReplayComplete(en, en.Value)
@@ -132,14 +134,14 @@ func TestEventWindowOpensAndCloses(t *testing.T) {
 		t.Error("window must stay open until the flagged load drains")
 	}
 	// The flagged load replays: window closes.
-	en10 := &FIFOEntry{Tag: 10}
-	e.ShouldReplay(en10)
+	en10 := Load{Tag: 10}
+	decide(e, en10)
 	e.OnReplayComplete(en10, en10.Value)
 	if e.WindowOpen() {
 		t.Error("window should close after flagged load replays")
 	}
 	// Subsequent loads are filtered again.
-	if e.ShouldReplay(&FIFOEntry{Tag: 11}) {
+	if decide(e, Load{Tag: 11}) {
 		t.Error("closed window should filter")
 	}
 }
@@ -160,8 +162,8 @@ func TestEventWindowReLatch(t *testing.T) {
 	e := NewEngine(NoRecentSnoop, 8)
 	e.NoteExternalEvent(10)
 	e.NoteExternalEvent(20) // later event re-latches
-	en := &FIFOEntry{Tag: 10}
-	e.ShouldReplay(en)
+	en := Load{Tag: 10}
+	decide(e, en)
 	e.OnReplayComplete(en, 0)
 	if !e.WindowOpen() {
 		t.Error("window latched to 20 must survive tag 10 draining")
@@ -181,15 +183,15 @@ func TestNoteEventWithNoLoadsInWindow(t *testing.T) {
 
 func TestMismatchDetectionAndClassification(t *testing.T) {
 	e := NewEngine(ReplayAll, 8)
-	en := &FIFOEntry{Tag: 1, Value: 42, NUS: true}
+	en := Load{Tag: 1, Value: 42, NUS: true}
 	if e.OnReplayComplete(en, 42) {
 		t.Error("matching value must not squash")
 	}
-	en2 := &FIFOEntry{Tag: 2, Value: 42, NUS: true}
+	en2 := Load{Tag: 2, Value: 42, NUS: true}
 	if !e.OnReplayComplete(en2, 43) {
 		t.Error("mismatch must squash")
 	}
-	en3 := &FIFOEntry{Tag: 3, Value: 7}
+	en3 := Load{Tag: 3, Value: 7}
 	if !e.OnReplayComplete(en3, 8) {
 		t.Error("mismatch must squash")
 	}
@@ -207,8 +209,8 @@ func TestMismatchDetectionAndClassification(t *testing.T) {
 
 func TestRule3SkipsReplay(t *testing.T) {
 	e := NewEngine(ReplayAll, 8)
-	en := &FIFOEntry{Tag: 1, NoReplay: true}
-	if e.ShouldReplay(en) {
+	en := Load{Tag: 1, NoReplay: true}
+	if decide(e, en) {
 		t.Error("rule-3-marked load must not replay")
 	}
 	if e.Stats.Rule3Skips != 1 {
@@ -218,8 +220,8 @@ func TestRule3SkipsReplay(t *testing.T) {
 
 func TestOnSquashReanchorsWindow(t *testing.T) {
 	e := NewEngine(NoRecentSnoop, 8)
-	e.Queue.Insert(5, 0)
-	e.Queue.Insert(12, 0)
+	e.Queue.Insert(5)
+	e.Queue.Insert(12)
 	e.NoteExternalEvent(12)
 	e.OnSquash(10) // the flagged load (12) dies
 	if e.Queue.Len() != 1 {
@@ -229,7 +231,7 @@ func TestOnSquashReanchorsWindow(t *testing.T) {
 		t.Fatal("window must stay open across the squash")
 	}
 	// Surviving older load still replays...
-	if !e.ShouldReplay(&FIFOEntry{Tag: 5}) {
+	if !decide(e, Load{Tag: 5}) {
 		t.Error("pre-squash load must still replay")
 	}
 	// ...and the first post-squash load closes the window when it
@@ -250,18 +252,6 @@ func TestOnSquashKeepsOlderAnchor(t *testing.T) {
 	e.OnLoadPassedReplayStage(5)
 	if e.WindowOpen() {
 		t.Error("surviving anchor should close normally")
-	}
-}
-
-func TestReplaysPerCommitted(t *testing.T) {
-	e := NewEngine(ReplayAll, 8)
-	en := &FIFOEntry{Tag: 1}
-	e.OnReplayComplete(en, 0)
-	if r := e.ReplaysPerCommitted(50); r != 0.02 {
-		t.Errorf("ReplaysPerCommitted = %v, want 0.02", r)
-	}
-	if e.ReplaysPerCommitted(0) != 0 {
-		t.Error("zero committed should yield 0")
 	}
 }
 
@@ -289,17 +279,17 @@ func TestFIFOQueueProperty(t *testing.T) {
 	err := quick.Check(func(n uint8, k uint8) bool {
 		q := NewFIFOQueue(300)
 		for i := int64(0); i < int64(n); i++ {
-			q.Insert(i, uint64(i))
+			q.Insert(i)
 		}
 		q.Squash(int64(k))
 		last := int64(-1)
 		w := q.Window()
 		for h := w.Head(); h < w.Tail(); h++ {
-			e := q.At(h)
-			if e.Tag >= int64(k) || e.Tag <= last || e.Tag != w.Tag(h) {
+			tag := w.Tag(h)
+			if tag >= int64(k) || tag <= last {
 				return false
 			}
-			last = e.Tag
+			last = tag
 		}
 		return true
 	}, nil)
@@ -309,66 +299,64 @@ func TestFIFOQueueProperty(t *testing.T) {
 }
 
 // TestFIFOQueueMatchesNaive drives the FIFO load queue and a naive
-// tag-ordered slice through a seeded stream of dispatch, issue (which
-// writes the entry through its handle), commit and squash, with gaps in
-// the tag sequence, and compares every entry, reached by its handle, and
-// the queue's ends after every operation. The queue is small, so its
-// window re-bases often.
+// tag-ordered slice through a seeded stream of dispatch, commit and
+// squash, with gaps in the tag sequence, and compares every load's tag,
+// reached by its handle through the queue's window, and the queue's
+// ends after every operation. The queue is small, so its window
+// re-bases often.
 func TestFIFOQueueMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const capacity = 10
 	q := NewFIFOQueue(capacity)
 	type load struct {
-		h lsq.Handle
-		e FIFOEntry
+		h   lsq.Handle
+		tag int64
 	}
 	var ref []load // the naive queue, oldest first
 	next := int64(0)
 	for step := 0; step < 20000; step++ {
-		switch op := rng.Intn(8); {
+		switch op := rng.Intn(6); {
 		case op < 3: // dispatch
 			next += 1 + int64(rng.Intn(3))
-			pc := uint64(rng.Intn(1 << 12))
-			h, ok := q.Insert(next, pc)
+			h, ok := q.Insert(next)
 			if ok != (len(ref) < capacity) {
 				t.Fatalf("step %d: Insert ok %t with %d of %d loads queued", step, ok, len(ref), capacity)
 			}
 			if ok {
-				ref = append(ref, load{h, FIFOEntry{Tag: next, PC: pc}})
+				ref = append(ref, load{h, next})
 			}
-		case op < 5 && len(ref) > 0: // issue
-			l := &ref[rng.Intn(len(ref))]
-			e := q.At(l.h)
-			e.Addr, e.Value, e.Issued = rng.Uint64(), rng.Uint64(), true
-			e.NUS, e.Reordered = rng.Intn(2) == 0, rng.Intn(2) == 0
-			l.e.Addr, l.e.Value, l.e.Issued, l.e.NUS, l.e.Reordered = e.Addr, e.Value, true, e.NUS, e.Reordered
-		case op < 7 && len(ref) > 0: // commit
+		case op < 5 && len(ref) > 0: // commit
 			q.Pop()
 			ref = ref[1:]
 		case len(ref) > 0: // squash, possibly from inside a tag gap
-			from := ref[rng.Intn(len(ref))].e.Tag - int64(rng.Intn(2))
+			from := ref[rng.Intn(len(ref))].tag - int64(rng.Intn(2))
 			q.Squash(from)
-			for len(ref) > 0 && ref[len(ref)-1].e.Tag >= from {
+			for len(ref) > 0 && ref[len(ref)-1].tag >= from {
 				ref = ref[:len(ref)-1]
 			}
 		}
 		if q.Len() != len(ref) || q.Full() != (len(ref) == capacity) {
 			t.Fatalf("step %d: Len %d Full %t, naive %d", step, q.Len(), q.Full(), len(ref))
 		}
-		youngest := int64(-1)
+		w := q.Window()
+		oldest, youngest := int64(-1), int64(-1)
 		if len(ref) > 0 {
-			youngest = ref[len(ref)-1].e.Tag
-			if h := q.Head(); *h != ref[0].e {
-				t.Fatalf("step %d: Head %+v, naive %+v", step, *h, ref[0].e)
-			}
+			oldest, youngest = ref[0].tag, ref[len(ref)-1].tag
 		}
-		if got := q.YoungestTag(); got != youngest {
-			t.Fatalf("step %d: YoungestTag %d, naive %d", step, got, youngest)
+		if w.OldestTag() != oldest || q.YoungestTag() != youngest {
+			t.Fatalf("step %d: oldest %d youngest %d, naive %d and %d",
+				step, w.OldestTag(), q.YoungestTag(), oldest, youngest)
 		}
 		for _, l := range ref {
-			if got := *q.At(l.h); got != l.e {
-				t.Fatalf("step %d: At(%d) = %+v, naive %+v", step, l.h, got, l.e)
+			if got := w.Tag(l.h); got != l.tag {
+				t.Fatalf("step %d: Tag(%d) = %d, naive %d", step, l.h, got, l.tag)
 			}
 		}
 	}
+}
+
+// decide returns the engine's replay decision for ld.
+func decide(e *Engine, ld Load) bool {
+	replay, _ := e.Decide(ld)
+	return replay
 }

@@ -138,27 +138,44 @@ func (e *Engine) NoteExternalEvent(youngestLoadTag int64) {
 // WindowOpen reports whether the external-event replay window is open.
 func (e *Engine) WindowOpen() bool { return e.flag }
 
-// ShouldReplay decides whether the load must replay, per the active
-// filter. It must be called exactly once per load reaching the replay
-// stage (it maintains the statistics used by Figure 6).
-func (e *Engine) ShouldReplay(en *FIFOEntry) bool {
-	replay, _ := e.Decide(en)
-	return replay
+// Load is what the replay stage knows of one load when it reaches the
+// stage: its age, its premature value and the issue-time conditions the
+// filters test. The pipeline builds it from the load's reorder-buffer
+// entry.
+type Load struct {
+	Tag int64
+	// Value is the premature (out-of-order) load value.
+	Value uint64
+	// NUS is set when the load issued while an older store's address
+	// was unresolved (the no-unresolved-store filter's trigger).
+	NUS bool
+	// Reordered is set when the load issued while prior memory
+	// operations were incomplete (the no-reorder filter's trigger).
+	Reordered bool
+	// NoReplay implements forward-progress rule 3: a dynamic load that
+	// already caused a replay squash is not replayed again.
+	NoReplay bool
+	// ValuePredicted marks loads whose consumers ran on a predicted
+	// value; such loads must always replay — the compare stage is
+	// their verification (and what keeps value prediction consistent
+	// in multiprocessors; paper §1).
+	ValuePredicted bool
 }
 
-// Decide is ShouldReplay with the decision's provenance: which filter
-// demanded the replay, or why it was skipped, as a trace reason. The
-// same exactly-once contract applies (Decide and ShouldReplay maintain
-// the same statistics; call one of them, once, per load).
-func (e *Engine) Decide(en *FIFOEntry) (bool, trace.Reason) {
+// Decide decides whether the load must replay, per the active filter,
+// and gives the decision's provenance: which filter demanded the
+// replay, or why it was skipped, as a trace reason. It must be called
+// exactly once per load reaching the replay stage (it maintains the
+// statistics used by Figure 6).
+func (e *Engine) Decide(ld Load) (bool, trace.Reason) {
 	e.Stats.LoadsSeen++
-	if en.NoReplay {
+	if ld.NoReplay {
 		// Rule 3: a load that already caused a replay squash must not
 		// replay again, ensuring forward progress under contention.
 		e.Stats.Rule3Skips++
 		return false, trace.RRule3
 	}
-	if en.ValuePredicted {
+	if ld.ValuePredicted {
 		// Value-predicted loads are verified by the compare stage;
 		// no filter may skip them.
 		return true, trace.RVPredVerify
@@ -168,7 +185,7 @@ func (e *Engine) Decide(en *FIFOEntry) (bool, trace.Reason) {
 	case ReplayAll:
 		replay, why = true, trace.RReplayAll
 	case NoReorder:
-		if en.Reordered {
+		if ld.Reordered {
 			replay, why = true, trace.RReordered
 		}
 	case NoRecentMiss, NoRecentSnoop:
@@ -176,13 +193,13 @@ func (e *Engine) Decide(en *FIFOEntry) (bool, trace.Reason) {
 		// the consistency filter demands it. The RAW condition is
 		// reported first so Figure 6's RAW-needed attribution matches.
 		switch {
-		case en.NUS:
+		case ld.NUS:
 			replay, why = true, trace.RNUS
 		case e.flag:
 			replay, why = true, trace.RWindow
 		}
 	case NUSOnly:
-		if en.NUS {
+		if ld.NUS {
 			replay, why = true, trace.RNUS
 		}
 	}
@@ -197,19 +214,18 @@ func (e *Engine) Decide(en *FIFOEntry) (bool, trace.Reason) {
 // premature load resolved its dependences incorrectly — the machine
 // must squash everything younger. It returns true when a squash is
 // required.
-func (e *Engine) OnReplayComplete(en *FIFOEntry, replayValue uint64) (squash bool) {
+func (e *Engine) OnReplayComplete(ld Load, replayValue uint64) (squash bool) {
 	e.Stats.Replays++
 	e.Stats.Comparisons++
-	if en.NUS {
+	if ld.NUS {
 		e.Stats.ReplaysNUS++
 	}
-	en.Replayed = true
-	e.closeWindow(en.Tag)
-	if replayValue == en.Value {
+	e.closeWindow(ld.Tag)
+	if replayValue == ld.Value {
 		return false
 	}
 	e.Stats.Mismatches++
-	if en.NUS {
+	if ld.NUS {
 		e.Stats.MismatchesNUS++
 	}
 	return true
@@ -242,13 +258,4 @@ func (e *Engine) OnSquash(fromTag int64) {
 		// extra replays, never fewer.)
 		e.ageTag = fromTag
 	}
-}
-
-// ReplaysPerCommitted returns replays divided by committed instructions
-// (the paper's headline 0.02 figure), given the commit count.
-func (e *Engine) ReplaysPerCommitted(committed uint64) float64 {
-	if committed == 0 {
-		return 0
-	}
-	return float64(e.Stats.Replays) / float64(committed)
 }

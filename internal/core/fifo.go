@@ -19,53 +19,23 @@
 //
 // NRM and NRS must each be paired with NUS (paper §3.3); the Engine
 // enforces that composition.
+//
+// The FIFOQueue keeps only the loads' program order. Each load's
+// premature value and filter flags live in the pipeline's
+// reorder-buffer entry, the one record of an in-flight load; the replay
+// stage hands the Engine a Load built from that entry.
 package core
 
-import (
-	"vbmo/internal/lsq"
-	"vbmo/internal/reuse"
-)
-
-// FIFOEntry is one in-flight load in the replay machine's load queue.
-// Unlike the associative queue it stores the premature value — needed by
-// the compare stage — but requires no address CAM.
-type FIFOEntry struct {
-	Tag  int64
-	PC   uint64
-	Addr uint64
-	// Value is the premature (out-of-order) load value.
-	Value  uint64
-	Issued bool
-	// Forwarded is true when the value came from the store queue.
-	Forwarded bool
-	// NUS is set when the load issued while an older store's address
-	// was unresolved (the no-unresolved-store filter's trigger).
-	NUS bool
-	// Reordered is set when the load issued while prior memory
-	// operations were incomplete (the no-reorder filter's trigger).
-	Reordered bool
-	// NoReplay implements forward-progress rule 3: a dynamic load that
-	// already caused a replay squash is not replayed again.
-	NoReplay bool
-	// ValuePredicted marks loads whose consumers ran on a predicted
-	// value; such loads must always replay — the compare stage is
-	// their verification (and what keeps value prediction consistent
-	// in multiprocessors; paper §1).
-	ValuePredicted bool
-	// Replayed is set once the load has passed the replay stage.
-	Replayed bool
-}
+import "vbmo/internal/lsq"
 
 // FIFOQueue is the non-associative load queue: an in-order buffer with
 // no search port, so its capacity can scale with the reorder buffer.
-//
-// Loads are addressed by the handle Insert returns (lsq.Window,
-// DESIGN.md §21): issue and the replay stage reach their entry in O(1),
-// commit pops the head, and a squash truncates the tail. The entries
-// sit in a preallocated array parallel to the window's tags.
+// It holds only the loads' tags, in a lsq.Window (DESIGN.md §21):
+// dispatch pushes, commit pops the head, and a squash truncates the
+// tail. Its occupancy stalls dispatch, and its youngest tag anchors the
+// filters' replay window.
 type FIFOQueue struct {
-	w       lsq.Window
-	entries []FIFOEntry
+	w lsq.Window
 }
 
 // NewFIFOQueue creates a queue with the given capacity.
@@ -76,11 +46,8 @@ func NewFIFOQueue(capacity int) *FIFOQueue {
 }
 
 // Reset rebuilds q in place as NewFIFOQueue(capacity) would build it,
-// reusing its arrays when they fit.
-func (q *FIFOQueue) Reset(capacity int) {
-	q.w.Reset(capacity)
-	q.entries = reuse.Resized(q.entries, 2*capacity)
-}
+// reusing its array when it fits.
+func (q *FIFOQueue) Reset(capacity int) { q.w.Reset(capacity) }
 
 // Len returns the occupancy.
 func (q *FIFOQueue) Len() int { return q.w.Len() }
@@ -95,31 +62,13 @@ func (q *FIFOQueue) Window() lsq.Window { return q.w }
 // handle; it fails when the queue is full.
 //
 //vbr:hotpath
-func (q *FIFOQueue) Insert(tag int64, pc uint64) (lsq.Handle, bool) {
+func (q *FIFOQueue) Insert(tag int64) (lsq.Handle, bool) {
 	if q.w.Full() {
 		return 0, false
 	}
-	if from, n := q.w.Rebase(); n > 0 {
-		copy(q.entries, q.entries[from:from+n])
-	}
-	h, i := q.w.Push(tag)
-	q.entries[i] = FIFOEntry{Tag: tag, PC: pc}
+	q.w.Rebase()
+	h, _ := q.w.Push(tag)
 	return h, true
-}
-
-// At returns the entry of the load with handle h.
-//
-//vbr:hotpath
-func (q *FIFOQueue) At(h lsq.Handle) *FIFOEntry {
-	return &q.entries[q.w.Index(h)]
-}
-
-// Head returns the oldest entry, or nil.
-func (q *FIFOQueue) Head() *FIFOEntry {
-	if q.w.Len() == 0 {
-		return nil
-	}
-	return q.At(q.w.Head())
 }
 
 // YoungestTag returns the youngest load's tag, or -1 when the queue is

@@ -1,7 +1,8 @@
 // The spec→machine compiler: lower a declarative litmus test to one
 // prog.Program with a per-core section pinned to each core of an MP
-// system machine, plus the metadata needed to extract the run's
-// Outcome from the committed-record streams afterwards.
+// system machine. A section's only memory instructions are its
+// thread's loads and stores, in order, so Extract reads the run's
+// Outcome from the cores' committed consistency streams by position.
 
 package litmus
 
@@ -41,10 +42,6 @@ type Compiled struct {
 	Inits []prog.ArchState
 	// Addrs is the word address of each location.
 	Addrs []uint64
-	// loadOf maps a load instruction's PC to its flattened observation
-	// slot (each static load commits exactly once — sections are
-	// straight-line and end in a self-loop).
-	loadOf map[uint64]int
 	// MinCommits is the per-core commit target that guarantees every
 	// test operation has committed (the spin epilogue covers the rest).
 	MinCommits uint64
@@ -68,14 +65,12 @@ func Compile(t *Test, skew []int) *Compiled {
 func CompileOn(t *Test, skew []int, cores int) *Compiled {
 	b := prog.NewBuilder(Entry)
 	c := &Compiled{
-		Test:   t,
-		Addrs:  make([]uint64, t.Locs),
-		loadOf: make(map[uint64]int),
+		Test:  t,
+		Addrs: make([]uint64, t.Locs),
 	}
 	for loc := range c.Addrs {
 		c.Addrs[loc] = LocAddr(Loc(loc))
 	}
-	base := t.loadBase()
 	longest := 0
 	for th, ops := range t.Threads {
 		start := b.Pos()
@@ -93,8 +88,6 @@ func CompileOn(t *Test, skew []int, cores int) *Compiled {
 				b.Emit(isa.Inst{Op: isa.OpLui, Dst: rVal, Imm: int64(op.Val)})
 				b.Emit(isa.Inst{Op: isa.OpStore, Src1: rAddr0 + isa.Reg(op.Loc), Src2: rVal})
 			case OpLoad:
-				pc := Entry + uint64(b.Pos())*prog.InstBytes
-				c.loadOf[pc] = base[th] + slot
 				b.Emit(isa.Inst{Op: isa.OpLoad, Dst: rObs0 + isa.Reg(slot), Src1: rAddr0 + isa.Reg(op.Loc)})
 				slot++
 			case OpFence:
@@ -139,29 +132,41 @@ func (c *Compiled) InitImage(s *system.System) {
 }
 
 // Extract reads the run's Outcome from the system: observed load
-// values from the committed-record streams (keyed by load PC, so only
-// committed architectural loads count — squashed premature attempts
-// are invisible, exactly as they should be) and final memory values
-// from the image. ok is false when some test load never committed
-// (the run hit its cycle bound early).
+// values from the cores' committed streams (system.Ops), and final
+// memory values from the image. Thread th's k-th load or store is
+// element k of core th's stream, since a compiled section has no other
+// memory instructions; only committed loads are in a stream, so
+// squashed premature attempts are invisible, exactly as they should
+// be. ok is false when some test load never committed (the run hit its
+// cycle bound early). The machine must track consistency.
 func (c *Compiled) Extract(s *system.System) (Outcome, bool) {
 	o := Outcome{
 		Loads: make([]uint64, c.Test.NumLoads()),
 		Final: make([]uint64, c.Test.Locs),
 	}
-	seen := 0
-	for _, stream := range s.Commits {
-		for _, rec := range stream {
-			if slot, ok := c.loadOf[rec.PC]; ok {
-				o.Loads[slot] = rec.Result
-				seen++
+	procs, _ := s.Ops()
+	ok, slot := true, 0
+	for th, ops := range c.Test.Threads {
+		committed, k := procs[th].Len(), 0
+		for _, op := range ops {
+			if op.Kind == OpFence {
+				continue
 			}
+			if op.Kind == OpLoad {
+				if k < committed {
+					o.Loads[slot] = procs[th].At(k).Value
+				} else {
+					ok = false
+				}
+				slot++
+			}
+			k++
 		}
 	}
 	for loc, addr := range c.Addrs {
 		o.Final[loc] = s.Image.Read(addr)
 	}
-	return o, seen == len(o.Loads)
+	return o, ok
 }
 
 // String renders the compiled program's disassembly with section

@@ -1,10 +1,13 @@
 package litmus
 
 import (
+	"reflect"
 	"testing"
 
 	"vbmo/internal/config"
 	"vbmo/internal/core"
+	"vbmo/internal/isa"
+	"vbmo/internal/prog"
 	"vbmo/internal/system"
 )
 
@@ -96,8 +99,12 @@ func TestBatteryWellFormed(t *testing.T) {
 }
 
 // TestCompile checks the compiled shape: one section per thread with a
-// distinct entry PC, every load PC mapped to a distinct observation
-// slot, and address registers preloaded.
+// distinct entry PC and address registers preloaded. It then checks the
+// layout Extract reads by, over every battery test at natural width and
+// at 16 cores, with and without a skew: from its entry PC to its spin
+// jump, each thread's section holds exactly its test's loads and stores
+// as memory instructions, in order, and each padding core's section
+// holds none.
 func TestCompile(t *testing.T) {
 	iriw, _ := ByName("IRIW")
 	c := Compile(iriw, []int{3, 0, 5, 1})
@@ -114,15 +121,52 @@ func TestCompile(t *testing.T) {
 			t.Fatalf("core %d rAddr0 = %#x, want %#x", i, st.Regs[rAddr0], LocAddr(X))
 		}
 	}
-	slots := map[int]bool{}
-	for _, slot := range c.loadOf {
-		if slots[slot] {
-			t.Fatalf("duplicate observation slot %d", slot)
+	for _, test := range Battery() {
+		for _, cores := range []int{len(test.Threads), 16} {
+			for _, skew := range [][]int{nil, {3, 0, 5, 1}} {
+				c := CompileOn(test, skew, cores)
+				for core, st := range c.Inits {
+					var want []Op // none on a padding core
+					if core < len(test.Threads) {
+						for _, op := range test.Threads[core] {
+							if op.Kind != OpFence {
+								want = append(want, Op{Kind: op.Kind, Loc: op.Loc})
+							}
+						}
+					}
+					if got := sectionMemOps(t, c.Prog, st.PC); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, %d cores, skew %v: core %d's section holds memory operations %v, want %v",
+							test.Name, cores, skew, core, got, want)
+					}
+				}
+			}
 		}
-		slots[slot] = true
 	}
-	if len(slots) != iriw.NumLoads() {
-		t.Fatalf("%d load PCs mapped, want %d", len(slots), iriw.NumLoads())
+}
+
+// sectionMemOps walks a compiled section from its entry PC to its spin
+// jump and returns its memory instructions as litmus operations: the
+// kind, and the location the address register names.
+func sectionMemOps(t *testing.T, p *prog.Program, pc uint64) []Op {
+	t.Helper()
+	var ops []Op
+	for {
+		in, ok := p.Fetch(pc)
+		if !ok {
+			t.Fatalf("section runs off the program at %#x", pc)
+		}
+		switch in.Class() {
+		case isa.ClassBranch:
+			if in.Op != isa.OpJump || p.Target(in, pc) != pc {
+				t.Fatalf("section branches at %#x before its spin jump", pc)
+			}
+			return ops
+		case isa.ClassLoad:
+			ops = append(ops, Op{Kind: OpLoad, Loc: Loc(in.Src1 - rAddr0)})
+		case isa.ClassStore:
+			ops = append(ops, Op{Kind: OpStore, Loc: Loc(in.Src1 - rAddr0)})
+		}
+		pc += prog.InstBytes
 	}
 }
 
@@ -193,7 +237,7 @@ func TestFastForwardVerdictParity(t *testing.T) {
 		run := func(noFF bool) (Outcome, bool, int64, uint64) {
 			opt := system.Options{
 				Cores: len(comp.Inits), Seed: 0,
-				TrackConsistency: true, RecordCommits: true, MaxCycles: maxCycles,
+				TrackConsistency: true, MaxCycles: maxCycles,
 				NoFastForward: noFF,
 			}
 			s := system.NewCustom(Configs()[0].Machine, comp.Prog, comp.Inits, opt)
@@ -236,7 +280,7 @@ func TestStageSkipVerdictParity(t *testing.T) {
 				run := func(noSkip bool) (Outcome, bool, int64, uint64) {
 					opt := system.Options{
 						Cores: len(comp.Inits), Seed: seed,
-						TrackConsistency: true, RecordCommits: true, MaxCycles: maxCycles,
+						TrackConsistency: true, MaxCycles: maxCycles,
 						DMAInterval: p.DMAInterval, DMABurst: 2,
 						NoStageSkip: noSkip,
 					}

@@ -195,8 +195,7 @@ func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed ui
 	opt := system.Options{
 		Cores:            len(comp.Inits),
 		Seed:             seed,
-		TrackConsistency: true,
-		RecordCommits:    true, // Extract reads load values by PC
+		TrackConsistency: true, // Extract reads load values from the checker's streams
 		MaxCycles:        maxCycles,
 		DMAInterval:      p.DMAInterval,
 		DMABurst:         2,

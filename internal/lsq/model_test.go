@@ -23,9 +23,12 @@ type refStore struct {
 	addrOK, dataOK bool
 }
 
-// refSQ is the naive store queue, flat or two-level.
+// refSQ is the naive store queue, flat or two-level. committed counts
+// the stores committed so far: a store's commit ordinal is committed
+// plus its position in s, which the reference reports as MatchHandle.
 type refSQ struct {
 	s                                []refStore
+	committed                        Handle
 	l1Size, l2Latency                int
 	filter                           *BloomFilter
 	unresolved                       int
@@ -88,6 +91,7 @@ func (r *refSQ) peek(addr uint64, loadTag int64) SearchResult {
 		}
 		if e.addr&^7 == addr {
 			res.Match, res.MatchTag, res.MatchPC = true, e.tag, e.pc
+			res.MatchHandle = r.committed + Handle(i)
 			res.Data, res.DataReady = e.data, e.dataOK
 			if r.l1Size > 0 && i < n-r.l1Size {
 				res.Latency = r.l2Latency
@@ -133,10 +137,11 @@ func (r *refSQ) entry(tag int64) (StoreEntry, bool) {
 		Data: e.data, DataValid: e.dataOK}, true
 }
 
-func (r *refSQ) remove(tag int64) {
-	i := r.find(tag)
-	r.drop(r.s[i])
-	r.s = append(r.s[:i], r.s[i+1:]...)
+// commit removes the oldest store.
+func (r *refSQ) commit() {
+	r.drop(r.s[0])
+	r.s = r.s[1:]
+	r.committed++
 }
 
 func (r *refSQ) squash(fromTag int64) {
@@ -452,7 +457,7 @@ func (m *queueModel) step() {
 		m.rob = m.rob[1:]
 		if e.store {
 			m.sq.Pop()
-			m.rsq.remove(e.tag)
+			m.rsq.commit()
 		} else {
 			m.lq.Pop()
 			m.rlq.remove(e.tag)
@@ -513,7 +518,10 @@ func (m *queueModel) compare() {
 // issue, invalidation, commit and squash with gaps in the tag sequence.
 // Every SearchResult, every reported Squash, the hybrid marks and every
 // counter must equal the naive reference's after every operation. The
-// queues are small, so their windows re-base often.
+// reference reports a forwarding store's MatchHandle as its commit
+// ordinal, so every mode also pins that a store's handle is the number
+// of stores committed before it. The queues are small, so their windows
+// re-base often.
 func TestQueuesMatchNaive(t *testing.T) {
 	seed := int64(0)
 	for _, mode := range []Mode{Snooping, Insulated, Hybrid} {

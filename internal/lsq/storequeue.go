@@ -44,12 +44,15 @@ type SearchResult struct {
 	// matches — Akkary et al.'s hierarchical store queue).
 	Latency int
 	// Match is true when an older store with a resolved, equal address
-	// was found; MatchTag/Data/DataReady describe the youngest such
-	// store.
-	Match     bool
-	MatchTag  int64
-	Data      uint64
-	DataReady bool
+	// was found; MatchTag/MatchHandle/Data/DataReady describe the
+	// youngest such store.
+	Match    bool
+	MatchTag int64
+	// MatchHandle is the matching store's handle, which is its commit
+	// ordinal if it commits (see Window).
+	MatchHandle Handle
+	Data        uint64
+	DataReady   bool
 	// MatchPC is the matching store's PC (for predictor training).
 	MatchPC uint64
 	// UnresolvedOlder is true when some older store that could alias
@@ -296,6 +299,7 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 		if addrs[i]&^7 == addr {
 			r.Match = true
 			r.MatchTag = tags[i]
+			r.MatchHandle = q.w.Head() + Handle(i)
 			r.MatchPC = q.pcs[lo+i]
 			r.Data = q.data[lo+i]
 			r.DataReady = q.dataOK[lo+i]

@@ -26,6 +26,13 @@ type Handle int64
 // so a squash finds its cut by binary search. An owner keeps each payload
 // field in a parallel array of 2 × capacity elements indexed like the
 // tags, and moves those arrays whenever Rebase moves the tags.
+//
+// Handles are dense: Reset starts them at zero, each Push takes the next
+// one, and a squash rewinds the tail, so the next Push reuses the first
+// squashed handle. An entry that leaves by Pop therefore has as its
+// handle the number of entries popped before it. For the store queue
+// that is a store's commit ordinal, which the consistency checker uses
+// as the store's identity (DESIGN.md §24).
 type Window struct {
 	tags []int64
 	head Handle // handle of the oldest entry

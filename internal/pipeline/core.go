@@ -104,8 +104,9 @@ type Core struct {
 	// for the same reason.
 	work WorkStats
 
-	// CommitHook, if set, observes every committed instruction (the
-	// machine-equivalence oracle and the constraint-graph checker).
+	// CommitHook, if set, observes every committed instruction: the tap
+	// the functional-oracle tests compare against the reference
+	// executor.
 	CommitHook func(prog.Committed)
 
 	// Fault-injection switches (tests only): disable the baseline's
@@ -116,16 +117,17 @@ type Core struct {
 	faultNoReplay   bool
 
 	// Shadow, if set, tracks store identity for the constraint-graph
-	// checker: loads sample their value's writer at the same instant
-	// they sample the value.
+	// checker, and the core records each committed load and store in
+	// ops. A store's identity is MakeWriter(ID, its store-queue handle),
+	// which is its commit ordinal since Reset (DESIGN.md §24), so the
+	// Shadow must be attached before the first Step. A load takes the
+	// identity of the store it read at the instant it reads the value:
+	// at a demand read, at forwarding, or at its replay.
 	Shadow *consistency.Shadow
-	// storeWriters records recently committed store tags and their writer
-	// identities so forwarded loads can resolve provenance at commit; the
-	// fixed window (2×ROBSize stores) bounds its size — any forwarding
-	// load commits within one ROB generation of its source store. Nil
-	// until the first consistency-tracked store commit.
-	storeWriters *writerRing
-	writerSeq    uint64 // store writer sequence (survives ResetStats)
+	// ops is the core's committed loads and stores in the checker's
+	// form, recorded while a Shadow is attached; Reset and ResetStats
+	// empty it and keep its storage.
+	ops consistency.Stream
 
 	// trace, when non-nil, receives the replay-lifecycle event stream
 	// (DESIGN.md §6). Every emission site is guarded by one nil check so
@@ -159,9 +161,9 @@ func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cac
 // table, queue array and the entry slab is reused when its size fits.
 // Only the ROB, pending and store-data slots the last run occupied are
 // cleared; the slab is not cleared at all, because pool.get zeroes each
-// entry as it hands it out. The hooks the system
-// wires (CommitHook, Shadow, tracer, fault injector, stage skip) are
-// cleared and must be set again.
+// entry as it hands it out, and the committed-operation stream is
+// emptied. The hooks the system wires (Shadow, tracer, fault injector,
+// stage skip) and a test's CommitHook are cleared and must be set again.
 func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cache.Hierarchy, init prog.ArchState) {
 	// A nonzero init.PC selects a per-core entry point within the shared
 	// program — litmus tests give every core its own section; SPMD
@@ -191,7 +193,7 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 		pend:            c.pend,
 		pool:            c.pool,
 		loads:           c.loads,
-		storeWriters:    c.storeWriters.reset(2 * cfg.ROBSize),
+		ops:             c.ops[:0],
 	}
 	c.rob.init(cfg.ROBSize)
 	c.fetchQ.init(cfg.FetchBuf)
@@ -260,6 +262,12 @@ func (c *Core) SimplePredictor() *deppred.Simple { return c.simple }
 
 // Cycle returns the current cycle.
 func (c *Core) Cycle() int64 { return c.cycle }
+
+// Ops returns the loads and stores the core committed while its Shadow
+// was attached, since the last Reset or ResetStats, in the
+// constraint-graph checker's form. The stream is read in place: the
+// next Reset or ResetStats reuses its storage.
+func (c *Core) Ops() consistency.Stream { return c.ops }
 
 // Work returns the core's host work counts since the last Reset or
 // ResetStats.
@@ -520,7 +528,6 @@ func (c *Core) commit() {
 			c.commitQuiet = true
 			return
 		}
-		var self consistency.Writer // a store's writer, when tracked
 		if e.isStore {
 			if c.storeCommitted || c.portsUsed >= c.portCap() {
 				return // one store per cycle through the commit port
@@ -532,13 +539,9 @@ func (c *Core) commit() {
 				c.Stats.SilentStores++
 			}
 			if c.Shadow != nil {
-				self = consistency.MakeWriter(c.ID, c.writerSeq)
-				c.writerSeq++
+				self := consistency.MakeWriter(c.ID, uint64(e.qh))
 				c.Shadow.Write(e.addr, self, e.value)
-				if c.storeWriters == nil {
-					c.storeWriters = newWriterRing(2 * c.cfg.ROBSize)
-				}
-				c.storeWriters.Push(e.tag, self)
+				c.record(consistency.Op{Kind: consistency.OpStore, Addr: e.addr, Value: e.value, Self: self})
 			}
 			c.hier.Write(e.addr, c.cycle)
 			c.Stats.StoreAccesses++
@@ -574,6 +577,9 @@ func (c *Core) commit() {
 				c.flt.OnLoadCommit(c.ID, e.tag, c.cycle)
 			}
 			c.Stats.CommittedLoads++
+			if c.Shadow != nil {
+				c.record(consistency.Op{Kind: consistency.OpLoad, Addr: e.addr, Value: e.result, ReadsFrom: e.writer})
+			}
 		}
 		if e.isBranch {
 			c.Stats.CommittedBranches++
@@ -601,20 +607,6 @@ func (c *Core) commit() {
 			}
 			if e.isStore {
 				rec.Result = e.value
-				rec.Writer = uint64(self) // the checker's store identity
-			}
-			if e.isLoad && c.Shadow != nil {
-				w := e.writer
-				if e.forwardTag >= 0 && !e.replayIssued {
-					// Non-replayed forwarded loads resolve provenance
-					// at commit: the source store has already committed
-					// (it is older). Replayed loads already carry their
-					// replay-time writer.
-					if sw, ok := c.storeWriters.Lookup(e.forwardTag); ok {
-						w = sw
-					}
-				}
-				rec.Writer = uint64(w)
 			}
 			c.CommitHook(rec)
 		}
@@ -629,6 +621,13 @@ func (c *Core) commit() {
 	if c.rob.Len() == 0 {
 		c.commitQuiet = true // dispatch into an empty ROB clears this
 	}
+}
+
+// record appends a committed load or store to the checker stream,
+// numbering it and aligning its address to the word.
+func (c *Core) record(op consistency.Op) {
+	op.Proc, op.Index, op.Addr = c.ID, c.ops.Len(), op.Addr&^7
+	c.ops.Append(op)
 }
 
 // ---------------------------------------------------------------------
@@ -682,14 +681,13 @@ func (c *Core) replayStage() {
 			// so nothing younger may replay either.
 			break
 		}
-		fe := c.eng.Queue.At(e.qh)
 		if !e.replayDecided {
 			wake = c.cycle + 1
 			e.replayDecided = true
 			e.needReplay = false
 			if !c.faultNoReplay {
 				var why trace.Reason
-				e.needReplay, why = c.eng.Decide(fe)
+				e.needReplay, why = c.eng.Decide(e.load())
 				if c.trace != nil {
 					c.trace.Emit(trace.Event{Cycle: c.cycle, Core: int32(c.ID),
 						Kind: trace.KFilterDecision, Reason: why,
@@ -727,7 +725,12 @@ func (c *Core) replayStage() {
 			// (sequentially consistent) value.
 			e.replayValue = c.mem.Read(e.addr)
 			if c.Shadow != nil {
-				e.replayWriter = c.Shadow.Read(e.addr)
+				// A replayed load's ordering point is its replay: the
+				// replayed value, and its writer, are the committed ones
+				// whether or not the compare matches. (With a match the
+				// values agree, so the value-aware constraint graph
+				// treats either attribution alike.)
+				e.writer = c.Shadow.Read(e.addr)
 			}
 			if c.trace != nil {
 				c.trace.Emit(trace.Event{Cycle: c.cycle, Core: int32(c.ID),
@@ -757,16 +760,10 @@ func (c *Core) replayStage() {
 			continue
 		}
 		wake = c.cycle + 1
-		// A replayed load's ordering point is its replay instant: its
-		// provenance is the replay-time writer whether or not the value
-		// matched. (With a match the values agree, so the value-aware
-		// constraint graph treats both attributions consistently; with
-		// a mismatch the replay value is the committed one.)
-		e.writer = e.replayWriter
 		if c.vp != nil {
-			c.vp.Train(e.pc, e.replayValue, fe.ValuePredicted)
+			c.vp.Train(e.pc, e.replayValue, e.valuePredicted)
 		}
-		if c.eng.OnReplayComplete(fe, e.replayValue) {
+		if c.eng.OnReplayComplete(e.load(), e.replayValue) {
 			// Value mismatch: the premature load resolved its
 			// dependences incorrectly (or a value prediction was
 			// wrong). The load keeps the correct (replayed) value;
@@ -779,10 +776,10 @@ func (c *Core) replayStage() {
 			e.value = e.replayValue
 			why := trace.RSquashReplayCons
 			switch {
-			case fe.ValuePredicted:
+			case e.valuePredicted:
 				c.Stats.SquashesVPred++
 				why = trace.RSquashVPred
-			case fe.NUS:
+			case e.nus:
 				c.trainSimple(e.pc)
 				c.Stats.SquashesReplayRAW++
 				why = trace.RSquashReplayRAW
@@ -1225,6 +1222,11 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 			e.value = r.Data
 		}
 		e.forwardTag = r.MatchTag
+		if c.Shadow != nil {
+			// The forwarding store is older, so it commits first, and
+			// its handle is its commit ordinal.
+			e.writer = consistency.MakeWriter(c.ID, uint64(r.MatchHandle))
+		}
 		lat = c.cfg.Hier.L1D.Latency
 		if r.Latency > lat {
 			lat = r.Latency
@@ -1275,15 +1277,6 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	}
 
 	if c.eng != nil {
-		fe := c.eng.Queue.At(e.qh)
-		fe.Addr = e.addr
-		fe.Value = e.value
-		fe.Issued = true
-		fe.Forwarded = r.Match
-		fe.NUS = e.nus
-		fe.Reordered = e.reordered
-		fe.NoReplay = e.noReplay
-		fe.ValuePredicted = e.valuePredicted
 		return true, false
 	}
 	if sqz, found := c.alq.OnIssue(e.qh, e.addr, e.forwardTag); found {
@@ -1461,7 +1454,7 @@ func (c *Core) dispatchOne(f *fetched) {
 			}
 		}
 		if c.eng != nil {
-			e.qh, _ = c.eng.Queue.Insert(e.tag, e.pc) // dispatch checked Full
+			e.qh, _ = c.eng.Queue.Insert(e.tag) // dispatch checked Full
 			if c.noReplayArmed && e.pc == c.noReplayPC {
 				// Forward-progress rule 3: the refetched instance of a
 				// load that caused a replay squash is not replayed.
@@ -1725,7 +1718,8 @@ func (c *Core) portCap() int {
 
 // ResetStats zeroes every statistics counter on the core and its
 // attached structures (used after cache warmup so measurements reflect
-// steady state). Architectural and microarchitectural state persist.
+// steady state) and empties the committed-operation stream.
+// Architectural and microarchitectural state persist.
 func (c *Core) ResetStats() {
 	c.Stats = Stats{}
 	c.Skip = SkipStats{}
@@ -1744,6 +1738,7 @@ func (c *Core) ResetStats() {
 		c.alq.BloomFiltered = 0
 	}
 	c.sq.Searches, c.sq.L2Searches, c.sq.L2Filtered, c.sq.Compared = 0, 0, 0, 0
+	c.ops = c.ops[:0]
 	c.simple.Trainings, c.simple.Waits = 0, 0
 	if c.ssets != nil {
 		c.ssets.Violations, c.ssets.Dependences = 0, 0

@@ -12,6 +12,7 @@ package pipeline
 import (
 	"vbmo/internal/bpred"
 	"vbmo/internal/consistency"
+	"vbmo/internal/core"
 	"vbmo/internal/isa"
 	"vbmo/internal/lsq"
 	"vbmo/internal/reuse"
@@ -99,9 +100,9 @@ type entry struct {
 	qh, lth lsq.Handle
 
 	// Provenance (consistency tracking): the identity of the store
-	// whose value this load observed, sampled with the value.
-	writer       consistency.Writer
-	replayWriter consistency.Writer
+	// whose value this load observed, taken with the value at the demand
+	// read or forwarding and again at the replay.
+	writer consistency.Writer
 
 	// Value prediction state.
 	valuePredicted bool
@@ -118,6 +119,13 @@ type entry struct {
 	// gen counts recyclings of this storage slot. It survives the pool's
 	// zeroing and is never reset; see pool.get.
 	gen uint64
+}
+
+// load returns what the replay engine reads of a load: its premature
+// value and the filters' issue-time flags.
+func (e *entry) load() core.Load {
+	return core.Load{Tag: e.tag, Value: e.value, NUS: e.nus, Reordered: e.reordered,
+		NoReplay: e.noReplay, ValuePredicted: e.valuePredicted}
 }
 
 // srcReady reports whether e's operand slot n is available and returns

@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"vbmo/internal/consistency"
-	"vbmo/internal/reuse"
-)
+import "vbmo/internal/reuse"
 
 // This file holds the fixed-capacity ring buffers that keep the cycle
 // loop allocation-free in steady state (DESIGN.md §9). The reorder
@@ -117,87 +114,4 @@ func (r *fetchRing) PushSlot() *fetched {
 func (r *fetchRing) Clear() {
 	r.head = 0
 	r.n = 0
-}
-
-// writerRing is the ring-indexed table of recently committed store
-// writer identities, replacing the map[int64]consistency.Writer + log
-// slice the commit stage previously churned on every store. Stores
-// commit in program order, so tags arrive strictly increasing and the
-// window — the most recent `cap` committed stores, exactly the old
-// map's eviction policy — stays sorted; Lookup is a binary search over
-// the circular window. Only consistency-tracked runs (litmus, -sc)
-// ever allocate one.
-type writerRing struct {
-	tags    []int64
-	writers []consistency.Writer
-	start   int // index of the oldest element
-	n       int
-}
-
-func newWriterRing(capacity int) *writerRing {
-	return &writerRing{
-		tags:    make([]int64, capacity),
-		writers: make([]consistency.Writer, capacity),
-	}
-}
-
-// reset empties a ring of the given capacity for reuse; any other ring
-// (or none) resets to nil, which allocates afresh on first use.
-func (r *writerRing) reset(capacity int) *writerRing {
-	if r == nil || len(r.tags) != capacity {
-		return nil
-	}
-	r.start, r.n = 0, 0
-	return r
-}
-
-// Push records a committed store's writer identity, evicting the oldest
-// record once the window is full. Tags must arrive in increasing order
-// (commit order guarantees this).
-//
-//vbr:hotpath
-func (r *writerRing) Push(tag int64, w consistency.Writer) {
-	if r.n == len(r.tags) {
-		r.tags[r.start] = tag
-		r.writers[r.start] = w
-		r.start++
-		if r.start == len(r.tags) {
-			r.start = 0
-		}
-		return
-	}
-	idx := r.start + r.n
-	if idx >= len(r.tags) {
-		idx -= len(r.tags)
-	}
-	r.tags[idx] = tag
-	r.writers[idx] = w
-	r.n++
-}
-
-// Lookup returns the writer recorded for tag, if it is still inside the
-// window. Safe on a nil ring (reports a miss).
-//
-//vbr:hotpath
-func (r *writerRing) Lookup(tag int64) (consistency.Writer, bool) {
-	if r == nil {
-		return 0, false
-	}
-	lo, hi := 0, r.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		idx := r.start + mid
-		if idx >= len(r.tags) {
-			idx -= len(r.tags)
-		}
-		switch {
-		case r.tags[idx] == tag:
-			return r.writers[idx], true
-		case r.tags[idx] < tag:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return 0, false
 }

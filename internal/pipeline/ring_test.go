@@ -1,15 +1,10 @@
 package pipeline
 
-import (
-	"testing"
-
-	"vbmo/internal/consistency"
-)
+import "testing"
 
 // The ring buffers exist to make the cycle loop allocation-free, but
 // they must stay drop-in replacements for the slices they replaced.
-// These tests exercise every operation across wraparound boundaries
-// and check the writerRing against a reference map + eviction log.
+// These tests exercise every operation across wraparound boundaries.
 
 func TestEntryRingFIFOWraparound(t *testing.T) {
 	const capacity = 4
@@ -102,46 +97,6 @@ func TestFetchRingOps(t *testing.T) {
 	}
 	if r.Front().pc != 100 {
 		t.Fatal("ring confused after Clear")
-	}
-}
-
-// TestWriterRingMatchesReferenceWindow drives the writerRing alongside
-// the map-plus-eviction-log it replaced and requires identical lookup
-// results for hits, evicted tags, and never-pushed tags.
-func TestWriterRingMatchesReferenceWindow(t *testing.T) {
-	const window = 8
-	r := newWriterRing(window)
-	ref := make(map[int64]consistency.Writer)
-	var log []int64
-
-	tag := int64(0)
-	for i := 0; i < 50; i++ {
-		tag += int64(1 + i%3) // strictly increasing, with gaps
-		w := consistency.Writer(i + 1)
-		r.Push(tag, w)
-		ref[tag] = w
-		log = append(log, tag)
-		if len(log) > window {
-			delete(ref, log[0])
-			log = log[1:]
-		}
-
-		// Every tag ever seen, plus some never-pushed ones.
-		for probe := int64(0); probe <= tag+2; probe++ {
-			gotW, gotOK := r.Lookup(probe)
-			wantW, wantOK := ref[probe]
-			if gotOK != wantOK || (gotOK && gotW != wantW) {
-				t.Fatalf("after %d pushes: Lookup(%d) = (%v,%v), want (%v,%v)",
-					i+1, probe, gotW, gotOK, wantW, wantOK)
-			}
-		}
-	}
-}
-
-func TestWriterRingNilSafe(t *testing.T) {
-	var r *writerRing
-	if _, ok := r.Lookup(1); ok {
-		t.Fatal("nil writerRing must report a miss")
 	}
 }
 

@@ -252,10 +252,6 @@ type Committed struct {
 	Result uint64 // register result, or store value for stores
 	Addr   uint64 // effective address for loads/stores
 	Taken  bool   // branch outcome
-	// Writer identifies the store a load's value came from, when the
-	// system tracks consistency (see package consistency); 0 means the
-	// initial memory value or tracking disabled.
-	Writer uint64
 }
 
 // Executor runs a Program in order against an ArchState and an Image —

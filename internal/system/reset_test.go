@@ -87,8 +87,7 @@ func resetRuns(cores int) []resetRun {
 				SnapshotInterval: 200})
 		}},
 		{"mcf-noff-commits", "mcf", 8, 1500, func(**System) (Options, *eventLog) {
-			return Options{Cores: cores, Seed: 8, NoFastForward: true, NoStageSkip: true,
-				RecordCommits: true}, nil
+			return Options{Cores: cores, Seed: 8, NoFastForward: true, NoStageSkip: true}, nil
 		}},
 		{"mcf-program-again", "mcf", 8, 1500, func(**System) (Options, *eventLog) {
 			return traced(Options{Cores: cores, Seed: 8, DMAInterval: 600, DMABurst: 2})
@@ -124,17 +123,6 @@ func assertSameMachine(t *testing.T, reset, fresh *System, logR, logF *eventLog)
 		}
 		if a, b := componentCounters(reset.Cores[c]), componentCounters(fresh.Cores[c]); a != b {
 			t.Errorf("core %d component counters diverged:\n reset: %+v\n fresh: %+v", c, a, b)
-		}
-	}
-	if len(reset.Commits) != len(fresh.Commits) {
-		t.Fatalf("Commits has %d streams, fresh %d", len(reset.Commits), len(fresh.Commits))
-	}
-	for c := range fresh.Commits {
-		// Reset reuses the stream buffers, so an empty stream may be
-		// non-nil: compare contents.
-		a, b := reset.Commits[c], fresh.Commits[c]
-		if len(a) != len(b) || (len(a) > 0 && !reflect.DeepEqual(a, b)) {
-			t.Errorf("core %d committed stream diverged: %d vs %d records", c, len(a), len(b))
 		}
 	}
 	if fresh.Shadow != nil {
@@ -219,10 +207,11 @@ func resetMachines() []namedMachine {
 
 // TestResetMatchesFresh drives one 2-core machine per configuration
 // through the resetRuns sequence and checks, after every run, that it
-// matches a fresh NewCustom machine run the same way. The registry
-// covers the bloom-filtered load queue, the two-level store queue,
-// value prediction, store sets, the TLB and the prefetcher, none of
-// which the litmus configurations use.
+// matches a fresh NewCustom machine run the same way, down to every
+// instruction each core committed (tapped through CommitHook on both
+// machines). The registry covers the bloom-filtered load queue, the
+// two-level store queue, value prediction, store sets, the TLB and the
+// prefetcher, none of which the litmus configurations use.
 func TestResetMatchesFresh(t *testing.T) {
 	const cores = 2
 	deadlocks := 0
@@ -235,6 +224,7 @@ func TestResetMatchesFresh(t *testing.T) {
 				var fresh *System
 				optF, logF := r.opts(&fresh)
 				fresh = NewCustom(mc, p, inits, optF)
+				commitsF := tapCommits(fresh)
 				fresh.Advance(r.target, optF)
 
 				optR, logR := r.opts(&reused)
@@ -247,12 +237,18 @@ func TestResetMatchesFresh(t *testing.T) {
 						t.Fatalf("run %d (%s): Reset replaced the cores instead of reusing them", i, r.name)
 					}
 				}
+				commitsR := tapCommits(reused)
 				reused.Advance(r.target, optR)
 				if fresh.Deadlock != nil {
 					deadlocks++
 				}
 				t.Run(r.name, func(t *testing.T) {
 					assertSameMachine(t, reused, fresh, logR, logF)
+					for c := range commitsF {
+						if a, b := commitsR[c], commitsF[c]; !reflect.DeepEqual(a, b) {
+							t.Errorf("core %d committed stream diverged: %d vs %d records", c, len(a), len(b))
+						}
+					}
 				})
 			}
 		})

@@ -50,15 +50,23 @@ func scenInit() prog.ArchState {
 	return st
 }
 
-func runScenario(t *testing.T, cfg config.Machine, p *prog.Program, n uint64) *System {
+// scenario is a finished one-core scenario run and the instructions its
+// core committed.
+type scenario struct {
+	*System
+	commits []prog.Committed
+}
+
+func runScenario(t *testing.T, cfg config.Machine, p *prog.Program, n uint64) scenario {
 	t.Helper()
-	opt := Options{Cores: 1, Seed: 99, RecordCommits: true}
+	opt := Options{Cores: 1, Seed: 99}
 	s := NewCustom(cfg, p, []prog.ArchState{scenInit()}, opt)
+	commits := tapCommits(s)
 	res := s.Run(n, opt)
 	if res.Pipe.Committed < n {
 		t.Fatalf("under-committed: %d < %d (cycles=%d)", res.Pipe.Committed, n, res.Cycles)
 	}
-	return s
+	return scenario{s, commits[0]}
 }
 
 func TestFigure1aBaselineSquashes(t *testing.T) {
@@ -162,12 +170,12 @@ func TestStoreToLoadForwarding(t *testing.T) {
 
 // assertOracleCustom checks a custom-program run against the reference
 // executor.
-func assertOracleCustom(t *testing.T, s *System, p *prog.Program) {
+func assertOracleCustom(t *testing.T, s scenario, p *prog.Program) {
 	t.Helper()
 	ex := prog.NewExecutor(p, prog.NewImage(99), scenInit())
-	want := ex.Run(len(s.Commits[0]))
+	want := ex.Run(len(s.commits))
 	for i, w := range want {
-		g := s.Commits[0][i]
+		g := s.commits[i]
 		if g.PC != w.PC || g.Result != w.Result || g.Addr != w.Addr {
 			t.Fatalf("commit %d differs:\n got %+v\nwant %+v", i, g, w)
 		}

@@ -1,8 +1,8 @@
 // Package system assembles complete machines: one or more pipeline
 // cores over a shared memory image, a coherence bus with a DMA agent,
-// and the lock-step cycle loop. It also hosts the machine-equivalence
-// oracle used by the uniprocessor tests and the hooks the
-// constraint-graph checker consumes.
+// and the lock-step cycle loop. It also attaches the shadow image whose
+// version log, with the cores' committed streams, the constraint-graph
+// checker consumes.
 package system
 
 import (
@@ -12,7 +12,6 @@ import (
 	"vbmo/internal/config"
 	"vbmo/internal/consistency"
 	"vbmo/internal/fault"
-	"vbmo/internal/isa"
 	"vbmo/internal/pipeline"
 	"vbmo/internal/prog"
 	"vbmo/internal/reuse"
@@ -35,13 +34,10 @@ type Options struct {
 	DMABurst int
 	// MaxCycles bounds the run (0 = no bound).
 	MaxCycles int64
-	// RecordCommits retains every core's committed records in Commits
-	// (litmus outcome extraction reads load values by PC; costs memory).
-	RecordCommits bool
 	// TrackConsistency enables the shadow image and its version log, and
-	// records each core's committed loads and stores in the checker's
-	// form, so CheckSC and CheckCoherence can build the constraint
-	// graph. It does not imply RecordCommits.
+	// has each core record its committed loads and stores in the
+	// checker's form, so CheckSC and CheckCoherence can build the
+	// constraint graph.
 	TrackConsistency bool
 	// Trace, when non-nil, is threaded through every core, the bus, and
 	// the checker: the machine emits the DESIGN.md §6 event stream into
@@ -93,11 +89,8 @@ type System struct {
 	Program  *prog.Program
 	Shadow   *consistency.Shadow
 	CycleNum int64
-	// Commits[c] holds core c's committed records when RecordCommits
-	// was set.
-	Commits [][]prog.Committed
-	// ops[c] holds core c's committed loads and stores when
-	// TrackConsistency was set.
+	// ops is the slice Ops fills with the cores' committed streams,
+	// kept across Reset.
 	ops []consistency.Stream
 	// Trace is the event tracer the machine was built with (nil when
 	// tracing is disabled).
@@ -156,8 +149,8 @@ func NewCustom(cfg config.Machine, program *prog.Program, inits []prog.ArchState
 // out the same (DESIGN.md §17). Reset keeps the cores' and caches'
 // storage, so it costs a fraction of a fresh build; litmus cells use it
 // to run many short programs on one machine. Nothing read from the
-// previous run (Commits, Ops, Cores) survives the call. Reset panics if the
-// core count differs from the machine's.
+// previous run (Ops, Cores) survives the call. Reset panics if the core
+// count differs from the machine's.
 func (s *System) Reset(program *prog.Program, inits []prog.ArchState, opt Options) {
 	n := opt.Cores
 	if n <= 0 {
@@ -170,8 +163,8 @@ func (s *System) Reset(program *prog.Program, inits []prog.ArchState, opt Option
 }
 
 // build is the one construction path: NewCustom applies it to a zero
-// System, Reset to a used one, whose cores, hierarchies and commit
-// buffers it rebuilds in place. The image, bus, shadow and the other
+// System, Reset to a used one, whose cores and hierarchies it rebuilds
+// in place. The image, bus, shadow and the other
 // per-run helpers are small and always built fresh.
 func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.ArchState, opt Options) {
 	if opt.Cores <= 0 {
@@ -185,15 +178,7 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 		panic(fmt.Sprintf("system: %d-entry issue queue exceeds pipeline.MaxIQSize (%d)",
 			cfg.IQSize, pipeline.MaxIQSize))
 	}
-	cores, commits, ops := s.Cores, s.Commits, s.ops
-	if len(commits) != opt.Cores {
-		commits = make([][]prog.Committed, opt.Cores)
-		ops = make([]consistency.Stream, opt.Cores)
-	}
-	for c := range commits {
-		commits[c] = commits[c][:0]
-		ops[c] = ops[c][:0]
-	}
+	cores, ops := s.Cores, s.ops[:0]
 	img := prog.NewImage(opt.Seed)
 	bus := coherence.NewBus(opt.Cores, cfg.MemLatency)
 	*s = System{
@@ -202,7 +187,6 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 		Bus:          bus,
 		Program:      program,
 		Cores:        cores[:0],
-		Commits:      commits,
 		ops:          ops,
 		Trace:        opt.Trace,
 		snapInterval: opt.SnapshotInterval,
@@ -255,17 +239,6 @@ func (s *System) build(cfg config.Machine, program *prog.Program, inits []prog.A
 		core.SetFaults(s.Faults)
 		core.Shadow = s.Shadow
 		core.SetTracer(opt.Trace)
-		if opt.RecordCommits || opt.TrackConsistency {
-			idx, keep, track := c, opt.RecordCommits, opt.TrackConsistency
-			core.CommitHook = func(r prog.Committed) {
-				if keep {
-					s.Commits[idx] = append(s.Commits[idx], r)
-				}
-				if track {
-					s.recordOp(idx, r)
-				}
-			}
-		}
 		s.Cores = append(s.Cores, core)
 	}
 	if opt.DMAInterval > 0 {
@@ -368,33 +341,22 @@ func (s *System) edgeTracer() func(from, to int32, kind consistency.EdgeKind) {
 	}
 }
 
-// Ops exposes the recorded committed memory operations and the
-// shadow's version log in the constraint checker's input form, so
-// callers (the litmus subsystem) can build graphs with their own
-// background content — litmus tests pre-initialize shared memory, so
-// the initial value of a tested word is the test's, not the image
-// hash's. Requires TrackConsistency.
+// Ops exposes each core's committed memory operations (element c is
+// core c's stream) and the shadow's version log in the constraint
+// checker's input form, so callers (the litmus subsystem) can build
+// graphs with their own background content — litmus tests
+// pre-initialize shared memory, so the initial value of a tested word is
+// the test's, not the image hash's. The returned slice is refilled by
+// the next call. Requires TrackConsistency.
 func (s *System) Ops() ([]consistency.Stream, consistency.Log) {
 	if s.Shadow == nil {
 		panic("system: consistency checks require Options.TrackConsistency")
 	}
-	return s.ops, s.Shadow.Log
-}
-
-// recordOp appends core c's committed load or store to its stream, in
-// the checker's form; other instructions are not recorded.
-func (s *System) recordOp(c int, r prog.Committed) {
-	var op consistency.Op
-	switch r.Op.Class() {
-	case isa.ClassLoad:
-		op = consistency.Op{Kind: consistency.OpLoad, ReadsFrom: consistency.Writer(r.Writer)}
-	case isa.ClassStore:
-		op = consistency.Op{Kind: consistency.OpStore, Self: consistency.Writer(r.Writer)}
-	default:
-		return
+	s.ops = s.ops[:0]
+	for _, c := range s.Cores {
+		s.ops = append(s.ops, c.Ops())
 	}
-	op.Proc, op.Index, op.Addr, op.Value = c, s.ops[c].Len(), r.Addr&^7, r.Result
-	s.ops[c].Append(op)
+	return s.ops, s.Shadow.Log
 }
 
 // Prewarm establishes a read copy of addr's block in core's hierarchy
@@ -435,10 +397,6 @@ func (s *System) ResetStats() {
 		c.ResetStats()
 	}
 	s.Bus.Stats = coherence.Stats{}
-	for i := range s.Commits {
-		s.Commits[i] = nil
-		s.ops[i] = s.ops[i][:0]
-	}
 }
 
 // Run advances the system until every core has committed at least

@@ -19,6 +19,17 @@ func oracle(work workload.Params, seed uint64, n int) []prog.Committed {
 	return ex.Run(n)
 }
 
+// tapCommits taps every core's CommitHook and returns the streams the
+// taps fill as the machine runs: element c receives core c's committed
+// instructions. A Reset clears the taps.
+func tapCommits(s *System) [][]prog.Committed {
+	streams := make([][]prog.Committed, len(s.Cores))
+	for c, core := range s.Cores {
+		core.CommitHook = func(r prog.Committed) { streams[c] = append(streams[c], r) }
+	}
+	return streams
+}
+
 // assertMatchesOracle runs machine cfg on the workload and checks the
 // committed stream is identical to the in-order reference execution.
 func assertMatchesOracle(t *testing.T, cfg config.Machine, workName string, n uint64) {
@@ -27,15 +38,16 @@ func assertMatchesOracle(t *testing.T, cfg config.Machine, workName string, n ui
 	if !ok {
 		t.Fatalf("no workload %s", workName)
 	}
-	opt := Options{Cores: 1, Seed: 12345, RecordCommits: true}
+	opt := Options{Cores: 1, Seed: 12345}
 	s := New(cfg, work, opt)
+	commits := tapCommits(s)
 	res := s.Run(n, opt)
 	if res.Pipe.Committed < n {
 		t.Fatalf("%s/%s: committed only %d of %d (cycles=%d)",
 			cfg.Name, workName, res.Pipe.Committed, n, res.Cycles)
 	}
 	want := oracle(work, 12345, int(n))
-	got := s.Commits[0]
+	got := commits[0]
 	for i := range want {
 		if i >= len(got) {
 			t.Fatalf("committed stream too short at %d", i)
