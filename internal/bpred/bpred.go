@@ -2,6 +2,11 @@
 // the paper's Table 3 machine configuration: a combined bimodal (16k
 // entry) / gshare (16k entry) direction predictor with a 16k-entry
 // selector, an 8k-entry 4-way BTB, and a 64-entry return address stack.
+//
+// The BTB models hit/miss timing only. It keeps tags and LRU ages and
+// no targets: the timing model charges a predicted-taken branch that
+// misses one fetch bubble, and takes the target from the program, where
+// it depends only on the branch's PC (DESIGN.md §25).
 package bpred
 
 import (
@@ -42,20 +47,47 @@ type Meta struct {
 	UsedGshare   bool
 }
 
+// Initial counter values: direction counters start weakly taken, since
+// loop-closing backward branches dominate and this warms up quickly;
+// the selector starts weakly preferring bimodal.
+const (
+	directionInit = 2
+	selectorInit  = 1
+)
+
+// counters is a table of 2-bit saturating counters, four to a byte.
+// Each counter is stored XORed with its table's initial value, so a
+// zeroed table holds that value everywhere and a fresh one is a plain
+// make (DESIGN.md §25).
+type counters []uint8
+
+// get returns counter i of a table whose initial value is init.
+func (t counters) get(i int, init uint8) uint8 {
+	return (t[i>>2]>>(uint(i&3)*2) ^ init) & 3
+}
+
+// train moves counter i one step toward up, saturating at 0 and 3.
+func (t counters) train(i int, init uint8, up bool) {
+	sh := uint(i&3) * 2
+	c := bump(t.get(i, init), up)
+	t[i>>2] = t[i>>2]&^(3<<sh) | (c^init)<<sh
+}
+
 // Predictor is the combined direction predictor plus BTB and RAS. The
 // zero value is not usable; call New or Reset.
 type Predictor struct {
 	cfg      Config
-	bimodal  []uint8 // 2-bit saturating counters
-	gshare   []uint8
-	selector []uint8 // 2-bit: >=2 means "use gshare"
-	history  uint64  // speculative global history, newest outcome in bit 0
+	bimodal  counters
+	gshare   counters
+	selector counters // >=2 means "use gshare"
+	history  uint64   // speculative global history, newest outcome in bit 0
 	histBits uint
 
-	btbTags    []uint64
-	btbTargets []uint64
-	btbLRU     []uint8
-	btbSets    int
+	// The BTB holds tags and LRU ages only: fetch needs just the hit,
+	// and a taken branch's target is prog.Target of its PC.
+	btbTags []uint64 // pc|1 of the branch a way holds, 0 when empty
+	btbLRU  []uint8
+	btbSets int
 
 	ras    []uint64
 	rasTop int
@@ -84,22 +116,21 @@ func New(cfg Config) *Predictor {
 // Reset rebuilds p in place as New(cfg) would build it, reusing its
 // tables when they fit.
 func (p *Predictor) Reset(cfg Config) {
-	// Direction counters start weakly taken: loop-closing backward
-	// branches dominate, so this warms up quickly. The selector starts
-	// weakly preferring bimodal.
 	*p = Predictor{
-		cfg:        cfg,
-		bimodal:    reuse.Filled(p.bimodal, cfg.BimodalEntries, 2),
-		gshare:     reuse.Filled(p.gshare, cfg.GshareEntries, 2),
-		selector:   reuse.Filled(p.selector, cfg.SelectorEntries, 1),
-		histBits:   log2(cfg.GshareEntries),
-		btbTags:    reuse.Zeroed(p.btbTags, cfg.BTBEntries),
-		btbTargets: reuse.Zeroed(p.btbTargets, cfg.BTBEntries),
-		btbLRU:     reuse.Zeroed(p.btbLRU, cfg.BTBEntries),
-		btbSets:    cfg.BTBEntries / cfg.BTBWays,
-		ras:        reuse.Zeroed(p.ras, cfg.RASEntries),
+		cfg:      cfg,
+		bimodal:  reuse.Zeroed(p.bimodal, counterBytes(cfg.BimodalEntries)),
+		gshare:   reuse.Zeroed(p.gshare, counterBytes(cfg.GshareEntries)),
+		selector: reuse.Zeroed(p.selector, counterBytes(cfg.SelectorEntries)),
+		histBits: log2(cfg.GshareEntries),
+		btbTags:  reuse.Zeroed(p.btbTags, cfg.BTBEntries),
+		btbLRU:   reuse.Zeroed(p.btbLRU, cfg.BTBEntries),
+		btbSets:  cfg.BTBEntries / cfg.BTBWays,
+		ras:      reuse.Zeroed(p.ras, cfg.RASEntries),
 	}
 }
+
+// counterBytes is the size of a table of n packed counters.
+func counterBytes(n int) int { return (n + 3) / 4 }
 
 func pcIndex(pc uint64, size int) int {
 	return int((pc >> 2) & uint64(size-1))
@@ -111,12 +142,9 @@ func pcIndex(pc uint64, size int) int {
 func (p *Predictor) Predict(pc uint64) (bool, Meta) {
 	p.Lookups++
 	m := Meta{History: p.history}
-	bi := p.bimodal[pcIndex(pc, p.cfg.BimodalEntries)]
-	gi := p.gshare[p.gshareIndex(pc, p.history)]
-	sel := p.selector[pcIndex(pc, p.cfg.SelectorEntries)]
-	m.BimodalTaken = bi >= 2
-	m.GshareTaken = gi >= 2
-	m.UsedGshare = sel >= 2
+	m.BimodalTaken = p.bimodal.get(pcIndex(pc, p.cfg.BimodalEntries), directionInit) >= 2
+	m.GshareTaken = p.gshare.get(p.gshareIndex(pc, p.history), directionInit) >= 2
+	m.UsedGshare = p.selector.get(pcIndex(pc, p.cfg.SelectorEntries), selectorInit) >= 2
 	taken := m.BimodalTaken
 	if m.UsedGshare {
 		taken = m.GshareTaken
@@ -163,38 +191,32 @@ func (p *Predictor) Update(pc uint64, taken bool, m Meta) {
 		// Squash the wrong speculative history and re-insert truth.
 		p.history = p.shiftHistory(m.History, taken)
 	}
-	bIdx := pcIndex(pc, p.cfg.BimodalEntries)
-	gIdx := p.gshareIndex(pc, m.History)
-	p.bimodal[bIdx] = bump(p.bimodal[bIdx], taken)
-	p.gshare[gIdx] = bump(p.gshare[gIdx], taken)
+	p.bimodal.train(pcIndex(pc, p.cfg.BimodalEntries), directionInit, taken)
+	p.gshare.train(p.gshareIndex(pc, m.History), directionInit, taken)
 	// Selector trains toward whichever component was right, when they
 	// disagree.
 	if m.BimodalTaken != m.GshareTaken {
-		sIdx := pcIndex(pc, p.cfg.SelectorEntries)
-		p.selector[sIdx] = bump(p.selector[sIdx], m.GshareTaken == taken)
+		p.selector.train(pcIndex(pc, p.cfg.SelectorEntries), selectorInit, m.GshareTaken == taken)
 	}
 }
 
-// PredictTarget looks up the BTB for the branch at pc.
-func (p *Predictor) PredictTarget(pc uint64) (uint64, bool) {
+// BTBLookup reports whether the BTB holds the branch at pc, and makes a
+// hit the most recently used way of its set.
+func (p *Predictor) BTBLookup(pc uint64) bool {
 	set := pcIndex(pc, p.btbSets)
 	base := set * p.cfg.BTBWays
 	for w := 0; w < p.cfg.BTBWays; w++ {
 		if p.btbTags[base+w] == pc|1 {
-			p.btbLRU[base+w] = 0
-			for o := 0; o < p.cfg.BTBWays; o++ {
-				if o != w && p.btbLRU[base+o] < 255 {
-					p.btbLRU[base+o]++
-				}
-			}
-			return p.btbTargets[base+w], true
+			p.touchBTB(base, w)
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
-// UpdateTarget installs or refreshes the BTB entry for pc.
-func (p *Predictor) UpdateTarget(pc, target uint64) {
+// BTBInstall installs or refreshes the BTB entry for the taken branch
+// at pc, evicting its set's least recently used way.
+func (p *Predictor) BTBInstall(pc uint64) {
 	set := pcIndex(pc, p.btbSets)
 	base := set * p.cfg.BTBWays
 	victim := 0
@@ -208,10 +230,15 @@ func (p *Predictor) UpdateTarget(pc, target uint64) {
 		}
 	}
 	p.btbTags[base+victim] = pc | 1
-	p.btbTargets[base+victim] = target
-	p.btbLRU[base+victim] = 0
+	p.touchBTB(base, victim)
+}
+
+// touchBTB makes way w of the set at base its most recently used: its
+// age drops to 0 and every other way ages by one, saturating at 255.
+func (p *Predictor) touchBTB(base, w int) {
+	p.btbLRU[base+w] = 0
 	for o := 0; o < p.cfg.BTBWays; o++ {
-		if o != victim && p.btbLRU[base+o] < 255 {
+		if o != w && p.btbLRU[base+o] < 255 {
 			p.btbLRU[base+o]++
 		}
 	}

@@ -108,18 +108,24 @@ func TestHistoryRepairOnMispredict(t *testing.T) {
 }
 
 func TestBTBInstallAndLookup(t *testing.T) {
-	p := New(small())
-	if _, hit := p.PredictTarget(0x100); hit {
+	p := New(small()) // 16 entries, 4 ways -> 4 sets
+	if p.BTBLookup(0x100) {
 		t.Error("cold BTB should miss")
 	}
-	p.UpdateTarget(0x100, 0x2000)
-	if tgt, hit := p.PredictTarget(0x100); !hit || tgt != 0x2000 {
-		t.Errorf("BTB lookup = %#x,%v", tgt, hit)
+	p.BTBInstall(0x100)
+	if !p.BTBLookup(0x100) {
+		t.Error("an installed branch should hit")
 	}
-	// Overwrite same entry.
-	p.UpdateTarget(0x100, 0x3000)
-	if tgt, _ := p.PredictTarget(0x100); tgt != 0x3000 {
-		t.Errorf("BTB update failed: %#x", tgt)
+	// Refreshing a resident branch reuses its way: three more branches
+	// of the same set (stride = sets*4 bytes = 16) still fit beside it.
+	p.BTBInstall(0x100)
+	for _, pc := range []uint64{0x110, 0x120, 0x130} {
+		p.BTBInstall(pc)
+	}
+	for _, pc := range []uint64{0x100, 0x110, 0x120, 0x130} {
+		if !p.BTBLookup(pc) {
+			t.Errorf("BTB lost %#x after a refresh", pc)
+		}
 	}
 }
 
@@ -127,12 +133,12 @@ func TestBTBSetConflictEviction(t *testing.T) {
 	p := New(small()) // 16 entries, 4 ways -> 4 sets
 	// Five PCs mapping to the same set (stride = sets*4 bytes = 16).
 	pcs := []uint64{0x0, 0x10, 0x20, 0x30, 0x40}
-	for i, pc := range pcs {
-		p.UpdateTarget(pc, uint64(0x1000+i))
+	for _, pc := range pcs {
+		p.BTBInstall(pc)
 	}
 	hits := 0
 	for _, pc := range pcs {
-		if _, hit := p.PredictTarget(pc); hit {
+		if p.BTBLookup(pc) {
 			hits++
 		}
 	}
@@ -206,5 +212,18 @@ func TestDistinctBranchesDoNotInterfere(t *testing.T) {
 	}
 	if wrongA > 8 || wrongB > 8 {
 		t.Errorf("interference: wrongA=%d wrongB=%d", wrongA, wrongB)
+	}
+}
+
+// TestTable3Storage: at Table 3 sizes a predictor holds 86,528 bytes
+// (84.5 KiB): three 16k-entry counter tables at four counters a byte,
+// the BTB's 8k tags and LRU ages, and the 64-entry RAS. One byte per
+// counter and a stored target per BTB entry took 188,928 (184.5 KiB).
+func TestTable3Storage(t *testing.T) {
+	p := New(DefaultConfig())
+	bytes := len(p.bimodal) + len(p.gshare) + len(p.selector) +
+		8*len(p.btbTags) + len(p.btbLRU) + 8*len(p.ras)
+	if bytes != 86528 {
+		t.Errorf("Table 3 predictor holds %d bytes, want 86528", bytes)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestResetMatchesNew: a trained predictor rebuilt by Reset predicts
-// exactly like a new one — directions, targets, return addresses,
+// exactly like a new one — directions, BTB hits, return addresses,
 // history and counters.
 func TestResetMatchesNew(t *testing.T) {
 	drive := func(p *Predictor, seed uint64) []uint64 {
@@ -23,15 +23,15 @@ func TestResetMatchesNew(t *testing.T) {
 				actual = i&1 == 0
 			}
 			p.Update(pc, actual, m)
-			tgt, hit := p.PredictTarget(pc)
+			hit := p.BTBLookup(pc)
 			if actual {
-				p.UpdateTarget(pc, pc+(x>>40)%64*4)
+				p.BTBInstall(pc)
 			}
 			if x>>50&1 == 0 {
 				p.Push(pc + 4)
 			}
 			ra, ok := p.Pop()
-			out = append(out, b2u(taken), tgt, b2u(hit), ra, b2u(ok))
+			out = append(out, b2u(taken), b2u(hit), ra, b2u(ok))
 		}
 		return append(out, p.Lookups, p.Mispredicts, p.History())
 	}

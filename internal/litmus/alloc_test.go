@@ -7,14 +7,16 @@ import (
 
 // Per-run heap budget of a 16-core RunCell once its machine exists:
 // each later run resets that machine (system.Reset). Measured with Go
-// 1.24 over the battery × the six configurations: at most 127
-// allocations and 32.4 KB per run, 120.0 allocations on average. The
-// bounds leave ~15% headroom for the per-run maps (image, bus, shadow),
-// whose allocation pattern varies across Go releases; a run that
-// rebuilt its machine would cost ~1050 allocations and 2.6 MB.
+// 1.24 over the battery × the six configurations: at most 120
+// allocations and 22.6 KB per run, 114.0 allocations on average. Each
+// run compiles its test once; CompileOn sizes the per-core initial
+// states once and the builder keeps its labels in a slice. The bounds
+// leave ~15% headroom for the per-run maps (image, bus, shadow), whose
+// allocation pattern varies across Go releases; a run that rebuilt its
+// machine would cost ~990 allocations and 2.3 MB.
 const (
-	maxAllocsPerRun = 145
-	maxBytesPerRun  = 37 << 10
+	maxAllocsPerRun = 138
+	maxBytesPerRun  = 26000
 )
 
 // cellCost returns the heap allocations and bytes of one 16-core

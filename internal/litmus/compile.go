@@ -66,6 +66,7 @@ func CompileOn(t *Test, skew []int, cores int) *Compiled {
 	b := prog.NewBuilder(Entry)
 	c := &Compiled{
 		Test:  t,
+		Inits: make([]prog.ArchState, 0, max(cores, len(t.Threads))),
 		Addrs: make([]uint64, t.Locs),
 	}
 	for loc := range c.Addrs {

@@ -446,7 +446,7 @@ func (c *Core) resolveBranch(e *entry) bool {
 		c.bp.Update(e.pc, e.taken, e.meta)
 	}
 	if e.taken {
-		c.bp.UpdateTarget(e.pc, c.prog.Target(e.inst, e.pc))
+		c.bp.BTBInstall(e.pc)
 	}
 	if e.taken != e.predTaken {
 		c.Stats.SquashesMispredict++
@@ -1527,7 +1527,7 @@ func (c *Core) fetch() {
 		}
 		if cls == isa.ClassBranch && f.predTaken {
 			target := c.prog.Target(in, c.fetchPC)
-			if _, hit := c.bp.PredictTarget(c.fetchPC); !hit {
+			if !c.bp.BTBLookup(c.fetchPC) {
 				// BTB miss on a predicted-taken branch: one bubble while
 				// decode computes the target.
 				c.fetchStallUntil = c.cycle + 2

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"fmt"
+	"slices"
 
 	"vbmo/internal/isa"
 )
@@ -12,8 +13,10 @@ type Builder struct {
 	entry   uint64
 	code    []isa.Inst
 	patches []patch
-	labels  map[Label]int
-	next    Label
+	// labels holds each label's bound instruction index, or -1 while it
+	// is unbound: label l is labels[l-1], since NewLabel hands labels
+	// out densely from 1.
+	labels []int
 }
 
 // Label names a position in the program under construction.
@@ -26,7 +29,13 @@ type patch struct {
 
 // NewBuilder creates a builder whose program starts at entry.
 func NewBuilder(entry uint64) *Builder {
-	return &Builder{entry: entry, labels: make(map[Label]int)}
+	return &Builder{entry: entry}
+}
+
+// Grow reserves room for n more instructions, so a generator that
+// knows its program's length emits it without regrowing the code.
+func (b *Builder) Grow(n int) {
+	b.code = slices.Grow(b.code, n)
 }
 
 // Pos returns the index the next emitted instruction will occupy.
@@ -40,13 +49,13 @@ func (b *Builder) Emit(in isa.Inst) int {
 
 // NewLabel allocates an unbound label.
 func (b *Builder) NewLabel() Label {
-	b.next++
-	return b.next
+	b.labels = append(b.labels, -1)
+	return Label(len(b.labels))
 }
 
 // Bind binds a label to the current position.
 func (b *Builder) Bind(l Label) {
-	b.labels[l] = len(b.code)
+	b.labels[l-1] = len(b.code)
 }
 
 // Here allocates a label bound to the current position.
@@ -67,8 +76,8 @@ func (b *Builder) Branch(op isa.Opcode, src isa.Reg, l Label) int {
 // unbound label — that is a generator bug, not a runtime condition.
 func (b *Builder) Build() *Program {
 	for _, p := range b.patches {
-		tgt, ok := b.labels[p.label]
-		if !ok {
+		tgt := b.labels[p.label-1]
+		if tgt < 0 {
 			panic(fmt.Sprintf("prog: unbound label %d", p.label))
 		}
 		b.code[p.at].Imm = int64(tgt - p.at)

@@ -275,32 +275,53 @@ func NewExecutor(p *Program, mem *Image, init ArchState) *Executor {
 	return ex
 }
 
-// Step executes one instruction and returns its committed record.
-func (ex *Executor) Step() Committed {
+// Exec executes one instruction without building its record. It
+// returns the instruction's class, its result (a load's or operation's
+// register value, a store's value, 1 for a taken branch and 0 for one
+// not taken) and a load's or store's address. Calibration counts the
+// dynamic mix through it (workload.Generate); Step records it.
+func (ex *Executor) Exec() (cls isa.Class, result, addr uint64) {
 	pc := ex.State.PC
 	in, _ := ex.Prog.Fetch(pc)
-	c := Committed{Seq: ex.InstRet, PC: pc, Op: in.Op}
 	src1 := ex.State.ReadReg(in.Src1)
-	src2 := ex.State.ReadReg(in.Src2)
-	switch in.Class() {
+	next := pc + InstBytes
+	switch cls = in.Class(); cls {
 	case isa.ClassLoad:
-		c.Addr = in.EffAddr(src1)
-		c.Result = ex.Mem.Read(c.Addr)
-		ex.State.WriteReg(in.Dst, c.Result)
+		addr = in.EffAddr(src1)
+		result = ex.Mem.Read(addr)
+		ex.State.WriteReg(in.Dst, result)
 	case isa.ClassStore:
-		c.Addr = in.EffAddr(src1)
-		c.Result = src2
-		ex.Mem.Write(c.Addr, src2)
+		addr = in.EffAddr(src1)
+		result = ex.State.ReadReg(in.Src2)
+		ex.Mem.Write(addr, result)
 	case isa.ClassBranch:
-		c.Taken = in.BranchTaken(src1)
+		if in.BranchTaken(src1) {
+			result = 1
+			next = ex.Prog.Target(in, pc)
+		}
 	case isa.ClassNop, isa.ClassMembar:
 		// No architectural effect.
 	default:
-		c.Result = in.Eval(src1, src2)
-		ex.State.WriteReg(in.Dst, c.Result)
+		result = in.Eval(src1, ex.State.ReadReg(in.Src2))
+		ex.State.WriteReg(in.Dst, result)
 	}
-	ex.State.PC = ex.Prog.NextPC(in, pc, c.Taken)
+	ex.State.PC = next
 	ex.InstRet++
+	return cls, result, addr
+}
+
+// Step executes one instruction and returns its committed record.
+func (ex *Executor) Step() Committed {
+	c := Committed{Seq: ex.InstRet, PC: ex.State.PC}
+	in, _ := ex.Prog.Fetch(c.PC)
+	c.Op = in.Op
+	cls, result, addr := ex.Exec()
+	c.Addr = addr
+	if cls == isa.ClassBranch {
+		c.Taken = result != 0
+	} else {
+		c.Result = result
+	}
 	return c
 }
 

@@ -183,6 +183,31 @@ func TestExecutorCountdownLoop(t *testing.T) {
 	}
 }
 
+// TestExecMatchesStep: the record-free step and Step execute the same
+// instructions with the same effects, and Step's record carries what
+// Exec returned: class, result, address and branch outcome.
+func TestExecMatchesStep(t *testing.T) {
+	p := buildCountdownLoop(4)
+	rec := NewExecutor(p, NewImage(3), ArchState{})
+	bare := NewExecutor(p, NewImage(3), ArchState{})
+	for i := 0; i < 40; i++ {
+		c := rec.Step()
+		cls, result, addr := bare.Exec()
+		if cls != c.Op.Class() || addr != c.Addr {
+			t.Fatalf("step %d: Exec class %v addr %#x, Step %+v", i, cls, addr, c)
+		}
+		if cls == isa.ClassBranch && (result != 0) != c.Taken || cls != isa.ClassBranch && result != c.Result {
+			t.Fatalf("step %d: Exec result %d, Step %+v", i, result, c)
+		}
+		if rec.State != bare.State || rec.InstRet != bare.InstRet {
+			t.Fatalf("step %d: architectural state diverged", i)
+		}
+	}
+	if rec.Mem.Read(0x8000) != bare.Mem.Read(0x8000) {
+		t.Fatal("memory diverged")
+	}
+}
+
 func TestExecutorJumpSelfLoops(t *testing.T) {
 	p := buildCountdownLoop(1)
 	ex := NewExecutor(p, NewImage(0), ArchState{})

@@ -8,9 +8,13 @@
 package reuse
 
 // Zeroed returns a zeroed slice of length n, reusing s's backing array
-// when its capacity fits.
+// when its capacity fits. Only a reused array is cleared: a new one
+// comes zeroed from make.
 func Zeroed[T any](s []T, n int) []T {
-	s = Resized(s, n)
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
 	clear(s)
 	return s
 }

@@ -6,7 +6,10 @@ import (
 	"unsafe"
 )
 
-func TestZeroedReusesWhenItFits(t *testing.T) {
+// TestZeroed covers both paths: a capacity that fits is reused and
+// cleared up to the new length only; one that does not gets a new
+// zeroed array and leaves the old one as it was.
+func TestZeroed(t *testing.T) {
 	s := []int{1, 2, 3, 4}
 	z := Zeroed(s, 3)
 	if len(z) != 3 || &z[0] != &s[0] {
@@ -20,12 +23,24 @@ func TestZeroedReusesWhenItFits(t *testing.T) {
 	if s[3] != 4 {
 		t.Fatalf("Zeroed cleared past the new length: s[3]=%d", s[3])
 	}
+	s = []int{1, 2, 3, 4}
 	g := Zeroed(s, 9)
 	if len(g) != 9 || &g[0] == &s[0] {
 		t.Fatalf("Zeroed(cap 4, 9) must allocate: len=%d", len(g))
 	}
+	for i, v := range g {
+		if v != 0 {
+			t.Fatalf("fresh g[%d]=%d, want 0", i, v)
+		}
+	}
+	if s[0] != 1 || s[3] != 4 {
+		t.Fatalf("Zeroed(cap 4, 9) touched the array it could not reuse: %v", s)
+	}
 	if n := Zeroed[int](nil, 0); len(n) != 0 {
 		t.Fatal("Zeroed(nil, 0) must be empty")
+	}
+	if n := Zeroed[int](nil, 5); len(n) != 5 || n[4] != 0 {
+		t.Fatalf("Zeroed(nil, 5) = %v", n)
 	}
 }
 

@@ -348,6 +348,9 @@ func (g *gen) closeLoop() {
 // probabilities.
 func generateOnce(p Params, seed uint64, pp probs) *prog.Program {
 	g := &gen{b: prog.NewBuilder(Entry), rnd: newRng(seed), p: p, pp: pp.normalized()}
+	// The last pattern, a loop close and the closing jump run past
+	// CodeSize by at most 15 instructions.
+	g.b.Grow(p.CodeSize + 16)
 	top := g.b.Here()
 	targetStatic := p.CodeSize
 	for g.b.Pos() < targetStatic {
@@ -381,22 +384,16 @@ func generateOnce(p Params, seed uint64, pp probs) *prog.Program {
 // realized load/store/branch dynamic fractions.
 func measureMix(p Params, pr *prog.Program, seed uint64, n int) probs {
 	ex := prog.NewExecutor(pr, prog.NewImage(seed), InitState(p, 0, seed))
-	var m probs
+	var count [isa.NumClasses]int
 	for i := 0; i < n; i++ {
-		c := ex.Step()
-		switch c.Op.Class() {
-		case isa.ClassLoad:
-			m.load++
-		case isa.ClassStore:
-			m.store++
-		case isa.ClassBranch:
-			m.branch++
-		}
+		cls, _, _ := ex.Exec()
+		count[cls]++
 	}
-	m.load /= float64(n)
-	m.store /= float64(n)
-	m.branch /= float64(n)
-	return m
+	return probs{
+		load:   float64(count[isa.ClassLoad]) / float64(n),
+		store:  float64(count[isa.ClassStore]) / float64(n),
+		branch: float64(count[isa.ClassBranch]) / float64(n),
+	}
 }
 
 // genKey identifies one calibrated program: Params is a comparable
