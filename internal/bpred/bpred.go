@@ -83,8 +83,6 @@ type Predictor struct {
 	history  uint64   // speculative global history, newest outcome in bit 0
 	histBits uint
 
-	// The BTB holds tags and LRU ages only: fetch needs just the hit,
-	// and a taken branch's target is prog.Target of its PC.
 	btbTags []uint64 // pc|1 of the branch a way holds, 0 when empty
 	btbLRU  []uint8
 	btbSets int
