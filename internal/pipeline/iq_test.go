@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vbmo/internal/config"
+	"vbmo/internal/core"
 	"vbmo/internal/system"
 	"vbmo/internal/workload"
 )
@@ -41,7 +42,14 @@ func TestIQReadyMaskInvariants(t *testing.T) {
 	// wake keeps that load's recorded wait count exact.
 	simple := config.Baseline()
 	simple.UseStoreSets = false
+	// A replay machine whose load queue fills before its ROB, so the
+	// load-queue dispatch stall runs (every registry replay machine
+	// sizes its load queue to the ROB).
+	lq32 := config.Replay(core.NoRecentSnoop)
+	lq32.LQSize = 32
 	runs = append(runs,
+		run{"replay-lq32/mcf", lq32, "mcf", 1, 3000, 5},
+		run{"replay-lq32/ocean", lq32, "ocean", 4, 1000, 5},
 		named("baseline", "spin-mp", 16, 150),
 		named("baseline-insulated", "jbb-mp", 16, 150),
 		named("replay-vpred", "jbb-mp", 16, 150),
@@ -70,7 +78,10 @@ func TestIQReadyMaskInvariants(t *testing.T) {
 					}
 				}}
 			s = system.New(r.cfg, work, opt)
-			s.Run(r.insts, opt)
+			res := s.Run(r.insts, opt)
+			if r.cfg.Scheme == config.ValueReplay && r.cfg.LQSize < r.cfg.ROBSize && res.Pipe.StallLQ == 0 {
+				t.Error("the load queue never stalled dispatch")
+			}
 		})
 	}
 }

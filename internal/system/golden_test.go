@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vbmo/internal/config"
+	"vbmo/internal/core"
 )
 
 // resultDigest is a SHA-256 over every field of a Result: the summary,
@@ -35,7 +36,8 @@ type goldenRun struct {
 }
 
 // goldenRuns pins every registry machine on a pointer-chasing
-// uniprocessor run, a 4-way coherence run and the 16-way spin run.
+// uniprocessor run, a 4-way coherence run and the 16-way spin run, and
+// replay-lq32 (replayLQ32) on the first two.
 // reference_output.txt alone cannot prove a scheduler change exact: it
 // did not notice a fix that moved the insulated load queue's cycle
 // counts. A deliberate result change regenerates this table from the
@@ -80,6 +82,8 @@ var goldenRuns = []goldenRun{
 	{"nus-only", "mcf", 1, 40000, 232572, "7e07ee0329d6beec8763be808aee3ba10b4094e2103e100ee06083e796bf300d"},
 	{"nus-only", "ocean", 4, 10000, 25812, "9431fb8f9f3caf475a46bb67ef2b7ed355d0ffeb1317823e8a0de59ce211bf11"},
 	{"nus-only", "spin-mp", 16, 3000, 187341, "f52baf1ef0f255da0cb965937b7c915d73bdca1ebb865dd17c209b4b8f11b4c1"},
+	{"replay-lq32", "mcf", 1, 40000, 249475, "6ec68b9d8255a93a46c5393a1076b22afae9af90fe2905e38b5e96a6676fee20"},
+	{"replay-lq32", "ocean", 4, 10000, 31399, "f2f565b01d55ffc46ccebe0272bfd5bbaca292c65488aea208d02d4191e7f2e9"},
 }
 
 // goldenShapes are the workload shapes pinned for every machine.
@@ -93,28 +97,67 @@ var goldenShapes = []struct {
 	{"spin-mp", 16, 3000},
 }
 
+// replayLQ32 is the no-recent-snoop replay machine with a 32-entry load
+// queue. Every registry replay machine sizes its load queue to the ROB,
+// which dispatch checks first, so only this machine stalls dispatch on
+// a full load queue.
+func replayLQ32() config.Machine {
+	m := config.Replay(core.NoRecentSnoop)
+	m.LQSize = 32
+	return m
+}
+
+// goldenCell is one pinned run: a machine under its table name and one
+// workload shape.
+type goldenCell struct {
+	name  string
+	cfg   config.Machine
+	work  string
+	cores int
+	insts uint64
+}
+
+// key names the cell in the golden tables and as a subtest.
+func (g goldenCell) key() string { return fmt.Sprintf("%s/%s/%d", g.name, g.work, g.cores) }
+
+// goldenCells lists the pinned runs: every registry machine on every
+// golden shape, then replay-lq32 (replayLQ32) on mcf/1 and ocean/4.
+func goldenCells() []goldenCell {
+	var cells []goldenCell
+	for _, name := range config.Names() {
+		cfg, _ := config.ByName(name)
+		for _, sh := range goldenShapes {
+			cells = append(cells, goldenCell{name, cfg, sh.work, sh.cores, sh.insts})
+		}
+	}
+	for _, sh := range goldenShapes[:2] {
+		cells = append(cells, goldenCell{"replay-lq32", replayLQ32(), sh.work, sh.cores, sh.insts})
+	}
+	return cells
+}
+
 // TestGoldenResults reruns every pinned cell and compares its cycle
-// count and Result digest with the table.
+// count and Result digest with the table. replay-lq32 must also stall
+// dispatch on its full load queue.
 func TestGoldenResults(t *testing.T) {
 	pinned := map[string]goldenRun{}
 	for _, g := range goldenRuns {
 		pinned[fmt.Sprintf("%s/%s/%d", g.machine, g.work, g.cores)] = g
 	}
-	for _, name := range config.Names() {
-		cfg, _ := config.ByName(name)
-		for _, sh := range goldenShapes {
-			key := fmt.Sprintf("%s/%s/%d", name, sh.work, sh.cores)
-			t.Run(key, func(t *testing.T) {
-				opt := Options{Cores: sh.cores, Seed: 3, DMAInterval: 4000, DMABurst: 2}
-				s := New(cfg, mustWork(t, sh.work), opt)
-				res := s.Run(sh.insts, opt)
-				got := goldenRun{name, sh.work, sh.cores, sh.insts, s.CycleNum, resultDigest(res)}
-				if want, ok := pinned[key]; !ok || want != got {
-					t.Errorf("cycles %d, digest %s; pinned %+v\nreplacement line:\n\t{%q, %q, %d, %d, %d, %q},",
-						got.cycles, got.digest, want, got.machine, got.work, got.cores,
-						got.insts, got.cycles, got.digest)
-				}
-			})
-		}
+	for _, cell := range goldenCells() {
+		t.Run(cell.key(), func(t *testing.T) {
+			opt := Options{Cores: cell.cores, Seed: 3, DMAInterval: 4000, DMABurst: 2}
+			s := New(cell.cfg, mustWork(t, cell.work), opt)
+			res := s.Run(cell.insts, opt)
+			got := goldenRun{cell.name, cell.work, cell.cores, cell.insts, s.CycleNum, resultDigest(res)}
+			if want, ok := pinned[cell.key()]; !ok || want != got {
+				t.Errorf("cycles %d, digest %s; pinned %+v\nreplacement line:\n\t{%q, %q, %d, %d, %d, %q},",
+					got.cycles, got.digest, want, got.machine, got.work, got.cores,
+					got.insts, got.cycles, got.digest)
+			}
+			if cell.name == "replay-lq32" && res.Pipe.StallLQ == 0 {
+				t.Error("replay-lq32 never stalled dispatch on a full load queue")
+			}
+		})
 	}
 }

@@ -184,6 +184,14 @@ var goldenWorks = []goldenWork{
 		pipeline.WorkStats{Steps: 387491, Writeback: 95234, Capture: 17, Commit: 96498, Replay: 100419, Issue: 48696, SQCompares: 114},
 		FFStats{Windows: 2260, SkippedCycles: 162750, Probes: 75046},
 		pipeline.SkipStats{Writeback: 342555, Capture: 387474, Commit: 338902, Replay: 335011, Issue: 349593, ParkedProbes: 0}},
+	{"replay-lq32", "mcf", 1,
+		pipeline.WorkStats{Steps: 38240, Writeback: 95497, Capture: 47591, Commit: 59543, Replay: 58836, Issue: 58954, SQCompares: 91925},
+		FFStats{Windows: 1411, SkippedCycles: 211235, Probes: 23672},
+		pipeline.SkipStats{Writeback: 19512, Capture: 23824, Commit: 16247, Replay: 14991, Issue: 20874, ParkedProbes: 3630}},
+	{"replay-lq32", "ocean", 4,
+		pipeline.WorkStats{Steps: 46314, Writeback: 69999, Capture: 25084, Commit: 52007, Replay: 46327, Issue: 51136, SQCompares: 139154},
+		FFStats{Windows: 433, SkippedCycles: 19500, Probes: 8534},
+		pipeline.SkipStats{Writeback: 34402, Capture: 37173, Commit: 32227, Replay: 31828, Issue: 34857, ParkedProbes: 4728}},
 }
 
 // keyed renders a struct of integer fields as a keyed Go literal.
@@ -211,21 +219,17 @@ func TestGoldenWork(t *testing.T) {
 	for _, g := range goldenWorks {
 		pinned[fmt.Sprintf("%s/%s/%d", g.machine, g.work, g.cores)] = g
 	}
-	for _, name := range config.Names() {
-		cfg, _ := config.ByName(name)
-		for _, sh := range goldenShapes {
-			key := fmt.Sprintf("%s/%s/%d", name, sh.work, sh.cores)
-			t.Run(key, func(t *testing.T) {
-				opt := Options{Cores: sh.cores, Seed: 3, DMAInterval: 4000, DMABurst: 2}
-				s := New(cfg, mustWork(t, sh.work), opt)
-				s.Run(sh.insts, opt)
-				got := goldenWork{name, sh.work, sh.cores, s.WorkStats(), s.FastForwardStats(), s.StageSkipStats()}
-				if want, ok := pinned[key]; !ok || want != got {
-					t.Errorf("pinned %+v\nreplacement row:\n\t{%q, %q, %d,\n\t\t%s,\n\t\t%s,\n\t\t%s},",
-						want, got.machine, got.work, got.cores, keyed(got.w), keyed(got.ff), keyed(got.sk))
-				}
-			})
-		}
+	for _, cell := range goldenCells() {
+		t.Run(cell.key(), func(t *testing.T) {
+			opt := Options{Cores: cell.cores, Seed: 3, DMAInterval: 4000, DMABurst: 2}
+			s := New(cell.cfg, mustWork(t, cell.work), opt)
+			s.Run(cell.insts, opt)
+			got := goldenWork{cell.name, cell.work, cell.cores, s.WorkStats(), s.FastForwardStats(), s.StageSkipStats()}
+			if want, ok := pinned[cell.key()]; !ok || want != got {
+				t.Errorf("pinned %+v\nreplacement row:\n\t{%q, %q, %d,\n\t\t%s,\n\t\t%s,\n\t\t%s},",
+					want, got.machine, got.work, got.cores, keyed(got.w), keyed(got.ff), keyed(got.sk))
+			}
+		})
 	}
 }
 
