@@ -1,9 +1,36 @@
+// Package core implements the paper's primary contribution: value-based
+// memory ordering (Cain & Lipasti, ISCA 2004). It replaces the
+// associative load queue with a plain FIFO (no CAM, no search ports) and
+// enforces both uniprocessor RAW dependences and multiprocessor memory
+// consistency by re-executing selected loads in program order just
+// before commit and comparing the replayed value against the premature
+// value. Four filtering heuristics keep the replay rate near 0.02 per
+// committed instruction:
+//
+//   - no-unresolved-store (NUS): replay loads that issued past an older
+//     store with an unresolved address (uniprocessor RAW safety);
+//   - no-reorder: replay loads that issued while prior memory operations
+//     were incomplete (the only filter that is sound in isolation);
+//   - no-recent-miss (NRM): replay loads that were in the instruction
+//     window when a block entered the local hierarchy from an external
+//     source (incoming constraint-graph edge);
+//   - no-recent-snoop (NRS): replay loads that were in the window when an
+//     external invalidation was observed (outgoing WAR edge).
+//
+// NRM and NRS must each be paired with NUS (paper §3.3); the Engine
+// enforces that composition.
+//
+// The FIFO load queue is the pipeline's own load queue, which holds
+// only the loads' program order. Each load's premature value and filter
+// flags live in the pipeline's reorder-buffer entry, the one record of
+// an in-flight load; the replay stage hands the Engine a Load built from
+// that entry, and the youngest queued load's tag when an external event
+// opens the window.
 package core
 
 import (
 	"fmt"
 
-	"vbmo/internal/reuse"
 	"vbmo/internal/trace"
 )
 
@@ -98,8 +125,6 @@ type Stats struct {
 type Engine struct {
 	// Filter is the active configuration.
 	Filter Filter
-	// Queue is the machine's FIFO load queue.
-	Queue *FIFOQueue
 
 	flag   bool
 	ageTag int64
@@ -107,20 +132,15 @@ type Engine struct {
 	Stats Stats
 }
 
-// NewEngine creates a replay engine with the given filter and load
-// queue capacity.
-func NewEngine(f Filter, lqCapacity int) *Engine {
+// NewEngine creates a replay engine with the given filter.
+func NewEngine(f Filter) *Engine {
 	e := new(Engine)
-	e.Reset(f, lqCapacity)
+	e.Reset(f)
 	return e
 }
 
-// Reset rebuilds e in place as NewEngine would build it, reusing its
-// load queue's storage.
-func (e *Engine) Reset(f Filter, lqCapacity int) {
-	*e = Engine{Filter: f, Queue: reuse.Ptr(e.Queue)}
-	e.Queue.Reset(lqCapacity)
-}
+// Reset rebuilds e in place as NewEngine would build it.
+func (e *Engine) Reset(f Filter) { *e = Engine{Filter: f} }
 
 // NoteExternalEvent records an external invalidation (no-recent-snoop)
 // or external-source fill (no-recent-miss). youngestLoadTag is the tag
@@ -250,7 +270,6 @@ func (e *Engine) closeWindow(tag int64) {
 // conservatively re-latch to the squash point so correctness never
 // depends on a dead tag.
 func (e *Engine) OnSquash(fromTag int64) {
-	e.Queue.Squash(fromTag)
 	if e.flag && e.ageTag >= fromTag {
 		// The flagged load died. Keep the window open but anchor it at
 		// the squash point: the first surviving/refetched load at or

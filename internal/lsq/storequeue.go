@@ -3,8 +3,8 @@
 // address tracking, and the three conventional associative load-queue
 // designs the paper describes — snooping, insulated, and Power4-style
 // hybrid — with CAM-search accounting for the §5.3 power model. The
-// replay machine's non-associative FIFO load queue lives in package
-// core, next to the replay engine that owns it. Every one of these
+// core's own load queue, which on the replay machine is the paper's
+// non-associative FIFO, lives in package pipeline. Every one of these
 // queues keeps its entries in a Window and hands out a Handle per
 // entry, so only the modelled CAM searches scan.
 //

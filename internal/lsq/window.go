@@ -13,8 +13,8 @@ import (
 type Handle int64
 
 // Window is the storage discipline every in-order queue of the core
-// shares (DESIGN.md §21): the store queue, both load queues and the
-// pipeline's incomplete-load tracker. The queued entries, oldest first,
+// shares (DESIGN.md §21): the store queue, the associative load queue
+// and the pipeline's load queue (§26). The queued entries, oldest first,
 // occupy one contiguous run of a buffer twice the queue's capacity, and
 // the entry with handle h sits at index lo + (h - head) for as long as
 // it is queued. Commit pops the head and a squash truncates the tail, so

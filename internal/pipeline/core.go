@@ -29,8 +29,9 @@ type Core struct {
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
 
+	lq     loadQueue // every in-flight load, in program order
 	sq     *lsq.StoreQueue
-	alq    *lsq.AssocLoadQueue // baseline machines
+	alq    *lsq.AssocLoadQueue // baseline machines: the CAM searches
 	eng    *core.Engine        // value-replay machines
 	ssets  *deppred.StoreSets
 	simple *deppred.Simple
@@ -94,7 +95,6 @@ type Core struct {
 	commitQuiet bool  // the ROB head cannot commit until an event
 	replayWake  int64 // the replay scan sleeps before this cycle; noDue waits on an event
 	replayBase  int   // settled ROB prefix the replay scan starts past
-	loads       loadTracker
 
 	// Skip counts the stage scans elided by the readiness layer; it
 	// lives outside Stats so a skipping run's Result stays bit-identical
@@ -192,20 +192,20 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 		psd:             reuse.Empty(c.psd, cfg.SQSize),
 		pend:            c.pend,
 		pool:            c.pool,
-		loads:           c.loads,
+		lq:              c.lq,
 		ops:             c.ops[:0],
 	}
 	c.rob.init(cfg.ROBSize)
 	c.fetchQ.init(cfg.FetchBuf)
 	c.pend.init(cfg.ROBSize)
 	c.pool.init(cfg.ROBSize)
-	c.loads.init(cfg.ROBSize)
+	c.lq.init(cfg.LQSize)
 	c.arch.PC = entryPC
 	c.bp.Reset(cfg.BP)
 	c.sq.Reset(cfg.SQSize)
 	if cfg.Scheme == config.ValueReplay {
 		c.eng = reuse.Ptr(eng)
-		c.eng.Reset(cfg.Filter, cfg.LQSize)
+		c.eng.Reset(cfg.Filter)
 	} else {
 		c.alq = reuse.Ptr(alq)
 		c.alq.Reset(cfg.LQMode, cfg.LQSize)
@@ -301,14 +301,8 @@ func (c *Core) ROBLen() int { return c.rob.Len() }
 // IQLen returns the issue queue's current occupancy.
 func (c *Core) IQLen() int { return bits.OnesCount64(c.iqUsed) }
 
-// LQLen returns the load queue's current occupancy (FIFO queue on
-// replay machines, associative queue on baselines).
-func (c *Core) LQLen() int {
-	if c.eng != nil {
-		return c.eng.Queue.Len()
-	}
-	return c.alq.Len()
-}
+// LQLen returns the load queue's current occupancy.
+func (c *Core) LQLen() int { return c.lq.w.Len() }
 
 // SQLen returns the store queue's current occupancy.
 func (c *Core) SQLen() int { return c.sq.Len() }
@@ -433,8 +427,7 @@ func (c *Core) complete(e *entry) bool {
 			}
 		}
 	case e.isLoad:
-		e.loadDone = true
-		c.loads.complete(e.lth)
+		c.lq.complete(e.qh)
 	}
 	return false
 }
@@ -564,10 +557,10 @@ func (c *Core) commit() {
 					// commit (replayed loads trained at compare).
 					c.vp.Train(e.pc, e.result, false)
 				}
-				c.eng.Queue.Pop()
 			} else {
 				c.alq.Pop()
 			}
+			c.lq.pop()
 			if e.valuePredicted {
 				c.Stats.ValuePredictedCommitted++
 			}
@@ -676,7 +669,7 @@ func (c *Core) replayStage() {
 			}
 			continue
 		}
-		if !e.loadDone {
+		if !e.done {
 			// Premature execution still in flight; replay is in-order,
 			// so nothing younger may replay either.
 			break
@@ -1325,14 +1318,14 @@ func (c *Core) unlink(p *entry) {
 // unresolved) — the no-reorder filter's issue-time condition. A store
 // is incomplete until it commits (writes the cache), and the store
 // queue holds exactly the dispatched-uncommitted stores, so its oldest
-// tag answers the store half in O(1); the loadTracker's head, the
-// oldest incomplete load, answers the load half with one comparison.
+// tag answers the store half in O(1); the load queue's cursor at the
+// oldest incomplete load answers the load half with one comparison.
 // Both are exact replacements for the former O(ROB) entry walk, not
 // approximations.
 //
 //vbr:hotpath
 func (c *Core) priorMemIncomplete(e *entry) bool {
-	return c.sq.HasOlderThan(e.tag) || c.loads.hasBefore(e.tag)
+	return c.sq.HasOlderThan(e.tag) || c.lq.hasBefore(e.tag)
 }
 
 // ---------------------------------------------------------------------
@@ -1360,13 +1353,7 @@ func (c *Core) dispatch() {
 		}
 		switch cls {
 		case isa.ClassLoad:
-			full := false
-			if c.eng != nil {
-				full = c.eng.Queue.Full()
-			} else {
-				full = c.alq.Full()
-			}
-			if full {
+			if c.lq.w.Full() {
 				c.Stats.StallLQ++
 				return
 			}
@@ -1441,7 +1428,7 @@ func (c *Core) dispatchOne(f *fetched) {
 	case isa.ClassLoad:
 		e.isLoad = true
 		c.iqInsert(e)
-		e.lth = c.loads.add(e.tag)
+		e.qh = c.lq.push(e.tag) // dispatch checked that it is not full
 		if c.vp != nil && !(c.noReplayArmed && e.pc == c.noReplayPC) {
 			if v, ok := c.vp.Predict(e.pc); ok {
 				// Consumers may use the predicted value immediately;
@@ -1454,7 +1441,6 @@ func (c *Core) dispatchOne(f *fetched) {
 			}
 		}
 		if c.eng != nil {
-			e.qh, _ = c.eng.Queue.Insert(e.tag) // dispatch checked Full
 			if c.noReplayArmed && e.pc == c.noReplayPC {
 				// Forward-progress rule 3: the refetched instance of a
 				// load that caused a replay squash is not replayed.
@@ -1462,7 +1448,8 @@ func (c *Core) dispatchOne(f *fetched) {
 				c.noReplayArmed = false
 			}
 		} else {
-			e.qh, _ = c.alq.Insert(e.tag, e.pc) // dispatch checked Full
+			// The same pushes from the same Reset: the same handle.
+			c.alq.Insert(e.tag, e.pc)
 			if c.ssets != nil {
 				e.waitStoreTag = c.ssets.LoadDispatched(e.pc)
 			}
@@ -1615,7 +1602,7 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.pend.filterOlder(fromTag, &c.pool)
 	c.psd = filterOlder(c.psd, fromTag, &c.pool)
 
-	c.loads.squash(fromTag)
+	c.lq.squash(fromTag)
 	c.sq.Squash(fromTag)
 	if c.iqParked != 0 && c.sq.TwoLevel() {
 		// The squash changed the queue's depth and its unresolved stores.
@@ -1689,7 +1676,7 @@ func (c *Core) HandleExternalInvalidation(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRS window never opens
 		}
-		c.eng.NoteExternalEvent(c.eng.Queue.YoungestTag())
+		c.eng.NoteExternalEvent(c.lq.w.YoungestTag())
 	}
 }
 
@@ -1704,7 +1691,7 @@ func (c *Core) HandleExternalFill(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRM window never opens
 		}
-		c.eng.NoteExternalEvent(c.eng.Queue.YoungestTag())
+		c.eng.NoteExternalEvent(c.lq.w.YoungestTag())
 	}
 }
 

@@ -88,16 +88,15 @@ type entry struct {
 	addrValid       bool
 	value           uint64 // load premature value / store data
 	forwardTag      int64
-	loadDone        bool
 	agenDone        bool // store address in the store queue
 	dataDone        bool // store data in the store queue
 	waitStoreTag    int64
 	nus             bool // issued past an unresolved store address
 	reordered       bool // issued while prior memory ops incomplete
-	// qh is a load's handle in the load queue (FIFO or associative) or a
-	// store's in the store queue; lth is a load's handle in the
-	// incomplete-load tracker. Both are set at dispatch (DESIGN.md §21).
-	qh, lth lsq.Handle
+	// qh is a load's handle in the load queue, which on baselines also
+	// addresses it in the associative queue, or a store's in the store
+	// queue. Dispatch sets it (DESIGN.md §21, §26).
+	qh lsq.Handle
 
 	// Provenance (consistency tracking): the identity of the store
 	// whose value this load observed, taken with the value at the demand

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"vbmo/internal/lsq"
 )
@@ -178,27 +179,22 @@ func (c *Core) CheckIQ() error {
 	return nil
 }
 
-// CheckLSQ checks the handle-addressed memory queues (DESIGN.md §21)
-// against the ROB, read-only, and reports the first disagreement: the
-// load queue (FIFO or associative) and the store queue hold exactly the
-// ROB's loads and stores, oldest first; every ROB load's and store's
-// queue handle addresses the entry holding its own tag; and the
-// incomplete-load tracker holds exactly the ROB's loads from the oldest
-// one that is not loadDone on, each reached by its tracker handle.
+// CheckLSQ checks the handle-addressed memory queues (DESIGN.md §21,
+// §26) against the ROB, read-only, and reports the first disagreement:
+// the load queue and the store queue hold exactly the ROB's loads and
+// stores, oldest first; every ROB load's and store's queue handle
+// addresses the entry holding its own tag; each load's done bit is its
+// entry's, and the load queue's cursor is the oldest incomplete load's
+// handle, or the tail when every load completed; and on a baseline the
+// associative queue's window holds the load queue's tags under the
+// same handles.
 func (c *Core) CheckLSQ() error {
-	var lq lsq.Window
-	if c.eng != nil {
-		lq = c.eng.Queue.Window()
-	} else {
-		lq = c.alq.Window()
-	}
 	queues := [2]struct {
 		name string
 		w    lsq.Window
 		n    int // ROB entries of the queue's kind seen so far
-	}{{name: "load queue", w: lq}, {name: "store queue", w: c.sq.Window()}}
-	tr := c.loads.w
-	tracked := 0 // ROB loads seen from the oldest incomplete one on
+	}{{name: "load queue", w: c.lq.w}, {name: "store queue", w: c.sq.Window()}}
+	cursor := c.lq.w.Tail()
 	for i := 0; i < c.rob.Len(); i++ {
 		e := c.robAt(i)
 		if !e.isLoad && !e.isStore {
@@ -215,15 +211,14 @@ func (c *Core) CheckLSQ() error {
 		if err := checkHandle(q.name, q.w, e.qh, e.tag); err != nil {
 			return err
 		}
-		if e.isStore || (tracked == 0 && e.loadDone) {
+		if e.isStore {
 			continue
 		}
-		if tags := tr.Tags(); tracked >= len(tags) || tags[tracked] != e.tag {
-			return fmt.Errorf("load %d is tracked load %d, the tracker holds tags %v", e.tag, tracked, tags)
+		if done := c.lq.done[c.lq.w.Index(e.qh)]; done != e.done {
+			return fmt.Errorf("load %d: done %t in the load queue, %t in the ROB", e.tag, done, e.done)
 		}
-		tracked++
-		if err := checkHandle("load tracker", tr, e.lth, e.tag); err != nil {
-			return err
+		if !e.done && cursor == c.lq.w.Tail() {
+			cursor = e.qh
 		}
 	}
 	for _, q := range queues {
@@ -231,8 +226,14 @@ func (c *Core) CheckLSQ() error {
 			return fmt.Errorf("the ROB holds %d entries of the %s, which holds %d", q.n, q.name, q.w.Len())
 		}
 	}
-	if tracked != tr.Len() {
-		return fmt.Errorf("the tracker holds %d loads, %d ROB loads are from the oldest incomplete one on", tr.Len(), tracked)
+	if c.lq.inc != cursor {
+		return fmt.Errorf("the load queue's cursor is handle %d, the oldest incomplete load's is %d", c.lq.inc, cursor)
+	}
+	if c.alq != nil {
+		if aw := c.alq.Window(); aw.Head() != c.lq.w.Head() || !slices.Equal(aw.Tags(), c.lq.w.Tags()) {
+			return fmt.Errorf("the associative queue holds tags %v from handle %d, the load queue %v from %d",
+				aw.Tags(), aw.Head(), c.lq.w.Tags(), c.lq.w.Head())
+		}
 	}
 	return nil
 }

@@ -88,8 +88,8 @@ func TestIQReadyMaskInvariants(t *testing.T) {
 
 // TestCheckLSQCatchesStaleHandle swaps two loads' queue handles in the
 // middle of a run, as a handle recorded for the wrong load would, and
-// checks that CheckLSQ reports it at that cycle, on the associative and
-// the FIFO load queue.
+// checks that CheckLSQ reports it at that cycle, on a baseline and on a
+// replay machine.
 func TestCheckLSQCatchesStaleHandle(t *testing.T) {
 	work, _ := workload.ByName("gzip")
 	for _, machine := range []string{"baseline", "no-recent-snoop"} {

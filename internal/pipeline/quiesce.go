@@ -74,7 +74,7 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 				c.ffStall = stallROB
 			case needIQ && c.IQLen() >= c.cfg.IQSize:
 				c.ffStall = stallIQ
-			case f.cls == isa.ClassLoad && c.lqFull():
+			case f.cls == isa.ClassLoad && c.lq.w.Full():
 				c.ffStall = stallLQ
 			case f.cls == isa.ClassStore && c.sq.Full():
 				c.ffStall = stallSQ
@@ -96,15 +96,6 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 		wake = noWake
 	}
 	return wake, true
-}
-
-// lqFull reports whether the load queue (FIFO on replay machines,
-// associative on baselines) is at capacity.
-func (c *Core) lqFull() bool {
-	if c.eng != nil {
-		return c.eng.Queue.Full()
-	}
-	return c.alq.Full()
 }
 
 // FastForward advances the core n cycles without stepping it. The

@@ -18,12 +18,7 @@
 
 package pipeline
 
-import (
-	"math"
-
-	"vbmo/internal/lsq"
-	"vbmo/internal/reuse"
-)
+import "math"
 
 // noDue is the "no deadline" sentinel of the writeback watermark and
 // the replay wake cycle: only an event wakes the stage.
@@ -78,54 +73,3 @@ func (c *Core) captureDue() bool   { return len(c.psd) > 0 && !c.psdQuiet }
 func (c *Core) commitDue() bool    { return !c.commitQuiet }
 func (c *Core) replayDue() bool    { return c.cycle >= c.replayWake }
 func (c *Core) issueDue() bool     { return c.iqReady != 0 }
-
-// loadTracker answers "is any older load still incomplete?" —
-// issueLoad's prior-memory-incomplete condition — with one comparison
-// instead of a walk over the ROB. It queues the ROB's loads in program
-// order from the oldest one whose premature execution has not completed:
-// dispatch pushes, a completion marks its load done through the handle
-// dispatch recorded and pops every done load at the head, and a squash
-// truncates the tail. The head is therefore the oldest incomplete load.
-// Every queued load is in the ROB (a load commits only after it and
-// every older load completed, by which time it was popped), so ROBSize
-// entries suffice, and a squash's tag gaps do not matter.
-type loadTracker struct {
-	w    lsq.Window
-	done []bool // parallel to the window's tags
-}
-
-func (t *loadTracker) init(robSize int) {
-	t.w.Reset(robSize)
-	t.done = reuse.Resized(t.done, 2*robSize)
-}
-
-// add queues a newly dispatched load and returns its handle.
-//
-//vbr:hotpath
-func (t *loadTracker) add(tag int64) lsq.Handle {
-	if from, n := t.w.Rebase(); n > 0 {
-		copy(t.done, t.done[from:from+n])
-	}
-	h, i := t.w.Push(tag)
-	t.done[i] = false
-	return h
-}
-
-// complete marks the load with handle h done and pops the done loads at
-// the head.
-//
-//vbr:hotpath
-func (t *loadTracker) complete(h lsq.Handle) {
-	t.done[t.w.Index(h)] = true
-	for lo, hi := t.w.Bounds(); lo < hi && t.done[lo]; lo++ {
-		t.w.Pop()
-	}
-}
-
-// squash drops every load with tag >= fromTag.
-func (t *loadTracker) squash(fromTag int64) { t.w.Squash(fromTag) }
-
-// hasBefore reports whether any incomplete load is older than tag.
-//
-//vbr:hotpath
-func (t *loadTracker) hasBefore(tag int64) bool { return t.w.HasOlderThan(tag) }
