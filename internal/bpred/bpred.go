@@ -1,7 +1,9 @@
 // Package bpred implements the front-end branch prediction hardware from
 // the paper's Table 3 machine configuration: a combined bimodal (16k
 // entry) / gshare (16k entry) direction predictor with a 16k-entry
-// selector, an 8k-entry 4-way BTB, and a 64-entry return address stack.
+// selector and an 8k-entry 4-way BTB. Table 3 also lists a 64-entry
+// return address stack, which is not modelled: the ISA has no call or
+// return.
 //
 // The BTB models hit/miss timing only. It keeps tags and LRU ages and
 // no targets: the timing model charges a predicted-taken branch that
@@ -22,7 +24,6 @@ type Config struct {
 	SelectorEntries int // chooser between bimodal and gshare
 	BTBEntries      int // total BTB entries
 	BTBWays         int
-	RASEntries      int
 }
 
 // DefaultConfig returns the Table 3 configuration.
@@ -33,7 +34,6 @@ func DefaultConfig() Config {
 		SelectorEntries: 16 * 1024,
 		BTBEntries:      8 * 1024,
 		BTBWays:         4,
-		RASEntries:      64,
 	}
 }
 
@@ -73,8 +73,8 @@ func (t counters) train(i int, init uint8, up bool) {
 	t[i>>2] = t[i>>2]&^(3<<sh) | (c^init)<<sh
 }
 
-// Predictor is the combined direction predictor plus BTB and RAS. The
-// zero value is not usable; call New or Reset.
+// Predictor is the combined direction predictor plus BTB. The zero
+// value is not usable; call New or Reset.
 type Predictor struct {
 	cfg      Config
 	bimodal  counters
@@ -86,9 +86,6 @@ type Predictor struct {
 	btbTags []uint64 // pc|1 of the branch a way holds, 0 when empty
 	btbLRU  []uint8
 	btbSets int
-
-	ras    []uint64
-	rasTop int
 
 	// Lookups and Mispredicts count conditional-branch direction
 	// predictions and wrong ones.
@@ -123,7 +120,6 @@ func (p *Predictor) Reset(cfg Config) {
 		btbTags:  reuse.Zeroed(p.btbTags, cfg.BTBEntries),
 		btbLRU:   reuse.Zeroed(p.btbLRU, cfg.BTBEntries),
 		btbSets:  cfg.BTBEntries / cfg.BTBWays,
-		ras:      reuse.Zeroed(p.ras, cfg.RASEntries),
 	}
 }
 
@@ -240,21 +236,6 @@ func (p *Predictor) touchBTB(base, w int) {
 			p.btbLRU[base+o]++
 		}
 	}
-}
-
-// Push pushes a return address onto the RAS (overwriting the oldest
-// entry when full, as hardware does).
-func (p *Predictor) Push(addr uint64) {
-	p.ras[p.rasTop] = addr
-	p.rasTop = (p.rasTop + 1) % len(p.ras)
-}
-
-// Pop pops the most recent return address; ok is false when it pops a
-// never-written slot (cold stack).
-func (p *Predictor) Pop() (uint64, bool) {
-	p.rasTop = (p.rasTop - 1 + len(p.ras)) % len(p.ras)
-	a := p.ras[p.rasTop]
-	return a, a != 0
 }
 
 // History returns the current speculative global history (snapshotted

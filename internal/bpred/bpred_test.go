@@ -13,7 +13,6 @@ func small() Config {
 		SelectorEntries: 64,
 		BTBEntries:      16,
 		BTBWays:         4,
-		RASEntries:      4,
 	}
 }
 
@@ -147,34 +146,6 @@ func TestBTBSetConflictEviction(t *testing.T) {
 	}
 }
 
-func TestRASPushPop(t *testing.T) {
-	p := New(small())
-	p.Push(0x10)
-	p.Push(0x20)
-	if a, ok := p.Pop(); !ok || a != 0x20 {
-		t.Errorf("Pop = %#x,%v", a, ok)
-	}
-	if a, ok := p.Pop(); !ok || a != 0x10 {
-		t.Errorf("Pop = %#x,%v", a, ok)
-	}
-	if _, ok := p.Pop(); ok {
-		t.Error("popping a cold slot should report !ok")
-	}
-}
-
-func TestRASWrapsWhenFull(t *testing.T) {
-	p := New(small()) // 4-entry RAS
-	for i := 1; i <= 6; i++ {
-		p.Push(uint64(i * 0x10))
-	}
-	// The newest 4 survive: 0x30,0x40,0x50,0x60 (popped newest-first).
-	for _, want := range []uint64{0x60, 0x50, 0x40, 0x30} {
-		if a, ok := p.Pop(); !ok || a != want {
-			t.Fatalf("Pop = %#x, want %#x", a, want)
-		}
-	}
-}
-
 func TestPredictInstUnconditional(t *testing.T) {
 	p := New(small())
 	taken, _ := p.PredictInst(isa.Inst{Op: isa.OpJump}, 0x100)
@@ -194,7 +165,7 @@ func TestPredictInstUnconditional(t *testing.T) {
 func TestDistinctBranchesDoNotInterfere(t *testing.T) {
 	p := New(Config{
 		BimodalEntries: 1024, GshareEntries: 1024, SelectorEntries: 1024,
-		BTBEntries: 64, BTBWays: 4, RASEntries: 4,
+		BTBEntries: 64, BTBWays: 4,
 	})
 	// Train two branches with opposite biases; both should be learned.
 	wrongA, wrongB := 0, 0
@@ -215,15 +186,16 @@ func TestDistinctBranchesDoNotInterfere(t *testing.T) {
 	}
 }
 
-// TestTable3Storage: at Table 3 sizes a predictor holds 86,528 bytes
-// (84.5 KiB): three 16k-entry counter tables at four counters a byte,
-// the BTB's 8k tags and LRU ages, and the 64-entry RAS. One byte per
-// counter and a stored target per BTB entry took 188,928 (184.5 KiB).
+// TestTable3Storage: at Table 3 sizes a predictor holds 86,016 bytes
+// (84 KiB): three 16k-entry counter tables at four counters a byte, and
+// the BTB's 8k tags and LRU ages. One byte per counter, a stored target
+// per BTB entry and a 64-entry return address stack took 188,928
+// (184.5 KiB).
 func TestTable3Storage(t *testing.T) {
 	p := New(DefaultConfig())
 	bytes := len(p.bimodal) + len(p.gshare) + len(p.selector) +
-		8*len(p.btbTags) + len(p.btbLRU) + 8*len(p.ras)
-	if bytes != 86528 {
-		t.Errorf("Table 3 predictor holds %d bytes, want 86528", bytes)
+		8*len(p.btbTags) + len(p.btbLRU)
+	if bytes != 86016 {
+		t.Errorf("Table 3 predictor holds %d bytes, want 86016", bytes)
 	}
 }

@@ -19,9 +19,6 @@ type naive struct {
 	btbLRU     []uint8
 	btbSets    int
 
-	ras    []uint64
-	rasTop int
-
 	lookups, mispredicts uint64
 }
 
@@ -43,7 +40,6 @@ func newNaive(cfg Config) *naive {
 		btbTargets: make([]uint64, cfg.BTBEntries),
 		btbLRU:     make([]uint8, cfg.BTBEntries),
 		btbSets:    cfg.BTBEntries / cfg.BTBWays,
-		ras:        make([]uint64, cfg.RASEntries),
 	}
 }
 
@@ -130,17 +126,6 @@ func (n *naive) updateTarget(pc, target uint64) {
 	}
 }
 
-func (n *naive) push(addr uint64) {
-	n.ras[n.rasTop] = addr
-	n.rasTop = (n.rasTop + 1) % len(n.ras)
-}
-
-func (n *naive) pop() (uint64, bool) {
-	n.rasTop = (n.rasTop - 1 + len(n.ras)) % len(n.ras)
-	a := n.ras[n.rasTop]
-	return a, a != 0
-}
-
 // sameTables reports the first table entry where p and n differ: every
 // direction counter, decoded, and every BTB tag and LRU age.
 func sameTables(p *Predictor, n *naive) (string, int, bool) {
@@ -169,10 +154,10 @@ func sameTables(p *Predictor, n *naive) (string, int, bool) {
 
 // TestPredictorMatchesNaive drives Predictor and the naive reference
 // with one seeded stream of Predict, Update, BTB lookup and install,
-// Push, Pop, SetHistory and Reset calls, on the Table 3 configuration
-// and on the litmus machine's 512-entry direction tables and 256-entry
-// BTB. After every call it compares the call's results (direction,
-// Meta, BTB hit, popped return address), the history and the
+// SetHistory and Reset calls, on the Table 3 configuration and on the
+// litmus machine's 512-entry direction tables and 256-entry BTB. After
+// every call it compares the call's results (direction, Meta, BTB
+// hit), the history and the
 // Lookups/Mispredicts counts; every 1,000 calls and at the end, every
 // counter and BTB entry. Updates train in-flight predictions out of
 // order, as resolution does, and Resets alternate between the two
@@ -235,13 +220,6 @@ func TestPredictorMatchesNaive(t *testing.T) {
 				}
 				p.BTBInstall(pc)
 				n.updateTarget(pc, pc+(x>>20)%64*4)
-			case op < 54:
-				p.Push(pc + 4)
-				n.push(pc + 4)
-			case op < 58:
-				a, ok := p.Pop()
-				na, nok := n.pop()
-				got, want = [2]any{a, ok}, [2]any{na, nok}
 			case op < 62:
 				h := x >> 7
 				if len(pending) > 0 && x&1 == 0 {

@@ -6,8 +6,7 @@ import (
 )
 
 // TestResetMatchesNew: a trained predictor rebuilt by Reset predicts
-// exactly like a new one — directions, BTB hits, return addresses,
-// history and counters.
+// exactly like a new one — directions, BTB hits, history and counters.
 func TestResetMatchesNew(t *testing.T) {
 	drive := func(p *Predictor, seed uint64) []uint64 {
 		var out []uint64
@@ -27,11 +26,7 @@ func TestResetMatchesNew(t *testing.T) {
 			if actual {
 				p.BTBInstall(pc)
 			}
-			if x>>50&1 == 0 {
-				p.Push(pc + 4)
-			}
-			ra, ok := p.Pop()
-			out = append(out, b2u(taken), b2u(hit), ra, b2u(ok))
+			out = append(out, b2u(taken), b2u(hit))
 		}
 		return append(out, p.Lookups, p.Mispredicts, p.History())
 	}

@@ -73,17 +73,14 @@ type Machine struct {
 	// store-agen and snoop searches can be skipped when no issued load
 	// can match (Sethumadhavan et al.; paper §1 related work).
 	BloomCounters int
-	// BloomHashes is the filter's hash count (default 2).
-	BloomHashes int
 
 	// SQL1Size, when nonzero, makes the store queue hierarchical
 	// (Akkary et al., paper §1 related work): the newest SQL1Size
 	// stores form the fast level-one queue, deeper forwarding matches
 	// cost SQL2Latency cycles, and a membership filter avoids
 	// level-two probes.
-	SQL1Size     int
-	SQL2Latency  int
-	SQFilterCtrs int
+	SQL1Size    int
+	SQL2Latency int
 
 	// UseValuePrediction enables the last-value load predictor on
 	// value-replay machines: predicted loads feed consumers at
@@ -91,8 +88,6 @@ type Machine struct {
 	// §1's Martin et al. discussion). Ignored on baseline machines,
 	// which have no verification back end.
 	UseValuePrediction bool
-	// VPredEntries sizes the predictor table.
-	VPredEntries int
 
 	// ReplayPerCycle bounds replay bandwidth (paper: 1).
 	ReplayPerCycle int
@@ -159,7 +154,6 @@ func BloomBaseline() Machine {
 	m := Baseline()
 	m.Name = "baseline-bloom"
 	m.BloomCounters = 1024
-	m.BloomHashes = 2
 	return m
 }
 
@@ -171,7 +165,6 @@ func HierSQBaseline() Machine {
 	m.Name = "baseline-hiersq"
 	m.SQL1Size = 16
 	m.SQL2Latency = 3
-	m.SQFilterCtrs = 1024
 	return m
 }
 
@@ -203,7 +196,6 @@ func ReplayVP(f core.Filter) Machine {
 	m := Replay(f)
 	m.Name = m.Name + "-vpred"
 	m.UseValuePrediction = true
-	m.VPredEntries = 4096
 	return m
 }
 

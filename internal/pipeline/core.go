@@ -148,6 +148,16 @@ type Core struct {
 // are 64-bit words.
 const MaxIQSize = 64
 
+// Sizes of the optional structures that every machine using them shares:
+// the hash count of the load queue's Bloom filter (BloomCounters), the
+// counter count of the two-level store queue's membership filter
+// (SQL1Size), and the value predictor's table (UseValuePrediction).
+const (
+	bloomHashes      = 2
+	sqFilterCounters = 1024
+	vpredEntries     = 4096
+)
+
 // New builds a core running program p against the shared image, with
 // the given cache hierarchy (already attached to its backend/bus).
 func New(id int, cfg config.Machine, p *prog.Program, mem *prog.Image, hier *cache.Hierarchy, init prog.ArchState) *Core {
@@ -210,31 +220,19 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 		c.alq = reuse.Ptr(alq)
 		c.alq.Reset(cfg.LQMode, cfg.LQSize)
 		if cfg.BloomCounters > 0 {
-			hashes := cfg.BloomHashes
-			if hashes == 0 {
-				hashes = 2
-			}
-			c.alq.EnableBloom(cfg.BloomCounters, hashes)
+			c.alq.EnableBloom(cfg.BloomCounters, bloomHashes)
 		}
 	}
 	if cfg.SQL1Size > 0 {
-		ctrs := cfg.SQFilterCtrs
-		if ctrs == 0 {
-			ctrs = 1024
-		}
-		c.sq.EnableTwoLevel(cfg.SQL1Size, cfg.SQL2Latency, ctrs)
+		c.sq.EnableTwoLevel(cfg.SQL1Size, cfg.SQL2Latency, sqFilterCounters)
 	}
 	if cfg.UseStoreSets {
 		c.ssets = reuse.Ptr(ssets)
 		c.ssets.Reset(cfg.SSITEntries, cfg.LFSTEntries)
 	}
 	if cfg.UseValuePrediction && cfg.Scheme == config.ValueReplay {
-		n := cfg.VPredEntries
-		if n == 0 {
-			n = 4096
-		}
 		c.vp = reuse.Ptr(vp)
-		c.vp.Reset(n)
+		c.vp.Reset(vpredEntries)
 	}
 	c.simple.Reset(cfg.SimpleEntries)
 }
