@@ -62,9 +62,9 @@ var goldenSpecs = map[string]func() JobSpec{
 }
 
 var goldenIdentities = []goldenIdentity{
-	{"testSpec", 5, "9003a0fe7ff699f0", "a34895d9fe763a6d84d892b810dc5601a20673e697ecb221fda538de06bdf8e0"},
-	{"farm-smoke", 5, "9e6ef30b7ba3e7aa", "e9ca19b0fdf345308f87a3f5d7c5a41bf827f0c5c757213ccf4697e84686e58f"},
-	{"vbrbench", 30, "d877b268805cdd42", "5d77a9b977b14f1bcfc5f41fde7b6d5c07f77c9633799ad81717da2f2bd5126a"},
+	{"testSpec", 5, "9003a0fe7ff699f0", "4d84d3290a653bab4933802b2cbb3615dec629c12a08712384cdc5236f4e05a9"},
+	{"farm-smoke", 5, "9e6ef30b7ba3e7aa", "b0418a120cce0bea1b7339ca349dca887690e5a58da9740d82e77002e399b093"},
+	{"vbrbench", 30, "d877b268805cdd42", "e5bf9912077922ef4dc87b5fba66bf701b2a8bd4aa9a551ef8dc197f1b023072"},
 }
 
 // goldenTestSpecDigest is the result digest of testSpec(), cold and
