@@ -36,13 +36,36 @@ type Peer interface {
 	SnoopSharedProbe(block uint64) bool
 }
 
+// Agent ids beyond the cores: ownerNone marks a block without an owner
+// or a last writer, and dmaWriterID the DMA agent as a last writer.
 const (
-	ownerNone = -1
+	ownerNone   = -1
+	dmaWriterID = -2
 )
 
+// entry is one block's directory record.
 type entry struct {
 	owner   int // core holding the block M/E, or ownerNone
 	sharers uint32
+	// lastWriter is the last agent that gained write ownership of the
+	// block (dmaWriterID for the DMA agent), or ownerNone. A fill is
+	// "externally sourced" whenever the block was last written by a
+	// different agent — even if the data physically arrives from memory
+	// after a castout. This is what makes the no-recent-miss filter
+	// sound: any fill that can carry another agent's data is flagged.
+	lastWriter int
+	// dma marks a block last written by the DMA agent and not fetched
+	// since.
+	dma bool
+}
+
+// newEntry is the record of a block the directory has not seen.
+var newEntry = entry{owner: ownerNone, lastWriter: ownerNone}
+
+// foreignWriter reports whether an agent other than core last wrote
+// the block.
+func (e entry) foreignWriter(core int) bool {
+	return e.lastWriter != ownerNone && e.lastWriter != core
 }
 
 // Stats counts bus-level events.
@@ -59,7 +82,7 @@ type Stats struct {
 type Bus struct {
 	peers []Peer
 	onInv []func(block uint64)
-	dir   map[uint64]entry
+	dir   map[uint64]entry // one record per block ever fetched or written
 	// active marks cores that have issued any fetch or upgrade since
 	// they were (re)attached. A directory sharer/owner bit can only be
 	// set by that core's own traffic, so masking probe walks with
@@ -68,15 +91,7 @@ type Bus struct {
 	// lookup. Re-attaching a core clears its bit until it re-arms with
 	// new traffic.
 	active uint32
-	dma    map[uint64]bool // blocks last written by the DMA agent
-	// lastWriter remembers the last agent that gained write ownership
-	// of a block (DMA uses dmaWriter). A fill is "externally sourced"
-	// whenever the block was last written by a different agent — even
-	// if the data physically arrives from memory after a castout. This
-	// is what makes the no-recent-miss filter sound: any fill that can
-	// carry another agent's data is flagged.
-	lastWriter map[uint64]int
-	memLat     int
+	memLat int
 	// RemoteLat is the cache-to-cache transfer latency.
 	remoteLat int
 	Stats     Stats
@@ -93,13 +108,11 @@ type Bus struct {
 // NewBus creates a bus for n cores with the given memory latency.
 func NewBus(n, memLatency int) *Bus {
 	return &Bus{
-		peers:      make([]Peer, n),
-		onInv:      make([]func(uint64), n),
-		dir:        make(map[uint64]entry),
-		dma:        make(map[uint64]bool),
-		lastWriter: make(map[uint64]int),
-		memLat:     memLatency,
-		remoteLat:  AddrLatency + DataLatency + 15,
+		peers:     make([]Peer, n),
+		onInv:     make([]func(uint64), n),
+		dir:       make(map[uint64]entry),
+		memLat:    memLatency,
+		remoteLat: AddrLatency + DataLatency + 15,
 	}
 }
 
@@ -135,7 +148,7 @@ func (b *Bus) FetchRead(core int, block uint64) (int, bool) {
 	b.active |= 1 << uint(core)
 	e, existed := b.dir[block]
 	if !existed {
-		e = entry{owner: ownerNone}
+		e = newEntry
 	}
 	external := false
 	lat := b.memLat + AddrLatency + DataLatency
@@ -152,14 +165,14 @@ func (b *Bus) FetchRead(core int, block uint64) (int, bool) {
 		e.sharers |= 1 << uint(e.owner)
 		e.owner = ownerNone
 	}
-	if b.dma[block] {
+	if e.dma {
 		// Block most recently produced by the DMA agent: the fill is
 		// externally sourced.
 		external = true
 		lat = b.remoteLat
-		delete(b.dma, block)
+		e.dma = false
 	}
-	if lw, ok := b.lastWriter[block]; ok && lw != core {
+	if e.foreignWriter(core) {
 		// The block's last writer was another agent; even a memory
 		// fill (post-castout) carries foreign data.
 		external = true
@@ -177,7 +190,7 @@ func (b *Bus) FetchExclusive(core int, block uint64) (int, bool) {
 	b.active |= 1 << uint(core)
 	e, existed := b.dir[block]
 	if !existed {
-		e = entry{owner: ownerNone}
+		e = newEntry
 	}
 	external := false
 	mask := b.probeMask(e) &^ (1 << uint(core))
@@ -189,11 +202,7 @@ func (b *Bus) FetchExclusive(core int, block uint64) (int, bool) {
 		}
 		b.probeInvalidate(c, block)
 	}
-	if b.dma[block] {
-		external = true
-		delete(b.dma, block)
-	}
-	if lw, ok := b.lastWriter[block]; ok && lw != core {
+	if e.dma || e.foreignWriter(core) {
 		external = true
 	}
 	var lat int
@@ -215,8 +224,7 @@ func (b *Bus) FetchExclusive(core int, block uint64) (int, bool) {
 			lat = b.memLat
 		}
 	}
-	b.dir[block] = entry{owner: core, sharers: 1 << uint(core)}
-	b.lastWriter[block] = core
+	b.dir[block] = entry{owner: core, sharers: 1 << uint(core), lastWriter: core}
 	return lat, external
 }
 
@@ -250,7 +258,8 @@ func (b *Bus) Probe(block uint64) {
 	for m := b.probeMask(e); m != 0; m &= m - 1 {
 		b.probeInvalidate(bits.TrailingZeros32(m), block)
 	}
-	b.dir[block] = entry{owner: ownerNone}
+	e.owner, e.sharers = ownerNone, 0
+	b.dir[block] = e
 }
 
 // StillExclusive implements cache.Backend.
@@ -271,16 +280,10 @@ func (b *Bus) DMAWrite(block uint64) {
 		}
 		b.Trace.Emit(trace.Event{Cycle: cyc, Core: -1, Kind: trace.KDMAWrite, Addr: block})
 	}
-	e, ok := b.dir[block]
-	if ok {
+	if e, ok := b.dir[block]; ok {
 		for m := b.probeMask(e); m != 0; m &= m - 1 {
 			b.probeInvalidate(bits.TrailingZeros32(m), block)
 		}
 	}
-	b.dir[block] = entry{owner: ownerNone}
-	b.dma[block] = true
-	b.lastWriter[block] = dmaWriterID
+	b.dir[block] = entry{owner: ownerNone, lastWriter: dmaWriterID, dma: true}
 }
-
-// dmaWriterID is the lastWriter id used for the DMA agent.
-const dmaWriterID = -2
