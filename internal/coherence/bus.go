@@ -139,9 +139,6 @@ func (b *Bus) probeMask(e entry) uint32 {
 // and the no-recent-snoop filter consume this).
 func (b *Bus) OnInvalidation(core int, fn func(block uint64)) { b.onInv[core] = fn }
 
-// Cores returns the number of attached cores.
-func (b *Bus) Cores() int { return len(b.peers) }
-
 // FetchRead implements cache.Backend: core obtains a readable copy.
 func (b *Bus) FetchRead(core int, block uint64) (int, bool) {
 	b.Stats.Reads++

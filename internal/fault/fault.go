@@ -232,9 +232,6 @@ type Stats struct {
 	Suppressed uint64 `json:"suppressed"`
 }
 
-// Resolved returns injections no longer pending.
-func (s Stats) Resolved() uint64 { return s.Detected + s.Missed + s.Vacated + s.Benign }
-
 // latBuckets is the latency histogram's bucket count: bucket i holds
 // detections with latency in [2^(i-1), 2^i) cycles (bucket 0 is latency
 // 0), the last bucket is open-ended.
@@ -381,9 +378,6 @@ func NewInjector(cfg Config, tr *trace.Tracer) *Injector {
 	}
 	return in
 }
-
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
 
 func (in *Injector) next() uint64 {
 	in.rng += 0x9e3779b97f4a7c15

@@ -339,21 +339,6 @@ func (v Verdict) Pass() bool {
 // cycle.
 func (v Verdict) Caught() bool { return v.Forbidden > 0 || v.Cycles > 0 }
 
-// Keys returns the histogram keys, most frequent first (ties by key).
-func (v Verdict) Keys() []string {
-	keys := make([]string, 0, len(v.Histogram))
-	for k := range v.Histogram {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if v.Histogram[keys[i]] != v.Histogram[keys[j]] {
-			return v.Histogram[keys[i]] > v.Histogram[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
-}
-
 // SweepOptions configures a sweep.
 type SweepOptions struct {
 	// Tests is the battery subset to run (nil = full Battery).

@@ -124,9 +124,6 @@ func (q *AssocLoadQueue) Bloom() *BloomFilter {
 	return q.bloom
 }
 
-// Mode returns the queue's consistency-enforcement style.
-func (q *AssocLoadQueue) Mode() Mode { return q.mode }
-
 // Len returns the occupancy.
 func (q *AssocLoadQueue) Len() int { return q.w.Len() }
 

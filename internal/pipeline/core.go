@@ -258,9 +258,6 @@ func (c *Core) Predictor() *bpred.Predictor { return c.bp }
 // SimplePredictor exposes the 1-bit dependence predictor.
 func (c *Core) SimplePredictor() *deppred.Simple { return c.simple }
 
-// Cycle returns the current cycle.
-func (c *Core) Cycle() int64 { return c.cycle }
-
 // Ops returns the loads and stores the core committed while its Shadow
 // was attached, since the last Reset or ResetStats, in the
 // constraint-graph checker's form. The stream is read in place: the

@@ -11,9 +11,6 @@ import (
 // disables every injection hook at the cost of one nil check per site.
 func (c *Core) SetFaults(f *fault.Injector) { c.flt = f }
 
-// Faults returns the attached fault injector (nil when disabled).
-func (c *Core) Faults() *fault.Injector { return c.flt }
-
 // Throttle stalls fetch until the given cycle if that is later than any
 // stall already in effect — the watchdog's replay-squash-storm backoff
 // lever. It never shortens an existing stall, so it composes with
