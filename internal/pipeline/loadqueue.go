@@ -16,8 +16,7 @@ import (
 // The queue's occupancy stalls dispatch, and its youngest tag is the
 // load the replay filters' external-event window latches. A done bit
 // per load and a cursor at the oldest incomplete one answer issueLoad's
-// prior-load condition with one comparison instead of a walk over the
-// ROB.
+// prior-load condition with one comparison.
 type loadQueue struct {
 	w    lsq.Window
 	done []bool // parallel to the window's tags: the load completed
