@@ -38,8 +38,9 @@ func naiveHasBefore(loads []modelLoad, tag int64) bool {
 // compares the occupancy and Full, the oldest and youngest tags, every
 // load's tag and done bit reached through its handle, the cursor (the
 // oldest incomplete load's handle, or the tail), and hasBefore around
-// the live window. The queue is small, so its window re-bases often. A
-// push out of program order must panic.
+// the live window. The queue is small, so its window re-bases often.
+// A committed or squashed load's handle, and a push out of program
+// order, must panic.
 func TestLoadQueueMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const capacity = 10
@@ -122,14 +123,30 @@ func TestLoadQueueMatchesNaive(t *testing.T) {
 			pushes, refused, squashes)
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Error("a push out of program order did not panic")
-		}
-	}()
+	// A handle reaches its load only while the load is queued.
 	q.init(4)
-	q.push(5)
-	q.push(2)
+	h1, h2, h3 := q.push(1), q.push(2), q.push(3)
+	q.complete(h1)
+	q.pop()
+	q.squash(3)
+	for _, h := range []lsq.Handle{h1, h3} {
+		if !panics(func() { q.w.Tag(h) }) {
+			t.Errorf("Tag(%d) of a committed or squashed load did not panic", h)
+		}
+	}
+	if q.w.Tag(h2) != 2 {
+		t.Errorf("Tag(%d) = %d, want 2", h2, q.w.Tag(h2))
+	}
+	if !panics(func() { q.push(1) }) {
+		t.Error("a push out of program order did not panic")
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 // TestLoadTrackerRemoveAbsent: a squash that reaches a completed load
