@@ -20,12 +20,12 @@
 // NRM and NRS must each be paired with NUS (paper §3.3); the Engine
 // enforces that composition.
 //
-// The FIFO load queue is the pipeline's own load queue, which holds
-// only the loads' program order. Each load's premature value and filter
-// flags live in the pipeline's reorder-buffer entry, the one record of
-// an in-flight load; the replay stage hands the Engine a Load built from
-// that entry, and the youngest queued load's tag when an external event
-// opens the window.
+// The FIFO load queue, LoadQueue, holds only the loads' program order;
+// the pipeline keeps one per core, on every machine. Each load's
+// premature value and filter flags live in the pipeline's reorder-buffer
+// entry, the one record of an in-flight load; the replay stage hands the
+// Engine a Load built from that entry, and the youngest queued load's
+// tag when an external event opens the window.
 package core
 
 import (

@@ -29,7 +29,7 @@ type Core struct {
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
 
-	lq     loadQueue // every in-flight load, in program order
+	lq     loadTracker // the load queue: every in-flight load, in program order
 	sq     *lsq.StoreQueue
 	alq    *lsq.AssocLoadQueue // baseline machines: the CAM searches
 	eng    *core.Engine        // value-replay machines
@@ -297,7 +297,7 @@ func (c *Core) ROBLen() int { return c.rob.Len() }
 func (c *Core) IQLen() int { return bits.OnesCount64(c.iqUsed) }
 
 // LQLen returns the load queue's current occupancy.
-func (c *Core) LQLen() int { return c.lq.w.Len() }
+func (c *Core) LQLen() int { return c.lq.fifo.Len() }
 
 // SQLen returns the store queue's current occupancy.
 func (c *Core) SQLen() int { return c.sq.Len() }
@@ -1348,7 +1348,7 @@ func (c *Core) dispatch() {
 		}
 		switch cls {
 		case isa.ClassLoad:
-			if c.lq.w.Full() {
+			if c.lq.fifo.Full() {
 				c.Stats.StallLQ++
 				return
 			}
@@ -1671,7 +1671,7 @@ func (c *Core) HandleExternalInvalidation(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRS window never opens
 		}
-		c.eng.NoteExternalEvent(c.lq.w.YoungestTag())
+		c.eng.NoteExternalEvent(c.lq.fifo.YoungestTag())
 	}
 }
 
@@ -1686,7 +1686,7 @@ func (c *Core) HandleExternalFill(block uint64) {
 		if c.flt != nil && c.flt.SuppressWindow(c.ID, c.cycle) {
 			return // injected fault: the NRM window never opens
 		}
-		c.eng.NoteExternalEvent(c.lq.w.YoungestTag())
+		c.eng.NoteExternalEvent(c.lq.fifo.YoungestTag())
 	}
 }
 

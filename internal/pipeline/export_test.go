@@ -193,8 +193,9 @@ func (c *Core) CheckLSQ() error {
 		name string
 		w    lsq.Window
 		n    int // ROB entries of the queue's kind seen so far
-	}{{name: "load queue", w: c.lq.w}, {name: "store queue", w: c.sq.Window()}}
-	cursor := c.lq.w.Tail()
+	}{{name: "load queue", w: c.lq.fifo.Window()}, {name: "store queue", w: c.sq.Window()}}
+	lw := &queues[0].w
+	cursor := lw.Tail()
 	for i := 0; i < c.rob.Len(); i++ {
 		e := c.robAt(i)
 		if !e.isLoad && !e.isStore {
@@ -214,10 +215,10 @@ func (c *Core) CheckLSQ() error {
 		if e.isStore {
 			continue
 		}
-		if done := c.lq.done[c.lq.w.Index(e.qh)]; done != e.done {
+		if done := c.lq.done[e.qh&c.lq.mask]; done != e.done {
 			return fmt.Errorf("load %d: done %t in the load queue, %t in the ROB", e.tag, done, e.done)
 		}
-		if !e.done && cursor == c.lq.w.Tail() {
+		if !e.done && cursor == lw.Tail() {
 			cursor = e.qh
 		}
 	}
@@ -230,9 +231,9 @@ func (c *Core) CheckLSQ() error {
 		return fmt.Errorf("the load queue's cursor is handle %d, the oldest incomplete load's is %d", c.lq.inc, cursor)
 	}
 	if c.alq != nil {
-		if aw := c.alq.Window(); aw.Head() != c.lq.w.Head() || !slices.Equal(aw.Tags(), c.lq.w.Tags()) {
+		if aw := c.alq.Window(); aw.Head() != lw.Head() || !slices.Equal(aw.Tags(), lw.Tags()) {
 			return fmt.Errorf("the associative queue holds tags %v from handle %d, the load queue %v from %d",
-				aw.Tags(), aw.Head(), c.lq.w.Tags(), c.lq.w.Head())
+				aw.Tags(), aw.Head(), lw.Tags(), lw.Head())
 		}
 	}
 	return nil

@@ -1,46 +1,50 @@
 package pipeline
 
 import (
+	"math/bits"
+
+	"vbmo/internal/core"
 	"vbmo/internal/lsq"
 	"vbmo/internal/reuse"
 )
 
-// loadQueue is the core's one load queue (DESIGN.md §26): every
-// in-flight load in program order, in an lsq.Window of capacity LQSize.
-// Dispatch pushes each load, commit pops the head, and a squash cuts
-// the tail. On a value-replay machine it is the paper's FIFO load queue,
-// which is never searched. A baseline's associative queue keeps its own
-// window, but sees the same pushes, pops and cuts from the same Reset,
-// so a load's handle addresses its entry in both.
-//
-// The queue's occupancy stalls dispatch, and its youngest tag is the
-// load the replay filters' external-event window latches. A done bit
-// per load and a cursor at the oldest incomplete one answer issueLoad's
-// prior-load condition with one comparison.
-type loadQueue struct {
-	w    lsq.Window
-	done []bool // parallel to the window's tags: the load completed
-	// inc is the handle of the oldest incomplete load, or the window's
+// loadTracker is the pipeline's side of the core's one load queue
+// (DESIGN.md §26). It holds the queue, a core.LoadQueue of capacity
+// LQSize with every in-flight load in program order, and tracks which
+// of its loads completed: a done bit per load and a cursor at the
+// oldest incomplete one answer issueLoad's prior-load condition with
+// one comparison. Dispatch pushes each load, commit pops the head, a
+// squash cuts the tail, and a completion marks its load. A baseline's
+// associative queue keeps its own window, but sees the same pushes,
+// pops and cuts from the same Reset, so a load's handle addresses its
+// entry in both.
+type loadTracker struct {
+	fifo core.LoadQueue
+	// done is a ring of the queued loads' done bits, indexed by handle
+	// & mask. Handles are dense and at most the queue's capacity of
+	// them are live, so no two queued loads share a bit.
+	done []bool
+	mask lsq.Handle
+	// inc is the handle of the oldest incomplete load, or the queue's
 	// tail when every queued load completed.
 	inc lsq.Handle
 }
 
-func (q *loadQueue) init(capacity int) {
-	q.w.Reset(capacity)
-	q.done = reuse.Resized(q.done, 2*capacity)
-	q.inc = 0
+func (t *loadTracker) init(capacity int) {
+	t.fifo.Reset(capacity)
+	n := 1 << bits.Len(uint(max(capacity, 1)-1))
+	t.done = reuse.Resized(t.done, n)
+	t.mask = lsq.Handle(n - 1)
+	t.inc = 0
 }
 
 // push queues a newly dispatched load and returns its handle. The queue
 // must not be full.
 //
 //vbr:hotpath
-func (q *loadQueue) push(tag int64) lsq.Handle {
-	if from, n := q.w.Rebase(); n > 0 {
-		copy(q.done, q.done[from:from+n])
-	}
-	h, i := q.w.Push(tag)
-	q.done[i] = false
+func (t *loadTracker) push(tag int64) lsq.Handle {
+	h := t.fifo.Push(tag)
+	t.done[h&t.mask] = false
 	return h
 }
 
@@ -48,34 +52,33 @@ func (q *loadQueue) push(tag int64) lsq.Handle {
 // completed, so the cursor is already past it.
 //
 //vbr:hotpath
-func (q *loadQueue) pop() { q.w.Pop() }
+func (t *loadTracker) pop() { t.fifo.Pop() }
 
-// complete marks the load with handle h done and, when it was the
-// oldest incomplete load, moves the cursor past every done load after
-// it.
+// complete marks the queued load with handle h done and, when it was
+// the oldest incomplete load, moves the cursor past every done load
+// after it.
 //
 //vbr:hotpath
-func (q *loadQueue) complete(h lsq.Handle) {
-	i := q.w.Index(h)
-	q.done[i] = true
-	if h != q.inc {
+func (t *loadTracker) complete(h lsq.Handle) {
+	t.done[h&t.mask] = true
+	if h != t.inc {
 		return // an older load is still incomplete
 	}
-	for _, hi := q.w.Bounds(); i < hi && q.done[i]; i++ {
-		q.inc++
+	for tail := t.fifo.Tail(); t.inc < tail && t.done[t.inc&t.mask]; {
+		t.inc++
 	}
 }
 
 // squash drops every load with tag >= fromTag; the cursor stops at the
 // new tail if it was past it.
-func (q *loadQueue) squash(fromTag int64) {
-	q.w.Squash(fromTag)
-	q.inc = min(q.inc, q.w.Tail())
+func (t *loadTracker) squash(fromTag int64) {
+	t.fifo.Squash(fromTag)
+	t.inc = min(t.inc, t.fifo.Tail())
 }
 
 // hasBefore reports whether any incomplete load is older than tag.
 //
 //vbr:hotpath
-func (q *loadQueue) hasBefore(tag int64) bool {
-	return q.inc < q.w.Tail() && q.w.Tag(q.inc) < tag
+func (t *loadTracker) hasBefore(tag int64) bool {
+	return t.inc < t.fifo.Tail() && t.fifo.Tag(t.inc) < tag
 }

@@ -1,10 +1,11 @@
 package pipeline
 
-// White-box tests for the core's load queue (loadqueue.go): its window,
-// handles, completion cursor and youngest tag against a naive model,
-// including the gap-laden tag patterns that squashes leave behind (tags
-// are never reused, so the live window is not contiguous — the bug
-// class a residue bitset would reintroduce).
+// White-box tests for the load tracker (loadqueue.go): the done bits
+// and the cursor it keeps over the core's load queue, against a naive
+// model, including the gap-laden tag patterns that squashes leave behind
+// (tags are never reused, so the live window is not contiguous — the bug
+// class a residue bitset would reintroduce). The queue's own order,
+// capacity and handles are core.LoadQueue's, tested in internal/core.
 
 import (
 	"math/rand"
@@ -31,122 +32,86 @@ func naiveHasBefore(loads []modelLoad, tag int64) bool {
 	return false
 }
 
-// TestLoadQueueMatchesNaive drives the load queue and a naive
-// tag-ordered slice through a seeded stream of dispatch (refused when
-// full), completion in any order, commit of a completed head, and
-// squash, possibly from inside a tag gap. After every operation it
-// compares the occupancy and Full, the oldest and youngest tags, every
-// load's tag and done bit reached through its handle, the cursor (the
-// oldest incomplete load's handle, or the tail), and hasBefore around
-// the live window. The queue is small, so its window re-bases often.
-// A committed or squashed load's handle, and a push out of program
-// order, must panic.
-func TestLoadQueueMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const capacity = 10
-	var q loadQueue
-	q.init(capacity)
-	var ref []modelLoad // the naive queue, oldest first
-	next := int64(0)
-	pushes, refused, squashes := 0, 0, 0
+// TestLoadTrackerMatchesNaive drives the tracker and a naive tag-ordered
+// slice through a seeded stream of dispatch (while the queue has room),
+// completion in any order, commit of a completed head, and squash,
+// possibly from inside a tag gap. After every operation it compares the
+// occupancy, every load's tag and done bit reached through its handle,
+// the cursor (the oldest incomplete load's handle, or the tail), and
+// hasBefore around the live window. One capacity fills the done ring
+// exactly, the other leaves it slack; both wrap it many times.
+func TestLoadTrackerMatchesNaive(t *testing.T) {
+	for _, capacity := range []int{8, 10} {
+		rng := rand.New(rand.NewSource(7))
+		var tr loadTracker
+		tr.init(capacity)
+		var ref []modelLoad // the queue's loads, oldest first
+		next := int64(0)
+		pushes, squashes := 0, 0
 
-	check := func(step int, tag int64) {
-		t.Helper()
-		if got, want := q.hasBefore(tag), naiveHasBefore(ref, tag); got != want {
-			t.Fatalf("step %d: hasBefore(%d) = %v, naive = %v (ref=%v)", step, tag, got, want, ref)
-		}
-	}
-
-	for step := 0; step < 40000; step++ {
-		switch op := rng.Intn(12); {
-		case op < 4: // dispatch, with gaps in the tag sequence
-			if q.w.Full() {
-				refused++
-				break
+		check := func(step int, tag int64) {
+			t.Helper()
+			if got, want := tr.hasBefore(tag), naiveHasBefore(ref, tag); got != want {
+				t.Fatalf("capacity %d, step %d: hasBefore(%d) = %v, naive = %v (ref=%v)",
+					capacity, step, tag, got, want, ref)
 			}
-			next += 1 + int64(rng.Intn(4))
-			ref = append(ref, modelLoad{tag: next, h: q.push(next)})
-			pushes++
-		case op < 7 && len(ref) > 0: // complete one load, any order
-			if l := &ref[rng.Intn(len(ref))]; !l.done {
-				q.complete(l.h)
-				l.done = true
-			}
-		case op < 10 && len(ref) > 0: // commit the head once it is done
-			if ref[0].done {
-				q.pop()
-				ref = ref[1:]
-			}
-		case op < 11 && len(ref) > 0: // squash a suffix
-			from := ref[rng.Intn(len(ref))].tag - int64(rng.Intn(3))
-			q.squash(from)
-			for len(ref) > 0 && ref[len(ref)-1].tag >= from {
-				ref = ref[:len(ref)-1]
-			}
-			squashes++
-		default: // query around the live window
-			check(step, next-int64(rng.Intn(40))+5)
 		}
 
-		if q.w.Len() != len(ref) || q.w.Full() != (len(ref) == capacity) {
-			t.Fatalf("step %d: Len %d Full %t, naive %d of %d", step, q.w.Len(), q.w.Full(), len(ref), capacity)
-		}
-		oldest, youngest := int64(-1), int64(-1)
-		if len(ref) > 0 {
-			oldest, youngest = ref[0].tag, ref[len(ref)-1].tag
-		}
-		if q.w.OldestTag() != oldest || q.w.YoungestTag() != youngest {
-			t.Fatalf("step %d: oldest %d youngest %d, naive %d and %d",
-				step, q.w.OldestTag(), q.w.YoungestTag(), oldest, youngest)
-		}
-		cursor := q.w.Tail()
-		for _, l := range ref {
-			if got := q.w.Tag(l.h); got != l.tag {
-				t.Fatalf("step %d: Tag(%d) = %d, naive %d", step, l.h, got, l.tag)
+		for step := 0; step < 40000; step++ {
+			switch op := rng.Intn(12); {
+			case op < 4 && len(ref) < capacity: // dispatch, with gaps in the tag sequence
+				next += 1 + int64(rng.Intn(4))
+				ref = append(ref, modelLoad{tag: next, h: tr.push(next)})
+				pushes++
+			case op < 7 && len(ref) > 0: // complete one load, any order
+				if l := &ref[rng.Intn(len(ref))]; !l.done {
+					tr.complete(l.h)
+					l.done = true
+				}
+			case op < 10 && len(ref) > 0: // commit the head once it is done
+				if ref[0].done {
+					tr.pop()
+					ref = ref[1:]
+				}
+			case op < 11 && len(ref) > 0: // squash a suffix
+				from := ref[rng.Intn(len(ref))].tag - int64(rng.Intn(3))
+				tr.squash(from)
+				for len(ref) > 0 && ref[len(ref)-1].tag >= from {
+					ref = ref[:len(ref)-1]
+				}
+				squashes++
+			default: // query around the live window
+				check(step, next-int64(rng.Intn(40))+5)
 			}
-			if got := q.done[q.w.Index(l.h)]; got != l.done {
-				t.Fatalf("step %d: load %d done %t, naive %t", step, l.tag, got, l.done)
-			}
-			if !l.done && cursor == q.w.Tail() {
-				cursor = l.h
-				check(step, l.tag)   // oldest incomplete: never "before"
-				check(step, l.tag+1) // just past it: always "before"
-			}
-		}
-		if q.inc != cursor {
-			t.Fatalf("step %d: cursor at handle %d, oldest incomplete load's is %d (ref=%v)", step, q.inc, cursor, ref)
-		}
-		check(step, next+1) // youngest bound
-	}
-	if refused == 0 || squashes < 1000 || pushes < 10000 {
-		t.Errorf("the stream pushed %d loads, refused %d at capacity and squashed %d times, want more",
-			pushes, refused, squashes)
-	}
 
-	// A handle reaches its load only while the load is queued.
-	q.init(4)
-	h1, h2, h3 := q.push(1), q.push(2), q.push(3)
-	q.complete(h1)
-	q.pop()
-	q.squash(3)
-	for _, h := range []lsq.Handle{h1, h3} {
-		if !panics(func() { q.w.Tag(h) }) {
-			t.Errorf("Tag(%d) of a committed or squashed load did not panic", h)
+			if tr.fifo.Len() != len(ref) {
+				t.Fatalf("capacity %d, step %d: Len %d, naive %d", capacity, step, tr.fifo.Len(), len(ref))
+			}
+			cursor := tr.fifo.Tail()
+			for _, l := range ref {
+				if got := tr.fifo.Tag(l.h); got != l.tag {
+					t.Fatalf("capacity %d, step %d: Tag(%d) = %d, naive %d", capacity, step, l.h, got, l.tag)
+				}
+				if got := tr.done[l.h&tr.mask]; got != l.done {
+					t.Fatalf("capacity %d, step %d: load %d done %t, naive %t", capacity, step, l.tag, got, l.done)
+				}
+				if !l.done && cursor == tr.fifo.Tail() {
+					cursor = l.h
+					check(step, l.tag)   // oldest incomplete: never "before"
+					check(step, l.tag+1) // just past it: always "before"
+				}
+			}
+			if tr.inc != cursor {
+				t.Fatalf("capacity %d, step %d: cursor at handle %d, oldest incomplete load's is %d (ref=%v)",
+					capacity, step, tr.inc, cursor, ref)
+			}
+			check(step, next+1) // youngest bound
+		}
+		if squashes < 1000 || pushes < 10000 {
+			t.Errorf("capacity %d: the stream pushed %d loads and squashed %d times, want more",
+				capacity, pushes, squashes)
 		}
 	}
-	if q.w.Tag(h2) != 2 {
-		t.Errorf("Tag(%d) = %d, want 2", h2, q.w.Tag(h2))
-	}
-	if !panics(func() { q.push(1) }) {
-		t.Error("a push out of program order did not panic")
-	}
-}
-
-// panics reports whether f panics.
-func panics(f func()) (did bool) {
-	defer func() { did = recover() != nil }()
-	f()
-	return false
 }
 
 // TestLoadTrackerRemoveAbsent: a squash that reaches a completed load
@@ -154,7 +119,7 @@ func panics(f func()) (did bool) {
 // already committed, must drop only what is still queued and leave the
 // cursor at the oldest incomplete load.
 func TestLoadTrackerRemoveAbsent(t *testing.T) {
-	var q loadQueue
+	var q loadTracker
 	q.init(8)
 	h10 := q.push(10)
 	h20 := q.push(20)
@@ -173,7 +138,7 @@ func TestLoadTrackerRemoveAbsent(t *testing.T) {
 	q.pop()     // 10 commits
 	q.squash(5) // every load already committed
 	h30 := q.push(30)
-	if !q.hasBefore(31) || q.w.Len() != 1 || q.w.Tag(h30) != 30 || q.inc != h30 {
+	if !q.hasBefore(31) || q.fifo.Len() != 1 || q.fifo.Tag(h30) != 30 || q.inc != h30 {
 		t.Fatal("queue corrupted by a squash of committed loads")
 	}
 }

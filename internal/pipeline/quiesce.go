@@ -74,7 +74,7 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 				c.ffStall = stallROB
 			case needIQ && c.IQLen() >= c.cfg.IQSize:
 				c.ffStall = stallIQ
-			case f.cls == isa.ClassLoad && c.lq.w.Full():
+			case f.cls == isa.ClassLoad && c.lq.fifo.Full():
 				c.ffStall = stallLQ
 			case f.cls == isa.ClassStore && c.sq.Full():
 				c.ffStall = stallSQ
