@@ -5,11 +5,12 @@ import "vbmo/internal/lsq"
 // LoadQueue is the paper's non-associative load queue: an in-order
 // buffer with no search port, so its capacity can scale with the
 // reorder buffer. It is each core's one load queue (DESIGN.md §26): the
-// pipeline holds one on every machine, of capacity LQSize, and a
-// baseline's associative queue shadows it for its searches. It keeps
-// only the loads' tags, in a lsq.Window (§21): dispatch pushes, commit
-// pops the head, and a squash truncates the tail. Its occupancy stalls
-// dispatch, and its youngest tag anchors the filters' replay window.
+// pipeline holds one on every machine, of capacity LQSize. It keeps
+// only the loads' tags, in a lsq.Window ring (§21, §27): dispatch
+// pushes, commit pops the head, and a squash truncates the tail. Its
+// occupancy stalls dispatch, and its youngest tag anchors the filters'
+// replay window. A baseline's associative queue reads the same window
+// and keeps the CAM payload on its slots.
 type LoadQueue struct {
 	w lsq.Window
 }
@@ -24,8 +25,9 @@ func (q *LoadQueue) Len() int { return q.w.Len() }
 // Full reports whether another load can dispatch.
 func (q *LoadQueue) Full() bool { return q.w.Full() }
 
-// Window returns a copy of the queue's tag window, for invariant checks.
-func (q *LoadQueue) Window() lsq.Window { return q.w }
+// Window returns the queue's window, which its readers must not change:
+// the associative queue reads it, and the invariant checks.
+func (q *LoadQueue) Window() *lsq.Window { return &q.w }
 
 // Push appends a load at dispatch, in program order, and returns its
 // handle. Dispatch stalls a load while the queue is full, so a push
@@ -36,7 +38,6 @@ func (q *LoadQueue) Push(tag int64) lsq.Handle {
 	if q.w.Full() {
 		panic("core: push into a full load queue")
 	}
-	q.w.Rebase()
 	h, _ := q.w.Push(tag)
 	return h
 }
@@ -46,8 +47,9 @@ func (q *LoadQueue) Push(tag int64) lsq.Handle {
 //vbr:hotpath
 func (q *LoadQueue) Pop() { q.w.Pop() }
 
-// Squash removes every load with tag >= fromTag.
-func (q *LoadQueue) Squash(fromTag int64) { q.w.Squash(fromTag) }
+// Squash removes every load with tag >= fromTag and returns the
+// handles [from, to) they held.
+func (q *LoadQueue) Squash(fromTag int64) (from, to lsq.Handle) { return q.w.Squash(fromTag) }
 
 // Tail returns the handle the next Push hands out: one past the
 // youngest load's.

@@ -56,7 +56,7 @@ func TestFIFOFindRemoveSquash(t *testing.T) {
 	q.Pop()
 	q.Squash(4)
 	if w := q.Window(); q.Len() != 2 || w.OldestTag() != 2 || q.Tag(hs[2]) != 3 || q.Tail() != hs[3] {
-		t.Errorf("after pop+squash: len=%d tags=%v tail=%d", q.Len(), w.Tags(), q.Tail())
+		t.Errorf("after pop+squash: len=%d oldest=%d youngest=%d tail=%d", q.Len(), w.OldestTag(), q.YoungestTag(), q.Tail())
 	}
 	for _, h := range []lsq.Handle{hs[0], hs[3], hs[4]} {
 		if !panics(func() { q.Tag(h) }) {
@@ -106,7 +106,7 @@ func TestFIFOQueueProperty(t *testing.T) {
 // and squash, possibly from inside a tag gap. After every operation it
 // compares the occupancy and Full, both end tags, the tail, and every
 // load's tag reached through its handle. The queue is small, so its
-// window re-bases often.
+// ring of 16 slots wraps often.
 func TestFIFOQueueMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const capacity = 10

@@ -84,7 +84,7 @@ func TestBloomBadConfigPanics(t *testing.T) {
 }
 
 func TestLQBloomFiltersSearches(t *testing.T) {
-	q := NewAssocLoadQueue(Snooping, 16)
+	q := newLoadQueue(Snooping, 16)
 	q.EnableBloom(256, 2)
 	h := insertLoads(q, 1)
 	q.OnIssue(h[0], 0x1000, -1)
@@ -100,7 +100,7 @@ func TestLQBloomFiltersSearches(t *testing.T) {
 		t.Error("real violation missed with bloom enabled")
 	}
 	// After commit-removal the filter empties again.
-	q.Squash(1)
+	q.squash(1)
 	if _, found := q.OnStoreAgen(0x1000, 0); found {
 		t.Error("squashed load still matched")
 	}
@@ -110,7 +110,7 @@ func TestLQBloomFiltersSearches(t *testing.T) {
 }
 
 func TestLQBloomInvalidationFilter(t *testing.T) {
-	q := NewAssocLoadQueue(Snooping, 16)
+	q := newLoadQueue(Snooping, 16)
 	q.EnableBloom(256, 2)
 	h := insertLoads(q, 1, 2)
 	q.OnIssue(h[0], 0x1000, -1)

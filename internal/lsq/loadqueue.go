@@ -35,8 +35,8 @@ func (m Mode) String() string {
 	return "?"
 }
 
-// LoadEntry is the payload of one in-flight load in the associative
-// queue; its tag (ROB sequence number) lives in the queue's Window.
+// LoadEntry is the CAM payload of one in-flight load in the associative
+// queue; its tag (ROB sequence number) lives in the load queue's Window.
 type LoadEntry struct {
 	// PC is the load's program counter (for predictor training).
 	PC uint64
@@ -64,12 +64,15 @@ type Squash struct {
 
 // AssocLoadQueue is the conventional CAM-based load queue. Searches are
 // counted, along with the occupancy at each search, for the Table 2 /
-// §5.3 energy accounting. Loads are addressed by the handle Insert
-// returns (DESIGN.md §21); only the modelled CAM searches scan.
+// §5.3 energy accounting. It keeps only the loads' CAM payload, on the
+// slots of the core's load-queue Window that Reset hands it (DESIGN.md
+// §27): that window's owner pushes, pops and cuts the loads, and the
+// queue reads their tags, head and tail from it. Loads are addressed by
+// their window handle; only the modelled CAM searches scan.
 type AssocLoadQueue struct {
 	mode    Mode
-	w       Window      // the tags, and the index of every handle
-	entries []LoadEntry // parallel to the tags
+	w       *Window     // the load queue's window, read only
+	entries []LoadEntry // on w's slots
 	// Searches counts CAM search operations; SearchedEntries
 	// accumulates occupancy over searches (energy scales with entries
 	// searched).
@@ -93,19 +96,20 @@ type AssocLoadQueue struct {
 	Emit func(kind trace.Kind, tag int64, pc, addr uint64)
 }
 
-// NewAssocLoadQueue creates a queue of the given capacity and mode.
-func NewAssocLoadQueue(mode Mode, capacity int) *AssocLoadQueue {
+// NewAssocLoadQueue creates a queue of the given mode over the load
+// queue's window w.
+func NewAssocLoadQueue(mode Mode, w *Window) *AssocLoadQueue {
 	q := new(AssocLoadQueue)
-	q.Reset(mode, capacity)
+	q.Reset(mode, w)
 	return q
 }
 
 // Reset rebuilds q in place as NewAssocLoadQueue would build it —
-// empty, unfiltered, counters zero, no Emit hook — reusing its arrays.
-func (q *AssocLoadQueue) Reset(mode Mode, capacity int) {
-	*q = AssocLoadQueue{mode: mode, w: q.w,
-		entries: reuse.Resized(q.entries, 2*capacity), bloom: q.bloom}
-	q.w.Reset(capacity)
+// unfiltered, counters zero, no Emit hook — reusing its arrays. w must
+// already be Reset to its capacity: the payload ring takes its slots.
+func (q *AssocLoadQueue) Reset(mode Mode, w *Window) {
+	*q = AssocLoadQueue{mode: mode, w: w,
+		entries: reuse.Resized(q.entries, w.Slots()), bloom: q.bloom}
 }
 
 // EnableBloom attaches a counting Bloom filter with the given counter
@@ -124,42 +128,20 @@ func (q *AssocLoadQueue) Bloom() *BloomFilter {
 	return q.bloom
 }
 
-// Len returns the occupancy.
-func (q *AssocLoadQueue) Len() int { return q.w.Len() }
-
-// Full reports whether another load can be dispatched. A full load
-// queue stalls dispatch — the size-constrained configurations of
-// Figure 8 bite here.
-func (q *AssocLoadQueue) Full() bool { return q.w.Full() }
-
-// Window returns a copy of the queue's tag window, for invariant checks.
-func (q *AssocLoadQueue) Window() Window { return q.w }
-
-// Insert adds a load at dispatch in program order and returns its
-// handle; it fails when the queue is full.
+// Insert records the payload of the load with handle h, which the
+// window has just queued at dispatch.
 //
 //vbr:hotpath
-func (q *AssocLoadQueue) Insert(tag int64, pc uint64) (Handle, bool) {
-	if q.w.Full() {
-		return 0, false
-	}
-	if from, n := q.w.Rebase(); n > 0 {
-		copy(q.entries, q.entries[from:from+n])
-	}
-	h, i := q.w.Push(tag)
-	q.entries[i] = LoadEntry{PC: pc, ForwardTag: -1}
-	return h, true
+func (q *AssocLoadQueue) Insert(h Handle, pc uint64) {
+	q.entries[q.w.Index(h)] = LoadEntry{PC: pc, ForwardTag: -1}
 }
+
+// Entry returns a copy of the payload of the queued load with handle h.
+func (q *AssocLoadQueue) Entry(h Handle) LoadEntry { return q.entries[q.w.Index(h)] }
 
 func (q *AssocLoadQueue) countSearch() {
 	q.Searches++
 	q.SearchedEntries += uint64(q.w.Len())
-}
-
-// live returns the queued tags and entries, oldest first, index-aligned.
-func (q *AssocLoadQueue) live() ([]int64, []LoadEntry) {
-	lo, hi := q.w.Bounds()
-	return q.w.tags[lo:hi], q.entries[lo:hi]
 }
 
 // OnIssue records the premature execution of the load with handle h
@@ -169,8 +151,8 @@ func (q *AssocLoadQueue) live() ([]int64, []LoadEntry) {
 //
 //vbr:hotpath
 func (q *AssocLoadQueue) OnIssue(h Handle, addr uint64, forwardTag int64) (Squash, bool) {
-	i := q.w.Index(h)
-	e := &q.entries[i]
+	w := q.w
+	e := &q.entries[w.Index(h)]
 	e.Addr = addr &^ 7
 	e.Issued = true
 	e.ForwardTag = forwardTag
@@ -183,10 +165,10 @@ func (q *AssocLoadQueue) OnIssue(h Handle, addr uint64, forwardTag int64) (Squas
 	}
 	q.countSearch()
 	// Only younger loads can violate: the search starts past this one.
-	_, hi := q.w.Bounds()
-	tags, entries := q.w.tags[i+1:hi], q.entries[i+1:hi]
-	for j := range entries {
-		le := &entries[j]
+	tags, entries := w.tags, q.entries[:len(w.tags)]
+	for y, tail := h+1, w.Tail(); y < tail; y++ {
+		i := w.Slot(y)
+		le := &entries[i]
 		if !le.Issued || le.Addr != e.Addr {
 			continue
 		}
@@ -195,7 +177,7 @@ func (q *AssocLoadQueue) OnIssue(h Handle, addr uint64, forwardTag int64) (Squas
 			continue
 		}
 		q.IssueSquashes++
-		return Squash{Tag: tags[j], PC: le.PC}, true
+		return Squash{Tag: tags[i], PC: le.PC}, true
 	}
 	return Squash{}, false
 }
@@ -213,8 +195,10 @@ func (q *AssocLoadQueue) OnStoreAgen(addr uint64, storeTag int64) (Squash, bool)
 	}
 	q.countSearch()
 	addr &^= 7
-	tags, entries := q.live()
-	for i := range entries {
+	w := q.w
+	tags, entries := w.tags, q.entries[:len(w.tags)]
+	for h, tail := w.head, w.Tail(); h < tail; h++ {
+		i := w.Slot(h)
 		le := &entries[i]
 		if tags[i] <= storeTag || !le.Issued || le.Addr != addr {
 			continue
@@ -256,8 +240,10 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 		return Squash{}, false
 	}
 	q.countSearch()
-	tags, entries := q.live()
-	for i := range entries {
+	w := q.w
+	tags, entries := w.tags, q.entries[:len(w.tags)]
+	for h, tail := w.head, w.Tail(); h < tail; h++ {
+		i := w.Slot(h)
 		le := &entries[i]
 		if !le.Issued || cache.BlockAddr(le.Addr) != cache.BlockAddr(block) {
 			continue
@@ -278,18 +264,19 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 	return Squash{}, false
 }
 
-// Pop removes the oldest load (at commit).
+// Pop drops the payload of the oldest load at its commit. It must run
+// before the window pops that load.
 //
 //vbr:hotpath
 func (q *AssocLoadQueue) Pop() {
-	q.unfilter(&q.entries[q.w.Pop()])
+	q.unfilter(&q.entries[q.w.Index(q.w.head)])
 }
 
-// Squash removes every load with tag >= fromTag.
-func (q *AssocLoadQueue) Squash(fromTag int64) {
-	i, end := q.w.Squash(fromTag)
-	for ; i < end; i++ {
-		q.unfilter(&q.entries[i])
+// Squash drops the payload of the loads with handles [from, to), which
+// the window's Squash has just cut.
+func (q *AssocLoadQueue) Squash(from, to Handle) {
+	for h := from; h < to; h++ {
+		q.unfilter(&q.entries[q.w.Slot(h)])
 	}
 }
 

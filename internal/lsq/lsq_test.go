@@ -16,16 +16,49 @@ func insertStore(q *StoreQueue, tag int64, addr, data uint64) Handle {
 	return h
 }
 
+// loadQueue is a baseline's load queue as the pipeline holds it: the
+// window that dispatch pushes, commit pops and a squash cuts, and the
+// associative queue over it.
+type loadQueue struct {
+	win Window
+	*AssocLoadQueue
+}
+
+func newLoadQueue(mode Mode, capacity int) *loadQueue {
+	q := new(loadQueue)
+	q.win.Reset(capacity)
+	q.AssocLoadQueue = NewAssocLoadQueue(mode, &q.win)
+	return q
+}
+
+// insert dispatches a load: the window queues it, then the associative
+// queue records its payload.
+func (q *loadQueue) insert(tag int64, pc uint64) Handle {
+	if q.win.Full() {
+		panic("load queue full")
+	}
+	h, _ := q.win.Push(tag)
+	q.Insert(h, pc)
+	return h
+}
+
+// pop commits the oldest load: the associative queue drops its payload,
+// then the window pops it.
+func (q *loadQueue) pop() {
+	q.Pop()
+	q.win.Pop()
+}
+
+// squash cuts every load with tag >= fromTag from the window, then the
+// associative queue drops their payload.
+func (q *loadQueue) squash(fromTag int64) { q.Squash(q.win.Squash(fromTag)) }
+
 // insertLoads dispatches loads with the given tags, PC 0x100 + 4·i for
 // the i-th, and returns their handles.
-func insertLoads(q *AssocLoadQueue, tags ...int64) []Handle {
+func insertLoads(q *loadQueue, tags ...int64) []Handle {
 	hs := make([]Handle, len(tags))
 	for i, tag := range tags {
-		h, ok := q.Insert(tag, 0x100+4*uint64(i))
-		if !ok {
-			panic("load queue full")
-		}
-		hs[i] = h
+		hs[i] = q.insert(tag, 0x100+4*uint64(i))
 	}
 	return hs
 }
@@ -156,18 +189,10 @@ func TestStoreQueueRemoveSquash(t *testing.T) {
 	}
 }
 
-func TestAssocLQInsertCapacity(t *testing.T) {
-	q := NewAssocLoadQueue(Snooping, 2)
-	insertLoads(q, 1, 2)
-	if _, ok := q.Insert(3, 0); ok {
-		t.Error("capacity enforcement failed")
-	}
-}
-
 func TestRAWViolationDetection(t *testing.T) {
 	// Figure 1(a): load issues before an older store's address
 	// resolves; the store agen search finds it.
-	q := NewAssocLoadQueue(Snooping, 8)
+	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 5) // load, program order after store tag 3
 	q.OnIssue(h[0], 0x1000, -1)
 	sq, found := q.OnStoreAgen(0x1000, 3)
@@ -184,7 +209,7 @@ func TestRAWViolationDetection(t *testing.T) {
 }
 
 func TestRAWForwardedFromYoungerStoreIsSafe(t *testing.T) {
-	q := NewAssocLoadQueue(Snooping, 8)
+	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 5)
 	// Load forwarded from store tag 4 (younger than resolving store 3).
 	q.OnIssue(h[0], 0x1000, 4)
@@ -192,7 +217,7 @@ func TestRAWForwardedFromYoungerStoreIsSafe(t *testing.T) {
 		t.Error("load with value from a younger store must not squash")
 	}
 	// But a store younger than the forwarding store is a violation.
-	q2 := NewAssocLoadQueue(Snooping, 8)
+	q2 := newLoadQueue(Snooping, 8)
 	h2 := insertLoads(q2, 5)
 	q2.OnIssue(h2[0], 0x1000, 2)
 	if _, found := q2.OnStoreAgen(0x1000, 3); !found {
@@ -203,7 +228,7 @@ func TestRAWForwardedFromYoungerStoreIsSafe(t *testing.T) {
 func TestSnoopingInvalidation(t *testing.T) {
 	// Figure 1(b): an external invalidation matches an issued load that
 	// is not at the head.
-	q := NewAssocLoadQueue(Snooping, 8)
+	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 1, 2)
 	q.OnIssue(h[0], 0x1000, -1)
 	q.OnIssue(h[1], 0x1040, -1)
@@ -219,7 +244,7 @@ func TestSnoopingInvalidation(t *testing.T) {
 func TestSnoopCommitPointExemption(t *testing.T) {
 	// The load at the commit point is never squashed (forward progress;
 	// paper §2.1)...
-	q := NewAssocLoadQueue(Snooping, 8)
+	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 1)
 	q.OnIssue(h[0], 0x1000, -1)
 	if _, found := q.OnInvalidation(0x1000, 1); found {
@@ -241,7 +266,7 @@ func TestSnoopInFlightLoadSquashes(t *testing.T) {
 	// merely refreshing the value would leave it with no coherence
 	// guarantee at commit (the MP litmus test observes that hole as
 	// r=1,0 under probe contention).
-	q := NewAssocLoadQueue(Snooping, 8)
+	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 1, 2)
 	q.OnIssue(h[0], 0x1000, -1)
 	q.OnIssue(h[1], 0x1000, -1)
@@ -253,7 +278,7 @@ func TestSnoopInFlightLoadSquashes(t *testing.T) {
 
 func TestInsulatedLoadIssueSearch(t *testing.T) {
 	// Figure 1(c): younger load to the same address already issued.
-	q := NewAssocLoadQueue(Insulated, 8)
+	q := newLoadQueue(Insulated, 8)
 	h := insertLoads(q, 1, 2)
 	// Younger load 2 issues first.
 	if _, found := q.OnIssue(h[1], 0x1000, -1); found {
@@ -274,7 +299,7 @@ func TestInsulatedLoadIssueSearch(t *testing.T) {
 }
 
 func TestInsulatedDifferentAddressNoSquash(t *testing.T) {
-	q := NewAssocLoadQueue(Insulated, 8)
+	q := newLoadQueue(Insulated, 8)
 	h := insertLoads(q, 1, 2)
 	q.OnIssue(h[1], 0x2000, -1)
 	if _, found := q.OnIssue(h[0], 0x1000, -1); found {
@@ -285,7 +310,7 @@ func TestInsulatedDifferentAddressNoSquash(t *testing.T) {
 func TestHybridMarkThenSquash(t *testing.T) {
 	// Power4: the snoop marks; only a later same-address load-issue
 	// search squashes marked conflicts.
-	q := NewAssocLoadQueue(Hybrid, 8)
+	q := newLoadQueue(Hybrid, 8)
 	h := insertLoads(q, 1, 2, 3)
 	q.OnIssue(h[1], 0x1040, -1)
 	if _, found := q.OnInvalidation(0x1040, 1); found {
@@ -297,7 +322,7 @@ func TestHybridMarkThenSquash(t *testing.T) {
 		t.Fatalf("marked conflict not squashed: %+v %v", sq, found)
 	}
 	// Unmarked same-address conflicts do not squash in hybrid mode.
-	q2 := NewAssocLoadQueue(Hybrid, 8)
+	q2 := newLoadQueue(Hybrid, 8)
 	h2 := insertLoads(q2, 1, 2)
 	q2.OnIssue(h2[1], 0x1040, -1)
 	if _, found := q2.OnIssue(h2[0], 0x1040, -1); found {
@@ -306,7 +331,7 @@ func TestHybridMarkThenSquash(t *testing.T) {
 }
 
 func TestSearchAccounting(t *testing.T) {
-	q := NewAssocLoadQueue(Snooping, 8)
+	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 1, 2)
 	q.OnIssue(h[0], 0x1000, -1) // snooping: no search at issue
 	if q.Searches != 0 {
@@ -321,7 +346,7 @@ func TestSearchAccounting(t *testing.T) {
 		t.Errorf("SearchedEntries = %d, want 4", q.SearchedEntries)
 	}
 
-	ins := NewAssocLoadQueue(Insulated, 8)
+	ins := newLoadQueue(Insulated, 8)
 	hi := insertLoads(ins, 1)
 	ins.OnIssue(hi[0], 0x1000, -1)
 	if ins.Searches != 1 {
@@ -330,12 +355,12 @@ func TestSearchAccounting(t *testing.T) {
 }
 
 func TestLoadQueueRemoveSquash(t *testing.T) {
-	q := NewAssocLoadQueue(Snooping, 8)
+	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 1, 2, 3, 4)
-	q.Pop()
-	q.Squash(3)
-	if q.Len() != 1 {
-		t.Errorf("Len = %d, want 1", q.Len())
+	q.pop()
+	q.squash(3)
+	if q.win.Len() != 1 {
+		t.Errorf("Len = %d, want 1", q.win.Len())
 	}
 	// Remaining load is tag 2 and now at the commit point: snoops skip it.
 	q.OnIssue(h[1], 0x1000, -1)

@@ -281,13 +281,13 @@ type inflight struct {
 	agen, data, iss bool
 }
 
-// queueModel drives a store queue and an associative load queue, and
-// their naive references, as a pipeline would.
+// queueModel drives a store queue and a load queue with its associative
+// queue, and their naive references, as a pipeline would.
 type queueModel struct {
 	t    *testing.T
 	rng  *rand.Rand
 	sq   *StoreQueue
-	lq   *AssocLoadQueue
+	lq   *loadQueue
 	rsq  refSQ
 	rlq  refLQ
 	rob  []inflight
@@ -296,9 +296,9 @@ type queueModel struct {
 	marks []any
 }
 
-func newQueueModel(t *testing.T, seed int64, mode Mode, bloom, twoLevel bool) *queueModel {
+func newQueueModel(t *testing.T, seed int64, sqSize, lqSize int, mode Mode, bloom, twoLevel bool) *queueModel {
 	m := &queueModel{t: t, rng: rand.New(rand.NewSource(seed)),
-		sq: NewStoreQueue(12), lq: NewAssocLoadQueue(mode, 10)}
+		sq: NewStoreQueue(sqSize), lq: newLoadQueue(mode, lqSize)}
 	m.rlq.mode = mode
 	if twoLevel {
 		m.sq.EnableTwoLevel(4, 3, 64)
@@ -344,7 +344,7 @@ func (m *queueModel) equal(what string, got, want any) {
 func (m *queueModel) squash(from int64) {
 	m.sq.Squash(from)
 	m.rsq.squash(from)
-	m.lq.Squash(from)
+	m.lq.squash(from)
 	m.rlq.squash(from)
 	for len(m.rob) > 0 && m.rob[len(m.rob)-1].tag >= from {
 		m.rob = m.rob[:len(m.rob)-1]
@@ -374,13 +374,12 @@ func (m *queueModel) step() {
 		m.rsq.insert(m.next, pc)
 		m.rob = append(m.rob, inflight{tag: m.next, store: true, h: h})
 	case op < 6: // dispatch a load
-		if m.lq.Full() {
+		if m.lq.win.Full() {
 			return
 		}
 		m.next += 1 + int64(m.rng.Intn(3))
 		pc := uint64(m.rng.Intn(1 << 12))
-		h, ok := m.lq.Insert(m.next, pc)
-		m.equal("load insert", ok, true)
+		h := m.lq.insert(m.next, pc)
 		m.rlq.s = append(m.rlq.s, refLoad{tag: m.next, pc: pc, fwd: -1})
 		m.rob = append(m.rob, inflight{tag: m.next, h: h})
 	case op < 8: // store agen, then the load queue's RAW search
@@ -459,7 +458,7 @@ func (m *queueModel) step() {
 			m.sq.Pop()
 			m.rsq.commit()
 		} else {
-			m.lq.Pop()
+			m.lq.pop()
 			m.rlq.remove(e.tag)
 		}
 	default: // squash from a random point, possibly inside a tag gap
@@ -493,7 +492,7 @@ func (m *queueModel) compare() {
 	m.equal("Entry", []any{got, ok}, []any{want, wantOK})
 
 	lq, rlq := m.lq, &m.rlq
-	m.equal("load queue length", lq.Len(), len(rlq.s))
+	m.equal("load queue length", lq.win.Len(), len(rlq.s))
 	m.equal("load counters",
 		[]uint64{lq.Searches, lq.SearchedEntries, lq.InvalSquashes, lq.RAWSquashes, lq.IssueSquashes, lq.BloomFiltered},
 		[]uint64{rlq.searches, rlq.searchedEntries, rlq.invalSquashes, rlq.rawSquashes, rlq.issueSquash, rlq.bloomFiltered})
@@ -504,11 +503,12 @@ func (m *queueModel) compare() {
 	m.equal("hybrid marks", m.marks, rlq.marks)
 	m.marks, rlq.marks = m.marks[:0], rlq.marks[:0]
 	for _, e := range m.rob {
-		w := lq.Window()
 		if e.store {
-			w = sq.Window()
+			m.equal(fmt.Sprintf("store tag at handle %d", e.h), sq.w.Tag(e.h), e.tag)
+			continue
 		}
-		m.equal(fmt.Sprintf("tag at handle %d", e.h), w.Tag(e.h), e.tag)
+		m.equal(fmt.Sprintf("load tag at handle %d", e.h), lq.win.Tag(e.h), e.tag)
+		m.equal(fmt.Sprintf("load PC at handle %d", e.h), lq.Entry(e.h).PC, rlq.s[rlq.find(e.tag)].pc)
 	}
 }
 
@@ -520,26 +520,33 @@ func (m *queueModel) compare() {
 // counter must equal the naive reference's after every operation. The
 // reference reports a forwarding store's MatchHandle as its commit
 // ordinal, so every mode also pins that a store's handle is the number
-// of stores committed before it. The queues are small, so their windows
-// re-base often.
+// of stores committed before it. The queues are small, so their rings
+// wrap often. At the first sizes each ring has spare slots; at the
+// second both rings are exactly full, so the first push after a pop
+// reuses the popped slot.
 func TestQueuesMatchNaive(t *testing.T) {
 	seed := int64(0)
-	for _, mode := range []Mode{Snooping, Insulated, Hybrid} {
-		for _, bloom := range []bool{false, true} {
-			for _, twoLevel := range []bool{false, true} {
-				seed++
-				name := fmt.Sprintf("%s/bloom=%t/twolevel=%t", mode, bloom, twoLevel)
-				t.Run(name, func(t *testing.T) {
-					m := newQueueModel(t, seed, mode, bloom, twoLevel)
-					for i := 0; i < 6000; i++ {
-						m.step()
-						m.compare()
-					}
-					if m.lq.Searches == 0 || m.sq.Searches == 0 || m.rlq.rawSquashes+m.rlq.issueSquash+m.rlq.invalSquashes == 0 {
-						t.Fatalf("stream too tame: %d load searches, %d store searches, no violations",
-							m.lq.Searches, m.sq.Searches)
-					}
-				})
+	for _, size := range []struct {
+		sq, lq int
+		suffix string
+	}{{12, 10, ""}, {8, 8, "/sq=8,lq=8"}} {
+		for _, mode := range []Mode{Snooping, Insulated, Hybrid} {
+			for _, bloom := range []bool{false, true} {
+				for _, twoLevel := range []bool{false, true} {
+					seed++
+					name := fmt.Sprintf("%s/bloom=%t/twolevel=%t%s", mode, bloom, twoLevel, size.suffix)
+					t.Run(name, func(t *testing.T) {
+						m := newQueueModel(t, seed, size.sq, size.lq, mode, bloom, twoLevel)
+						for i := 0; i < 6000; i++ {
+							m.step()
+							m.compare()
+						}
+						if m.lq.Searches == 0 || m.sq.Searches == 0 || m.rlq.rawSquashes+m.rlq.issueSquash+m.rlq.invalSquashes == 0 {
+							t.Fatalf("stream too tame: %d load searches, %d store searches, no violations",
+								m.lq.Searches, m.sq.Searches)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // driveQueues runs a pseudo-random dispatch/agen/search/commit stream
 // through a store queue and a load queue and returns every answer plus
 // the final counters.
-func driveQueues(sq *StoreQueue, lq *AssocLoadQueue, seed uint64) []any {
+func driveQueues(sq *StoreQueue, lq *loadQueue, seed uint64) []any {
 	var out []any
 	x := seed
 	for tag := int64(0); tag < 3000; tag++ {
@@ -23,12 +23,11 @@ func driveQueues(sq *StoreQueue, lq *AssocLoadQueue, seed uint64) []any {
 			sqz, ok := lq.OnStoreAgen(addr, tag)
 			out = append(out, sqz, ok)
 		case 2, 3:
-			h, inserted := lq.Insert(tag, uint64(tag))
 			out = append(out, sq.Search(addr, tag))
 			var sqz Squash
 			var ok bool
-			if inserted {
-				sqz, ok = lq.OnIssue(h, addr, -1)
+			if !lq.win.Full() {
+				sqz, ok = lq.OnIssue(lq.insert(tag, uint64(tag)), addr, -1)
 			}
 			out = append(out, sqz, ok)
 		case 4:
@@ -40,10 +39,10 @@ func driveQueues(sq *StoreQueue, lq *AssocLoadQueue, seed uint64) []any {
 			}
 		default:
 			sq.Squash(tag - int64(x>>40%8))
-			lq.Squash(tag - int64(x>>45%8))
+			lq.squash(tag - int64(x>>45%8))
 		}
 	}
-	return append(out, sq.Len(), lq.Len(), sq.Searches, sq.L2Searches, sq.L2Filtered,
+	return append(out, sq.Len(), lq.win.Len(), sq.Searches, sq.L2Searches, sq.L2Filtered,
 		lq.Searches, lq.SearchedEntries, lq.BloomFiltered, lq.RAWSquashes, lq.InvalSquashes)
 }
 
@@ -51,17 +50,18 @@ func driveQueues(sq *StoreQueue, lq *AssocLoadQueue, seed uint64) []any {
 // Bloom filtering enabled again afterwards, as the pipeline does)
 // answer exactly like new ones.
 func TestQueuesResetMatchNew(t *testing.T) {
-	build := func(sq *StoreQueue, lq *AssocLoadQueue) {
+	build := func(sq *StoreQueue, lq *loadQueue) {
 		sq.Reset(24)
 		sq.EnableTwoLevel(4, 3, 64)
-		lq.Reset(Snooping, 32)
+		lq.win.Reset(32)
+		lq.Reset(Snooping, &lq.win)
 		lq.EnableBloom(128, 2)
 	}
-	sq, lq := new(StoreQueue), new(AssocLoadQueue)
+	sq, lq := new(StoreQueue), &loadQueue{AssocLoadQueue: new(AssocLoadQueue)}
 	build(sq, lq)
 	driveQueues(sq, lq, 1)
 	build(sq, lq)
-	freshSQ, freshLQ := NewStoreQueue(24), NewAssocLoadQueue(Snooping, 32)
+	freshSQ, freshLQ := NewStoreQueue(24), newLoadQueue(Snooping, 32)
 	freshSQ.EnableTwoLevel(4, 3, 64)
 	freshLQ.EnableBloom(128, 2)
 	if got, want := driveQueues(sq, lq, 2), driveQueues(freshSQ, freshLQ, 2); !reflect.DeepEqual(got, want) {

@@ -3,20 +3,16 @@
 // address tracking, and the three conventional associative load-queue
 // designs the paper describes — snooping, insulated, and Power4-style
 // hybrid — with CAM-search accounting for the §5.3 power model. The
-// core's own load queue, which on the replay machine is the paper's
-// non-associative FIFO, lives in package pipeline. Every one of these
-// queues keeps its entries in a Window and hands out a Handle per
-// entry, so only the modelled CAM searches scan.
+// core's own load queue, the paper's non-associative FIFO, is
+// core.LoadQueue; the associative queue keeps only its CAM payload and
+// reads that queue's Window. Each queue's entries sit in a Window ring
+// under one Handle per entry, so only the modelled CAM searches scan.
 //
 // Tags are reorder-buffer sequence numbers: monotonically increasing,
 // never reused within a run, so tag order is program order.
 package lsq
 
-import (
-	"slices"
-
-	"vbmo/internal/reuse"
-)
+import "vbmo/internal/reuse"
 
 // StoreEntry is one in-flight store.
 type StoreEntry struct {
@@ -82,14 +78,14 @@ type SearchResult struct {
 // every entry — tag, resolved address, and the resolved bit — live in
 // dense parallel arrays the scan walks without loading the cold payload
 // (PC, data), which is only read on a match. All arrays are
-// preallocated; steady state never grows them, and indices align with
-// the Window's tags at all times.
+// preallocated; steady state never grows them, and a store's payload
+// sits at its Window slot in each of them.
 type StoreQueue struct {
-	w Window // the tags, and the index of every handle
-	// Hot scan state, parallel to the tags.
+	w Window // the tags, and the slot of every handle
+	// Hot scan state, on the Window's slots.
 	addrs  []uint64
 	addrOK []bool
-	// Cold payload, parallel to the hot arrays.
+	// Cold payload, on the same slots.
 	pcs    []uint64
 	data   []uint64
 	dataOK []bool
@@ -134,9 +130,11 @@ func NewStoreQueue(capacity int) *StoreQueue {
 // empty, flat, counters zero — reusing its arrays when they fit. The
 // filter of an earlier EnableTwoLevel is kept for the next one to reuse.
 func (q *StoreQueue) Reset(capacity int) {
-	n := 2 * capacity
+	w := q.w
+	w.Reset(capacity)
+	n := w.Slots()
 	*q = StoreQueue{
-		w:      q.w,
+		w:      w,
 		addrs:  reuse.Resized(q.addrs, n),
 		addrOK: reuse.Resized(q.addrOK, n),
 		pcs:    reuse.Resized(q.pcs, n),
@@ -144,7 +142,6 @@ func (q *StoreQueue) Reset(capacity int) {
 		dataOK: reuse.Resized(q.dataOK, n),
 		filter: q.filter,
 	}
-	q.w.Reset(capacity)
 }
 
 // Len returns the current occupancy.
@@ -160,13 +157,6 @@ func (q *StoreQueue) Full() bool { return q.w.Full() }
 func (q *StoreQueue) Insert(tag int64, pc uint64) (Handle, bool) {
 	if q.w.Full() {
 		return 0, false
-	}
-	if from, n := q.w.Rebase(); n > 0 {
-		copy(q.addrs, q.addrs[from:from+n])
-		copy(q.addrOK, q.addrOK[from:from+n])
-		copy(q.pcs, q.pcs[from:from+n])
-		copy(q.data, q.data[from:from+n])
-		copy(q.dataOK, q.dataOK[from:from+n])
 	}
 	h, i := q.w.Push(tag)
 	q.addrs[i], q.addrOK[i] = 0, false
@@ -204,13 +194,11 @@ func (q *StoreQueue) SetData(h Handle, data uint64) {
 // Entry returns a copy of the entry with the given tag, found by binary
 // search: a store-set wait names its store by tag.
 func (q *StoreQueue) Entry(tag int64) (StoreEntry, bool) {
-	tags := q.w.Tags()
-	j, found := slices.BinarySearch(tags, tag)
-	if !found {
+	h := q.w.find(tag)
+	i := q.w.Slot(h)
+	if h == q.w.Tail() || q.w.tags[i] != tag {
 		return StoreEntry{}, false
 	}
-	lo, _ := q.w.Bounds()
-	i := lo + j
 	return StoreEntry{
 		Tag: tag, PC: q.pcs[i],
 		Addr: q.addrs[i], AddrValid: q.addrOK[i],
@@ -267,15 +255,18 @@ func (q *StoreQueue) TwoLevel() bool { return q.l1Size > 0 }
 func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 	addr &^= 7
 	var r SearchResult
-	lo, hi := q.w.Bounds()
-	tags, addrs, addrOK := q.w.Tags(), q.addrs[lo:hi], q.addrOK[lo:hi]
-	n := len(tags)
+	w := &q.w
+	tags := w.tags
+	addrs, addrOK := q.addrs[:len(tags)], q.addrOK[:len(tags)]
+	n := w.n
 	l1Boundary := -1
 	if q.l1Size > 0 {
 		l1Boundary = n - q.l1Size
 	}
-	for i := n - 1; i >= 0; i-- {
-		if q.l1Size > 0 && i < l1Boundary {
+	// The walk goes from the youngest store to the oldest: j is a
+	// store's position in the queue, h its handle and i its slot.
+	for j := n - 1; j >= 0; j-- {
+		if q.l1Size > 0 && j < l1Boundary {
 			// Crossing into the level-two buffer: consult the filter
 			// once. With no unresolved stores anywhere and a filter
 			// miss, nothing deeper can match or alias.
@@ -288,6 +279,8 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 			r.Level2 = true
 			l1Boundary = -1 // count the crossing only once
 		}
+		h := w.head + Handle(j)
+		i := int(h & w.mask)
 		q.Compared++
 		if tags[i] >= loadTag {
 			continue
@@ -299,11 +292,11 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 		if addrs[i]&^7 == addr {
 			r.Match = true
 			r.MatchTag = tags[i]
-			r.MatchHandle = q.w.Head() + Handle(i)
-			r.MatchPC = q.pcs[lo+i]
-			r.Data = q.data[lo+i]
-			r.DataReady = q.dataOK[lo+i]
-			if q.l1Size > 0 && i < n-q.l1Size {
+			r.MatchHandle = h
+			r.MatchPC = q.pcs[i]
+			r.Data = q.data[i]
+			r.DataReady = q.dataOK[i]
+			if q.l1Size > 0 && j < n-q.l1Size {
 				r.Latency = q.l2Latency
 			}
 			break
@@ -315,13 +308,13 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 // UnresolvedBefore reports whether any store older than tag has an
 // unresolved address.
 func (q *StoreQueue) UnresolvedBefore(tag int64) bool {
-	lo, hi := q.w.Bounds()
-	addrOK := q.addrOK[lo:hi]
-	for i, t := range q.w.Tags() {
-		if t >= tag {
+	w := &q.w
+	for h, tail := w.head, w.Tail(); h < tail; h++ {
+		i := w.Slot(h)
+		if w.tags[i] >= tag {
 			break
 		}
-		if !addrOK[i] {
+		if !q.addrOK[i] {
 			return true
 		}
 	}
@@ -348,14 +341,14 @@ func (q *StoreQueue) Pop() {
 
 // Squash removes every store with tag >= fromTag.
 func (q *StoreQueue) Squash(fromTag int64) {
-	i, end := q.w.Squash(fromTag)
-	for ; i < end; i++ {
-		q.drop(i)
+	from, to := q.w.Squash(fromTag)
+	for h := from; h < to; h++ {
+		q.drop(q.w.Slot(h))
 	}
 }
 
 // drop maintains the unresolved count and membership filter as the
-// entry at buffer index i leaves the queue.
+// entry at slot i leaves the queue.
 func (q *StoreQueue) drop(i int) {
 	if !q.addrOK[i] {
 		q.unresolved--

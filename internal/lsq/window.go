@@ -1,7 +1,7 @@
 package lsq
 
 import (
-	"slices"
+	"math/bits"
 
 	"vbmo/internal/reuse"
 )
@@ -13,30 +13,31 @@ import (
 type Handle int64
 
 // Window is the storage discipline every in-order queue of the core
-// shares (DESIGN.md §21): the store queue, the associative load queue
-// and the pipeline's load queue (§26). The queued entries, oldest first,
-// occupy one contiguous run of a buffer twice the queue's capacity, and
-// the entry with handle h sits at index lo + (h - head) for as long as
-// it is queued. Commit pops the head and a squash truncates the tail, so
-// neither moves an entry. Only a push that finds the run at the buffer's
-// end moves it back to the front (Rebase): one copy of at most a full
-// queue per capacity pushes.
+// shares (DESIGN.md §21, §27): the store queue and the core's load queue
+// (§26), whose window a baseline's associative queue reads. It is a
+// ring: the buffer's length is the power of two at or above the queue's
+// capacity, and the entry with handle h sits at slot h & mask for as
+// long as it is queued. Push writes the slot past the youngest entry,
+// commit pops the head and a squash truncates the tail, so no operation
+// moves an entry, and a popped or squashed entry stays readable in its
+// slot until a Push reuses it.
 //
 // The Window keeps the entries' tags, which Push checks are increasing,
-// so a squash finds its cut by binary search. An owner keeps each payload
-// field in a parallel array of 2 × capacity elements indexed like the
-// tags, and moves those arrays whenever Rebase moves the tags.
+// so a squash finds its cut by binary search over the handles. An owner
+// keeps each payload field in an array of Slots elements, indexed like
+// the tags.
 //
 // Handles are dense: Reset starts them at zero, each Push takes the next
 // one, and a squash rewinds the tail, so the next Push reuses the first
 // squashed handle. An entry that leaves by Pop therefore has as its
 // handle the number of entries popped before it. For the store queue
 // that is a store's commit ordinal, which the consistency checker uses
-// as the store's identity (DESIGN.md §24).
+// as the store's identity (DESIGN.md §24). At most capacity handles are
+// queued at once, so no two queued entries share a slot.
 type Window struct {
 	tags []int64
+	mask Handle // len(tags) - 1
 	head Handle // handle of the oldest entry
-	lo   int    // buffer index of the oldest entry
 	n    int
 	cap  int
 }
@@ -44,22 +45,21 @@ type Window struct {
 // Reset empties w at the given capacity, reusing its buffer when it
 // fits. Handles start again from zero.
 func (w *Window) Reset(capacity int) {
-	*w = Window{tags: reuse.Resized(w.tags, 2*capacity), cap: capacity}
+	n := 1 << bits.Len(uint(max(capacity, 1)-1))
+	*w = Window{tags: reuse.Resized(w.tags, n), mask: Handle(n - 1), cap: capacity}
 }
+
+// Slots returns the ring's length, the length of every payload array.
+func (w *Window) Slots() int { return len(w.tags) }
+
+// Slot returns the ring slot of handle h, queued or not.
+func (w *Window) Slot(h Handle) int { return int(h & w.mask) }
 
 // Len returns the number of queued entries.
 func (w *Window) Len() int { return w.n }
 
 // Full reports whether the queue is at capacity.
 func (w *Window) Full() bool { return w.n >= w.cap }
-
-// Bounds returns the buffer indices [lo, hi) of the queued entries,
-// oldest first.
-func (w *Window) Bounds() (lo, hi int) { return w.lo, w.lo + w.n }
-
-// Tags returns the queued entries' tags, oldest first; element j is the
-// entry at buffer index lo + j.
-func (w *Window) Tags() []int64 { return w.tags[w.lo : w.lo+w.n] }
 
 // Head returns the oldest entry's handle.
 func (w *Window) Head() Handle { return w.head }
@@ -68,15 +68,15 @@ func (w *Window) Head() Handle { return w.head }
 // youngest entry's.
 func (w *Window) Tail() Handle { return w.head + Handle(w.n) }
 
-// Index returns the buffer index of the queued entry with handle h. A
-// handle outside the queue is a pipeline bug, and panics.
+// Index returns the slot of the queued entry with handle h. A handle
+// outside the queue is a pipeline bug, and panics.
 //
 //vbr:hotpath
 func (w *Window) Index(h Handle) int {
 	if uint64(h-w.head) >= uint64(w.n) {
 		panic("lsq: handle not in the queue")
 	}
-	return w.lo + int(h-w.head)
+	return int(h & w.mask)
 }
 
 // Tag returns the tag of the queued entry with handle h.
@@ -88,7 +88,7 @@ func (w *Window) OldestTag() int64 {
 	if w.n == 0 {
 		return -1
 	}
-	return w.tags[w.lo]
+	return w.tags[w.head&w.mask]
 }
 
 // YoungestTag returns the youngest entry's tag, or -1 when the queue is
@@ -97,70 +97,64 @@ func (w *Window) YoungestTag() int64 {
 	if w.n == 0 {
 		return -1
 	}
-	return w.tags[w.lo+w.n-1]
+	return w.tags[(w.Tail()-1)&w.mask]
 }
 
 // HasOlderThan reports whether any queued entry is older than tag.
 //
 //vbr:hotpath
 func (w *Window) HasOlderThan(tag int64) bool {
-	return w.n > 0 && w.tags[w.lo] < tag
-}
-
-// Rebase must precede every Push. When the queued run has reached the
-// buffer's end, it moves the tags to the front and returns the run's old
-// start and length: the owner then copies each payload array's
-// [from, from+n) to [0, n). Otherwise it returns n = 0 and moves
-// nothing.
-//
-//vbr:hotpath
-func (w *Window) Rebase() (from, n int) {
-	if w.lo+w.n < len(w.tags) {
-		return 0, 0
-	}
-	from, n = w.lo, w.n
-	copy(w.tags, w.tags[from:from+n])
-	w.lo = 0
-	return from, n
+	return w.n > 0 && w.tags[w.head&w.mask] < tag
 }
 
 // Push appends tag as the youngest entry and returns its handle and
-// buffer index. The queue must not be full, Rebase must have run, and
-// tags must increase.
+// slot. The queue must not be full, and tags must increase.
 //
 //vbr:hotpath
 func (w *Window) Push(tag int64) (Handle, int) {
-	i := w.lo + w.n
-	if w.n > 0 && w.tags[i-1] >= tag {
+	if w.n > 0 && w.tags[(w.Tail()-1)&w.mask] >= tag {
 		panic("lsq: tags must be queued in program order")
 	}
+	h := w.Tail()
+	i := int(h & w.mask)
 	w.tags[i] = tag
-	h := w.head + Handle(w.n)
 	w.n++
 	return h, i
 }
 
-// Pop drops the oldest entry and returns the buffer index it held; its
-// payload stays readable until the next Rebase.
+// Pop drops the oldest entry and returns the slot it held.
 //
 //vbr:hotpath
 func (w *Window) Pop() int {
 	if w.n == 0 {
 		panic("lsq: pop from an empty queue")
 	}
-	i := w.lo
+	i := int(w.head & w.mask)
 	w.head++
-	w.lo++
 	w.n--
 	return i
 }
 
 // Squash drops every entry whose tag is at least fromTag — the youngest
-// ones — and returns the buffer indices [i, end) they held, whose
-// payload stays readable until the next Rebase.
-func (w *Window) Squash(fromTag int64) (i, end int) {
-	keep, _ := slices.BinarySearch(w.Tags(), fromTag)
-	i, end = w.lo+keep, w.lo+w.n
-	w.n = keep
-	return i, end
+// ones — and returns the handles [from, to) they held.
+func (w *Window) Squash(fromTag int64) (from, to Handle) {
+	from, to = w.find(fromTag), w.Tail()
+	w.n = int(from - w.head)
+	return from, to
+}
+
+// find returns the handle of the oldest queued entry whose tag is at
+// least tag, or the tail when there is none, by binary search over the
+// handles.
+func (w *Window) find(tag int64) Handle {
+	lo, hi := w.head, w.Tail()
+	for lo < hi {
+		m := lo + (hi-lo)/2
+		if w.tags[m&w.mask] < tag {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }

@@ -218,7 +218,7 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 		c.eng.Reset(cfg.Filter)
 	} else {
 		c.alq = reuse.Ptr(alq)
-		c.alq.Reset(cfg.LQMode, cfg.LQSize)
+		c.alq.Reset(cfg.LQMode, c.lq.fifo.Window())
 		if cfg.BloomCounters > 0 {
 			c.alq.EnableBloom(cfg.BloomCounters, bloomHashes)
 		}
@@ -1443,8 +1443,7 @@ func (c *Core) dispatchOne(f *fetched) {
 				c.noReplayArmed = false
 			}
 		} else {
-			// The same pushes from the same Reset: the same handle.
-			c.alq.Insert(e.tag, e.pc)
+			c.alq.Insert(e.qh, e.pc)
 			if c.ssets != nil {
 				e.waitStoreTag = c.ssets.LoadDispatched(e.pc)
 			}
@@ -1597,14 +1596,14 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	c.pend.filterOlder(fromTag, &c.pool)
 	c.psd = filterOlder(c.psd, fromTag, &c.pool)
 
-	c.lq.squash(fromTag)
+	lqFrom, lqTo := c.lq.squash(fromTag)
 	c.sq.Squash(fromTag)
 	if c.iqParked != 0 && c.sq.TwoLevel() {
 		// The squash changed the queue's depth and its unresolved stores.
 		c.unpark(c.iqParked)
 	}
 	if c.alq != nil {
-		c.alq.Squash(fromTag)
+		c.alq.Squash(lqFrom, lqTo)
 	}
 	if c.eng != nil {
 		c.eng.OnSquash(fromTag)

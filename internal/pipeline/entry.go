@@ -94,8 +94,8 @@ type entry struct {
 	nus             bool // issued past an unresolved store address
 	reordered       bool // issued while prior memory ops incomplete
 	// qh is a load's handle in the load queue, which on baselines also
-	// addresses it in the associative queue, or a store's in the store
-	// queue. Dispatch sets it (DESIGN.md §21, §26).
+	// addresses its payload in the associative queue, or a store's in
+	// the store queue. Dispatch sets it (DESIGN.md §21, §26, §27).
 	qh lsq.Handle
 
 	// Provenance (consistency tracking): the identity of the store

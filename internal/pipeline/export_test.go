@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"vbmo/internal/lsq"
 )
@@ -180,20 +179,20 @@ func (c *Core) CheckIQ() error {
 }
 
 // CheckLSQ checks the handle-addressed memory queues (DESIGN.md §21,
-// §26) against the ROB, read-only, and reports the first disagreement:
-// the load queue and the store queue hold exactly the ROB's loads and
-// stores, oldest first; every ROB load's and store's queue handle
-// addresses the entry holding its own tag; each load's done bit is its
-// entry's, and the load queue's cursor is the oldest incomplete load's
-// handle, or the tail when every load completed; and on a baseline the
-// associative queue's window holds the load queue's tags under the
-// same handles.
+// §26, §27) against the ROB, read-only, and reports the first
+// disagreement: the load queue and the store queue hold exactly the
+// ROB's loads and stores, oldest first; every ROB load's and store's
+// queue handle addresses the entry holding its own tag; each load's
+// done bit is its entry's, and the load queue's cursor is the oldest
+// incomplete load's handle, or the tail when every load completed; and
+// on a baseline each load's slot in the associative queue holds its PC
+// and whether it issued, and once it issued, its word address.
 func (c *Core) CheckLSQ() error {
 	queues := [2]struct {
 		name string
 		w    lsq.Window
 		n    int // ROB entries of the queue's kind seen so far
-	}{{name: "load queue", w: c.lq.fifo.Window()}, {name: "store queue", w: c.sq.Window()}}
+	}{{name: "load queue", w: *c.lq.fifo.Window()}, {name: "store queue", w: c.sq.Window()}}
 	lw := &queues[0].w
 	cursor := lw.Tail()
 	for i := 0; i < c.rob.Len(); i++ {
@@ -205,8 +204,8 @@ func (c *Core) CheckLSQ() error {
 		if e.isStore {
 			q = &queues[1]
 		}
-		if tags := q.w.Tags(); q.n >= len(tags) || tags[q.n] != e.tag {
-			return fmt.Errorf("tag %d is %s %d of the ROB's, which holds tags %v", e.tag, q.name, q.n, tags)
+		if q.n >= q.w.Len() || q.w.Tag(q.w.Head()+lsq.Handle(q.n)) != e.tag {
+			return fmt.Errorf("tag %d is %s %d of the ROB's, which holds tags %v", e.tag, q.name, q.n, windowTags(q.w))
 		}
 		q.n++
 		if err := checkHandle(q.name, q.w, e.qh, e.tag); err != nil {
@@ -215,11 +214,18 @@ func (c *Core) CheckLSQ() error {
 		if e.isStore {
 			continue
 		}
-		if done := c.lq.done[e.qh&c.lq.mask]; done != e.done {
+		if done := c.lq.done[lw.Slot(e.qh)]; done != e.done {
 			return fmt.Errorf("load %d: done %t in the load queue, %t in the ROB", e.tag, done, e.done)
 		}
 		if !e.done && cursor == lw.Tail() {
 			cursor = e.qh
+		}
+		if c.alq == nil {
+			continue
+		}
+		if p := c.alq.Entry(e.qh); p.PC != e.pc || p.Issued != e.issued || (e.issued && p.Addr != e.addr&^7) {
+			return fmt.Errorf("load %d: the associative queue holds pc %#x issued %t addr %#x, the ROB pc %#x issued %t addr %#x",
+				e.tag, p.PC, p.Issued, p.Addr, e.pc, e.issued, e.addr)
 		}
 	}
 	for _, q := range queues {
@@ -230,13 +236,16 @@ func (c *Core) CheckLSQ() error {
 	if c.lq.inc != cursor {
 		return fmt.Errorf("the load queue's cursor is handle %d, the oldest incomplete load's is %d", c.lq.inc, cursor)
 	}
-	if c.alq != nil {
-		if aw := c.alq.Window(); aw.Head() != lw.Head() || !slices.Equal(aw.Tags(), lw.Tags()) {
-			return fmt.Errorf("the associative queue holds tags %v from handle %d, the load queue %v from %d",
-				aw.Tags(), aw.Head(), lw.Tags(), lw.Head())
-		}
-	}
 	return nil
+}
+
+// windowTags returns the tags queued in w, oldest first.
+func windowTags(w lsq.Window) []int64 {
+	var tags []int64
+	for h := w.Head(); h < w.Tail(); h++ {
+		tags = append(tags, w.Tag(h))
+	}
+	return tags
 }
 
 // checkHandle reports whether handle h addresses an entry of w that

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"math/bits"
-
 	"vbmo/internal/core"
 	"vbmo/internal/lsq"
 	"vbmo/internal/reuse"
@@ -15,16 +13,12 @@ import (
 // oldest incomplete one answer issueLoad's prior-load condition with
 // one comparison. Dispatch pushes each load, commit pops the head, a
 // squash cuts the tail, and a completion marks its load. A baseline's
-// associative queue keeps its own window, but sees the same pushes,
-// pops and cuts from the same Reset, so a load's handle addresses its
-// entry in both.
+// associative queue reads the same window (DESIGN.md §27), so a load's
+// handle addresses its CAM payload too.
 type loadTracker struct {
 	fifo core.LoadQueue
-	// done is a ring of the queued loads' done bits, indexed by handle
-	// & mask. Handles are dense and at most the queue's capacity of
-	// them are live, so no two queued loads share a bit.
+	// done holds the queued loads' done bits on the window's slots.
 	done []bool
-	mask lsq.Handle
 	// inc is the handle of the oldest incomplete load, or the queue's
 	// tail when every queued load completed.
 	inc lsq.Handle
@@ -32,9 +26,7 @@ type loadTracker struct {
 
 func (t *loadTracker) init(capacity int) {
 	t.fifo.Reset(capacity)
-	n := 1 << bits.Len(uint(max(capacity, 1)-1))
-	t.done = reuse.Resized(t.done, n)
-	t.mask = lsq.Handle(n - 1)
+	t.done = reuse.Resized(t.done, t.fifo.Window().Slots())
 	t.inc = 0
 }
 
@@ -44,7 +36,7 @@ func (t *loadTracker) init(capacity int) {
 //vbr:hotpath
 func (t *loadTracker) push(tag int64) lsq.Handle {
 	h := t.fifo.Push(tag)
-	t.done[h&t.mask] = false
+	t.done[t.fifo.Window().Slot(h)] = false
 	return h
 }
 
@@ -60,20 +52,23 @@ func (t *loadTracker) pop() { t.fifo.Pop() }
 //
 //vbr:hotpath
 func (t *loadTracker) complete(h lsq.Handle) {
-	t.done[h&t.mask] = true
+	w := t.fifo.Window()
+	t.done[w.Slot(h)] = true
 	if h != t.inc {
 		return // an older load is still incomplete
 	}
-	for tail := t.fifo.Tail(); t.inc < tail && t.done[t.inc&t.mask]; {
+	for tail := w.Tail(); t.inc < tail && t.done[w.Slot(t.inc)]; {
 		t.inc++
 	}
 }
 
-// squash drops every load with tag >= fromTag; the cursor stops at the
-// new tail if it was past it.
-func (t *loadTracker) squash(fromTag int64) {
-	t.fifo.Squash(fromTag)
-	t.inc = min(t.inc, t.fifo.Tail())
+// squash drops every load with tag >= fromTag and returns the handles
+// [from, to) they held; the cursor stops at the new tail if it was past
+// it.
+func (t *loadTracker) squash(fromTag int64) (from, to lsq.Handle) {
+	from, to = t.fifo.Squash(fromTag)
+	t.inc = min(t.inc, from)
+	return from, to
 }
 
 // hasBefore reports whether any incomplete load is older than tag.
