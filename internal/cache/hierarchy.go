@@ -106,19 +106,16 @@ func DefaultHierConfig() HierConfig {
 
 // Stats are the hierarchy's event counters.
 type Stats struct {
-	Reads, Writes       uint64
-	L1DHits             uint64
-	L2Hits, L3Hits      uint64
-	MemFills            uint64
-	RemoteFills         uint64
-	MSHRMerges          uint64
-	Prefetches          uint64
-	SnoopInvalidations  uint64 // external invalidations that hit locally
-	SnoopMisses         uint64 // external invalidations filtered out
-	InstrFetches        uint64
-	InstrMisses         uint64
-	WriteUpgrades       uint64
-	ExternalFillSignals uint64
+	Reads, Writes      uint64
+	L1DHits            uint64
+	L2Hits, L3Hits     uint64
+	RemoteFills        uint64
+	MSHRMerges         uint64
+	Prefetches         uint64
+	SnoopInvalidations uint64 // external invalidations that hit locally
+	SnoopMisses        uint64 // external invalidations filtered out
+	InstrFetches       uint64
+	InstrMisses        uint64
 }
 
 // Hierarchy is one core's private, inclusive, three-level cache
@@ -151,9 +148,6 @@ type Hierarchy struct {
 	// a store's upgrade can be the only one (SB again, prewarmed).
 	// External prefetch fills also assert it.
 	OnFill func(block uint64)
-	// OnExternalFill, if set, is called for the subset of fills sourced
-	// from another processor's cache or a DMA agent.
-	OnExternalFill func(block uint64)
 	// OnL3Evict, if set, is called when a block leaves the inclusive
 	// hierarchy. Load-queue snooping and the no-recent-snoop filter
 	// subscribe so that external-invalidate visibility is not lost to
@@ -287,18 +281,8 @@ func (h *Hierarchy) lookupData(block uint64, cycle int64) AccessResult {
 	if external {
 		src = SrcRemote
 		h.Stats.RemoteFills++
-		h.signalExternalFill(block)
-	} else {
-		h.Stats.MemFills++
 	}
 	return AccessResult{Latency: lat, Source: src, External: external}
-}
-
-func (h *Hierarchy) signalExternalFill(block uint64) {
-	h.Stats.ExternalFillSignals++
-	if h.OnExternalFill != nil {
-		h.OnExternalFill(block)
-	}
 }
 
 func (h *Hierarchy) observePrefetch(pc, addr uint64) {
@@ -367,7 +351,6 @@ func (h *Hierarchy) Write(addr uint64, cycle int64) AccessResult {
 		return AccessResult{Latency: h.cfg.L1D.Latency, Source: SrcL1}
 	}
 	lat, external := h.backend.FetchExclusive(h.Core, block)
-	h.Stats.WriteUpgrades++
 	h.fill(block)
 	if h.OnFill != nil {
 		// A store's write-allocate brings a block into the hierarchy,
@@ -378,7 +361,6 @@ func (h *Hierarchy) Write(addr uint64, cycle int64) AccessResult {
 	}
 	if external {
 		h.Stats.RemoteFills++
-		h.signalExternalFill(block)
 	}
 	if present {
 		// Upgrade of an already-present shared copy.

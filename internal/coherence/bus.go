@@ -70,11 +70,10 @@ func (e entry) foreignWriter(core int) bool {
 
 // Stats counts bus-level events.
 type Stats struct {
-	Reads, ReadsRemote   uint64
-	Upgrades, Exclusives uint64
-	Invalidations        uint64 // invalidation probes delivered (hit a peer)
-	FilteredProbes       uint64 // probes absorbed by inclusive hierarchies
-	DMAWrites            uint64
+	Reads, ReadsRemote uint64
+	Invalidations      uint64 // invalidation probes delivered (hit a peer)
+	FilteredProbes     uint64 // probes absorbed by inclusive hierarchies
+	DMAWrites          uint64
 }
 
 // Bus is the shared interconnect + directory. It implements the cache
@@ -183,7 +182,6 @@ func (b *Bus) FetchRead(core int, block uint64) (int, bool) {
 // invalidating all other holders. Each peer whose hierarchy still held
 // the block receives an invalidation-observed signal.
 func (b *Bus) FetchExclusive(core int, block uint64) (int, bool) {
-	b.Stats.Exclusives++
 	b.active |= 1 << uint(core)
 	e, existed := b.dir[block]
 	if !existed {
@@ -214,7 +212,6 @@ func (b *Bus) FetchExclusive(core int, block uint64) (int, bool) {
 		if len(b.peers) == 1 {
 			lat = 0
 		}
-		b.Stats.Upgrades++
 	default:
 		lat = b.memLat + AddrLatency + DataLatency
 		if len(b.peers) == 1 {

@@ -94,9 +94,6 @@ type Stats struct {
 	// condition (Figure 6's "RAW-needed" segment); the rest are
 	// consistency-only replays.
 	ReplaysNUS uint64
-	// Comparisons counts word-sized value comparisons (equals Replays;
-	// kept separate for the energy model's clarity).
-	Comparisons uint64
 	// Filtered counts loads whose replay was filtered out.
 	Filtered uint64
 	// Mismatches counts replay values that differed from the premature
@@ -236,7 +233,6 @@ func (e *Engine) Decide(ld Load) (bool, trace.Reason) {
 // required.
 func (e *Engine) OnReplayComplete(ld Load, replayValue uint64) (squash bool) {
 	e.Stats.Replays++
-	e.Stats.Comparisons++
 	if ld.NUS {
 		e.Stats.ReplaysNUS++
 	}
