@@ -1331,35 +1331,49 @@ func (c *Core) dispatch() {
 		if c.fetchQ.Len() == 0 || c.fetchQ.Front().readyCycle > c.cycle {
 			return
 		}
-		if c.dispatchBarrier >= 0 {
-			c.Stats.StallBarrier++
-			return
-		}
-		if c.rob.Len() >= c.cfg.ROBSize {
-			c.Stats.StallROB++
-			return
-		}
 		f := c.fetchQ.Front()
-		cls := f.cls
-		needIQ := cls != isa.ClassNop && cls != isa.ClassMembar
-		if needIQ && c.IQLen() >= c.cfg.IQSize {
-			c.Stats.StallIQ++
+		if k := c.dispatchStall(f); k != stallNone {
+			c.countStall(k, 1)
 			return
-		}
-		switch cls {
-		case isa.ClassLoad:
-			if c.lq.fifo.Full() {
-				c.Stats.StallLQ++
-				return
-			}
-		case isa.ClassStore:
-			if c.sq.Full() {
-				c.Stats.StallSQ++
-				return
-			}
 		}
 		c.fetchQ.DropFront()
 		c.dispatchOne(f) // f stays valid: the slot is not reused until a push
+	}
+}
+
+// dispatchStall returns the stall that keeps f, the fetch buffer's
+// ready front, from dispatching this cycle, or stallNone when it would
+// dispatch. Dispatch and Quiescent both ask it.
+func (c *Core) dispatchStall(f *fetched) stallKind {
+	switch {
+	case c.dispatchBarrier >= 0:
+		return stallBarrier
+	case c.rob.Len() >= c.cfg.ROBSize:
+		return stallROB
+	case f.cls != isa.ClassNop && f.cls != isa.ClassMembar && c.IQLen() >= c.cfg.IQSize:
+		return stallIQ
+	case f.cls == isa.ClassLoad && c.lq.fifo.Full():
+		return stallLQ
+	case f.cls == isa.ClassStore && c.sq.Full():
+		return stallSQ
+	}
+	return stallNone
+}
+
+// countStall adds n cycles to stall k's counter: one from dispatch, a
+// whole window from FastForward.
+func (c *Core) countStall(k stallKind, n uint64) {
+	switch k {
+	case stallBarrier:
+		c.Stats.StallBarrier += n
+	case stallROB:
+		c.Stats.StallROB += n
+	case stallIQ:
+		c.Stats.StallIQ += n
+	case stallLQ:
+		c.Stats.StallLQ += n
+	case stallSQ:
+		c.Stats.StallSQ += n
 	}
 }
 
@@ -1478,10 +1492,7 @@ func (c *Core) dispatchOne(f *fetched) {
 // Fetch.
 
 func (c *Core) fetch() {
-	if c.cycle < c.fetchStallUntil {
-		return
-	}
-	if c.fetchQ.Len() >= c.cfg.FetchBuf {
+	if !c.fetchDue() {
 		return
 	}
 	// One instruction-cache access per fetch cycle.

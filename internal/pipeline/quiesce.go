@@ -13,11 +13,11 @@
 
 package pipeline
 
-import "vbmo/internal/isa"
-
-// stallKind identifies which dispatch stall counter accrues once per
-// cycle while the core is quiescent (stallNone when dispatch is idle:
-// fetch buffer empty or its front not yet through the front end).
+// stallKind identifies which dispatch stall counter a cycle accrues:
+// dispatch counts one, and a quiescent window one per cycle. stallNone
+// counts nothing: the front would dispatch, or, in a quiescent window,
+// dispatch is idle (fetch buffer empty or its front not yet through
+// the front end).
 type stallKind uint8
 
 const (
@@ -59,38 +59,23 @@ func (c *Core) Quiescent() (wake int64, ok bool) {
 	// Dispatch: either idle (front-end empty or front not ready, with
 	// its ready cycle as wake), deterministically stalled (one stall
 	// counter accrues per cycle; record which), or it would dispatch.
-	now := c.cycle
 	c.ffStall = stallNone
 	if c.fetchQ.Len() > 0 {
 		f := c.fetchQ.Front()
-		if f.readyCycle > now {
+		if f.readyCycle > c.cycle {
 			wake = min(wake, f.readyCycle)
-		} else {
-			needIQ := f.cls != isa.ClassNop && f.cls != isa.ClassMembar
-			switch {
-			case c.dispatchBarrier >= 0:
-				c.ffStall = stallBarrier
-			case c.rob.Len() >= c.cfg.ROBSize:
-				c.ffStall = stallROB
-			case needIQ && c.IQLen() >= c.cfg.IQSize:
-				c.ffStall = stallIQ
-			case f.cls == isa.ClassLoad && c.lq.fifo.Full():
-				c.ffStall = stallLQ
-			case f.cls == isa.ClassStore && c.sq.Full():
-				c.ffStall = stallSQ
-			default:
-				return noWake, false // the front instruction would dispatch
-			}
+		} else if c.ffStall = c.dispatchStall(f); c.ffStall == stallNone {
+			return noWake, false // the front instruction would dispatch
 		}
 	}
 
-	// Fetch: stalled-with-deadline wakes at the deadline; a non-full
-	// fetch buffer means an instruction-cache access (which mutates
-	// cache state and counters) would happen.
-	if now < c.fetchStallUntil {
-		wake = min(wake, c.fetchStallUntil)
-	} else if c.fetchQ.Len() < c.cfg.FetchBuf {
+	// Fetch would access the instruction cache, which mutates cache
+	// state and counters; a fetch stalled with a deadline wakes there.
+	if c.fetchDue() {
 		return noWake, false
+	}
+	if c.cycle < c.fetchStallUntil {
+		wake = min(wake, c.fetchStallUntil)
 	}
 	if wake == noDue {
 		wake = noWake
@@ -111,20 +96,8 @@ func (c *Core) FastForward(n int64) {
 	c.cycle += n
 	c.Stats.Cycles += n
 	c.Stats.ROBOccupancySum += uint64(n) * uint64(c.rob.Len())
-	k := uint64(n)
 	if c.iqParked != 0 {
-		c.chargeParked(c.iqParked, k)
+		c.chargeParked(c.iqParked, uint64(n))
 	}
-	switch c.ffStall {
-	case stallBarrier:
-		c.Stats.StallBarrier += k
-	case stallROB:
-		c.Stats.StallROB += k
-	case stallIQ:
-		c.Stats.StallIQ += k
-	case stallLQ:
-		c.Stats.StallLQ += k
-	case stallSQ:
-		c.Stats.StallSQ += k
-	}
+	c.countStall(c.ffStall, uint64(n))
 }

@@ -63,13 +63,17 @@ func (s *SkipStats) Total() uint64 {
 // switch exists for A/B equivalence runs, never for correctness.
 func (c *Core) SetStageSkip(on bool) { c.skipOff = !on }
 
-// The stage predicates: each reports whether Step, with skipping on,
-// runs its stage this cycle, and Quiescent reads the same five. A
-// predicate may claim work the scan then does not find, never the
-// reverse. replayDue applies on value-replay machines only.
+// The stage predicates: each of the first five reports whether Step,
+// with skipping on, runs its stage this cycle, and fetchDue whether the
+// fetch stage would access the instruction cache; Quiescent reads all
+// six. A predicate may claim work the scan then does not find, never
+// the reverse. replayDue applies on value-replay machines only.
 
 func (c *Core) writebackDue() bool { return c.cycle >= c.wbMinDue }
 func (c *Core) captureDue() bool   { return len(c.psd) > 0 && !c.psdQuiet }
 func (c *Core) commitDue() bool    { return !c.commitQuiet }
 func (c *Core) replayDue() bool    { return c.cycle >= c.replayWake }
 func (c *Core) issueDue() bool     { return c.iqReady != 0 }
+func (c *Core) fetchDue() bool {
+	return c.cycle >= c.fetchStallUntil && c.fetchQ.Len() < c.cfg.FetchBuf
+}
