@@ -165,9 +165,9 @@ func (q *AssocLoadQueue) OnIssue(h Handle, addr uint64, forwardTag int64) (Squas
 	}
 	q.countSearch()
 	// Only younger loads can violate: the search starts past this one.
-	tags, entries := w.tags, q.entries[:len(w.tags)]
+	tags, entries, mask := w.tags, q.entries[:len(w.tags)], w.mask
 	for y, tail := h+1, w.Tail(); y < tail; y++ {
-		i := w.Slot(y)
+		i := int(y & mask)
 		le := &entries[i]
 		if !le.Issued || le.Addr != e.Addr {
 			continue
@@ -196,9 +196,9 @@ func (q *AssocLoadQueue) OnStoreAgen(addr uint64, storeTag int64) (Squash, bool)
 	q.countSearch()
 	addr &^= 7
 	w := q.w
-	tags, entries := w.tags, q.entries[:len(w.tags)]
+	tags, entries, mask := w.tags, q.entries[:len(w.tags)], w.mask
 	for h, tail := w.head, w.Tail(); h < tail; h++ {
-		i := w.Slot(h)
+		i := int(h & mask)
 		le := &entries[i]
 		if tags[i] <= storeTag || !le.Issued || le.Addr != addr {
 			continue
@@ -241,9 +241,9 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 	}
 	q.countSearch()
 	w := q.w
-	tags, entries := w.tags, q.entries[:len(w.tags)]
+	tags, entries, mask := w.tags, q.entries[:len(w.tags)], w.mask
 	for h, tail := w.head, w.Tail(); h < tail; h++ {
-		i := w.Slot(h)
+		i := int(h & mask)
 		le := &entries[i]
 		if !le.Issued || cache.BlockAddr(le.Addr) != cache.BlockAddr(block) {
 			continue

@@ -522,8 +522,8 @@ func (m *queueModel) compare() {
 // ordinal, so every mode also pins that a store's handle is the number
 // of stores committed before it. The queues are small, so their rings
 // wrap often. At the first sizes each ring has spare slots; at the
-// second both rings are exactly full, so the first push after a pop
-// reuses the popped slot.
+// second each ring is as long as its queue's capacity, so a push into a
+// queue that a pop just took out of full writes the slot the pop freed.
 func TestQueuesMatchNaive(t *testing.T) {
 	seed := int64(0)
 	for _, size := range []struct {

@@ -256,17 +256,17 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 	addr &^= 7
 	var r SearchResult
 	w := &q.w
-	tags := w.tags
+	tags, head, mask := w.tags, w.head, w.mask
 	addrs, addrOK := q.addrs[:len(tags)], q.addrOK[:len(tags)]
-	n := w.n
-	l1Boundary := -1
+	// The walk crosses into the level-two buffer at l2From, the
+	// youngest store behind the newest l1Size; a flat queue has none.
+	l2From := head - 1
 	if q.l1Size > 0 {
-		l1Boundary = n - q.l1Size
+		l2From = w.Tail() - 1 - Handle(q.l1Size)
 	}
-	// The walk goes from the youngest store to the oldest: j is a
-	// store's position in the queue, h its handle and i its slot.
-	for j := n - 1; j >= 0; j-- {
-		if q.l1Size > 0 && j < l1Boundary {
+	// The walk goes from the youngest store to the oldest.
+	for h := w.Tail() - 1; h >= head; h-- {
+		if h == l2From {
 			// Crossing into the level-two buffer: consult the filter
 			// once. With no unresolved stores anywhere and a filter
 			// miss, nothing deeper can match or alias.
@@ -277,10 +277,8 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 				}
 			}
 			r.Level2 = true
-			l1Boundary = -1 // count the crossing only once
 		}
-		h := w.head + Handle(j)
-		i := int(h & w.mask)
+		i := int(h & mask)
 		q.Compared++
 		if tags[i] >= loadTag {
 			continue
@@ -296,7 +294,7 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 			r.MatchPC = q.pcs[i]
 			r.Data = q.data[i]
 			r.DataReady = q.dataOK[i]
-			if q.l1Size > 0 && j < n-q.l1Size {
+			if r.Level2 { // the match lies past the level-one boundary
 				r.Latency = q.l2Latency
 			}
 			break
