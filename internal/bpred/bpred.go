@@ -87,8 +87,12 @@ type Predictor struct {
 	btbLRU  []uint8
 	btbSets int
 
-	// Lookups and Mispredicts count conditional-branch direction
-	// predictions and wrong ones.
+	Stats Stats
+}
+
+// Stats are the predictor's counters: conditional-branch direction
+// predictions and wrong ones.
+type Stats struct {
 	Lookups, Mispredicts uint64
 }
 
@@ -134,7 +138,7 @@ func pcIndex(pc uint64, size int) int {
 // pc and the metadata needed to train/repair on resolution. The global
 // history is speculatively updated with the prediction.
 func (p *Predictor) Predict(pc uint64) (bool, Meta) {
-	p.Lookups++
+	p.Stats.Lookups++
 	m := Meta{History: p.history}
 	m.BimodalTaken = p.bimodal.get(pcIndex(pc, p.cfg.BimodalEntries), directionInit) >= 2
 	m.GshareTaken = p.gshare.get(p.gshareIndex(pc, p.history), directionInit) >= 2
@@ -181,7 +185,7 @@ func (p *Predictor) Update(pc uint64, taken bool, m Meta) {
 		predicted = m.GshareTaken
 	}
 	if predicted != taken {
-		p.Mispredicts++
+		p.Stats.Mispredicts++
 		// Squash the wrong speculative history and re-insert truth.
 		p.history = p.shiftHistory(m.History, taken)
 	}
@@ -248,10 +252,10 @@ func (p *Predictor) SetHistory(h uint64) { p.history = h }
 
 // MispredictRate returns mispredicts/lookups.
 func (p *Predictor) MispredictRate() float64 {
-	if p.Lookups == 0 {
+	if p.Stats.Lookups == 0 {
 		return 0
 	}
-	return float64(p.Mispredicts) / float64(p.Lookups)
+	return float64(p.Stats.Mispredicts) / float64(p.Stats.Lookups)
 }
 
 // PredictInst is a convenience wrapper: unconditional branches are

@@ -74,8 +74,8 @@ func TestMispredictRateCounting(t *testing.T) {
 		_, m := p.Predict(pc)
 		p.Update(pc, true, m)
 	}
-	if p.Lookups != 10 {
-		t.Errorf("Lookups = %d", p.Lookups)
+	if p.Stats.Lookups != 10 {
+		t.Errorf("Lookups = %d", p.Stats.Lookups)
 	}
 	if r := p.MispredictRate(); r < 0 || r > 1 {
 		t.Errorf("rate out of range: %v", r)
@@ -152,12 +152,12 @@ func TestPredictInstUnconditional(t *testing.T) {
 	if !taken {
 		t.Error("jump must predict taken")
 	}
-	if p.Lookups != 0 {
+	if p.Stats.Lookups != 0 {
 		t.Error("unconditional branches must not consult direction tables")
 	}
 	taken2, _ := p.PredictInst(isa.Inst{Op: isa.OpBeqz}, 0x104)
 	_ = taken2
-	if p.Lookups != 1 {
+	if p.Stats.Lookups != 1 {
 		t.Error("conditional branch should count a lookup")
 	}
 }

@@ -241,9 +241,9 @@ func TestPredictorMatchesNaive(t *testing.T) {
 				n, pending = newNaive(cfg), pending[:0]
 				resets++
 			}
-			if got != want || p.History() != n.history || p.Lookups != n.lookups || p.Mispredicts != n.mispredicts {
+			if got != want || p.History() != n.history || p.Stats.Lookups != n.lookups || p.Stats.Mispredicts != n.mispredicts {
 				t.Fatalf("step %d, pc %#x: got %v, want %v; history %#x/%#x, lookups %d/%d, mispredicts %d/%d",
-					step, pc, got, want, p.History(), n.history, p.Lookups, n.lookups, p.Mispredicts, n.mispredicts)
+					step, pc, got, want, p.History(), n.history, p.Stats.Lookups, n.lookups, p.Stats.Mispredicts, n.mispredicts)
 			}
 			if step%1000 == 999 {
 				if name, i, ok := sameTables(p, n); !ok {

@@ -28,7 +28,7 @@ func TestResetMatchesNew(t *testing.T) {
 			}
 			out = append(out, b2u(taken), b2u(hit))
 		}
-		return append(out, p.Lookups, p.Mispredicts, p.History())
+		return append(out, p.Stats.Lookups, p.Stats.Mispredicts, p.History())
 	}
 	used := New(small())
 	drive(used, 1)

@@ -143,8 +143,8 @@ func TestDMAWritesInvalidateAndMarkExternal(t *testing.T) {
 	if events != 1 {
 		t.Fatalf("DMA write should invalidate core 0 (events=%d)", events)
 	}
-	if d.Writes != 1 {
-		t.Errorf("DMA writes = %d", d.Writes)
+	if bus.Stats.DMAWrites != 1 {
+		t.Errorf("DMA writes = %d", bus.Stats.DMAWrites)
 	}
 	// The DMA data must be visible in the image.
 	if img.Read(block) == prog.NewImage(1).Read(block) {
@@ -166,15 +166,12 @@ func TestDMAIntervalAndRing(t *testing.T) {
 		d.Tick(cyc)
 	}
 	// 500/50 = 10 bursts of 1 block.
-	if d.Writes != 10 {
-		t.Errorf("DMA writes = %d, want 10", d.Writes)
-	}
 	if bus.Stats.DMAWrites != 10 {
-		t.Errorf("bus DMA writes = %d", bus.Stats.DMAWrites)
+		t.Errorf("bus DMA writes = %d, want 10", bus.Stats.DMAWrites)
 	}
 	d2 := &DMA{Bus: bus, Image: prog.NewImage(0), Blocks: 2, Interval: 0, Burst: 1}
 	d2.Tick(1000)
-	if d2.Writes != 0 {
+	if bus.Stats.DMAWrites != 10 {
 		t.Error("disabled DMA should not write")
 	}
 }

@@ -30,8 +30,6 @@ type DMA struct {
 
 	cursor int
 	nextAt int64
-	// Writes counts blocks written.
-	Writes uint64
 }
 
 // NextAt returns the cycle at which the next burst is scheduled: Tick
@@ -60,6 +58,5 @@ func (d *DMA) Tick(cycle int64) {
 			}
 		}
 		d.Bus.DMAWrite(block)
-		d.Writes++
 	}
 }

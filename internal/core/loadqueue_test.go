@@ -26,7 +26,7 @@ func TestFIFOInsertOrderAndCapacity(t *testing.T) {
 	if !panics(func() { q.Push(9) }) {
 		t.Error("full queue accepted a push")
 	}
-	if w := q.Window(); w.OldestTag() != 1 || q.YoungestTag() != 5 || q.Len() != 2 {
+	if w := &q.Window; w.OldestTag() != 1 || q.YoungestTag() != 5 || q.Len() != 2 {
 		t.Errorf("oldest %d youngest %d Len %d, want 1, 5 and 2", w.OldestTag(), q.YoungestTag(), q.Len())
 	}
 }
@@ -55,7 +55,7 @@ func TestFIFOFindRemoveSquash(t *testing.T) {
 	}
 	q.Pop()
 	q.Squash(4)
-	if w := q.Window(); q.Len() != 2 || w.OldestTag() != 2 || q.Tag(hs[2]) != 3 || q.Tail() != hs[3] {
+	if w := &q.Window; q.Len() != 2 || w.OldestTag() != 2 || q.Tag(hs[2]) != 3 || q.Tail() != hs[3] {
 		t.Errorf("after pop+squash: len=%d oldest=%d youngest=%d tail=%d", q.Len(), w.OldestTag(), q.YoungestTag(), q.Tail())
 	}
 	for _, h := range []lsq.Handle{hs[0], hs[3], hs[4]} {
@@ -69,7 +69,7 @@ func TestFIFOFindRemoveSquash(t *testing.T) {
 	}
 	var empty LoadQueue
 	empty.Reset(2)
-	if w := empty.Window(); w.OldestTag() != -1 || empty.YoungestTag() != -1 {
+	if w := &empty.Window; w.OldestTag() != -1 || empty.YoungestTag() != -1 {
 		t.Error("an empty queue has no oldest or youngest tag")
 	}
 }
@@ -86,7 +86,7 @@ func TestFIFOQueueProperty(t *testing.T) {
 		}
 		q.Squash(int64(k))
 		last := int64(-1)
-		w := q.Window()
+		w := &q.Window
 		for h := w.Head(); h < w.Tail(); h++ {
 			tag := w.Tag(h)
 			if tag >= int64(k) || tag <= last {
@@ -144,7 +144,7 @@ func TestFIFOQueueMatchesNaive(t *testing.T) {
 		if q.Len() != len(ref) || q.Full() != (len(ref) == capacity) {
 			t.Fatalf("step %d: Len %d Full %t, naive %d", step, q.Len(), q.Full(), len(ref))
 		}
-		w := q.Window()
+		w := &q.Window
 		oldest, youngest := int64(-1), int64(-1)
 		if len(ref) > 0 {
 			oldest, youngest = ref[0].tag, ref[len(ref)-1].tag

@@ -19,9 +19,6 @@ import "vbmo/internal/reuse"
 type Simple struct {
 	bits []bool
 	mask uint64
-	// Trainings counts violation trainings; Waits counts positive
-	// predictions returned.
-	Trainings, Waits uint64
 }
 
 // NewSimple creates a table with the given entry count (power of two;
@@ -43,25 +40,13 @@ func (s *Simple) Reset(entries int) {
 
 func (s *Simple) idx(pc uint64) uint64 { return (pc >> 2) & s.mask }
 
-// ShouldWait reports whether the load at pc must wait for all prior
+// Predicts reports whether the load at pc must wait for all prior
 // store addresses to resolve before issuing.
-func (s *Simple) ShouldWait(pc uint64) bool {
-	if s.Predicts(pc) {
-		s.Waits++
-		return true
-	}
-	return false
-}
-
-// Predicts is ShouldWait without counting the wait.
 func (s *Simple) Predicts(pc uint64) bool { return s.bits[s.idx(pc)] }
 
 // TrainViolation records that the load at pc suffered a memory-order
 // violation.
-func (s *Simple) TrainViolation(pc uint64) {
-	s.Trainings++
-	s.bits[s.idx(pc)] = true
-}
+func (s *Simple) TrainViolation(pc uint64) { s.bits[s.idx(pc)] = true }
 
 // StoreSets is the store-set predictor. Tags identify dynamic stores
 // (reorder-buffer sequence numbers).
@@ -70,9 +55,6 @@ type StoreSets struct {
 	lfst   []int64 // store set id -> tag of last fetched in-flight store, -1 = none
 	mask   uint64
 	nextID int32
-	// Violations counts trainings; Dependences counts loads given a
-	// store to wait on.
-	Violations, Dependences uint64
 }
 
 // NewStoreSets creates a predictor with the given SSIT and LFST sizes
@@ -124,11 +106,7 @@ func (s *StoreSets) LoadDispatched(pc uint64) int64 {
 	if ssid < 0 {
 		return -1
 	}
-	if t := s.lfst[ssid]; t >= 0 {
-		s.Dependences++
-		return t
-	}
-	return -1
+	return s.lfst[ssid]
 }
 
 // StoreRetired clears the LFST entry if it still names tag (the store
@@ -143,7 +121,6 @@ func (s *StoreSets) StoreRetired(pc uint64, tag int64) {
 // TrainViolation merges the load and store into one store set using the
 // standard store-set assignment rules.
 func (s *StoreSets) TrainViolation(loadPC, storePC uint64) {
-	s.Violations++
 	li, si := s.idx(loadPC), s.idx(storePC)
 	ls, ss := s.ssit[li], s.ssit[si]
 	switch {

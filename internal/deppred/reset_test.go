@@ -19,7 +19,7 @@ func TestResetMatchesNew(t *testing.T) {
 				ss.TrainViolation(load, store)
 			}
 			wait := uint64(0)
-			if s.ShouldWait(load) {
+			if s.Predicts(load) {
 				wait = 1
 			}
 			dep := ss.StoreDispatched(store, tag)
@@ -28,7 +28,7 @@ func TestResetMatchesNew(t *testing.T) {
 				ss.StoreRetired(store, tag)
 			}
 		}
-		return append(out, s.Trainings, s.Waits, ss.Violations, ss.Dependences)
+		return out
 	}
 	s, ss := NewSimple(256), NewStoreSets(256, 16)
 	drive(s, ss, 1)

@@ -17,9 +17,6 @@ type BloomFilter struct {
 	counters []uint8
 	mask     uint64
 	hashes   int
-	// Queries counts membership tests; Misses counts definite-absence
-	// answers (each one saves a full CAM search).
-	Queries, Misses uint64
 }
 
 // NewBloomFilter builds a filter with the given counter count (power of
@@ -31,8 +28,8 @@ func NewBloomFilter(counters, hashes int) *BloomFilter {
 }
 
 // Reset rebuilds f in place as NewBloomFilter(counters, hashes) would
-// build it — every counter zero, no queries — reusing its counter array
-// when it fits.
+// build it — every counter zero — reusing its counter array when it
+// fits.
 func (f *BloomFilter) Reset(counters, hashes int) {
 	if counters <= 0 || counters&(counters-1) != 0 {
 		panic("lsq: bloom counters must be a positive power of two")
@@ -78,16 +75,6 @@ func (f *BloomFilter) Remove(addr uint64) {
 
 // MayContain reports whether addr could be present; false is definite.
 func (f *BloomFilter) MayContain(addr uint64) bool {
-	f.Queries++
-	if !f.has(addr) {
-		f.Misses++
-		return false
-	}
-	return true
-}
-
-// has answers MayContain without counting the query.
-func (f *BloomFilter) has(addr uint64) bool {
 	for i := 0; i < f.hashes; i++ {
 		if f.counters[f.hash(addr, i)] == 0 {
 			return false
@@ -96,11 +83,10 @@ func (f *BloomFilter) has(addr uint64) bool {
 	return true
 }
 
-// FilterRate returns the fraction of queries answered "definitely
-// absent" (full searches avoided).
-func (f *BloomFilter) FilterRate() float64 {
-	if f.Queries == 0 {
-		return 0
-	}
-	return float64(f.Misses) / float64(f.Queries)
-}
+// Hashes returns the filter's hash count.
+func (f *BloomFilter) Hashes() int { return f.hashes }
+
+// Counters returns the filter's counters, which the caller must not
+// change: the invariant checks compare them with a filter rebuilt from
+// the queue's entries.
+func (f *BloomFilter) Counters() []uint8 { return f.counters }

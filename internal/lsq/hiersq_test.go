@@ -34,8 +34,8 @@ func TestTwoLevelL2MatchIsSlow(t *testing.T) {
 	if r.Latency != 3 {
 		t.Errorf("L2 match latency = %d, want 3", r.Latency)
 	}
-	if q.L2Searches != 1 {
-		t.Errorf("L2Searches = %d", q.L2Searches)
+	if q.Stats.L2Searches != 1 {
+		t.Errorf("L2Searches = %d", q.Stats.L2Searches)
 	}
 }
 
@@ -45,15 +45,15 @@ func TestTwoLevelFilterSkipsL2(t *testing.T) {
 	if r.Match {
 		t.Fatal("phantom match")
 	}
-	if q.L2Filtered != 1 {
-		t.Errorf("L2 probe not filtered: filtered=%d searched=%d", q.L2Filtered, q.L2Searches)
+	if q.Stats.L2Filtered != 1 {
+		t.Errorf("L2 probe not filtered: filtered=%d searched=%d", q.Stats.L2Filtered, q.Stats.L2Searches)
 	}
 }
 
 func TestTwoLevelUnresolvedForcesL2(t *testing.T) {
 	q := twoLevelQueue(10)
 	// An unresolved store anywhere defeats the filter (it could alias).
-	q.Insert(50, 0)
+	q.Insert(50)
 	r := q.Search(0x9000, 100)
 	if r.Match {
 		t.Fatal("phantom match")
@@ -61,9 +61,9 @@ func TestTwoLevelUnresolvedForcesL2(t *testing.T) {
 	if !r.UnresolvedOlder {
 		t.Error("unresolved store not reported")
 	}
-	if q.L2Filtered != 0 || q.L2Searches != 1 {
+	if q.Stats.L2Filtered != 0 || q.Stats.L2Searches != 1 {
 		t.Errorf("filter must not skip with unresolved stores: filtered=%d searched=%d",
-			q.L2Filtered, q.L2Searches)
+			q.Stats.L2Filtered, q.Stats.L2Searches)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestTwoLevelFilterMaintenance(t *testing.T) {
 	if r.Match {
 		t.Error("removed store still matches")
 	}
-	if q.L2Filtered != 1 {
-		t.Errorf("filter not maintained on Remove: %d", q.L2Filtered)
+	if q.Stats.L2Filtered != 1 {
+		t.Errorf("filter not maintained on Remove: %d", q.Stats.L2Filtered)
 	}
 	// Squash the rest; all filter state drains.
 	q.Squash(0)
@@ -103,10 +103,12 @@ func TestFlatQueueUnaffected(t *testing.T) {
 // TestPeekCountsWhatSearchCounts pins the contract parked loads rely on:
 // Peek counts nothing and reports what a Search would count, and
 // Charging a remembered search's counts equals repeating the Search.
+// Only the host-work count Compared moves on a Peek.
 func TestPeekCountsWhatSearchCounts(t *testing.T) {
-	type counts struct{ searches, l2, filtered, queries, misses uint64 }
-	read := func(q *StoreQueue) counts {
-		return counts{q.Searches, q.L2Searches, q.L2Filtered, q.filter.Queries, q.filter.Misses}
+	read := func(q *StoreQueue) SQStats {
+		st := q.Stats
+		st.Compared = 0
+		return st
 	}
 	b2u := func(b bool) uint64 {
 		if b {
@@ -115,41 +117,40 @@ func TestPeekCountsWhatSearchCounts(t *testing.T) {
 		return 0
 	}
 	for _, tc := range []struct {
-		name           string
-		unresolved     bool
-		addr           uint64
-		level2, filter bool
+		name             string
+		unresolved       bool
+		addr             uint64
+		level2, filtered bool
 	}{
 		{"level one", false, 0x1000 + 9*8, false, false},
-		{"level two after a filter query", false, 0x1000, true, true},
+		{"level two after a filter query", false, 0x1000, true, false},
 		{"level two with a store unresolved", true, 0x1000, true, false},
 		{"filtered", false, 0x9000, false, true},
 	} {
 		q := twoLevelQueue(10)
 		if tc.unresolved {
-			q.Insert(50, 0)
+			q.Insert(50)
 		}
 		before := read(q)
 		r := q.Peek(tc.addr, 100)
 		if got := read(q); got != before {
 			t.Fatalf("%s: Peek counted: %+v -> %+v", tc.name, before, got)
 		}
-		if r.Level2 != tc.level2 || r.FilterQueried != tc.filter {
-			t.Errorf("%s: Level2 %t FilterQueried %t, want %t %t",
-				tc.name, r.Level2, r.FilterQueried, tc.level2, tc.filter)
+		if r.Level2 != tc.level2 || r.Filtered != tc.filtered {
+			t.Errorf("%s: Level2 %t Filtered %t, want %t %t",
+				tc.name, r.Level2, r.Filtered, tc.level2, tc.filtered)
 		}
 		if s := q.Search(tc.addr, 100); s != r {
 			t.Fatalf("%s: Search %+v, Peek %+v", tc.name, s, r)
 		}
 		searched := read(q)
-		if r.FilterQueried && !r.Level2 {
+		if r.Filtered {
 			continue // a filtered search finds no match, so no load charges one
 		}
-		q.Charge(1, b2u(r.Level2), b2u(r.FilterQueried))
+		q.Charge(1, b2u(r.Level2))
 		want := searched
-		want.searches += searched.searches - before.searches
-		want.l2 += searched.l2 - before.l2
-		want.queries += searched.queries - before.queries
+		want.Searches += searched.Searches - before.Searches
+		want.L2Searches += searched.L2Searches - before.L2Searches
 		if got := read(q); got != want {
 			t.Errorf("%s: Charge after %+v gave %+v, a second Search %+v", tc.name, r, got, want)
 		}

@@ -73,27 +73,31 @@ type AssocLoadQueue struct {
 	mode    Mode
 	w       *Window     // the load queue's window, read only
 	entries []LoadEntry // on w's slots
-	// Searches counts CAM search operations; SearchedEntries
-	// accumulates occupancy over searches (energy scales with entries
-	// searched).
-	Searches        uint64
-	SearchedEntries uint64
-	// InvalSquashes, RAWSquashes, IssueSquashes count violations found
-	// by each search type.
-	InvalSquashes, RAWSquashes, IssueSquashes uint64
+	Stats   LQStats
 	// bloom, when bloomOn, summarizes issued-load block addresses so
 	// store-agen and snoop searches can skip the CAM when no issued
 	// load can match (Sethumadhavan et al.; see bloom.go). Reset keeps
 	// the filter, off, for EnableBloom to reuse.
 	bloom   *BloomFilter
 	bloomOn bool
-	// BloomFiltered counts CAM searches avoided by the filter.
-	BloomFiltered uint64
 	// Emit, when non-nil, receives trace events only the queue itself
 	// can see — currently the hybrid design's snoop marks (KLQMark),
 	// which defer a possible squash rather than causing one. The
 	// pipeline wires it in SetTracer, filling in core and cycle.
 	Emit func(kind trace.Kind, tag int64, pc, addr uint64)
+}
+
+// LQStats are an associative load queue's counters, for the Table 2 /
+// §5.3 energy accounting. The squashes its searches find are the
+// pipeline's (pipeline.Stats.SquashesRAW, SquashesInval and
+// SquashesLoadIssue).
+type LQStats struct {
+	// Searches counts CAM search operations; SearchedEntries
+	// accumulates occupancy over searches (energy scales with entries
+	// searched).
+	Searches, SearchedEntries uint64
+	// BloomFiltered counts CAM searches avoided by the filter.
+	BloomFiltered uint64
 }
 
 // NewAssocLoadQueue creates a queue of the given mode over the load
@@ -105,7 +109,7 @@ func NewAssocLoadQueue(mode Mode, w *Window) *AssocLoadQueue {
 }
 
 // Reset rebuilds q in place as NewAssocLoadQueue would build it —
-// unfiltered, counters zero, no Emit hook — reusing its arrays. w must
+// unfiltered, Stats zero, no Emit hook — reusing its arrays. w must
 // already be Reset to its capacity: the payload ring takes its slots.
 func (q *AssocLoadQueue) Reset(mode Mode, w *Window) {
 	*q = AssocLoadQueue{mode: mode, w: w,
@@ -140,8 +144,8 @@ func (q *AssocLoadQueue) Insert(h Handle, pc uint64) {
 func (q *AssocLoadQueue) Entry(h Handle) LoadEntry { return q.entries[q.w.Index(h)] }
 
 func (q *AssocLoadQueue) countSearch() {
-	q.Searches++
-	q.SearchedEntries += uint64(q.w.Len())
+	q.Stats.Searches++
+	q.Stats.SearchedEntries += uint64(q.w.Len())
 }
 
 // OnIssue records the premature execution of the load with handle h
@@ -176,7 +180,6 @@ func (q *AssocLoadQueue) OnIssue(h Handle, addr uint64, forwardTag int64) (Squas
 			// Power4: only snoop-marked conflicts squash.
 			continue
 		}
-		q.IssueSquashes++
 		return Squash{Tag: tags[i], PC: le.PC}, true
 	}
 	return Squash{}, false
@@ -190,7 +193,7 @@ func (q *AssocLoadQueue) OnIssue(h Handle, addr uint64, forwardTag int64) (Squas
 //vbr:hotpath
 func (q *AssocLoadQueue) OnStoreAgen(addr uint64, storeTag int64) (Squash, bool) {
 	if q.bloomOn && !q.bloom.MayContain(cache.BlockAddr(addr)) {
-		q.BloomFiltered++
+		q.Stats.BloomFiltered++
 		return Squash{}, false
 	}
 	q.countSearch()
@@ -208,7 +211,6 @@ func (q *AssocLoadQueue) OnStoreAgen(addr uint64, storeTag int64) (Squash, bool)
 			// from a younger one; no violation.
 			continue
 		}
-		q.RAWSquashes++
 		return Squash{Tag: tags[i], PC: le.PC}, true
 	}
 	return Squash{}, false
@@ -236,7 +238,7 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 		return Squash{}, false
 	}
 	if q.bloomOn && !q.bloom.MayContain(cache.BlockAddr(block)) {
-		q.BloomFiltered++
+		q.Stats.BloomFiltered++
 		return Squash{}, false
 	}
 	q.countSearch()
@@ -258,7 +260,6 @@ func (q *AssocLoadQueue) OnInvalidation(block uint64, commitTag int64) (Squash, 
 			}
 			continue
 		}
-		q.InvalSquashes++
 		return Squash{Tag: tags[i], PC: le.PC}, true
 	}
 	return Squash{}, false

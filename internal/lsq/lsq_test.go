@@ -7,10 +7,7 @@ import (
 
 // insertStore dispatches a store and resolves its address and data.
 func insertStore(q *StoreQueue, tag int64, addr, data uint64) Handle {
-	h, ok := q.Insert(tag, 0)
-	if !ok {
-		panic("store queue full")
-	}
+	h := q.Insert(tag)
 	q.SetAddr(h, addr)
 	q.SetData(h, data)
 	return h
@@ -65,17 +62,20 @@ func insertLoads(q *loadQueue, tags ...int64) []Handle {
 
 func TestStoreQueueInsertFull(t *testing.T) {
 	q := NewStoreQueue(2)
-	_, ok1 := q.Insert(1, 0x10)
-	_, ok2 := q.Insert(2, 0x14)
-	if !ok1 || !ok2 {
-		t.Fatal("inserts into empty queue failed")
-	}
-	if _, ok := q.Insert(3, 0x18); ok {
-		t.Error("insert into full queue should fail")
-	}
+	q.Insert(1)
+	q.Insert(2)
 	if q.Len() != 2 || !q.Full() {
 		t.Errorf("Len=%d Full=%v", q.Len(), q.Full())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("insert into full queue should panic")
+		}
+		if q.Len() != 2 {
+			t.Errorf("the refused insert changed Len to %d", q.Len())
+		}
+	}()
+	q.Insert(3)
 }
 
 func TestStoreQueueOutOfOrderInsertPanics(t *testing.T) {
@@ -85,8 +85,8 @@ func TestStoreQueueOutOfOrderInsertPanics(t *testing.T) {
 		}
 	}()
 	q := NewStoreQueue(4)
-	q.Insert(5, 0)
-	q.Insert(3, 0)
+	q.Insert(5)
+	q.Insert(3)
 }
 
 func TestStoreQueueForwarding(t *testing.T) {
@@ -122,7 +122,7 @@ func TestStoreQueueYoungestMatchWins(t *testing.T) {
 func TestStoreQueueUnresolvedOlder(t *testing.T) {
 	q := NewStoreQueue(8)
 	insertStore(q, 1, 0x1000, 7)
-	q.Insert(2, 0) // address never set
+	q.Insert(2) // address never set
 	r := q.Search(0x3000, 9)
 	if r.Match {
 		t.Error("no address match expected")
@@ -145,7 +145,7 @@ func TestStoreQueueUnresolvedOlder(t *testing.T) {
 
 func TestStoreQueueMatchWithoutData(t *testing.T) {
 	q := NewStoreQueue(8)
-	h, _ := q.Insert(1, 0)
+	h := q.Insert(1)
 	q.SetAddr(h, 0x1000)
 	r := q.Search(0x1000, 5)
 	if !r.Match || r.DataReady {
@@ -167,7 +167,7 @@ func TestStoreQueueWordGranularity(t *testing.T) {
 func TestStoreQueueRemoveSquash(t *testing.T) {
 	q := NewStoreQueue(8)
 	for i := int64(1); i <= 4; i++ {
-		q.Insert(i, 0)
+		q.Insert(i)
 	}
 	q.Pop()
 	if q.OldestTag() != 2 {
@@ -198,9 +198,6 @@ func TestRAWViolationDetection(t *testing.T) {
 	sq, found := q.OnStoreAgen(0x1000, 3)
 	if !found || sq.Tag != 5 || sq.PC != 0x100 {
 		t.Fatalf("RAW violation not found: %+v %v", sq, found)
-	}
-	if q.RAWSquashes != 1 {
-		t.Errorf("RAWSquashes = %d", q.RAWSquashes)
 	}
 	// Different address: no violation.
 	if _, found := q.OnStoreAgen(0x2000, 3); found {
@@ -235,9 +232,6 @@ func TestSnoopingInvalidation(t *testing.T) {
 	sq, found := q.OnInvalidation(0x1040, 1)
 	if !found || sq.Tag != 2 {
 		t.Fatalf("snoop should squash load 2: %+v %v", sq, found)
-	}
-	if q.InvalSquashes != 1 {
-		t.Errorf("InvalSquashes = %d", q.InvalSquashes)
 	}
 }
 
@@ -289,9 +283,6 @@ func TestInsulatedLoadIssueSearch(t *testing.T) {
 	if !found || sq.Tag != 2 {
 		t.Fatalf("insulated issue search failed: %+v %v", sq, found)
 	}
-	if q.IssueSquashes != 1 {
-		t.Errorf("IssueSquashes = %d", q.IssueSquashes)
-	}
 	// Invalidations are ignored by insulated queues.
 	if _, found := q.OnInvalidation(0x1000, -1); found {
 		t.Error("insulated queue must not process invalidations")
@@ -334,23 +325,23 @@ func TestSearchAccounting(t *testing.T) {
 	q := newLoadQueue(Snooping, 8)
 	h := insertLoads(q, 1, 2)
 	q.OnIssue(h[0], 0x1000, -1) // snooping: no search at issue
-	if q.Searches != 0 {
-		t.Errorf("snooping issue should not search; Searches=%d", q.Searches)
+	if q.Stats.Searches != 0 {
+		t.Errorf("snooping issue should not search; Searches=%d", q.Stats.Searches)
 	}
 	q.OnStoreAgen(0x99, 0)
 	q.OnInvalidation(0x1000, -1)
-	if q.Searches != 2 {
-		t.Errorf("Searches = %d, want 2", q.Searches)
+	if q.Stats.Searches != 2 {
+		t.Errorf("Searches = %d, want 2", q.Stats.Searches)
 	}
-	if q.SearchedEntries != 4 {
-		t.Errorf("SearchedEntries = %d, want 4", q.SearchedEntries)
+	if q.Stats.SearchedEntries != 4 {
+		t.Errorf("SearchedEntries = %d, want 4", q.Stats.SearchedEntries)
 	}
 
 	ins := newLoadQueue(Insulated, 8)
 	hi := insertLoads(ins, 1)
 	ins.OnIssue(hi[0], 0x1000, -1)
-	if ins.Searches != 1 {
-		t.Errorf("insulated issue must search; Searches=%d", ins.Searches)
+	if ins.Stats.Searches != 1 {
+		t.Errorf("insulated issue must search; Searches=%d", ins.Stats.Searches)
 	}
 }
 

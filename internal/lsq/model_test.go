@@ -19,7 +19,7 @@ import (
 // refStore is one store of the naive store-queue reference.
 type refStore struct {
 	tag            int64
-	pc, addr, data uint64
+	addr, data     uint64
 	addrOK, dataOK bool
 }
 
@@ -44,8 +44,8 @@ func (r *refSQ) find(tag int64) int {
 	return -1
 }
 
-func (r *refSQ) insert(tag int64, pc uint64) {
-	r.s = append(r.s, refStore{tag: tag, pc: pc})
+func (r *refSQ) insert(tag int64) {
+	r.s = append(r.s, refStore{tag: tag})
 	r.unresolved++
 }
 
@@ -73,11 +73,9 @@ func (r *refSQ) peek(addr uint64, loadTag int64) SearchResult {
 	for i := n - 1; i >= 0; i-- {
 		if r.l1Size > 0 && i < n-r.l1Size && !crossed {
 			crossed = true
-			if r.unresolved == 0 {
-				res.FilterQueried = true
-				if !r.filter.has(addr) {
-					return res
-				}
+			if r.unresolved == 0 && !r.filter.MayContain(addr) {
+				res.Filtered = true
+				return res
 			}
 			res.Level2 = true
 		}
@@ -90,7 +88,7 @@ func (r *refSQ) peek(addr uint64, loadTag int64) SearchResult {
 			continue
 		}
 		if e.addr&^7 == addr {
-			res.Match, res.MatchTag, res.MatchPC = true, e.tag, e.pc
+			res.Match, res.MatchTag = true, e.tag
 			res.MatchHandle = r.committed + Handle(i)
 			res.Data, res.DataReady = e.data, e.dataOK
 			if r.l1Size > 0 && i < n-r.l1Size {
@@ -108,12 +106,8 @@ func (r *refSQ) search(addr uint64, loadTag int64) SearchResult {
 	if res.Level2 {
 		r.l2Searches++
 	}
-	if res.FilterQueried {
-		r.filter.Queries++
-		if !res.Level2 {
-			r.filter.Misses++
-			r.l2Filtered++
-		}
+	if res.Filtered {
+		r.l2Filtered++
 	}
 	return res
 }
@@ -133,7 +127,7 @@ func (r *refSQ) entry(tag int64) (StoreEntry, bool) {
 		return StoreEntry{}, false
 	}
 	e := r.s[i]
-	return StoreEntry{Tag: e.tag, PC: e.pc, Addr: e.addr, AddrValid: e.addrOK,
+	return StoreEntry{Tag: e.tag, Addr: e.addr, AddrValid: e.addrOK,
 		Data: e.data, DataValid: e.dataOK}, true
 }
 
@@ -169,13 +163,12 @@ type refLoad struct {
 
 // refLQ is the naive associative load queue.
 type refLQ struct {
-	mode                                    Mode
-	s                                       []refLoad
-	bloom                                   *BloomFilter
-	searches, searchedEntries               uint64
-	invalSquashes, rawSquashes, issueSquash uint64
-	bloomFiltered                           uint64
-	marks                                   []any
+	mode                      Mode
+	s                         []refLoad
+	bloom                     *BloomFilter
+	searches, searchedEntries uint64
+	bloomFiltered             uint64
+	marks                     []any
 }
 
 func (r *refLQ) find(tag int64) int {
@@ -206,7 +199,6 @@ func (r *refLQ) onIssue(tag int64, addr uint64, fwd int64) (Squash, bool) {
 		if le.tag <= tag || !le.issued || le.addr != e.addr || (r.mode == Hybrid && !le.marked) {
 			continue
 		}
-		r.issueSquash++
 		return Squash{Tag: le.tag, PC: le.pc}, true
 	}
 	return Squash{}, false
@@ -222,7 +214,6 @@ func (r *refLQ) onStoreAgen(addr uint64, storeTag int64) (Squash, bool) {
 		if le.tag <= storeTag || !le.issued || le.addr != addr&^7 || le.fwd >= storeTag {
 			continue
 		}
-		r.rawSquashes++
 		return Squash{Tag: le.tag, PC: le.pc}, true
 	}
 	return Squash{}, false
@@ -247,7 +238,6 @@ func (r *refLQ) onInvalidation(block uint64, commitTag int64) (Squash, bool) {
 			r.marks = append(r.marks, trace.KLQMark, le.tag, le.pc, block)
 			continue
 		}
-		r.invalSquashes++
 		return Squash{Tag: le.tag, PC: le.pc}, true
 	}
 	return Squash{}, false
@@ -294,6 +284,8 @@ type queueModel struct {
 	next int64
 	// marks collects the load queue's Emit events.
 	marks []any
+	// violations counts the squashes the load-queue searches reported.
+	violations int
 }
 
 func newQueueModel(t *testing.T, seed int64, sqSize, lqSize int, mode Mode, bloom, twoLevel bool) *queueModel {
@@ -357,6 +349,7 @@ func (m *queueModel) violation(what string, got Squash, found bool, want Squash,
 	m.t.Helper()
 	m.equal(what, []any{got, found}, []any{want, wantFound})
 	if found {
+		m.violations++
 		m.squash(got.Tag)
 	}
 }
@@ -368,10 +361,8 @@ func (m *queueModel) step() {
 			return
 		}
 		m.next += 1 + int64(m.rng.Intn(3)) // squashes and non-memory instructions leave gaps
-		pc := uint64(m.rng.Intn(1 << 12))
-		h, ok := m.sq.Insert(m.next, pc)
-		m.equal("store insert", ok, true)
-		m.rsq.insert(m.next, pc)
+		h := m.sq.Insert(m.next)
+		m.rsq.insert(m.next)
 		m.rob = append(m.rob, inflight{tag: m.next, store: true, h: h})
 	case op < 6: // dispatch a load
 		if m.lq.win.Full() {
@@ -421,20 +412,14 @@ func (m *queueModel) step() {
 		if r.Match {
 			fwd = r.MatchTag
 		}
-		if m.rng.Intn(4) == 0 { // a parked load charged instead of searching
-			var l2, fq uint64
+		if m.rng.Intn(4) == 0 && !r.Filtered { // a parked load charged instead of searching
+			var l2 uint64
 			if r.Level2 {
 				l2 = 1
 			}
-			if r.FilterQueried && r.Level2 {
-				fq = 1
-			}
-			m.sq.Charge(1, l2, fq)
+			m.sq.Charge(1, l2)
 			m.rsq.searches++
 			m.rsq.l2Searches += l2
-			if fq != 0 {
-				m.rsq.filter.Queries += fq
-			}
 		}
 		sqz, found := m.lq.OnIssue(e.h, a, fwd)
 		want, wantFound := m.rlq.onIssue(e.tag, a, fwd)
@@ -474,11 +459,10 @@ func (m *queueModel) compare() {
 	m.t.Helper()
 	sq, rsq := m.sq, &m.rsq
 	m.equal("store queue length", sq.Len(), len(rsq.s))
-	m.equal("store counters", []uint64{sq.Searches, sq.L2Searches, sq.L2Filtered},
+	m.equal("store counters", []uint64{sq.Stats.Searches, sq.Stats.L2Searches, sq.Stats.L2Filtered},
 		[]uint64{rsq.searches, rsq.l2Searches, rsq.l2Filtered})
 	if rsq.filter != nil {
-		m.equal("store filter", []uint64{sq.filter.Queries, sq.filter.Misses},
-			[]uint64{rsq.filter.Queries, rsq.filter.Misses})
+		m.equal("store filter", sq.filter.counters, rsq.filter.counters)
 	}
 	oldest := int64(-1)
 	if len(rsq.s) > 0 {
@@ -494,11 +478,10 @@ func (m *queueModel) compare() {
 	lq, rlq := m.lq, &m.rlq
 	m.equal("load queue length", lq.win.Len(), len(rlq.s))
 	m.equal("load counters",
-		[]uint64{lq.Searches, lq.SearchedEntries, lq.InvalSquashes, lq.RAWSquashes, lq.IssueSquashes, lq.BloomFiltered},
-		[]uint64{rlq.searches, rlq.searchedEntries, rlq.invalSquashes, rlq.rawSquashes, rlq.issueSquash, rlq.bloomFiltered})
+		[]uint64{lq.Stats.Searches, lq.Stats.SearchedEntries, lq.Stats.BloomFiltered},
+		[]uint64{rlq.searches, rlq.searchedEntries, rlq.bloomFiltered})
 	if rlq.bloom != nil {
-		m.equal("load filter", []uint64{lq.Bloom().Queries, lq.Bloom().Misses},
-			[]uint64{rlq.bloom.Queries, rlq.bloom.Misses})
+		m.equal("load filter", lq.Bloom().counters, rlq.bloom.counters)
 	}
 	m.equal("hybrid marks", m.marks, rlq.marks)
 	m.marks, rlq.marks = m.marks[:0], rlq.marks[:0]
@@ -541,9 +524,9 @@ func TestQueuesMatchNaive(t *testing.T) {
 							m.step()
 							m.compare()
 						}
-						if m.lq.Searches == 0 || m.sq.Searches == 0 || m.rlq.rawSquashes+m.rlq.issueSquash+m.rlq.invalSquashes == 0 {
+						if m.lq.Stats.Searches == 0 || m.sq.Stats.Searches == 0 || m.violations == 0 {
 							t.Fatalf("stream too tame: %d load searches, %d store searches, no violations",
-								m.lq.Searches, m.sq.Searches)
+								m.lq.Stats.Searches, m.sq.Stats.Searches)
 						}
 					})
 				}

@@ -16,7 +16,8 @@ func driveQueues(sq *StoreQueue, lq *loadQueue, seed uint64) []any {
 		addr := (x >> 33) % 64 * 8
 		switch x >> 61 {
 		case 0, 1:
-			if h, ok := sq.Insert(tag, uint64(tag)); ok {
+			if !sq.Full() {
+				h := sq.Insert(tag)
 				sq.SetAddr(h, addr)
 				sq.SetData(h, x)
 			}
@@ -42,8 +43,7 @@ func driveQueues(sq *StoreQueue, lq *loadQueue, seed uint64) []any {
 			lq.squash(tag - int64(x>>45%8))
 		}
 	}
-	return append(out, sq.Len(), lq.win.Len(), sq.Searches, sq.L2Searches, sq.L2Filtered,
-		lq.Searches, lq.SearchedEntries, lq.BloomFiltered, lq.RAWSquashes, lq.InvalSquashes)
+	return append(out, sq.Len(), lq.win.Len(), sq.Stats, lq.Stats)
 }
 
 // TestQueuesResetMatchNew: used queues rebuilt by Reset (two-level and

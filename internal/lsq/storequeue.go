@@ -18,8 +18,6 @@ import "vbmo/internal/reuse"
 type StoreEntry struct {
 	// Tag is the store's ROB sequence number (program order).
 	Tag int64
-	// PC is the store's program counter (for predictor training).
-	PC uint64
 	// Addr is the effective address, meaningful once AddrValid is set
 	// by the store's address generation.
 	Addr uint64
@@ -49,19 +47,16 @@ type SearchResult struct {
 	MatchHandle Handle
 	Data        uint64
 	DataReady   bool
-	// MatchPC is the matching store's PC (for predictor training).
-	MatchPC uint64
 	// UnresolvedOlder is true when some older store that could alias
 	// (younger than the match, or any older store if no match) has an
 	// unresolved address — the condition the no-unresolved-store
 	// filter records.
 	UnresolvedOlder bool
 	// Level2 is set when a two-level search crossed into the level-two
-	// buffer and probed it (L2Searches). FilterQueried is set when the
-	// crossing consulted the membership filter first, which it does only
-	// while no store is unresolved; a filter miss then ends the search
-	// with FilterQueried set and Level2 clear (L2Filtered).
-	Level2, FilterQueried bool
+	// buffer and probed it (L2Searches). Filtered is set instead when
+	// the membership filter ended the search at the crossing, which it
+	// consults only while no store is unresolved (L2Filtered).
+	Level2, Filtered bool
 }
 
 // StoreQueue holds in-flight stores in program order. Optionally it is
@@ -76,26 +71,20 @@ type SearchResult struct {
 // head, and a squash truncates the tail. Internally the queue is
 // struct-of-arrays (DESIGN.md §12): the fields every Search touches for
 // every entry — tag, resolved address, and the resolved bit — live in
-// dense parallel arrays the scan walks without loading the cold payload
-// (PC, data), which is only read on a match. All arrays are
-// preallocated; steady state never grows them, and a store's payload
-// sits at its Window slot in each of them.
+// dense parallel arrays the scan walks without loading the cold data,
+// which is only read on a match. All arrays are preallocated; steady
+// state never grows them, and a store's payload sits at its Window slot
+// in each of them.
 type StoreQueue struct {
 	w Window // the tags, and the slot of every handle
 	// Hot scan state, on the Window's slots.
 	addrs  []uint64
 	addrOK []bool
 	// Cold payload, on the same slots.
-	pcs    []uint64
 	data   []uint64
 	dataOK []bool
 
-	// Searches counts associative lookups (loads probing for
-	// forwarding).
-	Searches uint64
-	// Compared counts the entries Peek compared: host work, not a
-	// modelled count (pipeline.WorkStats.SQCompares).
-	Compared uint64
+	Stats SQStats
 
 	// Two-level mode (l1Size 0 = flat queue). Only a two-level queue
 	// uses its filter; Reset keeps it for EnableTwoLevel to reuse.
@@ -103,9 +92,17 @@ type StoreQueue struct {
 	l2Latency  int
 	filter     *BloomFilter
 	unresolved int // stores whose address is not yet known
-	// L2Searches counts searches that had to probe the level-two
-	// buffer; L2Filtered counts level-two probes avoided.
-	L2Searches, L2Filtered uint64
+}
+
+// SQStats are a store queue's counters.
+type SQStats struct {
+	// Searches counts associative lookups (loads probing for
+	// forwarding). L2Searches counts those that probed the level-two
+	// buffer, L2Filtered those the membership filter ended instead.
+	Searches, L2Searches, L2Filtered uint64
+	// Compared counts the entries Peek compared: host work, not a
+	// modelled count (pipeline.WorkStats.SQCompares).
+	Compared uint64
 }
 
 // EnableTwoLevel makes the queue hierarchical: the newest l1Size
@@ -137,7 +134,6 @@ func (q *StoreQueue) Reset(capacity int) {
 		w:      w,
 		addrs:  reuse.Resized(q.addrs, n),
 		addrOK: reuse.Resized(q.addrOK, n),
-		pcs:    reuse.Resized(q.pcs, n),
 		data:   reuse.Resized(q.data, n),
 		dataOK: reuse.Resized(q.dataOK, n),
 		filter: q.filter,
@@ -150,20 +146,21 @@ func (q *StoreQueue) Len() int { return q.w.Len() }
 // Full reports whether another store can be inserted.
 func (q *StoreQueue) Full() bool { return q.w.Full() }
 
-// Insert adds a store at dispatch and returns its handle; it fails when
-// the queue is full. Tags must arrive in increasing order.
+// Insert adds a store at dispatch and returns its handle. Tags must
+// arrive in increasing order. Dispatch stalls a store while the queue
+// is full, so an insert into a full queue is a pipeline bug, and
+// panics.
 //
 //vbr:hotpath
-func (q *StoreQueue) Insert(tag int64, pc uint64) (Handle, bool) {
+func (q *StoreQueue) Insert(tag int64) Handle {
 	if q.w.Full() {
-		return 0, false
+		panic("lsq: insert into a full store queue")
 	}
 	h, i := q.w.Push(tag)
 	q.addrs[i], q.addrOK[i] = 0, false
-	q.pcs[i] = pc
 	q.data[i], q.dataOK[i] = 0, false
 	q.unresolved++
-	return h, true
+	return h
 }
 
 // SetAddr records the resolved effective address of the store with
@@ -200,7 +197,7 @@ func (q *StoreQueue) Entry(tag int64) (StoreEntry, bool) {
 		return StoreEntry{}, false
 	}
 	return StoreEntry{
-		Tag: tag, PC: q.pcs[i],
+		Tag:  tag,
 		Addr: q.addrs[i], AddrValid: q.addrOK[i],
 		Data: q.data[i], DataValid: q.dataOK[i],
 	}, true
@@ -208,48 +205,40 @@ func (q *StoreQueue) Entry(tag int64) (StoreEntry, bool) {
 
 // Search probes for the youngest older store matching addr, as a load
 // issuing with the given tag would, and counts the probe: Searches, and
-// in two-level mode L2Searches or L2Filtered and the filter's query as
-// the result's Level2 and FilterQueried report.
+// in two-level mode L2Searches or L2Filtered as the result's Level2 and
+// Filtered report.
 //
 //vbr:hotpath
 func (q *StoreQueue) Search(addr uint64, loadTag int64) SearchResult {
 	r := q.Peek(addr, loadTag)
-	q.Searches++
+	q.Stats.Searches++
 	if r.Level2 {
-		q.L2Searches++
+		q.Stats.L2Searches++
 	}
-	if r.FilterQueried {
-		q.filter.Queries++
-		if !r.Level2 {
-			q.filter.Misses++
-			q.L2Filtered++
-		}
+	if r.Filtered {
+		q.Stats.L2Filtered++
 	}
 	return r
 }
 
 // Charge counts searches a caller answered from an earlier Search
 // instead of repeating it: searches Searches, l2 of them crossing into
-// level two, filterQueries of those after a filter query. None of them
-// may have been filtered.
-func (q *StoreQueue) Charge(searches, l2, filterQueries uint64) {
-	q.Searches += searches
-	q.L2Searches += l2
-	if filterQueries != 0 {
-		q.filter.Queries += filterQueries
-	}
+// level two. None of them may have been filtered.
+func (q *StoreQueue) Charge(searches, l2 uint64) {
+	q.Stats.Searches += searches
+	q.Stats.L2Searches += l2
 }
 
 // TwoLevel reports whether the queue is hierarchical (EnableTwoLevel).
 func (q *StoreQueue) TwoLevel() bool { return q.l1Size > 0 }
 
 // Peek is Search without counting: it reads the queue and reports what
-// a Search would find and count. Only the host-work count Compared
-// moves. Word (8-byte) granularity. In two-level mode a match found
-// beyond the level-one region reports the level-two latency, and the
-// level-two probe is skipped entirely when the membership filter proves
-// no resolved store there can match (and no unresolved store could
-// alias).
+// a Search would find and count. Only the host-work count
+// Stats.Compared moves. Word (8-byte) granularity. In two-level mode a
+// match found beyond the level-one region reports the level-two
+// latency, and the level-two probe is skipped entirely when the
+// membership filter proves no resolved store there can match (and no
+// unresolved store could alias).
 //
 //vbr:hotpath
 func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
@@ -270,16 +259,14 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 			// Crossing into the level-two buffer: consult the filter
 			// once. With no unresolved stores anywhere and a filter
 			// miss, nothing deeper can match or alias.
-			if q.unresolved == 0 {
-				r.FilterQueried = true
-				if !q.filter.has(addr) {
-					return r
-				}
+			if q.unresolved == 0 && !q.filter.MayContain(addr) {
+				r.Filtered = true
+				return r
 			}
 			r.Level2 = true
 		}
 		i := int(h & mask)
-		q.Compared++
+		q.Stats.Compared++
 		if tags[i] >= loadTag {
 			continue
 		}
@@ -291,7 +278,6 @@ func (q *StoreQueue) Peek(addr uint64, loadTag int64) SearchResult {
 			r.Match = true
 			r.MatchTag = tags[i]
 			r.MatchHandle = h
-			r.MatchPC = q.pcs[i]
 			r.Data = q.data[i]
 			r.DataReady = q.dataOK[i]
 			if r.Level2 { // the match lies past the level-one boundary
@@ -329,6 +315,19 @@ func (q *StoreQueue) HasOlderThan(tag int64) bool { return q.w.HasOlderThan(tag)
 
 // Window returns a copy of the queue's tag window, for invariant checks.
 func (q *StoreQueue) Window() Window { return q.w }
+
+// Filter returns a two-level queue's membership filter, nil for a flat
+// queue, for invariant checks; the caller must not change it.
+func (q *StoreQueue) Filter() *BloomFilter {
+	if q.l1Size == 0 {
+		return nil
+	}
+	return q.filter
+}
+
+// Unresolved returns the number of queued stores whose address is
+// unresolved, for invariant checks.
+func (q *StoreQueue) Unresolved() int { return q.unresolved }
 
 // Pop removes the oldest store (at commit, after its cache write).
 //

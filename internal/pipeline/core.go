@@ -49,8 +49,8 @@ type Core struct {
 	// producers' wake masks. iqParked holds the loads whose operands are
 	// ready but which a probe found blocked on a store: they sit outside
 	// iqReady until an event that can change the answer wakes them, and
-	// parked records, per slot, the counters that probe bumped. Issue
-	// visits iqReady and iqParked.
+	// parked records, per slot, the store-queue counters that probe
+	// bumped. Issue visits iqReady and iqParked.
 	iq       [MaxIQSize]handle
 	iqUsed   uint64
 	iqReady  uint64
@@ -218,7 +218,7 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 		c.eng.Reset(cfg.Filter)
 	} else {
 		c.alq = reuse.Ptr(alq)
-		c.alq.Reset(cfg.LQMode, c.lq.fifo.Window())
+		c.alq.Reset(cfg.LQMode, &c.lq.fifo.Window)
 		if cfg.BloomCounters > 0 {
 			c.alq.EnableBloom(cfg.BloomCounters, bloomHashes)
 		}
@@ -268,7 +268,7 @@ func (c *Core) Ops() consistency.Stream { return c.ops }
 // ResetStats.
 func (c *Core) Work() WorkStats {
 	w := c.work
-	w.SQCompares = c.sq.Compared
+	w.SQCompares = c.sq.Stats.Compared
 	return w
 }
 
@@ -460,7 +460,8 @@ func (c *Core) trainViolation(loadPC, storePC uint64) {
 
 // trainSimple trains the simple dependence predictor on a violating
 // load and wakes every parked load: the trained entry may alias a
-// parked load's PC, which changes whether its probe counts a wait.
+// parked load's PC, and a load that now waits for an older unresolved
+// store no longer searches the store queue.
 func (c *Core) trainSimple(pc uint64) {
 	c.simple.TrainViolation(pc)
 	if c.iqParked != 0 {
@@ -953,34 +954,26 @@ func (c *Core) iqRemove(s int) {
 }
 
 // parkCounts records, one bit per parked slot, the counters a parked
-// load's blocked probe bumped: a simple-predictor wait, a store-queue
-// search, the search's crossing into level two, and the level-two
-// filter's query on the way. Bits outside iqParked are clear.
+// load's blocked probe bumped: a store-queue search, and the search's
+// crossing into level two. Bits outside iqParked are clear.
 type parkCounts struct {
-	wait, search, l2, filter uint64
+	search, l2 uint64
 }
 
 // park moves load e's slot from iqReady to iqParked after a probe that
-// found it blocked. searched reports whether the probe reached the
-// store-queue search, which returned r.
+// found it blocked. search reports whether the probe searched the store
+// queue, and l2 whether that search crossed into level two.
 //
 //vbr:hotpath
-func (c *Core) park(e *entry, wait, searched bool, r lsq.SearchResult) {
+func (c *Core) park(e *entry, search, l2 bool) {
 	bit := uint64(1) << e.slot
 	c.iqReady &^= bit
 	c.iqParked |= bit
-	p := &c.parked
-	if wait {
-		p.wait |= bit
+	if search {
+		c.parked.search |= bit
 	}
-	if searched {
-		p.search |= bit
-		if r.Level2 {
-			p.l2 |= bit
-		}
-		if r.FilterQueried {
-			p.filter |= bit
-		}
+	if l2 {
+		c.parked.l2 |= bit
 	}
 }
 
@@ -998,10 +991,8 @@ func (c *Core) unpark(m uint64) {
 
 // drop clears the slots in m.
 func (p *parkCounts) drop(m uint64) {
-	p.wait &^= m
 	p.search &^= m
 	p.l2 &^= m
-	p.filter &^= m
 }
 
 // parkedAfter returns the parked slots whose load is younger than tag.
@@ -1039,13 +1030,8 @@ func (c *Core) chargeVisits(m uint64, b *fuBudget) {
 //
 //vbr:hotpath
 func (c *Core) chargeParked(m, n uint64) {
-	p := &c.parked
-	if w := p.wait & m; w != 0 {
-		c.simple.Waits += n * uint64(bits.OnesCount64(w))
-	}
-	if sm := p.search & m; sm != 0 {
-		c.sq.Charge(n*uint64(bits.OnesCount64(sm)),
-			n*uint64(bits.OnesCount64(p.l2&m)), n*uint64(bits.OnesCount64(p.filter&m)))
+	if sm := c.parked.search & m; sm != 0 {
+		c.sq.Charge(n*uint64(bits.OnesCount64(sm)), n*uint64(bits.OnesCount64(c.parked.l2&m)))
 	}
 }
 
@@ -1143,13 +1129,8 @@ func (c *Core) issueStoreAgen(e *entry, units *int) bool {
 	c.sq.SetAddr(e.qh, e.addr)
 	if c.iqParked != 0 {
 		// A younger parked load may have waited on this address, or may
-		// now forward from it. A two-level search's counts depend on
-		// whether any store is unresolved, so there every load wakes.
-		if c.sq.TwoLevel() {
-			c.unpark(c.iqParked)
-		} else {
-			c.unpark(c.parkedAfter(e.tag))
-		}
+		// now forward from it.
+		c.unpark(c.parkedAfter(e.tag))
 	}
 	e.issued = true
 	e.doneCycle = c.cycle + int64(c.cfg.IntLat)
@@ -1171,19 +1152,18 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	// forwarding store's data capture.
 	if e.waitStoreTag >= 0 {
 		if se, ok := c.sq.Entry(e.waitStoreTag); ok && !se.AddrValid {
-			c.park(e, false, false, lsq.SearchResult{}) // store-set: wait for the store's agen
+			c.park(e, false, false) // store-set: wait for the store's agen
 			return false, false
 		}
 		e.waitStoreTag = -1
 	}
-	simpleWait := c.ssets == nil && c.simple.ShouldWait(e.pc)
-	if simpleWait && c.sq.UnresolvedBefore(e.tag) {
-		c.park(e, true, false, lsq.SearchResult{}) // simple predictor: wait for all prior agens
+	if c.ssets == nil && c.simple.Predicts(e.pc) && c.sq.UnresolvedBefore(e.tag) {
+		c.park(e, false, false) // simple predictor: wait for all prior agens
 		return false, false
 	}
 	r := c.sq.Search(addr, e.tag)
 	if r.Match && !r.DataReady {
-		c.park(e, simpleWait, true, r) // forwarding store's data not ready yet
+		c.park(e, true, r.Level2) // forwarding store's data not ready yet
 		return false, false
 	}
 	b.loadPorts--
@@ -1465,7 +1445,7 @@ func (c *Core) dispatchOne(f *fetched) {
 	case isa.ClassStore:
 		e.isStore = true
 		c.iqInsert(e)
-		e.qh, _ = c.sq.Insert(e.tag, e.pc) // dispatch checked Full
+		e.qh = c.sq.Insert(e.tag)
 		if c.iqParked != 0 && c.sq.TwoLevel() {
 			// A deeper queue moves older stores toward level two, which
 			// changes what a parked load's search counts.
@@ -1610,7 +1590,8 @@ func (c *Core) squashFrom(fromTag int64, newPC uint64, branchRepair bool) {
 	lqFrom, lqTo := c.lq.squash(fromTag)
 	c.sq.Squash(fromTag)
 	if c.iqParked != 0 && c.sq.TwoLevel() {
-		// The squash changed the queue's depth and its unresolved stores.
+		// The squash changed the queue's depth, which places the
+		// level-one boundary.
 		c.unpark(c.iqParked)
 	}
 	if c.alq != nil {
@@ -1717,28 +1698,18 @@ func (c *Core) ResetStats() {
 	c.Skip = SkipStats{}
 	c.work = WorkStats{}
 	c.hier.ResetStats()
-	c.bp.Lookups, c.bp.Mispredicts = 0, 0
+	c.bp.Stats = bpred.Stats{}
 	if c.eng != nil {
 		c.eng.Stats = core.Stats{}
 	}
 	if c.alq != nil {
-		c.alq.Searches = 0
-		c.alq.SearchedEntries = 0
-		c.alq.RAWSquashes = 0
-		c.alq.InvalSquashes = 0
-		c.alq.IssueSquashes = 0
-		c.alq.BloomFiltered = 0
+		c.alq.Stats = lsq.LQStats{}
 	}
-	c.sq.Searches, c.sq.L2Searches, c.sq.L2Filtered, c.sq.Compared = 0, 0, 0, 0
-	c.ops = c.ops[:0]
-	c.simple.Trainings, c.simple.Waits = 0, 0
-	if c.ssets != nil {
-		c.ssets.Violations, c.ssets.Dependences = 0, 0
-	}
+	c.sq.Stats = lsq.SQStats{}
 	if c.vp != nil {
-		c.vp.Lookups, c.vp.Predictions = 0, 0
-		c.vp.Correct, c.vp.Incorrect = 0, 0
+		c.vp.Stats = vpred.Stats{}
 	}
+	c.ops = c.ops[:0]
 }
 
 // ArchState returns a copy of the committed architectural state.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"vbmo/internal/cache"
 	"vbmo/internal/lsq"
 )
 
@@ -48,13 +49,13 @@ func (p *pool) loadAddr(e *entry) uint64 {
 	return e.inst.EffAddr(base)
 }
 
-// probeCount is what one load probe counts: a simple-predictor wait, a
-// store-queue search, its crossing into level two, a filter query.
-type probeCount struct{ wait, search, l2, filter bool }
+// probeCount is what one load probe counts: a store-queue search and
+// its crossing into level two.
+type probeCount struct{ search, l2 bool }
 
 // recorded returns the probe counts parked slot bit recorded.
 func (p *parkCounts) recorded(bit uint64) probeCount {
-	return probeCount{p.wait&bit != 0, p.search&bit != 0, p.l2&bit != 0, p.filter&bit != 0}
+	return probeCount{p.search&bit != 0, p.l2&bit != 0}
 }
 
 // reprobe runs issueLoad's blocking checks on load e read-only: it
@@ -66,14 +67,11 @@ func (c *Core) reprobe(e *entry) (bool, probeCount) {
 			return true, probeCount{}
 		}
 	}
-	var k probeCount
-	k.wait = c.ssets == nil && c.simple.Predicts(e.pc)
-	if k.wait && c.sq.UnresolvedBefore(e.tag) {
-		return true, k
+	if c.ssets == nil && c.simple.Predicts(e.pc) && c.sq.UnresolvedBefore(e.tag) {
+		return true, probeCount{}
 	}
 	r := c.sq.Peek(c.pool.loadAddr(e), e.tag)
-	k.search, k.l2, k.filter = true, r.Level2, r.FilterQueried
-	return r.Match && !r.DataReady, k
+	return r.Match && !r.DataReady, probeCount{search: true, l2: r.Level2}
 }
 
 // CheckIQ recomputes the wake-up issue queue's state from the entries
@@ -93,7 +91,7 @@ func (c *Core) CheckIQ() error {
 		return fmt.Errorf("slots %#x are both ready and parked", both)
 	}
 	pk := &c.parked
-	if stray := (pk.wait | pk.search | pk.l2 | pk.filter) &^ c.iqParked; stray != 0 {
+	if stray := (pk.search | pk.l2) &^ c.iqParked; stray != 0 {
 		return fmt.Errorf("slots %#x record probe counts but are not parked", stray)
 	}
 	occupied := 0
@@ -184,17 +182,24 @@ func (c *Core) CheckIQ() error {
 // ROB's loads and stores, oldest first; every ROB load's and store's
 // queue handle addresses the entry holding its own tag; each load's
 // done bit is its entry's, and the load queue's cursor is the oldest
-// incomplete load's handle, or the tail when every load completed; and
-// on a baseline each load's slot in the associative queue holds its PC
-// and whether it issued, and once it issued, its word address.
+// incomplete load's handle, or the tail when every load completed; on
+// a baseline each load's slot in the associative queue holds its PC
+// and whether it issued, and once it issued, its word address; the
+// store queue counts as unresolved exactly the stores whose agen has
+// not issued; and each counting Bloom filter holds exactly what a
+// filter rebuilt from its queue would: the baseline's, the blocks of
+// the issued loads, and the two-level store queue's, the words of the
+// resolved stores.
 func (c *Core) CheckLSQ() error {
 	queues := [2]struct {
 		name string
 		w    lsq.Window
 		n    int // ROB entries of the queue's kind seen so far
-	}{{name: "load queue", w: *c.lq.fifo.Window()}, {name: "store queue", w: c.sq.Window()}}
+	}{{name: "load queue", w: c.lq.fifo.Window}, {name: "store queue", w: c.sq.Window()}}
 	lw := &queues[0].w
 	cursor := lw.Tail()
+	var loadBlocks, storeWords []uint64 // what the two filters must hold
+	unresolved := 0
 	for i := 0; i < c.rob.Len(); i++ {
 		e := c.robAt(i)
 		if !e.isLoad && !e.isStore {
@@ -212,6 +217,11 @@ func (c *Core) CheckLSQ() error {
 			return err
 		}
 		if e.isStore {
+			if e.issued {
+				storeWords = append(storeWords, e.addr&^7)
+			} else {
+				unresolved++
+			}
 			continue
 		}
 		if done := c.lq.done[lw.Slot(e.qh)]; done != e.done {
@@ -227,6 +237,9 @@ func (c *Core) CheckLSQ() error {
 			return fmt.Errorf("load %d: the associative queue holds pc %#x issued %t addr %#x, the ROB pc %#x issued %t addr %#x",
 				e.tag, p.PC, p.Issued, p.Addr, e.pc, e.issued, e.addr)
 		}
+		if e.issued {
+			loadBlocks = append(loadBlocks, cache.BlockAddr(e.addr))
+		}
 	}
 	for _, q := range queues {
 		if q.n != q.w.Len() {
@@ -235,6 +248,36 @@ func (c *Core) CheckLSQ() error {
 	}
 	if c.lq.inc != cursor {
 		return fmt.Errorf("the load queue's cursor is handle %d, the oldest incomplete load's is %d", c.lq.inc, cursor)
+	}
+	if n := c.sq.Unresolved(); n != unresolved {
+		return fmt.Errorf("the store queue counts %d unresolved stores, the ROB holds %d", n, unresolved)
+	}
+	if err := checkFilter("the store queue's membership filter", c.sq.Filter(), storeWords); err != nil {
+		return err
+	}
+	if c.alq != nil {
+		return checkFilter("the load queue's Bloom filter", c.alq.Bloom(), loadBlocks)
+	}
+	return nil
+}
+
+// checkFilter reports whether counting Bloom filter f, if any, holds
+// exactly the counters of a filter of its shape that addrs were
+// inserted into. A counter saturated at 255 never falls again, so it
+// need only be at least the rebuilt one.
+func checkFilter(name string, f *lsq.BloomFilter, addrs []uint64) error {
+	if f == nil {
+		return nil
+	}
+	got := f.Counters()
+	ref := lsq.NewBloomFilter(len(got), f.Hashes())
+	for _, a := range addrs {
+		ref.Insert(a)
+	}
+	for i, want := range ref.Counters() {
+		if got[i] != want && got[i] != 255 {
+			return fmt.Errorf("%s: counter %d is %d, the %d queued addresses give %d", name, i, got[i], len(addrs), want)
+		}
 	}
 	return nil
 }
@@ -288,12 +331,35 @@ func (c *Core) checkDumpParked() error {
 func (c *Core) StrandLoad() bool {
 	for m := c.iqReady; m != 0; m &= m - 1 {
 		if e := c.pool.at(c.iq[bits.TrailingZeros64(m)]); e.isLoad && !c.sq.HasOlderThan(e.tag) {
-			c.park(e, false, false, lsq.SearchResult{})
+			c.park(e, false, false)
 			return true
 		}
 	}
 	return false
 }
+
+// ParkedSearcherPC returns the PC of a parked load whose probe searched
+// the store queue, found its forwarding store's data missing, and would
+// stop waiting on the simple dependence predictor's wait only because
+// its PC is untrained: an older store's address is still unresolved.
+// It reports whether it found one. Training that PC turns the load's
+// next probe into a wait that searches nothing.
+func (c *Core) ParkedSearcherPC() (uint64, bool) {
+	if c.ssets != nil {
+		return 0, false
+	}
+	for m := c.parked.search; m != 0; m &= m - 1 {
+		e := c.pool.at(c.iq[bits.TrailingZeros64(m)])
+		if e.waitStoreTag < 0 && !c.simple.Predicts(e.pc) && c.sq.UnresolvedBefore(e.tag) {
+			return e.pc, true
+		}
+	}
+	return 0, false
+}
+
+// TrainSimple trains the simple dependence predictor on pc as a
+// violation would, wakes included.
+func (c *Core) TrainSimple(pc uint64) { c.trainSimple(pc) }
 
 // SwapLoadHandles swaps the load-queue handles of the two oldest ROB
 // loads, as a dispatch that recorded the wrong handle would, and reports

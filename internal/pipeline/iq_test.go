@@ -38,8 +38,7 @@ func TestIQReadyMaskInvariants(t *testing.T) {
 	}
 	// The baseline's load queue trains the simple dependence predictor
 	// when store sets are off. On vortex at seed 3 a violation trains it
-	// while an older load of the same PC is parked, so only the training
-	// wake keeps that load's recorded wait count exact.
+	// while an older load of the same PC is parked.
 	simple := config.Baseline()
 	simple.UseStoreSets = false
 	// A replay machine whose load queue fills before its ROB, so the
@@ -53,9 +52,9 @@ func TestIQReadyMaskInvariants(t *testing.T) {
 		named("baseline", "spin-mp", 16, 150),
 		named("baseline-insulated", "jbb-mp", 16, 150),
 		named("replay-vpred", "jbb-mp", 16, 150),
-		// A younger store's agen resolves the last unresolved store
-		// while an older parked load's search crosses into level two:
-		// its next probe queries the level-two filter.
+		// Each store's dispatch moves the level-one boundary of a
+		// two-level store queue under the parked loads' searches, which
+		// changes whether they cross into level two.
 		named("baseline-hiersq", "gzip", 1, 3000),
 		run{"baseline-simple/vortex", simple, "vortex", 1, 4000, 3},
 	)
@@ -83,6 +82,43 @@ func TestIQReadyMaskInvariants(t *testing.T) {
 				t.Error("the load queue never stalled dispatch")
 			}
 		})
+	}
+}
+
+// TestTrainingWakeKeepsParkedCountsExact trains the simple dependence
+// predictor on the PC of a load parked on its forwarding store's data
+// while an older store's address is unresolved. Trained, the load waits
+// for that store instead of searching the store queue, so the search it
+// recorded no longer holds, and only trainSimple's wake keeps CheckIQ
+// passing. No registry run reaches that state by itself: a replay
+// machine trains only at a squash that kills every parked load, and
+// every baseline uses store sets. So the test trains the PC through a
+// hook, checks at once, and checks again before every later cycle.
+func TestTrainingWakeKeepsParkedCountsExact(t *testing.T) {
+	cfg, _ := config.ByName("no-recent-snoop")
+	work, _ := workload.ByName("mcf")
+	var s *system.System
+	trained := false
+	opt := system.Options{Cores: 1, Seed: 5, OnCycle: func(cycle int64) {
+		c := s.Cores[0]
+		if err := c.CheckIQ(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if trained {
+			return
+		}
+		if pc, ok := c.ParkedSearcherPC(); ok {
+			c.TrainSimple(pc)
+			trained = true
+			if err := c.CheckIQ(); err != nil {
+				t.Fatalf("cycle %d, trained pc %#x: %v", cycle, pc, err)
+			}
+		}
+	}}
+	s = system.New(cfg, work, opt)
+	s.Run(3000, opt)
+	if !trained {
+		t.Fatal("no load parked on forwarding data behind an unresolved store")
 	}
 }
 

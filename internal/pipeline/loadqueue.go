@@ -26,7 +26,7 @@ type loadTracker struct {
 
 func (t *loadTracker) init(capacity int) {
 	t.fifo.Reset(capacity)
-	t.done = reuse.Resized(t.done, t.fifo.Window().Slots())
+	t.done = reuse.Resized(t.done, t.fifo.Slots())
 	t.inc = 0
 }
 
@@ -36,7 +36,7 @@ func (t *loadTracker) init(capacity int) {
 //vbr:hotpath
 func (t *loadTracker) push(tag int64) lsq.Handle {
 	h := t.fifo.Push(tag)
-	t.done[t.fifo.Window().Slot(h)] = false
+	t.done[t.fifo.Slot(h)] = false
 	return h
 }
 
@@ -52,12 +52,11 @@ func (t *loadTracker) pop() { t.fifo.Pop() }
 //
 //vbr:hotpath
 func (t *loadTracker) complete(h lsq.Handle) {
-	w := t.fifo.Window()
-	t.done[w.Slot(h)] = true
+	t.done[t.fifo.Slot(h)] = true
 	if h != t.inc {
 		return // an older load is still incomplete
 	}
-	for tail := w.Tail(); t.inc < tail && t.done[w.Slot(t.inc)]; {
+	for tail := t.fifo.Tail(); t.inc < tail && t.done[t.fifo.Slot(t.inc)]; {
 		t.inc++
 	}
 }

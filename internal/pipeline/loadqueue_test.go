@@ -92,7 +92,7 @@ func TestLoadTrackerMatchesNaive(t *testing.T) {
 				if got := tr.fifo.Tag(l.h); got != l.tag {
 					t.Fatalf("capacity %d, step %d: Tag(%d) = %d, naive %d", capacity, step, l.h, got, l.tag)
 				}
-				if got := tr.done[tr.fifo.Window().Slot(l.h)]; got != l.done {
+				if got := tr.done[tr.fifo.Slot(l.h)]; got != l.done {
 					t.Fatalf("capacity %d, step %d: load %d done %t, naive %t", capacity, step, l.tag, got, l.done)
 				}
 				if !l.done && cursor == tr.fifo.Tail() {

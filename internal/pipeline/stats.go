@@ -2,7 +2,9 @@ package pipeline
 
 // Stats are one core's pipeline-level measurements. The experiment
 // harness derives every figure's series from these plus the cache,
-// load-queue, and replay-engine counters.
+// load-queue, and replay-engine counters. The squash counts are also
+// the associative load queue's: Result reports SquashesRAW and
+// SquashesInval as lq.raw_squashes and lq.inval_squashes.
 type Stats struct {
 	Cycles    int64
 	Committed uint64
@@ -46,6 +48,38 @@ type Stats struct {
 
 	// Dispatch stall causes.
 	StallROB, StallIQ, StallLQ, StallSQ, StallBarrier uint64
+}
+
+// Add accumulates o into s (the system sums per-core statistics).
+func (s *Stats) Add(o Stats) {
+	s.Cycles += o.Cycles
+	s.Committed += o.Committed
+	s.CommittedLoads += o.CommittedLoads
+	s.CommittedStores += o.CommittedStores
+	s.CommittedBranches += o.CommittedBranches
+	s.SilentStores += o.SilentStores
+	s.DemandLoadAccesses += o.DemandLoadAccesses
+	s.ForwardedLoads += o.ForwardedLoads
+	s.ReplayAccesses += o.ReplayAccesses
+	s.StoreAccesses += o.StoreAccesses
+	s.SquashesMispredict += o.SquashesMispredict
+	s.SquashesRAW += o.SquashesRAW
+	s.SquashesInval += o.SquashesInval
+	s.SquashesLoadIssue += o.SquashesLoadIssue
+	s.SquashesReplayRAW += o.SquashesReplayRAW
+	s.SquashesReplayCons += o.SquashesReplayCons
+	s.SquashedInstrs += o.SquashedInstrs
+	s.LoadsNUSFlagged += o.LoadsNUSFlagged
+	s.LoadsReordered += o.LoadsReordered
+	s.ValuePredictedLoads += o.ValuePredictedLoads
+	s.ValuePredictedCommitted += o.ValuePredictedCommitted
+	s.SquashesVPred += o.SquashesVPred
+	s.ROBOccupancySum += o.ROBOccupancySum
+	s.StallROB += o.StallROB
+	s.StallIQ += o.StallIQ
+	s.StallLQ += o.StallLQ
+	s.StallSQ += o.StallSQ
+	s.StallBarrier += o.StallBarrier
 }
 
 // WorkStats counts the host work that the speed layers exist to save

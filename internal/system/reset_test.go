@@ -16,6 +16,7 @@ import (
 	"vbmo/internal/config"
 	"vbmo/internal/core"
 	"vbmo/internal/fault"
+	"vbmo/internal/lsq"
 	"vbmo/internal/pipeline"
 	"vbmo/internal/prog"
 	"vbmo/internal/trace"
@@ -124,6 +125,9 @@ func assertSameMachine(t *testing.T, reset, fresh *System, logR, logF *eventLog)
 		if a, b := componentCounters(reset.Cores[c]), componentCounters(fresh.Cores[c]); a != b {
 			t.Errorf("core %d component counters diverged:\n reset: %+v\n fresh: %+v", c, a, b)
 		}
+		if !reflect.DeepEqual(reset.Cores[c].SimplePredictor(), fresh.Cores[c].SimplePredictor()) {
+			t.Errorf("core %d dependence predictor table diverged", c)
+		}
 	}
 	if fresh.Shadow != nil {
 		pa, ca := reset.Ops()
@@ -164,24 +168,22 @@ func assertSameMachine(t *testing.T, reset, fresh *System, logR, logF *eventLog)
 	}
 }
 
-// coreComponents holds the per-core counters Result does not report:
-// the whole cache-hierarchy record, per-level miss rates and the
-// dependence predictor's activity.
+// coreComponents holds the per-core counters Result does not report,
+// or reports only summed over the cores: the whole cache-hierarchy
+// record, per-level miss rates and the memory queues' records.
 type coreComponents struct {
-	cache          cache.Stats
-	l1, l2, l3     float64
-	trainings      uint64
-	waits          uint64
-	lqSearchedEnts uint64
+	cache      cache.Stats
+	l1, l2, l3 float64
+	sq         lsq.SQStats
+	lq         lsq.LQStats
 }
 
 func componentCounters(c *pipeline.Core) coreComponents {
 	h := c.Hierarchy()
-	v := coreComponents{cache: h.Stats}
+	v := coreComponents{cache: h.Stats, sq: c.StoreQueue().Stats}
 	v.l1, v.l2, v.l3 = h.MissRates()
-	v.trainings, v.waits = c.SimplePredictor().Trainings, c.SimplePredictor().Waits
 	if lq := c.LoadQueue(); lq != nil {
-		v.lqSearchedEnts = lq.SearchedEntries
+		v.lq = lq.Stats
 	}
 	return v
 }

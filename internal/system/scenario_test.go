@@ -138,8 +138,9 @@ func TestPredictorLearnsAndViolationsStop(t *testing.T) {
 	if secondHalf > firstHalf {
 		t.Errorf("violations did not decay: %d then %d", firstHalf, secondHalf)
 	}
-	if s.Cores[0].SimplePredictor().Trainings == 0 {
-		t.Error("simple predictor never trained")
+	// The premature load is the program's sixth instruction.
+	if pc := uint64(0x1000 + 5*prog.InstBytes); !s.Cores[0].SimplePredictor().Predicts(pc) {
+		t.Errorf("simple predictor never trained the premature load at %#x", pc)
 	}
 }
 

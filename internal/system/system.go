@@ -539,35 +539,7 @@ func (s *System) Result() Result {
 	for _, c := range s.Cores {
 		ps := &c.Stats
 		ipcSum += ps.IPC()
-		agg := &r.Pipe
-		agg.Cycles += ps.Cycles
-		agg.Committed += ps.Committed
-		agg.CommittedLoads += ps.CommittedLoads
-		agg.CommittedStores += ps.CommittedStores
-		agg.CommittedBranches += ps.CommittedBranches
-		agg.SilentStores += ps.SilentStores
-		agg.DemandLoadAccesses += ps.DemandLoadAccesses
-		agg.ForwardedLoads += ps.ForwardedLoads
-		agg.ReplayAccesses += ps.ReplayAccesses
-		agg.StoreAccesses += ps.StoreAccesses
-		agg.SquashesMispredict += ps.SquashesMispredict
-		agg.SquashesRAW += ps.SquashesRAW
-		agg.SquashesInval += ps.SquashesInval
-		agg.SquashesLoadIssue += ps.SquashesLoadIssue
-		agg.SquashesReplayRAW += ps.SquashesReplayRAW
-		agg.SquashesReplayCons += ps.SquashesReplayCons
-		agg.SquashedInstrs += ps.SquashedInstrs
-		agg.LoadsNUSFlagged += ps.LoadsNUSFlagged
-		agg.LoadsReordered += ps.LoadsReordered
-		agg.ValuePredictedLoads += ps.ValuePredictedLoads
-		agg.ValuePredictedCommitted += ps.ValuePredictedCommitted
-		agg.SquashesVPred += ps.SquashesVPred
-		agg.ROBOccupancySum += ps.ROBOccupancySum
-		agg.StallROB += ps.StallROB
-		agg.StallIQ += ps.StallIQ
-		agg.StallLQ += ps.StallLQ
-		agg.StallSQ += ps.StallSQ
-		agg.StallBarrier += ps.StallBarrier
+		r.Pipe.Add(*ps)
 
 		if eng := c.Engine(); eng != nil {
 			r.Counters.Add("replay.loads_seen", eng.Stats.LoadsSeen)
@@ -578,15 +550,16 @@ func (s *System) Result() Result {
 			r.Counters.Add("replay.window_events", eng.Stats.WindowEvents)
 		}
 		if lq := c.LoadQueue(); lq != nil {
-			r.Counters.Add("lq.searches", lq.Searches)
-			r.Counters.Add("lq.searched_entries", lq.SearchedEntries)
-			r.Counters.Add("lq.raw_squashes", lq.RAWSquashes)
-			r.Counters.Add("lq.inval_squashes", lq.InvalSquashes)
-			r.Counters.Add("lq.bloom_filtered", lq.BloomFiltered)
+			r.Counters.Add("lq.searches", lq.Stats.Searches)
+			r.Counters.Add("lq.searched_entries", lq.Stats.SearchedEntries)
+			r.Counters.Add("lq.raw_squashes", ps.SquashesRAW)
+			r.Counters.Add("lq.inval_squashes", ps.SquashesInval)
+			r.Counters.Add("lq.bloom_filtered", lq.Stats.BloomFiltered)
 		}
-		r.Counters.Add("sq.searches", c.StoreQueue().Searches)
-		r.Counters.Add("sq.l2_searches", c.StoreQueue().L2Searches)
-		r.Counters.Add("sq.l2_filtered", c.StoreQueue().L2Filtered)
+		sq := &c.StoreQueue().Stats
+		r.Counters.Add("sq.searches", sq.Searches)
+		r.Counters.Add("sq.l2_searches", sq.L2Searches)
+		r.Counters.Add("sq.l2_filtered", sq.L2Filtered)
 		hs := c.Hierarchy().Stats
 		r.Counters.Add("cache.remote_fills", hs.RemoteFills)
 		r.Counters.Add("cache.snoop_invalidations", hs.SnoopInvalidations)
@@ -594,12 +567,12 @@ func (s *System) Result() Result {
 			r.Counters.Add("tlb.accesses", tlb.Accesses)
 			r.Counters.Add("tlb.misses", tlb.Misses)
 		}
-		r.Counters.Add("bp.lookups", c.Predictor().Lookups)
-		r.Counters.Add("bp.mispredicts", c.Predictor().Mispredicts)
+		r.Counters.Add("bp.lookups", c.Predictor().Stats.Lookups)
+		r.Counters.Add("bp.mispredicts", c.Predictor().Stats.Mispredicts)
 		if vp := c.ValuePredictor(); vp != nil {
-			r.Counters.Add("vpred.predictions", vp.Predictions)
-			r.Counters.Add("vpred.correct", vp.Correct)
-			r.Counters.Add("vpred.incorrect", vp.Incorrect)
+			r.Counters.Add("vpred.predictions", vp.Stats.Predictions)
+			r.Counters.Add("vpred.correct", vp.Stats.Correct)
+			r.Counters.Add("vpred.incorrect", vp.Stats.Incorrect)
 		}
 	}
 	r.IPC = ipcSum / float64(len(s.Cores))

@@ -149,13 +149,13 @@ var goldenWorks = []goldenWork{
 		FFStats{Windows: 2283, SkippedCycles: 164221, Probes: 63107},
 		pipeline.SkipStats{Writeback: 311997, Capture: 356856, Commit: 311936, Replay: 0, Issue: 319029, ParkedProbes: 0}},
 	{"baseline-hiersq", "mcf", 1,
-		pipeline.WorkStats{Steps: 38956, Writeback: 114075, Capture: 62943, Commit: 58363, Replay: 0, Issue: 65711, SQCompares: 152459},
+		pipeline.WorkStats{Steps: 38956, Writeback: 114075, Capture: 62943, Commit: 58363, Replay: 0, Issue: 65521, SQCompares: 145954},
 		FFStats{Windows: 1379, SkippedCycles: 199993, Probes: 25947},
-		pipeline.SkipStats{Writeback: 19551, Capture: 23630, Commit: 17637, Replay: 0, Issue: 20575, ParkedProbes: 4620}},
+		pipeline.SkipStats{Writeback: 19551, Capture: 23630, Commit: 17637, Replay: 0, Issue: 20633, ParkedProbes: 5086}},
 	{"baseline-hiersq", "ocean", 4,
-		pipeline.WorkStats{Steps: 46077, Writeback: 103568, Capture: 56287, Commit: 53951, Replay: 0, Issue: 82946, SQCompares: 490776},
+		pipeline.WorkStats{Steps: 46077, Writeback: 103568, Capture: 56287, Commit: 53951, Replay: 0, Issue: 82842, SQCompares: 437880},
 		FFStats{Windows: 367, SkippedCycles: 15362, Probes: 10132},
-		pipeline.SkipStats{Writeback: 31880, Capture: 33476, Commit: 29175, Replay: 0, Issue: 32341, ParkedProbes: 8418}},
+		pipeline.SkipStats{Writeback: 31880, Capture: 33476, Commit: 29175, Replay: 0, Issue: 32358, ParkedProbes: 12054}},
 	{"baseline-hiersq", "spin-mp", 16,
 		pipeline.WorkStats{Steps: 356873, Writeback: 95185, Capture: 17, Commit: 92853, Replay: 0, Issue: 48664, SQCompares: 114},
 		FFStats{Windows: 2283, SkippedCycles: 164221, Probes: 63107},

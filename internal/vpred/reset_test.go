@@ -20,7 +20,7 @@ func TestResetMatchesNew(t *testing.T) {
 				out = append(out, v)
 			}
 		}
-		return append(out, p.Lookups, p.Predictions, p.Correct, p.Incorrect)
+		return append(out, p.Stats.Predictions, p.Stats.Correct, p.Stats.Incorrect)
 	}
 	used := New(64)
 	drive(used, 1)

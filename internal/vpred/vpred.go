@@ -17,11 +17,14 @@ import "vbmo/internal/reuse"
 type LastValue struct {
 	entries []lvEntry
 	mask    uint64
-	// Lookups counts prediction attempts, Predictions confident
-	// predictions issued, Correct/Incorrect training outcomes for
-	// issued predictions.
-	Lookups, Predictions uint64
-	Correct, Incorrect   uint64
+	Stats   Stats
+}
+
+// Stats are the predictor's counters: Predictions counts confident
+// predictions issued, Correct and Incorrect the training outcomes of
+// issued predictions.
+type Stats struct {
+	Predictions, Correct, Incorrect uint64
 }
 
 type lvEntry struct {
@@ -55,10 +58,9 @@ func (p *LastValue) slot(pc uint64) *lvEntry {
 
 // Predict returns a confident value prediction for the load at pc.
 func (p *LastValue) Predict(pc uint64) (uint64, bool) {
-	p.Lookups++
 	e := p.slot(pc)
 	if e.pc == pc && e.conf >= ConfidenceThreshold {
-		p.Predictions++
+		p.Stats.Predictions++
 		return e.value, true
 	}
 	return 0, false
@@ -77,12 +79,12 @@ func (p *LastValue) Train(pc, actual uint64, predicted bool) {
 			e.conf++
 		}
 		if predicted {
-			p.Correct++
+			p.Stats.Correct++
 		}
 		return
 	}
 	if predicted {
-		p.Incorrect++
+		p.Stats.Incorrect++
 	}
 	e.value = actual
 	e.conf = 0
@@ -90,9 +92,9 @@ func (p *LastValue) Train(pc, actual uint64, predicted bool) {
 
 // Accuracy returns correct/(correct+incorrect) over issued predictions.
 func (p *LastValue) Accuracy() float64 {
-	total := p.Correct + p.Incorrect
+	total := p.Stats.Correct + p.Stats.Incorrect
 	if total == 0 {
 		return 0
 	}
-	return float64(p.Correct) / float64(total)
+	return float64(p.Stats.Correct) / float64(total)
 }

@@ -33,8 +33,8 @@ func TestChangingValueResetsConfidence(t *testing.T) {
 	if _, ok := p.Predict(pc); ok {
 		t.Error("confidence must reset after a value change")
 	}
-	if p.Incorrect != 1 {
-		t.Errorf("Incorrect = %d", p.Incorrect)
+	if p.Stats.Incorrect != 1 {
+		t.Errorf("Incorrect = %d", p.Stats.Incorrect)
 	}
 }
 
