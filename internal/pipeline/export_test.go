@@ -338,12 +338,11 @@ func (c *Core) StrandLoad() bool {
 	return false
 }
 
-// ParkedSearcherPC returns the PC of a parked load whose probe searched
-// the store queue, found its forwarding store's data missing, and would
-// stop waiting on the simple dependence predictor's wait only because
-// its PC is untrained: an older store's address is still unresolved.
-// It reports whether it found one. Training that PC turns the load's
-// next probe into a wait that searches nothing.
+// ParkedSearcherPC returns the PC of a parked load that searched the
+// store queue (its forwarding store's data is missing) while an older
+// store's address is unresolved and its PC is untrained, and reports
+// whether it found one. Training that PC turns the load's next probe
+// into a simple-predictor wait, which searches nothing.
 func (c *Core) ParkedSearcherPC() (uint64, bool) {
 	if c.ssets != nil {
 		return 0, false
