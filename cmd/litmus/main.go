@@ -9,12 +9,12 @@
 //	litmus -list                     # battery index
 //	litmus -all -json                # machine-readable verdict matrix
 //
-// The exit status is nonzero when a sound configuration admitted an
-// SC-forbidden outcome (or cyclic constraint graph), when the
-// deliberately unsound NUS-alone configuration escaped every test, when
-// any sweep cell failed outright (panic/timeout), or — under -fault
-// with filter-breaking kinds — when the checker failed to flag a single
-// sabotaged run.
+// The exit status is nonzero when any sweep cell failed outright
+// (panic/timeout), when -fault sabotage dropped or suppressed filter
+// inputs yet the checker flagged no run, and, on a battery that ran
+// unsabotaged, when a sound configuration admitted an SC-forbidden
+// outcome (or cyclic constraint graph) or the full battery let the
+// deliberately unsound NUS-alone configuration escape every test.
 package main
 
 import (
@@ -47,7 +47,7 @@ func main() {
 
 		faultKinds  = flag.String("fault", "", "inject faults: comma-separated kinds (see internal/fault) or \"all\" (empty = off)")
 		faultRate   = flag.Float64("fault-rate", 1.0, "per-opportunity fault probability (litmus programs are short; default every opportunity)")
-		faultSeed   = flag.Uint64("fault-seed", 0, "fault RNG seed (0 = derive from -seed)")
+		faultSeed   = flag.Uint64("fault-seed", 0, "fault RNG seed; each run mixes in its own seed")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline (0 = none; nondeterministic)")
 		retries     = flag.Int("retries", 0, "re-attempts for a failed sweep cell")
 		resume      = flag.String("resume", "", "JSONL checkpoint journal; cells it already holds are replayed, not re-run")
@@ -118,18 +118,10 @@ func main() {
 		}
 	}
 
-	var fc *fault.Config
-	if *faultKinds != "" {
-		ks, err := fault.ParseKinds(*faultKinds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(exitcode.Err)
-		}
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = *seed ^ 0x9e3779b97f4a7c15
-		}
-		fc = &fault.Config{Kinds: ks, Rate: *faultRate, Seed: fseed}
+	fc, err := fault.FromFlags(*faultKinds, *faultRate, *faultSeed, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(exitcode.Err)
 	}
 
 	if *cores < 0 || *cores > config.MaxCores {
@@ -170,6 +162,8 @@ func main() {
 		os.Exit(exitcode.Err)
 	}
 	sum := litmus.Summarize(verdicts)
+	faults, flagged := litmus.Tally(verdicts)
+	verdict := fc.Judge(faults, flagged)
 	elapsed := time.Since(start)
 
 	if *jsonOut {
@@ -186,123 +180,39 @@ func main() {
 			os.Exit(exitcode.Err)
 		}
 	} else {
-		printMatrix(verdicts, tests, cfgs)
-		fmt.Printf("\nsound configurations clean: %v", sum.SoundOK)
-		if len(sum.FailedCells) > 0 {
-			fmt.Printf("  (failed: %s)", strings.Join(sum.FailedCells, ", "))
-		}
 		fmt.Println()
-		hasUnsound := false
-		for _, c := range cfgs {
-			if !c.Sound {
-				hasUnsound = true
-			}
-		}
-		if hasUnsound {
-			fmt.Printf("unsound configuration caught: %v", sum.UnsoundCaught)
-			if len(sum.CaughtBy) > 0 {
-				fmt.Printf("  (by: %s)", strings.Join(sum.CaughtBy, ", "))
-			}
-			fmt.Println()
-		}
+		litmus.WriteMatrix(os.Stdout, verdicts, sum, tests, cfgs)
 		if fc != nil {
-			var inj, det, miss, drop, supp uint64
-			for _, v := range verdicts {
-				inj += v.FaultInjected
-				det += v.FaultDetected
-				miss += v.FaultMissed
-				drop += v.FaultDropped
-				supp += v.FaultSuppressed
-			}
-			fmt.Printf("faults: injected=%d detected=%d missed=%d dropped=%d suppressed=%d\n",
-				inj, det, miss, drop, supp)
+			fmt.Printf("faults: injected=%d detected=%d missed=%d dropped=%d suppressed=%d  verdict: %s\n",
+				faults.Injected, faults.Detected, faults.Missed, faults.Dropped, faults.Suppressed, verdict)
 		}
 		fmt.Printf("[%s elapsed]\n", elapsed.Round(time.Millisecond))
 	}
 
-	// Exit-path audit: every failure mode maps to a nonzero exit.
-	failed := false
-	// Infrastructure failures (panic, timeout, retries exhausted) are
-	// reported per-cell and fail the battery even when every completed
-	// cell looks clean.
-	if len(sum.Errors) > 0 {
-		for _, e := range sum.Errors {
-			fmt.Fprintf(os.Stderr, "ERROR %s\n", e)
-		}
-		failed = true
+	for _, e := range sum.Errors {
+		fmt.Fprintf(os.Stderr, "ERROR %s\n", e)
 	}
-	if fc.Enabled() && faultBreaksSoundness(fc.Kinds) {
-		// Filter-breaking fault injection inverts the contract: the
-		// sound configurations are being sabotaged, so success means the
-		// checker FLAGGED sabotaged runs (forbidden outcome or cycle) —
-		// a fully "clean" matrix means the corruption escaped.
-		caught := 0
-		for _, v := range verdicts {
-			if v.Error == "" && v.Sound {
-				caught += v.Forbidden + v.Cycles
-			}
-		}
-		if caught == 0 {
-			fmt.Fprintln(os.Stderr, "FAULT ESCAPE: filter-breaking fault injection produced no flagged run; the checker missed the sabotage")
-			failed = true
-		}
-	} else if fc == nil {
-		// A sound-config violation always fails. The catch requirement
-		// on the unsound configuration is a battery-level contract: a
-		// single test legitimately escapes (MP never catches NUS-alone),
-		// so it is only enforced when the full battery ran.
-		if !sum.SoundOK || (*all && *testName == "" && !sum.UnsoundCaught) {
-			failed = true
-		}
+	if verdict == fault.Escaped {
+		fmt.Fprintln(os.Stderr, "FAULT ESCAPE: the fault plan dropped or suppressed filter inputs, yet the checker flagged no run")
 	}
-	if failed {
+	if failed(sum, verdict, *all && *testName == "") {
 		os.Exit(exitcode.Err)
 	}
 }
 
-// faultBreaksSoundness reports whether any injected kind undermines the
-// replay filters' soundness argument (suppressed signals, lost
-// messages), as opposed to value corruptions replay is expected to
-// repair or delays the windowing is expected to absorb.
-func faultBreaksSoundness(kinds []fault.Kind) bool {
-	for _, k := range kinds {
-		switch k {
-		case fault.DropSnoop, fault.DropFill,
-			fault.SuppressNUS, fault.SuppressWindow, fault.SuppressRule3:
-			return true
-		}
+// failed is the battery's exit contract. A cell that did not run
+// (panic, timeout, retries exhausted) fails it, and so does filter
+// sabotage the checker missed. Value corruption and delays are
+// informational. A battery that ran unsabotaged must keep every sound
+// configuration clean and, when it is the full battery, catch every
+// unsound one: one test alone may legitimately escape (MP never
+// catches NUS-alone).
+func failed(sum litmus.Summary, verdict fault.Verdict, full bool) bool {
+	switch {
+	case len(sum.Errors) > 0 || verdict == fault.Escaped:
+		return true
+	case verdict != fault.Unsabotaged:
+		return false
 	}
-	return false
-}
-
-// printMatrix renders the verdict matrix as a test × config table. A
-// sound cell shows ok/FAIL; the unsound column shows how many runs the
-// checker caught (caught=N) or "escaped" when none did.
-func printMatrix(vs []litmus.Verdict, tests []*litmus.Test, cfgs []litmus.Config) {
-	byCell := make(map[string]litmus.Verdict, len(vs))
-	for _, v := range vs {
-		byCell[v.Test+"/"+v.Config] = v
-	}
-	fmt.Printf("\n%-10s", "")
-	for _, c := range cfgs {
-		fmt.Printf(" %-12s", c.Name)
-	}
-	fmt.Println()
-	for _, t := range tests {
-		fmt.Printf("%-10s", t.Name)
-		for _, c := range cfgs {
-			v := byCell[t.Name+"/"+c.Name]
-			cell := "ok"
-			switch {
-			case v.Sound && !v.Pass():
-				cell = fmt.Sprintf("FAIL(%d)", v.Forbidden+v.Cycles+v.Incomplete)
-			case !v.Sound && v.Caught():
-				cell = fmt.Sprintf("caught=%d", v.Forbidden+v.Cycles)
-			case !v.Sound:
-				cell = "escaped"
-			}
-			fmt.Printf(" %-12s", cell)
-		}
-		fmt.Println()
-	}
+	return !sum.SoundOK || (full && !sum.UnsoundCaught)
 }

@@ -45,7 +45,7 @@ func main() {
 
 		faultKinds  = flag.String("fault", "", "inject faults: comma-separated kinds (see internal/fault) or \"all\" (empty = off)")
 		faultRate   = flag.Float64("fault-rate", 0.001, "per-opportunity fault probability (1.0 = every opportunity)")
-		faultSeed   = flag.Uint64("fault-seed", 0, "fault RNG seed (0 = derive from -seed)")
+		faultSeed   = flag.Uint64("fault-seed", 0, "fault RNG seed; each run mixes in its own -seed")
 		faultDelay  = flag.Int64("fault-delay", 0, "base delay in cycles for delay-* kinds (0 = package default)")
 		wdCycles    = flag.Int64("watchdog-cycles", 0, "declare deadlock after N cycles with no commit on any core (0 = off)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell wall-clock deadline for a -seeds sweep (0 = none; nondeterministic)")
@@ -120,7 +120,7 @@ func main() {
 			*machine, strings.Join(config.Names(), ", "))
 		os.Exit(exitcode.Err)
 	}
-	fc, err := faultConfig(*faultKinds, *faultRate, *faultSeed, *faultDelay, *seed)
+	fc, err := fault.FromFlags(*faultKinds, *faultRate, *faultSeed, *faultDelay)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(exitcode.Err)
@@ -129,6 +129,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-cores must be between 1 and %d\n", config.MaxCores)
 		os.Exit(exitcode.Err)
 	}
+	o := runOptions{cores: *cores, insts: *insts, verifySC: *verifySC, fault: fc, wdCycles: *wdCycles}
 	if *seeds > 1 {
 		if *traceOut != "" {
 			fmt.Fprintln(os.Stderr, "-trace is incompatible with -seeds > 1 (interleaved runs would share one event stream)")
@@ -139,9 +140,8 @@ func main() {
 			os.Exit(exitcode.Err)
 		}
 		runSeedSweep(cfg, work, sweepOptions{
-			cores: *cores, insts: *insts, baseSeed: *seed, seeds: *seeds,
-			workers: *workers, verifySC: *verifySC, jsonOut: *jsonOut,
-			fault: fc, wdCycles: *wdCycles,
+			runOptions: o, baseSeed: *seed, seeds: *seeds,
+			workers: *workers, jsonOut: *jsonOut,
 			cellTimeout: *cellTimeout, retries: *retries, journal: *resume,
 		})
 		return
@@ -209,20 +209,14 @@ func main() {
 		tracer = trace.New(&trace.TeeSink{Sinks: []trace.Sink{fileSink, counts}})
 	}
 
-	opt := system.Options{Cores: *cores, Seed: *seed, DMAInterval: 4000, DMABurst: 2,
-		TrackConsistency: *verifySC, Trace: tracer, SnapshotInterval: *snapEvery,
-		Fault: fc, WatchdogCycles: *wdCycles}
-	s := system.New(cfg, work, opt)
-	start := time.Now()
-	res := s.Run(*insts, opt)
-	elapsed := time.Since(start)
-	p := res.Pipe
-	incomplete := p.Committed < *insts*uint64(*cores)
+	o.trace, o.snapEvery = tracer, *snapEvery
+	r, d := runSeed(cfg, work, o, *seed)
+	s, p := d.s, d.res.Pipe
 	if !*jsonOut {
-		fmt.Println(res)
+		fmt.Println(d.res)
 		fmt.Printf("loads=%d stores=%d branches=%d mispredict=%.4f\n",
 			p.CommittedLoads, p.CommittedStores, p.CommittedBranches,
-			float64(res.Counters.Get("bp.mispredicts"))/float64(max64(1, res.Counters.Get("bp.lookups"))))
+			float64(d.res.Counters.Get("bp.mispredicts"))/float64(max64(1, d.res.Counters.Get("bp.lookups"))))
 		fmt.Printf("L1D: demand=%d forwarded=%d replay=%d store=%d\n",
 			p.DemandLoadAccesses, p.ForwardedLoads, p.ReplayAccesses, p.StoreAccesses)
 		fmt.Printf("squash: mispred=%d rawLQ=%d invalLQ=%d replayRAW=%d replayCons=%d\n",
@@ -231,10 +225,10 @@ func main() {
 			p.LoadsNUSFlagged, p.LoadsReordered, p.AvgROBOccupancy())
 		fmt.Printf("replays/instr=%.4f  sim-speed=%.0f inst/s\n",
 			float64(p.ReplayAccesses)/float64(p.Committed),
-			float64(p.Committed)/elapsed.Seconds())
+			float64(p.Committed)/r.Out.ElapsedSec)
 		if ffs := s.FastForwardStats(); ffs.Windows > 0 {
 			fmt.Printf("fast-forward: windows=%d skipped-cycles=%d (%.1f%% of cycles) probes=%d\n",
-				ffs.Windows, ffs.SkippedCycles, 100*float64(ffs.SkippedCycles)/float64(max64(1, uint64(res.Cycles))),
+				ffs.Windows, ffs.SkippedCycles, 100*float64(ffs.SkippedCycles)/float64(max64(1, uint64(d.res.Cycles))),
 				ffs.Probes)
 		}
 		if sks := s.StageSkipStats(); sks.Total() > 0 {
@@ -244,7 +238,7 @@ func main() {
 			// and leaves out a core's cycles after it finished and
 			// stopped stepping. parked= counts the parked loads running
 			// issue scans charged instead of searching the store queue.
-			cc := max64(1, uint64(res.Pipe.Cycles))
+			cc := max64(1, uint64(p.Cycles))
 			fmt.Printf("stage-skip: wb=%.1f%% capture=%.1f%% commit=%.1f%% replay=%.1f%% issue=%.1f%% of core-cycles parked=%d\n",
 				100*float64(sks.Writeback)/float64(cc), 100*float64(sks.Capture)/float64(cc),
 				100*float64(sks.Commit)/float64(cc), 100*float64(sks.Replay)/float64(cc),
@@ -255,43 +249,20 @@ func main() {
 				len(s.Metrics.Snapshots),
 				s.Metrics.ROB[0].Mean(), s.Metrics.LQ[0].Mean(), s.Metrics.SQ[0].Mean())
 		}
-	}
-	scViolation := false
-	scResult := ""
-	if *verifySC {
-		// The SC check runs before trace finalization so the checker's
-		// graph-edge events land in the trace file.
-		op, cyc, g := s.CheckSC()
-		if cyc {
-			scResult = fmt.Sprintf("violation: %s at proc %d op %d addr %#x", g, op.Proc, op.Index, op.Addr)
-			scViolation = true
-		} else {
-			scResult = fmt.Sprintf("consistent (%s)", g)
+		switch g := d.scGraph; {
+		case r.SCViol:
+			fmt.Printf("SC VIOLATION: %s at proc %d memory op %d addr %#x\n", g, d.scOp.Proc, d.scOp.Index, d.scOp.Addr)
+			printCycle(g.FindCyclePath())
+		case g != nil:
+			fmt.Printf("sequentially consistent ✓ (%s)\n", g)
 		}
-		if !*jsonOut {
-			if cyc {
-				fmt.Printf("SC VIOLATION: %s at proc %d memory op %d addr %#x\n", g, op.Proc, op.Index, op.Addr)
-				printCycle(g.FindCyclePath())
-			} else {
-				fmt.Printf("sequentially consistent ✓ (%s)\n", g)
-			}
+		if s.Faults != nil {
+			fmt.Println(s.Faults.Summary())
+			fmt.Printf("fault detection latency: %s\n", s.Faults.Lat.String())
 		}
-	}
-	if !*jsonOut && s.Faults != nil {
-		fmt.Println(s.Faults.Summary())
-		fmt.Printf("fault detection latency: %s\n", s.Faults.Lat.String())
-	}
-	if *jsonOut {
-		out := resultJSON(res, *seed, elapsed.Seconds())
-		if *verifySC {
-			out.SC = &scResult
-		}
-		attachDiagnostics(&out, s, incomplete)
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(exitcode.Err)
-		}
+	} else if err := json.NewEncoder(os.Stdout).Encode(r.Out); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(exitcode.Err)
 	}
 	if tracer != nil {
 		if ring != nil {
@@ -326,44 +297,12 @@ func main() {
 		}
 	}
 	if *verbose && !*jsonOut {
-		fmt.Print(res.Counters)
+		fmt.Print(d.res.Counters)
 	}
-	// Exit-path audit: every soundness failure is a nonzero exit, in
-	// severity order. An SC violation outranks everything; a watchdog
-	// deadlock outranks the incomplete-run it necessarily causes; a fault
-	// that escaped detection is reported even when the run completed.
-	switch {
-	case scViolation:
-		os.Exit(exitcode.SCViolation)
-	case s.Deadlock != nil:
-		fmt.Fprintf(os.Stderr, "DEADLOCK:\n%s", s.Deadlock)
-		os.Exit(exitcode.Deadlock)
-	case s.Faults != nil && s.Faults.Stats.Missed > 0:
-		fmt.Fprintf(os.Stderr, "FAULT MISS: %d injected fault(s) committed undetected (%s)\n",
-			s.Faults.Stats.Missed, s.Faults.Summary())
-		os.Exit(exitcode.FaultEscape)
-	case incomplete:
-		fmt.Fprintf(os.Stderr, "INCOMPLETE: committed %d of %d target instructions\n",
-			p.Committed, *insts*uint64(*cores))
-		os.Exit(exitcode.Incomplete)
+	if s.Deadlock != nil {
+		fmt.Fprintln(os.Stderr, s.Deadlock)
 	}
-}
-
-// faultConfig builds the injector configuration from the -fault* flags;
-// nil means injection is off. A zero fault seed derives one from the
-// simulation seed so distinct -seed runs draw distinct fault streams.
-func faultConfig(kinds string, rate float64, fseed uint64, delay int64, simSeed uint64) (*fault.Config, error) {
-	if kinds == "" {
-		return nil, nil
-	}
-	ks, err := fault.ParseKinds(kinds)
-	if err != nil {
-		return nil, err
-	}
-	if fseed == 0 {
-		fseed = simSeed ^ 0x9e3779b97f4a7c15
-	}
-	return &fault.Config{Kinds: ks, Rate: rate, Seed: fseed, Delay: delay}, nil
+	exit([]seedRun{r}, o.target(), false)
 }
 
 // attachDiagnostics copies the run's fault/watchdog/progress state onto
@@ -485,29 +424,121 @@ func writerName(w consistency.Writer) string {
 	return fmt.Sprintf("proc %d store#%d", w.Proc(), w.StoreSeq())
 }
 
-// sweepOptions scopes one -seeds sweep.
-type sweepOptions struct {
+// runOptions scopes one run of the workload: the single run, or one
+// cell of a -seeds sweep.
+type runOptions struct {
 	cores    int
 	insts    uint64
+	verifySC bool
+	fault    *fault.Config
+	wdCycles int64
+
+	// The single run's event tracer and snapshot interval; a sweep's
+	// cells interleave, so they run with neither.
+	trace     *trace.Tracer
+	snapEvery int64
+}
+
+// target is the run's commit target, summed over its cores.
+func (o runOptions) target() uint64 { return o.insts * uint64(o.cores) }
+
+// sweepOptions scopes one -seeds sweep.
+type sweepOptions struct {
+	runOptions
 	baseSeed uint64
 	seeds    int
 	workers  int
-	verifySC bool
 	jsonOut  bool
 
-	fault       *fault.Config
-	wdCycles    int64
 	cellTimeout time.Duration
 	retries     int
 	journal     string
 }
 
-// seedRun is the journaled per-cell record of a -seeds sweep: the full
-// -json result plus the SC verdict bit, so a resumed cell replays
+// seedRun is the record of one run: the full -json result plus the SC
+// verdict bit. A sweep journals it, so a resumed cell replays
 // bit-identically in both output modes without re-simulating.
 type seedRun struct {
 	Out    jsonResult `json:"out"`
 	SCViol bool       `json:"sc_viol,omitempty"`
+}
+
+// runDetail is what a run leaves besides its record, for the single
+// run's text report: the machine, its result and its SC check (scGraph
+// is nil without -sc).
+type runDetail struct {
+	s       *system.System
+	res     system.Result
+	scOp    consistency.Op
+	scGraph *consistency.Graph
+}
+
+// runSeed runs the workload at seed: the single run, and the cell body
+// of a -seeds sweep, so a seed's record is the same either way. Its
+// fault plan is the -fault plan for its seed (fault.Config.ForRun).
+func runSeed(cfg config.Machine, work workload.Params, o runOptions, seed uint64) (seedRun, runDetail) {
+	opt := system.Options{
+		Cores: o.cores, Seed: seed,
+		DMAInterval: 4000, DMABurst: 2,
+		TrackConsistency: o.verifySC,
+		Trace:            o.trace,
+		SnapshotInterval: o.snapEvery,
+		Fault:            o.fault.ForRun(seed),
+		WatchdogCycles:   o.wdCycles,
+	}
+	d := runDetail{s: system.New(cfg, work, opt)}
+	start := time.Now()
+	d.res = d.s.Run(o.insts, opt)
+	r := seedRun{Out: resultJSON(d.res, seed, time.Since(start).Seconds())}
+	if o.verifySC {
+		// The check runs before the single run flushes its trace, so the
+		// checker's graph-edge events land in the trace file.
+		var cyc bool
+		d.scOp, cyc, d.scGraph = d.s.CheckSC()
+		sc := fmt.Sprintf("consistent (%s)", d.scGraph)
+		if cyc {
+			sc = fmt.Sprintf("violation: %s at proc %d op %d addr %#x", d.scGraph, d.scOp.Proc, d.scOp.Index, d.scOp.Addr)
+			r.SCViol = true
+		}
+		r.Out.SC = &sc
+	}
+	attachDiagnostics(&r.Out, d.s, d.res.Pipe.Committed < o.target())
+	return r, d
+}
+
+// exit ends the process on the worst soundness failure among runs, in
+// severity order: an SC violation outranks everything, a watchdog
+// deadlock outranks the incomplete run it necessarily causes, and a
+// fault that escaped detection is reported even when its run completed.
+// Runs that are all sound still exit 1 when a sweep cell failed
+// outright. A failed cell's record holds only its error.
+func exit(runs []seedRun, target uint64, cellsFailed bool) {
+	first := func(bad func(r *seedRun) bool) *jsonResult {
+		for i := range runs {
+			if bad(&runs[i]) {
+				return &runs[i].Out
+			}
+		}
+		return nil
+	}
+	if first(func(r *seedRun) bool { return r.SCViol }) != nil {
+		os.Exit(exitcode.SCViolation)
+	}
+	if o := first(func(r *seedRun) bool { return r.Out.DeadlockCycle != 0 }); o != nil {
+		fmt.Fprintf(os.Stderr, "DEADLOCK: seed %d stopped at cycle %d\n", o.Seed, o.DeadlockCycle)
+		os.Exit(exitcode.Deadlock)
+	}
+	if o := first(func(r *seedRun) bool { return r.Out.Faults != nil && r.Out.Faults.Missed > 0 }); o != nil {
+		fmt.Fprintf(os.Stderr, "FAULT MISS: seed %d committed %d injected fault(s) undetected\n", o.Seed, o.Faults.Missed)
+		os.Exit(exitcode.FaultEscape)
+	}
+	if o := first(func(r *seedRun) bool { return r.Out.Incomplete }); o != nil {
+		fmt.Fprintf(os.Stderr, "INCOMPLETE: seed %d committed %d of %d target instructions\n", o.Seed, o.Committed, target)
+		os.Exit(exitcode.Incomplete)
+	}
+	if cellsFailed {
+		os.Exit(exitcode.Err)
+	}
 }
 
 // seedSweep is a finished -seeds sweep: one record per seed in seed
@@ -536,7 +567,10 @@ func sweepSeeds(cfg config.Machine, work workload.Params, o sweepOptions) (seedS
 				fmt.Sprintf("watchdog=%d", o.wdCycles))
 		},
 		Label: func(i int) string { return fmt.Sprintf("seed=%d", seed(i)) },
-	}, o.seeds, func(i int) (seedRun, error) { return runSeed(cfg, work, o, seed(i)), nil })
+	}, o.seeds, func(i int) (seedRun, error) {
+		r, _ := runSeed(cfg, work, o.runOptions, seed(i))
+		return r, nil
+	})
 	if err != nil {
 		return seedSweep{}, err
 	}
@@ -551,40 +585,6 @@ func sweepSeeds(cfg config.Machine, work workload.Params, o sweepOptions) (seedS
 	return sw, nil
 }
 
-// runSeed is one cell of a -seeds sweep: the workload run at seed.
-func runSeed(cfg config.Machine, work workload.Params, o sweepOptions, seed uint64) seedRun {
-	opt := system.Options{
-		Cores: o.cores, Seed: seed,
-		DMAInterval: 4000, DMABurst: 2,
-		TrackConsistency: o.verifySC,
-		WatchdogCycles:   o.wdCycles,
-	}
-	if o.fault.Enabled() {
-		// Each cell draws its own fault stream, derived from its seed
-		// the same way the litmus sweep derives per-run fault seeds.
-		d := *o.fault
-		d.Seed = o.fault.Seed ^ (seed * 0x2545f4914f6cdd1d)
-		opt.Fault = &d
-	}
-	s := system.New(cfg, work, opt)
-	start := time.Now()
-	res := s.Run(o.insts, opt)
-	r := seedRun{Out: resultJSON(res, seed, time.Since(start).Seconds())}
-	if o.verifySC {
-		op, cyc, g := s.CheckSC()
-		var scText string
-		if cyc {
-			scText = fmt.Sprintf("violation: %s at proc %d op %d addr %#x", g, op.Proc, op.Index, op.Addr)
-			r.SCViol = true
-		} else {
-			scText = fmt.Sprintf("consistent (%s)", g)
-		}
-		r.Out.SC = &scText
-	}
-	attachDiagnostics(&r.Out, s, res.Pipe.Committed < o.insts*uint64(o.cores))
-	return r
-}
-
 // runSeedSweep runs the sweep and reports every run in seed order: JSON
 // Lines (one -json object per run) or a text table with an IPC summary.
 // Results are written only after every cell finishes, so output order —
@@ -596,18 +596,11 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(exitcode.Err)
 	}
-	runs, failed, failures := sw.runs, sw.failed, sw.failures
-
-	anyViolation, anyDeadlock, anyMissed, anyIncomplete := false, false, false, false
 	var ipc stats.Sample
 	enc := json.NewEncoder(os.Stdout)
-	for i := range runs {
-		r := &runs[i]
-		if !failed[i] {
-			anyViolation = anyViolation || r.SCViol
-			anyDeadlock = anyDeadlock || r.Out.DeadlockCycle != 0
-			anyMissed = anyMissed || (r.Out.Faults != nil && r.Out.Faults.Missed > 0)
-			anyIncomplete = anyIncomplete || r.Out.Incomplete
+	for i := range sw.runs {
+		r := &sw.runs[i]
+		if !sw.failed[i] {
 			ipc.Observe(r.Out.IPC)
 		}
 		if o.jsonOut {
@@ -617,7 +610,7 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 			}
 			continue
 		}
-		if failed[i] {
+		if sw.failed[i] {
 			fmt.Printf("seed=%-6d FAILED: %s\n", o.baseSeed+uint64(i), r.Out.Error)
 			continue
 		}
@@ -642,23 +635,12 @@ func runSeedSweep(cfg config.Machine, work workload.Params, o sweepOptions) {
 			fmt.Printf("resumed %d cell(s) from %s\n", sw.resumed, o.journal)
 		}
 	}
-	for _, f := range failures {
+	for _, f := range sw.failures {
 		fmt.Fprintf(os.Stderr, "FAILED %s\n", f)
 	}
 	// Graceful degradation: completed cells were all reported above;
 	// any soundness or infrastructure failure still exits nonzero.
-	switch {
-	case anyViolation:
-		os.Exit(exitcode.SCViolation)
-	case anyDeadlock:
-		os.Exit(exitcode.Deadlock)
-	case anyMissed:
-		os.Exit(exitcode.FaultEscape)
-	case anyIncomplete:
-		os.Exit(exitcode.Incomplete)
-	case len(failures) > 0:
-		os.Exit(exitcode.Err)
-	}
+	exit(sw.runs, o.target(), len(sw.failures) > 0)
 }
 
 func max64(a, b uint64) uint64 {

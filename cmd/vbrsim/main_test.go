@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vbmo/internal/config"
+	"vbmo/internal/fault"
 	"vbmo/internal/workload"
 )
 
@@ -23,7 +24,7 @@ func TestSweepKeepsAbandonedSeedsFailed(t *testing.T) {
 	work, _ := workload.ByName("gzip")
 	before := runtime.NumGoroutine()
 	sw, err := sweepSeeds(cfg, work, sweepOptions{
-		cores: 1, insts: 3000, baseSeed: 1, seeds: 6, cellTimeout: time.Microsecond,
+		runOptions: runOptions{cores: 1, insts: 3000}, baseSeed: 1, seeds: 6, cellTimeout: time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func TestSweepKeepsAbandonedSeedsFailed(t *testing.T) {
 func TestSeedSweepResume(t *testing.T) {
 	cfg, _ := config.ByName("no-recent-snoop")
 	work, _ := workload.ByName("gzip")
-	o := sweepOptions{cores: 1, insts: 3000, baseSeed: 1, seeds: 4}
+	o := sweepOptions{runOptions: runOptions{cores: 1, insts: 3000}, baseSeed: 1, seeds: 4}
 	sweep := func(o sweepOptions) seedSweep {
 		t.Helper()
 		sw, err := sweepSeeds(cfg, work, o)
@@ -102,5 +103,34 @@ func TestSeedSweepResume(t *testing.T) {
 	o.insts = 4000
 	if other := sweep(o); other.resumed != 0 {
 		t.Fatalf("a sweep with a different -n replayed %d seeds", other.resumed)
+	}
+}
+
+// TestSingleRunIsSweepCell requires a fault-injected single run at seed
+// S to print the same -json record, but for its elapsed time, as the
+// seed-S rows of the sweeps that start at S-1 and at S: a run's fault
+// stream depends only on the fault seed and its own seed, not on where
+// a sweep started.
+func TestSingleRunIsSweepCell(t *testing.T) {
+	cfg, _ := config.ByName("replay-all")
+	work, _ := workload.ByName("gzip")
+	o := runOptions{cores: 1, insts: 5000,
+		fault: &fault.Config{Kinds: []fault.Kind{fault.LoadValue}, Rate: 0.01}}
+	single, _ := runSeed(cfg, work, o, 5)
+	single.Out.ElapsedSec = 0
+	if single.Out.Faults == nil || single.Out.Faults.Injected == 0 {
+		t.Fatalf("no fault injected at rate 0.01: %+v", single.Out.Faults)
+	}
+	for _, base := range []uint64{4, 5} {
+		sw, err := sweepSeeds(cfg, work, sweepOptions{runOptions: o, baseSeed: base, seeds: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := sw.runs[5-base]
+		row.Out.ElapsedSec = 0
+		if !reflect.DeepEqual(row, single) {
+			t.Errorf("seed 5 row of -seed %d -seeds 2 differs from the single run:\n row    %+v\n single %+v",
+				base, row.Out, single.Out)
+		}
 	}
 }

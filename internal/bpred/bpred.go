@@ -250,14 +250,6 @@ func (p *Predictor) History() uint64 { return p.history }
 // non-branch squash discards speculatively-updated history).
 func (p *Predictor) SetHistory(h uint64) { p.history = h }
 
-// MispredictRate returns mispredicts/lookups.
-func (p *Predictor) MispredictRate() float64 {
-	if p.Stats.Lookups == 0 {
-		return 0
-	}
-	return float64(p.Stats.Mispredicts) / float64(p.Stats.Lookups)
-}
-
 // PredictInst is a convenience wrapper: unconditional branches are
 // always predicted taken and do not consult the direction tables.
 func (p *Predictor) PredictInst(in isa.Inst, pc uint64) (bool, Meta) {

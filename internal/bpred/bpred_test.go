@@ -70,19 +70,21 @@ func TestGshareLearnsAlternatingPattern(t *testing.T) {
 func TestMispredictRateCounting(t *testing.T) {
 	p := New(small())
 	pc := uint64(0x40c)
+	wrong := uint64(0)
 	for i := 0; i < 10; i++ {
-		_, m := p.Predict(pc)
-		p.Update(pc, true, m)
+		pred, m := p.Predict(pc)
+		if pred {
+			wrong++ // the branch is never taken
+		}
+		p.Update(pc, false, m)
 	}
-	if p.Stats.Lookups != 10 {
-		t.Errorf("Lookups = %d", p.Stats.Lookups)
+	// The rate's two counts: every lookup, and exactly the lookups
+	// whose prediction differed from the outcome.
+	if p.Stats.Lookups != 10 || p.Stats.Mispredicts != wrong || wrong == 0 {
+		t.Errorf("Lookups = %d, Mispredicts = %d, want 10 and %d (> 0)", p.Stats.Lookups, p.Stats.Mispredicts, wrong)
 	}
-	if r := p.MispredictRate(); r < 0 || r > 1 {
-		t.Errorf("rate out of range: %v", r)
-	}
-	empty := New(small())
-	if empty.MispredictRate() != 0 {
-		t.Error("empty predictor rate should be 0")
+	if s := New(small()).Stats; s.Lookups != 0 || s.Mispredicts != 0 {
+		t.Errorf("empty predictor counted %+v", s)
 	}
 }
 

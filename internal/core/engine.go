@@ -99,10 +99,6 @@ type Stats struct {
 	// Mismatches counts replay values that differed from the premature
 	// value (each causes a squash).
 	Mismatches uint64
-	// MismatchesNUS counts mismatches on NUS-flagged loads
-	// (uniprocessor RAW violations); the rest are consistency
-	// violations.
-	MismatchesNUS uint64
 	// WindowEvents counts external events (snoops or misses, per the
 	// filter) that opened a replay window.
 	WindowEvents uint64
@@ -241,9 +237,6 @@ func (e *Engine) OnReplayComplete(ld Load, replayValue uint64) (squash bool) {
 		return false
 	}
 	e.Stats.Mismatches++
-	if ld.NUS {
-		e.Stats.MismatchesNUS++
-	}
 	return true
 }
 

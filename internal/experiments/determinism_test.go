@@ -110,6 +110,40 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	}
 }
 
+// TestFigure8SharesMatrixJournal runs the §5.1 matrix and then Figure
+// 8's machine set on one checkpoint journal, as `experiments -resume J
+// -experiment all` does. Cells are keyed by content, so the second run
+// must resume exactly the no-recent-snoop cells the matrix recorded and
+// run the constrained baselines, and its points must equal a fresh
+// run's.
+func TestFigure8SharesMatrixJournal(t *testing.T) {
+	cfg := Config{
+		UniInstr:  2000,
+		MPInstr:   600,
+		MPCores:   2,
+		Samples:   2,
+		Seed:      42,
+		Workloads: []string{"gzip", "radiosity"},
+	}
+	fig8 := []string{"no-recent-snoop", "baseline-lq32", "baseline-lq16"}
+	fresh := mustRun(t, cfg, fig8)
+
+	cfg.Checkpoint = filepath.Join(t.TempDir(), "all.jsonl")
+	mustRun(t, cfg, MachineNames)
+	shared := mustRun(t, cfg, fig8)
+	if want := len(cfg.Cells(fig8[:1])); shared.Resumed != want || len(shared.Failed) != 0 {
+		t.Fatalf("resumed %d cells with %d failed, want the matrix's %d no-recent-snoop cells",
+			shared.Resumed, len(shared.Failed), want)
+	}
+	for _, mc := range fig8 {
+		for _, w := range cfg.Workloads {
+			if a, b := fresh.Get(mc, w), shared.Get(mc, w); !reflect.DeepEqual(a, b) {
+				t.Errorf("%s/%s: shared-journal point differs from a fresh run's:\n fresh  %+v\n shared %+v", mc, w, a, b)
+			}
+		}
+	}
+}
+
 func splitLines(b []byte) [][]byte {
 	var out [][]byte
 	start := 0

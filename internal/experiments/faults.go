@@ -36,10 +36,11 @@ type FaultSummary struct {
 	Injected, Detected, Missed, Vacated, Benign uint64
 	// ValueOK: replay-all saw corruptions and let none commit undetected.
 	ValueOK bool
-	// SuppressOK: every filter-breaking sabotage kind was flagged by the
-	// SC oracle or constraint-graph checker at least once.
+	// SuppressOK: every sabotage kind that took filter inputs away was
+	// flagged by the SC oracle or constraint-graph checker at least once
+	// (fault.Config.Judge).
 	SuppressOK bool
-	// Escaped lists sabotage kinds the checker never flagged.
+	// Escaped lists sabotage kinds that interfered but were never flagged.
 	Escaped []string
 }
 
@@ -168,29 +169,20 @@ func FaultMatrix(w io.Writer, cfg Config) FaultSummary {
 	}
 
 	// ---- Matrix 2: filter sabotage vs. the checker ----
-	// Each sabotage kind runs the filtered sound configurations through
-	// the litmus battery at rate 1.0; a kind that breaks the soundness
-	// argument must produce flagged runs. Delay kinds stretch message
-	// timing without losing information — the windowing is expected to
-	// absorb them, so they are informational.
+	// Each kind runs the filtered sound configurations through the
+	// litmus battery at rate 1.0, and fault.Config.Judge gives the
+	// verdict: a drop or suppression that took inputs away must produce
+	// flagged runs. Delays are informational because they model broken
+	// notification timing, not a broken filter rule, though the checker
+	// does flag some of their runs. suppress-nus never interferes: the
+	// battery's programs resolve store addresses before younger loads
+	// issue, so no NUS flag arises to suppress.
 	runs := cfg.LitmusRuns
 	if runs <= 0 {
 		runs = 300
 	}
-	// suppress-nus is informational: litmus programs resolve store
-	// addresses before younger loads issue, so the NUS flag never arises
-	// in the battery and there is nothing to suppress (interference 0).
-	sabotage := []struct {
-		kind     fault.Kind
-		asserted bool
-	}{
-		{fault.SuppressWindow, true},
-		{fault.SuppressNUS, false},
-		{fault.DropSnoop, true},
-		{fault.DropFill, true},
-		{fault.DelaySnoop, false},
-		{fault.DelayFill, false},
-	}
+	kinds := []fault.Kind{fault.SuppressWindow, fault.SuppressNUS, fault.DropSnoop,
+		fault.DropFill, fault.DelaySnoop, fault.DelayFill}
 	var tests []*litmus.Test
 	for _, name := range []string{"SB", "MP"} {
 		if t, ok := litmus.ByName(name); ok {
@@ -207,41 +199,31 @@ func FaultMatrix(w io.Writer, cfg Config) FaultSummary {
 		len(tests), len(cols), runs)
 	fmt.Fprintf(w, "%-16s %12s %8s  %s\n", "kind", "interference", "flagged", "verdict")
 	sum.SuppressOK = true
-	for _, sb := range sabotage {
+	for _, kind := range kinds {
+		fc := &fault.Config{
+			Kinds: []fault.Kind{kind},
+			Rate:  1.0,
+			Seed:  cfg.Seed ^ 0x9e3779b97f4a7c15 ^ uint64(kind)<<32,
+		}
 		verdicts, err := litmus.Sweep(litmus.SweepOptions{
 			Tests: tests, Configs: cols,
-			Runs: runs, Workers: cfg.Workers, Seed: cfg.Seed,
-			Fault: &fault.Config{
-				Kinds: []fault.Kind{sb.kind},
-				Rate:  1.0,
-				Seed:  cfg.Seed ^ 0x9e3779b97f4a7c15 ^ uint64(sb.kind)<<32,
-			},
+			Runs: runs, Workers: cfg.Workers, Seed: cfg.Seed, Fault: fc,
 		})
 		if err != nil {
 			// No checkpoint is configured here; treat a sweep that cannot
 			// run as a failed sabotage assertion rather than a panic.
-			fmt.Fprintf(w, "%-16s sweep error: %v\n", sb.kind.String(), err)
+			fmt.Fprintf(w, "%-16s sweep error: %v\n", kind.String(), err)
 			sum.SuppressOK = false
-			sum.Escaped = append(sum.Escaped, sb.kind.String())
+			sum.Escaped = append(sum.Escaped, kind.String())
 			continue
 		}
-		var interference uint64
-		caught := 0
-		for _, v := range verdicts {
-			interference += v.FaultDropped + v.FaultDelayed + v.FaultSuppressed
-			caught += v.Forbidden + v.Cycles
+		st, flagged := litmus.Tally(verdicts)
+		verdict := fc.Judge(st, flagged)
+		if verdict == fault.Escaped {
+			sum.SuppressOK = false
+			sum.Escaped = append(sum.Escaped, kind.String())
 		}
-		verdict := "informational (timing only)"
-		if sb.asserted {
-			if caught > 0 {
-				verdict = "CAUGHT"
-			} else {
-				verdict = "ESCAPED"
-				sum.SuppressOK = false
-				sum.Escaped = append(sum.Escaped, sb.kind.String())
-			}
-		}
-		fmt.Fprintf(w, "%-16s %12d %8d  %s\n", sb.kind.String(), interference, caught, verdict)
+		fmt.Fprintf(w, "%-16s %12d %8d  %s\n", kind.String(), st.Dropped+st.Delayed+st.Suppressed, flagged, verdict)
 	}
 
 	fmt.Fprintf(w, "value corruption contained: %v   filter sabotage flagged: %v\n",

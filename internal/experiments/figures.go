@@ -143,8 +143,10 @@ func Figure7(w io.Writer, m *Matrix) {
 // associative load queues are constrained to 16 and 32 entries; values
 // are replay IPC divided by constrained-baseline IPC (>1 means replay
 // is faster). The error is non-nil only when cfg.Checkpoint names an
-// unusable journal (Figure 8 sweeps a different machine set than the
-// §5.1 matrix, so sharing one journal path cannot work).
+// unusable journal. Figure 8 may share the §5.1 matrix's journal:
+// cells are keyed by content (cachekey.Sim), so its no-recent-snoop
+// cells replay the matrix's records and only the two constrained
+// baselines run.
 func Figure8(w io.Writer, cfg Config) error {
 	machines := []string{"no-recent-snoop", "baseline-lq32", "baseline-lq16"}
 	m, err := Run(cfg, machines)

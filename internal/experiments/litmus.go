@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"vbmo/internal/litmus"
 )
@@ -36,44 +35,7 @@ func LitmusMatrix(w io.Writer, cfg Config) litmus.Summary {
 		fmt.Fprintf(w, "litmus sweep error: %v\n", err)
 		return litmus.Summary{Errors: []string{err.Error()}}
 	}
-	byCell := make(map[string]litmus.Verdict, len(verdicts))
-	for _, v := range verdicts {
-		byCell[v.Test+"/"+v.Config] = v
-	}
-
-	fmt.Fprintf(w, "%-10s", "")
-	for _, c := range cols {
-		fmt.Fprintf(w, " %-10s", c.Name)
-	}
-	fmt.Fprintln(w)
-	for _, t := range tests {
-		fmt.Fprintf(w, "%-10s", t.Name)
-		for _, c := range cols {
-			v := byCell[t.Name+"/"+c.Name]
-			cell := "ok"
-			switch {
-			case v.Sound && !v.Pass():
-				cell = fmt.Sprintf("FAIL(%d)", v.Forbidden+v.Cycles+v.Incomplete)
-			case !v.Sound && v.Caught():
-				cell = fmt.Sprintf("caught=%d", v.Forbidden+v.Cycles)
-			case !v.Sound:
-				cell = "escaped"
-			}
-			fmt.Fprintf(w, " %-10s", cell)
-		}
-		fmt.Fprintln(w)
-	}
-
 	sum := litmus.Summarize(verdicts)
-	fmt.Fprintf(w, "sound configurations clean: %v", sum.SoundOK)
-	if len(sum.FailedCells) > 0 {
-		fmt.Fprintf(w, "  (failed: %s)", strings.Join(sum.FailedCells, ", "))
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "unsound configuration caught: %v", sum.UnsoundCaught)
-	if len(sum.CaughtBy) > 0 {
-		fmt.Fprintf(w, "  (by: %s)", strings.Join(sum.CaughtBy, ", "))
-	}
-	fmt.Fprintln(w)
+	litmus.WriteMatrix(w, verdicts, sum, tests, cols)
 	return sum
 }

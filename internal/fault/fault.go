@@ -89,6 +89,40 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// Class is what a kind attacks, which decides how a run under it is
+// judged (Config.Judge).
+type Class uint8
+
+const (
+	// Corruption kinds flip a load's value; commit-time replay must
+	// detect the flip, and a missed one is vbrsim's exit 5.
+	Corruption Class = iota
+	// Delay kinds deliver a filter's notification late. They model
+	// broken notification timing, not a broken filter rule, so a
+	// battery run under them is informational.
+	Delay
+	// Sabotage kinds drop or suppress a filter input. A sabotaged
+	// filter is an unsound filter, so the checker must flag its runs.
+	Sabotage
+
+	numClasses
+)
+
+var kindClasses = [numKinds]Class{
+	LoadValue:      Corruption,
+	CacheData:      Corruption,
+	DropSnoop:      Sabotage,
+	DelaySnoop:     Delay,
+	DropFill:       Sabotage,
+	DelayFill:      Delay,
+	SuppressNUS:    Sabotage,
+	SuppressWindow: Sabotage,
+	SuppressRule3:  Sabotage,
+}
+
+// Class returns the kind's class.
+func (k Kind) Class() Class { return kindClasses[k] }
+
 // reason maps a kind to its trace reason.
 func (k Kind) reason() trace.Reason {
 	return trace.RFaultLoadValue + trace.Reason(k)
@@ -160,6 +194,91 @@ type Config struct {
 // Enabled reports whether the configuration injects anything.
 func (c *Config) Enabled() bool {
 	return c != nil && len(c.Kinds) > 0 && c.Rate > 0
+}
+
+// FromFlags turns the CLIs' -fault, -fault-rate, -fault-seed and
+// -fault-delay values into a plan; an empty kind list is nil, no plan.
+func FromFlags(kinds string, rate float64, seed uint64, delay int64) (*Config, error) {
+	if kinds == "" {
+		return nil, nil
+	}
+	ks, err := ParseKinds(kinds)
+	if err != nil {
+		return nil, err
+	}
+	return &Config{Kinds: ks, Rate: rate, Seed: seed, Delay: delay}, nil
+}
+
+// ForRun returns the plan of the run at the given seed: c with the
+// run's seed mixed into its own, so the runs of a sweep draw
+// independent streams, and a run's stream depends only on the two
+// seeds. It returns nil when c injects nothing.
+func (c *Config) ForRun(seed uint64) *Config {
+	if !c.Enabled() {
+		return nil
+	}
+	d := *c
+	d.Seed = c.Seed ^ (seed * 0x2545f4914f6cdd1d)
+	return &d
+}
+
+// Verdict judges a litmus battery swept under a plan (Config.Judge).
+type Verdict uint8
+
+const (
+	// Unsabotaged: no plan, or filter sabotage that never dropped or
+	// suppressed an input. The battery ran as a plain one and answers
+	// to the plain battery's contract.
+	Unsabotaged Verdict = iota
+	// Corrupted: the plan corrupts values and sabotages nothing that
+	// took. Informational; replay's detection is asserted elsewhere.
+	Corrupted
+	// Delayed: the plan only delays notifications. Informational.
+	Delayed
+	// Caught: the sabotage took filter inputs away and the checker
+	// flagged a run of a sound configuration.
+	Caught
+	// Escaped: the sabotage took filter inputs away and no run of a
+	// sound configuration was flagged: the checker missed it.
+	Escaped
+)
+
+var verdictNames = [...]string{
+	Unsabotaged: "informational (no interference)",
+	Corrupted:   "informational (value corruption)",
+	Delayed:     "informational (timing only)",
+	Caught:      "CAUGHT",
+	Escaped:     "ESCAPED",
+}
+
+// String returns the verdict as the faults experiment prints it.
+func (v Verdict) String() string { return verdictNames[v] }
+
+// Judge returns the verdict on a litmus battery swept under plan c: st
+// is the plan's accounting summed over the battery, and flagged counts
+// the runs of sound configurations whose outcome the SC oracle forbade
+// or whose constraint graph was cyclic. Filter sabotage is judged by
+// what it did: one that dropped or suppressed an input must be flagged,
+// and one that never did leaves a plain battery.
+func (c *Config) Judge(st Stats, flagged int) Verdict {
+	var has [numClasses]bool
+	if c.Enabled() {
+		for _, k := range c.Kinds {
+			has[k.Class()] = true
+		}
+	}
+	interfered := st.Dropped+st.Suppressed > 0
+	switch {
+	case has[Sabotage] && interfered && flagged > 0:
+		return Caught
+	case has[Sabotage] && interfered:
+		return Escaped
+	case has[Corruption]:
+		return Corrupted
+	case has[Delay]:
+		return Delayed
+	}
+	return Unsabotaged
 }
 
 // Outcome classifies what became of one injection.

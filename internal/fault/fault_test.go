@@ -57,6 +57,71 @@ func TestConfigEnabled(t *testing.T) {
 	}
 }
 
+// TestForRun pins the per-run derivation the litmus sweep has always
+// used, so a plan with an explicit seed draws the same streams as
+// before, and requires a disabled plan to stay nil.
+func TestForRun(t *testing.T) {
+	c := &Config{Kinds: []Kind{DropSnoop}, Rate: 1, Seed: 9, Delay: 5}
+	seed := uint64(7)
+	d := c.ForRun(seed)
+	if d == c || d.Seed != 9^(seed*0x2545f4914f6cdd1d) || d.Rate != 1 || d.Delay != 5 || c.Seed != 9 {
+		t.Fatalf("ForRun(7) = %+v from %+v", d, c)
+	}
+	if (*Config)(nil).ForRun(7) != nil || (&Config{Kinds: []Kind{LoadValue}}).ForRun(7) != nil {
+		t.Fatal("a plan that injects nothing must derive no plan")
+	}
+	if d, err := FromFlags("", 1, 3, 0); d != nil || err != nil {
+		t.Fatalf("empty -fault: %v, %v", d, err)
+	}
+	if d, err := FromFlags("drop-fill", 0.5, 3, 10); err != nil || d.Seed != 3 || d.Rate != 0.5 || d.Delay != 10 || d.Kinds[0] != DropFill {
+		t.Fatalf("FromFlags: %+v, %v", d, err)
+	}
+}
+
+// TestJudge covers every verdict a litmus battery can get under a fault
+// plan: sabotage that took inputs away is caught or escapes by whether
+// anything was flagged, sabotage that never took one leaves a plain
+// battery, and corruption and delays are informational whatever the
+// checker flagged.
+func TestJudge(t *testing.T) {
+	plan := func(ks ...Kind) *Config { return &Config{Kinds: ks, Rate: 1} }
+	for _, c := range []struct {
+		name    string
+		plan    *Config
+		st      Stats
+		flagged int
+		want    Verdict
+	}{
+		{"no plan", nil, Stats{}, 0, Unsabotaged},
+		{"suppression caught", plan(SuppressWindow), Stats{Suppressed: 40}, 3, Caught},
+		{"drop caught", plan(DropSnoop), Stats{Dropped: 40}, 1, Caught},
+		{"suppression escaped", plan(SuppressWindow), Stats{Suppressed: 40}, 0, Escaped},
+		{"drop escaped", plan(DropFill), Stats{Dropped: 1}, 0, Escaped},
+		{"no interference", plan(SuppressNUS), Stats{}, 0, Unsabotaged},
+		{"rule 3 never armed", plan(SuppressRule3), Stats{}, 0, Unsabotaged},
+		{"delays only", plan(DelaySnoop), Stats{Delayed: 40}, 5, Delayed},
+		{"drops never taken beside delays", plan(DropSnoop, DelaySnoop), Stats{Delayed: 40}, 0, Delayed},
+		{"value corruption", plan(LoadValue, CacheData), Stats{Injected: 40, Missed: 3}, 2, Corrupted},
+		{"disabled plan", &Config{Kinds: []Kind{DropSnoop}}, Stats{}, 0, Unsabotaged},
+	} {
+		if got := c.plan.Judge(c.st, c.flagged); got != c.want {
+			t.Errorf("%s: Judge = %v, want %v", c.name, got, c.want)
+		}
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		want := Sabotage
+		switch {
+		case strings.HasPrefix(k.String(), "delay-"):
+			want = Delay
+		case k == LoadValue || k == CacheData:
+			want = Corruption
+		}
+		if k.Class() != want {
+			t.Errorf("%v: class %d, want %d", k, k.Class(), want)
+		}
+	}
+}
+
 func TestInjectorDeterminism(t *testing.T) {
 	run := func() []Injection {
 		in := NewInjector(Config{Kinds: []Kind{LoadValue}, Rate: 0.5, Seed: 7}, nil)

@@ -167,7 +167,7 @@ type RunResult struct {
 // RunOne executes one litmus test once on one machine with the
 // perturbation derived from seed, classifies the outcome against the
 // oracle, and cross-checks the run with the constraint-graph checker.
-// fc (when enabled) is instantiated with a per-run derived seed, so
+// fc (when enabled) is instantiated per run (fault.Config.ForRun), so
 // every run of a sweep cell draws an independent, reproducible fault
 // stream. cores beyond the test's threads run spin-only sections
 // (CompileOn), so the test executes inside a wider SMP with the extra
@@ -201,13 +201,7 @@ func runOn(s *system.System, mc config.Machine, t *Test, as *AllowedSet, seed ui
 		DMABurst:         2,
 		NoStageSkip:      p.NoStageSkip,
 		Trace:            tr,
-	}
-	if fc.Enabled() {
-		// Derive a per-run fault seed so runs stay independent but any
-		// single (seed, fault seed) pair replays exactly.
-		derived := *fc
-		derived.Seed = fc.Seed ^ (seed * 0x2545f4914f6cdd1d)
-		opt.Fault = &derived
+		Fault:            fc.ForRun(seed),
 	}
 	// The probe hook needs the system, which needs the options: close
 	// over a slot filled in once the machine is built.

@@ -14,23 +14,6 @@ package lsq
 
 import "vbmo/internal/reuse"
 
-// StoreEntry is one in-flight store.
-type StoreEntry struct {
-	// Tag is the store's ROB sequence number (program order).
-	Tag int64
-	// Addr is the effective address, meaningful once AddrValid is set
-	// by the store's address generation.
-	Addr uint64
-	// AddrValid marks stores whose address has resolved; unresolved
-	// stores are what the no-unresolved-store filter watches for.
-	AddrValid bool
-	// Data is the store's value, meaningful once DataValid is set by
-	// data capture (forwarding requires it).
-	Data uint64
-	// DataValid marks stores whose data operand has been captured.
-	DataValid bool
-}
-
 // SearchResult reports a store-queue search by a load.
 type SearchResult struct {
 	// Latency is the forwarding latency in cycles (0 = the fast path;
@@ -188,19 +171,14 @@ func (q *StoreQueue) SetData(h Handle, data uint64) {
 	q.dataOK[i] = true
 }
 
-// Entry returns a copy of the entry with the given tag, found by binary
-// search: a store-set wait names its store by tag.
-func (q *StoreQueue) Entry(tag int64) (StoreEntry, bool) {
+// AwaitsAddr reports whether the store with the given tag is still
+// queued with its address unresolved, found by binary search: a
+// store-set wait names its store by tag, and ends when the store's
+// address resolves or the store leaves the queue.
+func (q *StoreQueue) AwaitsAddr(tag int64) bool {
 	h := q.w.find(tag)
 	i := q.w.Slot(h)
-	if h == q.w.Tail() || q.w.tags[i] != tag {
-		return StoreEntry{}, false
-	}
-	return StoreEntry{
-		Tag:  tag,
-		Addr: q.addrs[i], AddrValid: q.addrOK[i],
-		Data: q.data[i], DataValid: q.dataOK[i],
-	}, true
+	return h != q.w.Tail() && q.w.tags[i] == tag && !q.addrOK[i]
 }
 
 // Search probes for the youngest older store matching addr, as a load

@@ -1151,7 +1151,7 @@ func (c *Core) issueLoad(e *entry, b *fuBudget) (bool, bool) {
 	// event that can unblock it: its store's agen, an older agen, the
 	// forwarding store's data capture.
 	if e.waitStoreTag >= 0 {
-		if se, ok := c.sq.Entry(e.waitStoreTag); ok && !se.AddrValid {
+		if c.sq.AwaitsAddr(e.waitStoreTag) {
 			c.park(e, false, false) // store-set: wait for the store's agen
 			return false, false
 		}

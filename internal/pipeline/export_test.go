@@ -63,7 +63,7 @@ func (p *parkCounts) recorded(bit uint64) probeCount {
 // probe would count.
 func (c *Core) reprobe(e *entry) (bool, probeCount) {
 	if e.waitStoreTag >= 0 {
-		if se, ok := c.sq.Entry(e.waitStoreTag); ok && !se.AddrValid {
+		if c.sq.AwaitsAddr(e.waitStoreTag) {
 			return true, probeCount{}
 		}
 	}

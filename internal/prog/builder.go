@@ -34,9 +34,19 @@ func NewBuilder(entry uint64) *Builder {
 // Grow reserves room for n more instructions, so a generator that
 // knows its program's length emits it without regrowing the code. It
 // is one make, not slices.Grow, whose append of a made slice allocates
-// the slice too under the race detector (TestGenerateAllocs).
+// the slice too under the race detector (TestGenerateAllocs). A builder
+// that already has the room keeps its storage.
 func (b *Builder) Grow(n int) {
-	b.code = append(make([]isa.Inst, 0, len(b.code)+n), b.code...)
+	if cap(b.code)-len(b.code) < n {
+		b.code = append(make([]isa.Inst, 0, len(b.code)+n), b.code...)
+	}
+}
+
+// Reset empties the builder for the next program and keeps its code,
+// patch and label storage. The last Build's program shares that code,
+// so it must be dead before the builder emits again.
+func (b *Builder) Reset() {
+	b.code, b.patches, b.labels = b.code[:0], b.patches[:0], b.labels[:0]
 }
 
 // Pos returns the index the next emitted instruction will occupy.

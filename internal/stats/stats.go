@@ -31,41 +31,14 @@ func (c *Counters) Add(name string, n uint64) {
 	c.m[name] += n
 }
 
-// Inc increments counter name by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
 // Get returns the value of counter name (zero if absent).
 func (c *Counters) Get(name string) uint64 { return c.m[name] }
-
-// Set overwrites counter name.
-func (c *Counters) Set(name string, v uint64) {
-	if _, ok := c.m[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.m[name] = v
-}
 
 // Names returns counter names in first-use order.
 func (c *Counters) Names() []string {
 	out := make([]string, len(c.order))
 	copy(out, c.order)
 	return out
-}
-
-// Merge adds every counter in other into c.
-func (c *Counters) Merge(other *Counters) {
-	for _, name := range other.order {
-		c.Add(name, other.m[name])
-	}
-}
-
-// Ratio returns counter a divided by counter b, or 0 when b is zero.
-func (c *Counters) Ratio(a, b string) float64 {
-	den := c.m[b]
-	if den == 0 {
-		return 0
-	}
-	return float64(c.m[a]) / float64(den)
 }
 
 // String formats the counters one per line, sorted by name.

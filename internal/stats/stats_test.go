@@ -9,37 +9,15 @@ import (
 
 func TestCountersBasics(t *testing.T) {
 	c := NewCounters()
-	c.Inc("a")
+	c.Add("a", 1)
 	c.Add("a", 2)
 	c.Add("b", 10)
 	if c.Get("a") != 3 || c.Get("b") != 10 || c.Get("missing") != 0 {
 		t.Errorf("unexpected counts: a=%d b=%d", c.Get("a"), c.Get("b"))
 	}
-	c.Set("a", 1)
-	if c.Get("a") != 1 {
-		t.Error("Set failed")
-	}
 	names := c.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("Names = %v", names)
-	}
-}
-
-func TestCountersMergeAndRatio(t *testing.T) {
-	a := NewCounters()
-	a.Add("x", 5)
-	b := NewCounters()
-	b.Add("x", 7)
-	b.Add("y", 2)
-	a.Merge(b)
-	if a.Get("x") != 12 || a.Get("y") != 2 {
-		t.Errorf("merge: x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-	if r := a.Ratio("x", "y"); r != 6 {
-		t.Errorf("Ratio = %v, want 6", r)
-	}
-	if r := a.Ratio("x", "absent"); r != 0 {
-		t.Errorf("Ratio with zero denominator = %v, want 0", r)
 	}
 }
 

@@ -89,12 +89,3 @@ func (p *LastValue) Train(pc, actual uint64, predicted bool) {
 	e.value = actual
 	e.conf = 0
 }
-
-// Accuracy returns correct/(correct+incorrect) over issued predictions.
-func (p *LastValue) Accuracy() float64 {
-	total := p.Stats.Correct + p.Stats.Incorrect
-	if total == 0 {
-		return 0
-	}
-	return float64(p.Stats.Correct) / float64(total)
-}

@@ -47,11 +47,12 @@ func TestAccuracy(t *testing.T) {
 	p.Train(pc, 5, true)
 	p.Train(pc, 5, true)
 	p.Train(pc, 6, true)
-	if acc := p.Accuracy(); acc < 0.66 || acc > 0.67 {
-		t.Errorf("Accuracy = %v, want 2/3", acc)
+	// Two of the three issued predictions were right, 2/3 accuracy.
+	if p.Stats.Correct != 2 || p.Stats.Incorrect != 1 {
+		t.Errorf("correct/incorrect = %d/%d, want 2/1", p.Stats.Correct, p.Stats.Incorrect)
 	}
-	if New(64).Accuracy() != 0 {
-		t.Error("empty accuracy should be 0")
+	if s := New(64).Stats; s.Correct != 0 || s.Incorrect != 0 {
+		t.Errorf("empty predictor counted %+v", s)
 	}
 }
 

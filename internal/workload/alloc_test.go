@@ -8,15 +8,17 @@ import (
 // Heap budget of calibrating one program, averaged over ocean, jbb-mp
 // and spin-mp at seed 12: the uncached generation behind Generate, which
 // every fresh machine pays for its workload. Measured with Go 1.24:
-// 102.7 allocations and 408.5 KB per program (jbb-mp's 12,000
-// instructions take 0.96 MB of it), against 162 and 1.28 MB when
-// calibration filled a Committed record per step and each candidate
-// regrew its code and looked its labels up in a map. The bounds leave
-// ~15% headroom for the image's maps, whose growth varies across Go
+// 66 allocations and 185.6 KB per program (jbb-mp's 12,000
+// instructions take 415 KB of it), against 102.7 and 408.5 KB when
+// each of the three candidates had its own builder, and 162 and
+// 1.28 MB when calibration filled a Committed record per step and each
+// candidate regrew its code and looked its labels up in a map. The
+// bounds keep the 15 allocations and 61.5 KB of headroom the previous
+// bounds left for the image's maps, whose growth varies across Go
 // releases.
 const (
-	maxGenAllocs = 118
-	maxGenBytes  = 470_000
+	maxGenAllocs = 82
+	maxGenBytes  = 250_000
 )
 
 // TestGenerateAllocs gates the allocations and bytes of generating the

@@ -345,9 +345,10 @@ func (g *gen) closeLoop() {
 }
 
 // generateOnce builds one candidate program with the given sampling
-// probabilities.
-func generateOnce(p Params, seed uint64, pp probs) *prog.Program {
-	g := &gen{b: prog.NewBuilder(Entry), rnd: newRng(seed), p: p, pp: pp.normalized()}
+// probabilities on b, which it resets first.
+func generateOnce(b *prog.Builder, p Params, seed uint64, pp probs) *prog.Program {
+	b.Reset()
+	g := &gen{b: b, rnd: newRng(seed), p: p, pp: pp.normalized()}
 	// The last pattern, a loop close and the closing jump run past
 	// CodeSize by at most 15 instructions.
 	g.b.Grow(p.CodeSize + 16)
@@ -441,18 +442,20 @@ func Generate(p Params, seed uint64) *prog.Program {
 // generate is the uncached calibration loop behind Generate.
 func generate(p Params, seed uint64) *prog.Program {
 	adj := probs{load: p.LoadFrac, store: p.StoreFrac, branch: p.BranchFrac}
-	var out *prog.Program
-	for iter := 0; iter < 3; iter++ {
-		out = generateOnce(p, seed, adj)
+	// The three candidates share one builder's storage: each earlier
+	// one is dead once measured, and the last Build hands the storage
+	// to the kept program.
+	b := prog.NewBuilder(Entry)
+	for iter := 0; ; iter++ {
+		out := generateOnce(b, p, seed, adj)
 		if iter == 2 {
-			break
+			return out
 		}
 		m := measureMix(p, out, seed, 12000)
 		adj.load *= ratio(p.LoadFrac, m.load)
 		adj.store *= ratio(p.StoreFrac, m.store)
 		adj.branch *= ratio(p.BranchFrac, m.branch)
 	}
-	return out
 }
 
 // ratio returns target/actual clamped to [0.5, 2.5] to keep the
