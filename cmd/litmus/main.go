@@ -167,15 +167,8 @@ func main() {
 	elapsed := time.Since(start)
 
 	if *jsonOut {
-		out := struct {
-			Runs     int              `json:"runs"`
-			Seed     uint64           `json:"seed"`
-			Elapsed  float64          `json:"elapsed_sec"`
-			Verdicts []litmus.Verdict `json:"verdicts"`
-			Summary  litmus.Summary   `json:"summary"`
-		}{*runs, *seed, elapsed.Seconds(), verdicts, sum}
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(out); err != nil {
+		out := newReport(*runs, *seed, elapsed, verdicts, sum, fc)
+		if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(exitcode.Err)
 		}
@@ -198,6 +191,41 @@ func main() {
 	if failed(sum, verdict, *all && *testName == "") {
 		os.Exit(exitcode.Err)
 	}
+}
+
+// report is the -json output.
+type report struct {
+	Runs     int              `json:"runs"`
+	Seed     uint64           `json:"seed"`
+	Elapsed  float64          `json:"elapsed_sec"`
+	Verdicts []litmus.Verdict `json:"verdicts"`
+	Summary  litmus.Summary   `json:"summary"`
+	Faults   *faultTotals     `json:"faults,omitempty"`
+	Verdict  string           `json:"verdict,omitempty"`
+}
+
+// faultTotals is a plan's accounting summed over the sweep, the counts
+// the text report's faults line prints.
+type faultTotals struct {
+	Injected   uint64 `json:"injected"`
+	Detected   uint64 `json:"detected"`
+	Missed     uint64 `json:"missed"`
+	Dropped    uint64 `json:"dropped"`
+	Delayed    uint64 `json:"delayed"`
+	Suppressed uint64 `json:"suppressed"`
+}
+
+// newReport returns the -json output of a sweep. Under a fault plan fc
+// it carries the plan's totals and the judgement the exit code follows
+// (fault.Config.Judge); without one, both keys are absent.
+func newReport(runs int, seed uint64, elapsed time.Duration, verdicts []litmus.Verdict, sum litmus.Summary, fc *fault.Config) report {
+	r := report{Runs: runs, Seed: seed, Elapsed: elapsed.Seconds(), Verdicts: verdicts, Summary: sum}
+	if fc != nil {
+		st, flagged := litmus.Tally(verdicts)
+		r.Faults = &faultTotals{st.Injected, st.Detected, st.Missed, st.Dropped, st.Delayed, st.Suppressed}
+		r.Verdict = fc.Judge(st, flagged).String()
+	}
+	return r
 }
 
 // failed is the battery's exit contract. A cell that did not run

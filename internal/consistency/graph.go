@@ -116,15 +116,15 @@ func BuildWith(procs []Stream, log Log, background func(addr uint64) uint64, onE
 	b := builder{onEdge: onEdge}
 	b.writers.index(log)
 	loads, initial := 0, 0
-	g.forEach(func(node int32, op *Op) {
-		if op.Kind == OpStore {
-			if w := b.writers.find(op.Self); w != nil {
+	g.forEach(func(node int32, r *record) {
+		if r.kind() == OpStore {
+			if w := b.writers.find(r.w); w != nil {
 				w.node = node
 			}
 			return
 		}
 		loads++
-		if op.ReadsFrom == InitialValue {
+		if r.w == InitialValue {
 			initial++
 		}
 	})
@@ -193,7 +193,7 @@ type builder struct {
 // out every chain at once.
 func (b *builder) chains(log Log, background func(addr uint64) uint64) {
 	sorted := make([]addrEntry, 0, log.Len())
-	for _, c := range log {
+	for _, c := range log.chunks {
 		for _, v := range c {
 			sorted = append(sorted, addrEntry{v.Addr, int32(len(sorted))})
 		}
@@ -288,14 +288,14 @@ func (b *builder) groupReaders(g *Graph, loads, initial int) {
 	// sorted addresses with the chain table's.
 	slots := make([]int32, 0, loads)
 	inits := make([]addrEntry, 0, initial)
-	g.forEach(func(_ int32, op *Op) {
-		if op.Kind != OpLoad {
+	g.forEach(func(_ int32, r *record) {
+		if r.kind() != OpLoad {
 			return
 		}
 		k := int32(-1)
-		if op.ReadsFrom == InitialValue {
-			inits = append(inits, addrEntry{op.Addr, int32(len(slots))})
-		} else if w := b.writers.find(op.ReadsFrom); w != nil && w.slot >= 0 && b.addrs[b.chain[w.slot].word] == op.Addr {
+		if r.w == InitialValue {
+			inits = append(inits, addrEntry{r.addr(), int32(len(slots))})
+		} else if w := b.writers.find(r.w); w != nil && w.slot >= 0 && b.addrs[b.chain[w.slot].word] == r.addr() {
 			k = w.slot
 		}
 		slots = append(slots, k)
@@ -320,12 +320,12 @@ func (b *builder) groupReaders(g *Graph, loads, initial int) {
 	}
 	b.readers = make([]reader, b.first[len(b.chain)])
 	i := 0
-	g.forEach(func(node int32, op *Op) {
-		if op.Kind != OpLoad {
+	g.forEach(func(node int32, r *record) {
+		if r.kind() != OpLoad {
 			return
 		}
 		if k := slots[i]; k >= 0 {
-			b.readers[b.first[k]] = reader{value: op.Value, node: node}
+			b.readers[b.first[k]] = reader{value: r.value, node: node}
 			b.first[k]++
 		}
 		i++
@@ -414,7 +414,7 @@ type writerEntry struct {
 // index sizes the table to the log's writers.
 func (t *writerTable) index(log Log) {
 	procs := 0
-	for _, c := range log {
+	for _, c := range log.chunks {
 		for _, v := range c {
 			if p := v.W.Proc(); p != DMAProc && p >= procs {
 				procs = p + 1
@@ -426,7 +426,7 @@ func (t *writerTable) index(log Log) {
 	for r := range t.ranges {
 		t.ranges[r].lo = math.MaxUint64
 	}
-	for _, c := range log {
+	for _, c := range log.chunks {
 		for _, v := range c {
 			if r := t.rangeOf(v.W); r >= 0 {
 				t.ranges[r].lo = min(t.ranges[r].lo, v.W.StoreSeq())
@@ -471,11 +471,12 @@ func (t *writerTable) find(w Writer) *writerEntry {
 	return &t.entries[rg.off+int32(seq-rg.lo)]
 }
 
-// forEach calls fn with every op and its node, in node order.
-func (g *Graph) forEach(fn func(node int32, op *Op)) {
+// forEach calls fn with every op's record, in place, and its node, in
+// node order.
+func (g *Graph) forEach(fn func(node int32, r *record)) {
 	for p, s := range g.procs {
 		node := g.base[p]
-		for _, c := range s {
+		for _, c := range s.recs.chunks {
 			for i := range c {
 				fn(node, &c[i])
 				node++
@@ -637,19 +638,16 @@ func BuildPerLocation(procs []Stream, log Log, background func(addr uint64) uint
 		pos  int32
 	}
 	type group struct{ first, lo, hi int32 }
-	split := make([]Op, 0, total)
+	split := make([]record, 0, total)
 	var streams []Stream
-	var ops []Op
 	var accesses []access
 	var groups []group
 	for _, s := range procs {
-		ops = ops[:0]
-		for _, c := range s {
-			ops = append(ops, c...)
-		}
 		accesses = accesses[:0]
-		for i, op := range ops {
-			accesses = append(accesses, access{op.Addr, int32(i)})
+		for _, c := range s.recs.chunks {
+			for i := range c {
+				accesses = append(accesses, access{c[i].addr(), int32(len(accesses))})
+			}
 		}
 		slices.SortFunc(accesses, func(x, y access) int {
 			if c := cmp.Compare(x.addr, y.addr); c != 0 {
@@ -669,12 +667,14 @@ func BuildPerLocation(procs []Stream, log Log, background func(addr uint64) uint
 		slices.SortFunc(groups, func(x, y group) int { return cmp.Compare(x.first, y.first) })
 		for _, gr := range groups {
 			lo := len(split)
-			for i, a := range accesses[gr.lo:gr.hi] {
-				op := ops[a.pos]
-				op.Index = i
-				split = append(split, op)
+			for _, a := range accesses[gr.lo:gr.hi] {
+				split = append(split, s.recs.At(int(a.pos)))
 			}
-			streams = append(streams, Stream{split[lo:len(split):len(split)]})
+			// A split stream is one chunk: a first chunk may hold
+			// any number of records.
+			one := Stream{proc: s.proc}
+			one.recs.chunks = [][]record{split[lo:len(split):len(split)]}
+			streams = append(streams, one)
 		}
 	}
 	return BuildWith(streams, log, background, onEdge)

@@ -22,7 +22,7 @@ const wordBase = 0x1000
 // versions without ops.
 type execution struct {
 	procs [][]Op
-	cuts  []int // procs[p] is recorded as the chunks procs[p][:cuts[p]] and procs[p][cuts[p]:]
+	cuts  []int // procs[p] is recorded as two chunks, cut before procs[p][cuts[p]]
 	log   []Version
 	bg    []uint64 // initial value per word
 }
@@ -101,11 +101,13 @@ func (execution) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(e)
 }
 
-// streams returns the procs as two-chunk streams.
+// streams returns the procs as two-chunk streams: At allows a first
+// chunk of any length, which BuildPerLocation's split streams have.
 func (e execution) streams() []Stream {
-	s := make([]Stream, len(e.procs))
-	for p, ops := range e.procs {
-		s[p] = Stream{ops[:e.cuts[p]], ops[e.cuts[p]:]}
+	s := streams(e.procs...)
+	for p := range s {
+		c := s[p].recs.chunks[0]
+		s[p].recs.chunks = [][]record{c[:e.cuts[p]], c[e.cuts[p]:]}
 	}
 	return s
 }
@@ -149,10 +151,10 @@ func (e execution) diff(perLocation bool) string {
 	var g *Graph
 	var r *refGraph
 	if perLocation {
-		g = BuildPerLocation(e.streams(), Log{e.log}, e.background, observe(&got))
+		g = BuildPerLocation(e.streams(), logOf(e.log...), e.background, observe(&got))
 		r = refBuildPerLocation(e.procs, e.chains(), e.background, observe(&want))
 	} else {
-		g = BuildWith(e.streams(), Log{e.log}, e.background, observe(&got))
+		g = BuildWith(e.streams(), logOf(e.log...), e.background, observe(&got))
 		r = refBuildWith(e.procs, e.chains(), e.background, observe(&want))
 	}
 	got.nodes, got.edgeCount = g.Nodes(), g.EdgeCount
@@ -185,7 +187,7 @@ func TestBuildMatchesReference(t *testing.T) {
 				return false
 			}
 		}
-		if _, cyc := Build(e.streams(), Log{e.log}, e.background).FindCycle(); cyc {
+		if _, cyc := Build(e.streams(), logOf(e.log...), e.background).FindCycle(); cyc {
 			cyclic++
 		}
 		return true

@@ -1,6 +1,12 @@
 package consistency
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+)
 
 func TestWriterPacking(t *testing.T) {
 	w := MakeWriter(5, 123)
@@ -42,37 +48,148 @@ func TestShadow(t *testing.T) {
 }
 
 func TestStreamChunks(t *testing.T) {
-	var s Stream
+	s := NewStream(3)
 	for i := 0; i < 3*maxChunk; i++ {
-		s.Append(Op{Index: i})
+		s.Append(OpStore, 8*uint64(i), uint64(i), MakeWriter(3, uint64(i)))
 	}
 	if s.Len() != 3*maxChunk {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	for _, i := range []int{0, firstChunk - 1, firstChunk, maxChunk, 3*maxChunk - 1} {
-		if got := s.At(i).Index; got != i {
-			t.Errorf("At(%d).Index = %d", i, got)
+	for _, i := range []int{0, firstChunk - 1, firstChunk, maxChunk - 1, maxChunk, 3*maxChunk - 1} {
+		if got := s.At(i); got.Index != i || got.Value != uint64(i) {
+			t.Errorf("At(%d) = %+v", i, got)
 		}
 	}
-	for i := 1; i < len(s); i++ {
-		if cap(s[i]) > maxChunk || cap(s[i]) < cap(s[i-1]) {
-			t.Errorf("chunk %d: cap %d after %d", i, cap(s[i]), cap(s[i-1]))
+	// The first chunk doubled up to maxChunk; every later one holds
+	// maxChunk, so the unfilled tail stays below maxChunk.
+	if len(s.recs.chunks) != 3 {
+		t.Errorf("%d chunks for %d records", len(s.recs.chunks), 3*maxChunk)
+	}
+	for i, c := range s.recs.chunks {
+		if cap(c) != maxChunk {
+			t.Errorf("chunk %d: cap %d", i, cap(c))
 		}
 	}
 	// A truncated stream refills its chunks instead of allocating.
-	first := &s[0][0]
-	s = s[:0]
+	first := &s.recs.chunks[0][0]
+	s.Reset(3)
 	if n := testing.AllocsPerRun(1, func() {
-		s = s[:0]
+		s.Reset(3)
 		for i := 0; i < 2*maxChunk; i++ {
-			s.Append(Op{Index: i})
+			s.Append(OpLoad, 8*uint64(i), uint64(i), InitialValue)
 		}
 	}); n != 0 {
 		t.Errorf("refilling a truncated stream allocated %v times", n)
 	}
-	if &s[0][0] != first || s.At(2*maxChunk-1).Index != 2*maxChunk-1 {
+	if &s.recs.chunks[0][0] != first || s.At(2*maxChunk-1).Index != 2*maxChunk-1 {
 		t.Error("truncated stream did not reuse its first chunk")
 	}
+}
+
+// recordRun is a random input for the record round trip: the ops one
+// processor's stream records, then the ops it records after a
+// truncation hands it to another processor.
+type recordRun struct {
+	proc, refillProc int
+	ops, refill      []Op
+}
+
+// Generate implements quick.Generator. Runs reach past three chunk
+// boundaries, and the refill is shorter or longer than the first fill.
+func (recordRun) Generate(r *rand.Rand, _ int) reflect.Value {
+	ops := func(proc int) []Op {
+		out := make([]Op, r.Intn(3*maxChunk+firstChunk))
+		for i := range out {
+			op := Op{Proc: proc, Index: i, Kind: OpKind(r.Intn(2)), Addr: r.Uint64() &^ 7, Value: r.Uint64()}
+			w := MakeWriter(r.Intn(16), r.Uint64())
+			if r.Intn(4) == 0 {
+				w = InitialValue
+			}
+			if op.Kind == OpStore {
+				op.Self = w
+			} else {
+				op.ReadsFrom = w
+			}
+			out[i] = op
+		}
+		return out
+	}
+	run := recordRun{proc: r.Intn(16), refillProc: r.Intn(16)}
+	run.ops, run.refill = ops(run.proc), ops(run.refillProc)
+	return reflect.ValueOf(run)
+}
+
+// TestStreamRecordRoundTrip requires At to return every appended op,
+// with the stream's processor and the op's position, across chunk
+// boundaries and after a truncate-and-refill.
+func TestStreamRecordRoundTrip(t *testing.T) {
+	same := func(s Stream, ops []Op) bool {
+		if s.Len() != len(ops) {
+			t.Logf("Len = %d, want %d", s.Len(), len(ops))
+			return false
+		}
+		for i, want := range ops {
+			if got := s.At(i); got != want {
+				t.Logf("At(%d) = %+v, want %+v", i, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	prop := func(run recordRun) bool {
+		s := streamOf(run.proc, run.ops)
+		if !same(s, run.ops) {
+			return false
+		}
+		s.Reset(run.refillProc)
+		for _, op := range run.refill {
+			appendOp(&s, op)
+		}
+		return same(s, run.refill)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendOp appends op to s through Append.
+func appendOp(s *Stream, op Op) {
+	w := op.ReadsFrom
+	if op.Kind == OpStore {
+		w = op.Self
+	}
+	s.Append(op.Kind, op.Addr, op.Value, w)
+}
+
+// streamOf records ops as processor p's stream. Each op's Proc and
+// Index must be p and its position, which is what At returns.
+func streamOf(p int, ops []Op) Stream {
+	s := NewStream(p)
+	for i, op := range ops {
+		if op.Proc != p || op.Index != i {
+			panic(fmt.Sprintf("op %+v at position %d of processor %d's stream", op, i, p))
+		}
+		appendOp(&s, op)
+	}
+	return s
+}
+
+// streams records ops[p] as processor p's stream.
+func streams(ops ...[]Op) []Stream {
+	s := make([]Stream, len(ops))
+	for p := range ops {
+		s[p] = streamOf(p, ops[p])
+	}
+	return s
+}
+
+// logOf records vs as a version log.
+func logOf(vs ...Version) Log {
+	var log Log
+	for _, v := range vs {
+		log.Append(v)
+	}
+	return log
 }
 
 // seqOps builds a trivially SC execution: p0 stores A then B, p1 loads
@@ -88,8 +205,8 @@ func scExecution() ([]Stream, Log) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x200, Value: 2, ReadsFrom: sB},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 1, ReadsFrom: sA},
 	}
-	log := Log{{{0x100, sA, 1}, {0x200, sB, 2}}}
-	return []Stream{{p0}, {p1}}, log
+	log := logOf(Version{0x100, sA, 1}, Version{0x200, sB, 2})
+	return streams(p0, p1), log
 }
 
 func TestSCExecutionAcyclic(t *testing.T) {
@@ -117,8 +234,8 @@ func TestFigure1bViolationCyclic(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x200, Value: 2, ReadsFrom: sB},           // load B: new
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 9, ReadsFrom: InitialValue}, // load A: old!
 	}
-	log := Log{{{0x100, sA, 1}, {0x200, sB, 2}}}
-	g := Build(procs2(p0, p1), log, nil)
+	log := logOf(Version{0x100, sA, 1}, Version{0x200, sB, 2})
+	g := Build(streams(p0, p1), log, nil)
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Errorf("Figure 1(b) violation not detected (%s)", g)
 	}
@@ -139,8 +256,8 @@ func TestFigure4Example(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpStore, Addr: 0xC0, Value: 2, Self: sC},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0xA0, Value: 9, ReadsFrom: InitialValue},
 	}
-	log := Log{{{0xA0, sA, 1}, {0xC0, sC, 2}}}
-	g := Build(procs2(p0, p1bad), log, nil)
+	log := logOf(Version{0xA0, sA, 1}, Version{0xC0, sC, 2})
+	g := Build(streams(p0, p1bad), log, nil)
 	// sA ->(PO) ldC ->(WAR) sC ->(PO) ldA ->(WAR) sA: cycle.
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Errorf("Figure 4 violation not detected (%s)", g)
@@ -151,7 +268,7 @@ func TestFigure4Example(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpStore, Addr: 0xC0, Value: 2, Self: sC},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0xA0, Value: 1, ReadsFrom: sA},
 	}
-	g2 := Build(procs2(p0, p1ok), log, nil)
+	g2 := Build(streams(p0, p1ok), log, nil)
 	if op, cyc := g2.FindCycle(); cyc {
 		t.Errorf("legal execution flagged cyclic at %+v", op)
 	}
@@ -168,8 +285,8 @@ func TestWAWOrderRespected(t *testing.T) {
 		{Proc: 2, Index: 0, Kind: OpLoad, Addr: 0x80, Value: 2, ReadsFrom: s1},
 		{Proc: 2, Index: 1, Kind: OpLoad, Addr: 0x80, Value: 1, ReadsFrom: s0},
 	}
-	log := Log{{{0x80, s0, 1}, {0x80, s1, 2}}} // coherence order: s0 then s1
-	g := Build([]Stream{{p0}, {p1}, {p2}}, log, nil)
+	log := logOf(Version{0x80, s0, 1}, Version{0x80, s1, 2}) // coherence order: s0 then s1
+	g := Build(streams(p0, p1, p2), log, nil)
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Error("reading versions against coherence order must be cyclic")
 	}
@@ -178,7 +295,7 @@ func TestWAWOrderRespected(t *testing.T) {
 		{Proc: 2, Index: 0, Kind: OpLoad, Addr: 0x80, Value: 1, ReadsFrom: s0},
 		{Proc: 2, Index: 1, Kind: OpLoad, Addr: 0x80, Value: 2, ReadsFrom: s1},
 	}
-	g2 := Build([]Stream{{p0}, {p1}, {p2ok}}, log, nil)
+	g2 := Build(streams(p0, p1, p2ok), log, nil)
 	if _, cyc := g2.FindCycle(); cyc {
 		t.Error("in-order reads flagged cyclic")
 	}
@@ -193,8 +310,8 @@ func TestInitialValueBeforeFirstStore(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x40, Value: 1, ReadsFrom: s0},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x40, Value: 9, ReadsFrom: InitialValue},
 	}
-	log := Log{{{0x40, s0, 1}}}
-	g := Build(procs2(p0, p1), log, nil)
+	log := logOf(Version{0x40, s0, 1})
+	g := Build(streams(p0, p1), log, nil)
 	if _, cyc := g.FindCycle(); !cyc {
 		t.Error("stale re-read of initial value must be cyclic")
 	}
@@ -207,14 +324,12 @@ func TestUnknownWriterInChainIsSkipped(t *testing.T) {
 	dma := MakeWriter(DMAProc, 1)
 	p0 := []Op{{Proc: 0, Index: 0, Kind: OpStore, Addr: 0x40, Value: 1, Self: s0}}
 	p1 := []Op{{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x40, Value: 2, ReadsFrom: dma}}
-	log := Log{{{0x40, s0, 1}, {0x40, dma, 2}}}
-	g := Build(procs2(p0, p1), log, nil)
+	log := logOf(Version{0x40, s0, 1}, Version{0x40, dma, 2})
+	g := Build(streams(p0, p1), log, nil)
 	if _, cyc := g.FindCycle(); cyc {
 		t.Error("DMA-read execution flagged cyclic")
 	}
 }
-
-func procs2(a, b []Op) []Stream { return []Stream{{a}, {b}} }
 
 func TestPerLocationCoherence(t *testing.T) {
 	// The Figure 1(b) different-address reordering violates SC but not
@@ -229,11 +344,11 @@ func TestPerLocationCoherence(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x200, Value: 2, ReadsFrom: sB},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 9, ReadsFrom: InitialValue},
 	}
-	log := Log{{{0x100, sA, 1}, {0x200, sB, 2}}}
-	if _, cyc := Build(procs2(p0, p1), log, nil).FindCycle(); !cyc {
+	log := logOf(Version{0x100, sA, 1}, Version{0x200, sB, 2})
+	if _, cyc := Build(streams(p0, p1), log, nil).FindCycle(); !cyc {
 		t.Fatal("SC check must flag the reordering")
 	}
-	if _, cyc := BuildPerLocation(procs2(p0, p1), log, nil, nil).FindCycle(); cyc {
+	if _, cyc := BuildPerLocation(streams(p0, p1), log, nil, nil).FindCycle(); cyc {
 		t.Error("per-location coherence must accept different-address reordering")
 	}
 	// But a same-address inversion violates both.
@@ -241,7 +356,7 @@ func TestPerLocationCoherence(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0x100, Value: 1, ReadsFrom: sA},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0x100, Value: 9, ReadsFrom: InitialValue},
 	}
-	if _, cyc := BuildPerLocation(procs2(p0, p1bad), log, nil, nil).FindCycle(); !cyc {
+	if _, cyc := BuildPerLocation(streams(p0, p1bad), log, nil, nil).FindCycle(); !cyc {
 		t.Error("per-location check must flag same-address inversion")
 	}
 }
@@ -257,8 +372,8 @@ func TestFindCyclePath(t *testing.T) {
 		{Proc: 1, Index: 0, Kind: OpStore, Addr: 0xC0, Value: 2, Self: sC},
 		{Proc: 1, Index: 1, Kind: OpLoad, Addr: 0xA0, Value: 9, ReadsFrom: InitialValue},
 	}
-	log := Log{{{0xA0, sA, 1}, {0xC0, sC, 2}}}
-	g := Build(procs2(p0, p1), log, nil)
+	log := logOf(Version{0xA0, sA, 1}, Version{0xC0, sC, 2})
+	g := Build(streams(p0, p1), log, nil)
 	path := g.FindCyclePath()
 	if len(path) < 2 {
 		t.Fatalf("cycle path too short: %d", len(path))
@@ -271,7 +386,7 @@ func TestFindCyclePath(t *testing.T) {
 	}
 	// Acyclic graph yields nil.
 	ok := []Op{{Proc: 1, Index: 0, Kind: OpLoad, Addr: 0xA0, Value: 1, ReadsFrom: sA}}
-	g2 := Build(procs2(p0[:1], ok), log, nil)
+	g2 := Build(streams(p0[:1], ok), log, nil)
 	if g2.FindCyclePath() != nil {
 		t.Error("acyclic graph returned a cycle path")
 	}
@@ -290,8 +405,8 @@ func TestValueAwareSilentStoreNoFalsePositive(t *testing.T) {
 		{Proc: 2, Index: 0, Kind: OpLoad, Addr: 0x40, Value: 5, ReadsFrom: s1},
 		{Proc: 2, Index: 1, Kind: OpLoad, Addr: 0x40, Value: 5, ReadsFrom: s0},
 	}
-	log := Log{{{0x40, s0, 5}, {0x40, s1, 5}}}
-	g := Build([]Stream{{p0}, {p1}, {p2}}, log, nil)
+	log := logOf(Version{0x40, s0, 5}, Version{0x40, s1, 5})
+	g := Build(streams(p0, p1, p2), log, nil)
 	if op, cyc := g.FindCycle(); cyc {
 		t.Errorf("silent-store identity inversion flagged as violation at %+v", op)
 	}

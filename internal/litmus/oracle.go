@@ -137,6 +137,9 @@ func (as *AllowedSet) witnessGraph(key string, onEdge func(from, to int32, kind 
 	}
 	t := as.Test
 	procs := make([]consistency.Stream, len(t.Threads))
+	for th := range procs {
+		procs[th] = consistency.NewStream(th)
+	}
 	var log consistency.Log
 	writer := make([]consistency.Writer, t.Locs) // current writer per loc
 	mem := make([]uint64, t.Locs)
@@ -156,15 +159,9 @@ func (as *AllowedSet) witnessGraph(key string, onEdge func(from, to int32, kind 
 			writer[op.Loc] = w
 			mem[op.Loc] = op.Val
 			log.Append(consistency.Version{Addr: addr, W: w, Value: op.Val})
-			procs[th].Append(consistency.Op{
-				Proc: th, Index: procs[th].Len(), Kind: consistency.OpStore,
-				Addr: addr, Value: op.Val, Self: w,
-			})
+			procs[th].Append(consistency.OpStore, addr, op.Val, w)
 		case OpLoad:
-			procs[th].Append(consistency.Op{
-				Proc: th, Index: procs[th].Len(), Kind: consistency.OpLoad,
-				Addr: addr, Value: mem[op.Loc], ReadsFrom: writer[op.Loc],
-			})
+			procs[th].Append(consistency.OpLoad, addr, mem[op.Loc], writer[op.Loc])
 		}
 	}
 	return consistency.BuildWith(procs, log, as.background(), onEdge)

@@ -203,9 +203,10 @@ func (c *Core) Reset(id int, cfg config.Machine, p *prog.Program, mem *prog.Imag
 		pend:            c.pend,
 		pool:            c.pool,
 		lq:              c.lq,
-		ops:             c.ops[:0],
+		ops:             c.ops,
 	}
 	c.rob.init(cfg.ROBSize)
+	c.ops.Reset(id)
 	c.fetchQ.init(cfg.FetchBuf)
 	c.pend.init(cfg.ROBSize)
 	c.pool.init(cfg.ROBSize)
@@ -530,7 +531,7 @@ func (c *Core) commit() {
 			if c.Shadow != nil {
 				self := consistency.MakeWriter(c.ID, uint64(e.qh))
 				c.Shadow.Write(e.addr, self, e.value)
-				c.record(consistency.Op{Kind: consistency.OpStore, Addr: e.addr, Value: e.value, Self: self})
+				c.ops.Append(consistency.OpStore, e.addr, e.value, self)
 			}
 			c.hier.Write(e.addr, c.cycle)
 			c.Stats.StoreAccesses++
@@ -567,7 +568,7 @@ func (c *Core) commit() {
 			}
 			c.Stats.CommittedLoads++
 			if c.Shadow != nil {
-				c.record(consistency.Op{Kind: consistency.OpLoad, Addr: e.addr, Value: e.result, ReadsFrom: e.writer})
+				c.ops.Append(consistency.OpLoad, e.addr, e.result, e.writer)
 			}
 		}
 		if e.isBranch {
@@ -610,13 +611,6 @@ func (c *Core) commit() {
 	if c.rob.Len() == 0 {
 		c.commitQuiet = true // dispatch into an empty ROB clears this
 	}
-}
-
-// record appends a committed load or store to the checker stream,
-// numbering it and aligning its address to the word.
-func (c *Core) record(op consistency.Op) {
-	op.Proc, op.Index, op.Addr = c.ID, c.ops.Len(), op.Addr&^7
-	c.ops.Append(op)
 }
 
 // ---------------------------------------------------------------------
@@ -1709,7 +1703,7 @@ func (c *Core) ResetStats() {
 	if c.vp != nil {
 		c.vp.Stats = vpred.Stats{}
 	}
-	c.ops = c.ops[:0]
+	c.ops.Reset(c.ID)
 }
 
 // ArchState returns a copy of the committed architectural state.

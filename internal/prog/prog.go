@@ -118,6 +118,17 @@ func NewImage(seed uint64) *Image {
 	}
 }
 
+// Reset empties the image in place and rederives its background from
+// seed, as NewImage(seed) would build it: its maps keep their storage,
+// and materialized pages are dropped.
+func (im *Image) Reset(seed uint64) {
+	clear(im.pages)
+	clear(im.sparse)
+	clear(im.sparseWords)
+	im.seed = seed
+	im.lastPN, im.lastPG = 0, nil
+}
+
 // mix64 is the SplitMix64 finalizer, used to derive background memory
 // content and workload data from addresses.
 func mix64(x uint64) uint64 {

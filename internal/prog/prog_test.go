@@ -68,6 +68,53 @@ func TestImageWriteReadProperty(t *testing.T) {
 	}
 }
 
+// TestImageReset requires a reset image to act as a fresh one of the
+// new seed: the same background, silent-store answers and page
+// promotions, with no page, overlay word or cached page left over.
+func TestImageReset(t *testing.T) {
+	// dirty materializes page 0 through the one-page cache and leaves
+	// overlay words on two more pages.
+	dirty := func(im *Image) {
+		for i := 0; i < promoteWords; i++ {
+			im.Write(uint64(i)*8, uint64(i))
+		}
+		im.Read(0)
+		im.Write(1<<20, 5)
+		im.Write(2<<20+8, 6)
+	}
+	im := NewImage(3)
+	dirty(im)
+	im.Reset(9)
+	fresh := NewImage(9)
+	if im.Pages() != 0 {
+		t.Fatalf("reset image kept %d pages", im.Pages())
+	}
+	for _, a := range []uint64{0, 8 * (promoteWords - 1), 1 << 20, 2<<20 + 8} {
+		if got, want := im.Read(a), fresh.Read(a); got != want {
+			t.Errorf("Read(%#x) = %d after Reset, fresh image reads %d", a, got, want)
+		}
+	}
+	// Both images take the same writes alike, on a page the dirty image
+	// materialized and on one it left overlay words on, and promote
+	// each page at the same write.
+	for i := 0; i < 2*promoteWords; i++ {
+		for _, a := range []uint64{uint64(i) * 8, 1<<20 + uint64(i)*8} {
+			v := uint64(i % 3)
+			if im.Write(a, v) != fresh.Write(a, v) {
+				t.Fatalf("write to %#x: silent answers differ", a)
+			}
+		}
+		if im.Pages() != fresh.Pages() {
+			t.Fatalf("after %d writes per page: %d pages, fresh image %d", i+1, im.Pages(), fresh.Pages())
+		}
+	}
+	for a := uint64(0); a < 1<<pageShift; a += 8 {
+		if im.Read(a) != fresh.Read(a) || im.Read(1<<20+a) != fresh.Read(1<<20+a) {
+			t.Fatalf("Read(%#x) differs from a fresh image", a)
+		}
+	}
+}
+
 func TestImagePagesSparse(t *testing.T) {
 	im := NewImage(0)
 	for i := 0; i < 100; i++ {

@@ -8,17 +8,17 @@ import (
 // Heap budget of calibrating one program, averaged over ocean, jbb-mp
 // and spin-mp at seed 12: the uncached generation behind Generate, which
 // every fresh machine pays for its workload. Measured with Go 1.24:
-// 66 allocations and 185.6 KB per program (jbb-mp's 12,000
-// instructions take 415 KB of it), against 102.7 and 408.5 KB when
-// each of the three candidates had its own builder, and 162 and
-// 1.28 MB when calibration filled a Committed record per step and each
-// candidate regrew its code and looked its labels up in a map. The
-// bounds keep the 15 allocations and 61.5 KB of headroom the previous
-// bounds left for the image's maps, whose growth varies across Go
-// releases.
+// 48.3 allocations and 169.3 KB per program (jbb-mp's 12,000
+// instructions take 387 KB of it), against 66 and 185.6 KB when each
+// of calibration's two measurements built its own image, 102.7 and
+// 408.5 KB when each of the three candidates had its own builder, and
+// 162 and 1.28 MB when calibration filled a Committed record per step
+// and each candidate regrew its code and looked its labels up in a
+// map. The bounds leave about 18 allocations and 61 KB of headroom for
+// the image's maps, whose growth varies across Go releases.
 const (
-	maxGenAllocs = 82
-	maxGenBytes  = 250_000
+	maxGenAllocs = 66
+	maxGenBytes  = 230_000
 )
 
 // TestGenerateAllocs gates the allocations and bytes of generating the

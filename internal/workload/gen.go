@@ -381,10 +381,12 @@ func generateOnce(b *prog.Builder, p Params, seed uint64, pp probs) *prog.Progra
 	return g.b.Build()
 }
 
-// measureMix functionally executes n instructions of pr and returns the
-// realized load/store/branch dynamic fractions.
-func measureMix(p Params, pr *prog.Program, seed uint64, n int) probs {
-	ex := prog.NewExecutor(pr, prog.NewImage(seed), InitState(p, 0, seed))
+// measureMix functionally executes n instructions of pr on img, reset
+// to seed first, and returns the realized load/store/branch dynamic
+// fractions.
+func measureMix(p Params, pr *prog.Program, img *prog.Image, seed uint64, n int) probs {
+	img.Reset(seed)
+	ex := prog.NewExecutor(pr, img, InitState(p, 0, seed))
 	var count [isa.NumClasses]int
 	for i := 0; i < n; i++ {
 		cls, _, _ := ex.Exec()
@@ -444,14 +446,15 @@ func generate(p Params, seed uint64) *prog.Program {
 	adj := probs{load: p.LoadFrac, store: p.StoreFrac, branch: p.BranchFrac}
 	// The three candidates share one builder's storage: each earlier
 	// one is dead once measured, and the last Build hands the storage
-	// to the kept program.
+	// to the kept program. The two measurements share one image.
 	b := prog.NewBuilder(Entry)
+	img := prog.NewImage(seed)
 	for iter := 0; ; iter++ {
 		out := generateOnce(b, p, seed, adj)
 		if iter == 2 {
 			return out
 		}
-		m := measureMix(p, out, seed, 12000)
+		m := measureMix(p, out, img, seed, 12000)
 		adj.load *= ratio(p.LoadFrac, m.load)
 		adj.store *= ratio(p.StoreFrac, m.store)
 		adj.branch *= ratio(p.BranchFrac, m.branch)
